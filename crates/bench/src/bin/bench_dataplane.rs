@@ -340,7 +340,10 @@ fn main() {
     for &(n, groups) in &[(16usize, 1usize), (256, 8), (4096, 64)] {
         let (mut tbl, probes) = tss_fixture(n, groups);
         assert_eq!(tbl.index_mode(), "tss", "tss_fixture must build a TSS index");
-        assert_eq!(tbl.tss_groups(), groups, "fixture mask-group count");
+        // The fixture's spoiler entry adds a group and keeps the table one
+        // partition (n <= the scan cutoff would keep no groups at all).
+        assert_eq!(tbl.tss_groups(), groups + 1, "fixture mask-group count");
+        assert_eq!(tbl.tss_partitions(), 1, "fixture must defeat partitioning");
         let mut i = 0;
         let (scan, tss) = ab_min(3, |scan_side| {
             tbl.set_indexed(!scan_side);

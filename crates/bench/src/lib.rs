@@ -351,14 +351,16 @@ pub mod fixtures {
     /// (`ternary_scaling` in `BENCH_dataplane.json`). Bits 12–31 identify
     /// the entry, bits 6–11 vary per mask group, bits 0–5 are never
     /// matched (probe noise, which the megaflow union mask must absorb).
-    /// Each probe matches exactly one entry.
+    /// Each probe matches exactly one entry. One more entry
+    /// ([`tss_spoiler`]) keeps the table a single common-mask partition, so
+    /// every lookup really walks the mask groups (`groups + 1` of them).
     pub fn tss_fixture(n: usize, groups: usize) -> (Table, Vec<Phv>) {
         assert!(n.is_multiple_of(groups) && n / groups > 0, "groups must divide n");
         let per = (n / groups) as u64;
         let mut ft = FieldTable::new();
         let a = ft.register("meta.a", 32).unwrap();
         let key = KeySpec::new(vec![(a, MatchKind::Ternary)]);
-        let mut tbl = Table::new("bench_tss", key, vec![ActionDef::noop("hit")], n);
+        let mut tbl = Table::new("bench_tss", key, vec![ActionDef::noop("hit")], n + 1);
         for g in 0..groups as u64 {
             let mask = 0xffff_f000u64 | (g << 6);
             for i in 0..per {
@@ -374,6 +376,7 @@ pub mod fixtures {
                 .unwrap();
             }
         }
+        tbl.insert(EntryHandle(n as u64), tss_spoiler()).unwrap();
         let probes = (0..64u64)
             .map(|p| {
                 let idx = (p * 17) % n as u64;
@@ -384,6 +387,21 @@ pub mod fixtures {
             })
             .collect();
         (tbl, probes)
+    }
+
+    /// The entry that defeats common-mask partitioning in the tuple-space
+    /// fixtures: its mask shares no bit with the bits every group mask has
+    /// (12–31), so no key bit is common to all entries, and it needs bits
+    /// 6–11 set, which no probe has, so it never matches. Without it each
+    /// fixture entry would be a partition of its own and the fixtures would
+    /// stop measuring tuple-space search.
+    fn tss_spoiler() -> TableEntry {
+        TableEntry {
+            matches: vec![MatchValue::Ternary { value: 0xfc0, mask: 0xfc0 }],
+            priority: 0,
+            action: 0,
+            data: vec![],
+        }
     }
 
     /// A provisioned one-stage switch whose only ingress table is the
@@ -425,7 +443,7 @@ pub mod fixtures {
             salu: None,
         };
         let key = KeySpec::new(vec![(a, MatchKind::Ternary)]);
-        let mut tbl = Table::new("tcam", key, vec![fwd], n);
+        let mut tbl = Table::new("tcam", key, vec![fwd], n + 1);
         for g in 0..groups as u64 {
             let mask = 0xffff_f000u64 | (g << 6);
             for i in 0..per {
@@ -441,6 +459,7 @@ pub mod fixtures {
                 .unwrap();
             }
         }
+        tbl.insert(EntryHandle(n as u64), tss_spoiler()).unwrap();
         tbl.set_default_action(0, vec![]);
         ingress.stage_mut(0).unwrap().add_table(tbl);
         let egress = Pipeline::new(Gress::Egress, 1, StageLimits::default());

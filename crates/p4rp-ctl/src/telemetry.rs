@@ -28,8 +28,9 @@ use std::collections::BTreeMap;
 /// per-program (`programs`), SLO (`slo`), and time-series (`series`)
 /// sections; version 3 added the per-table lookup-structure section
 /// (`tables`); version 4 added the runtime-control server section
-/// (`server`, see `docs/SERVER.md`).
-pub const SCHEMA_VERSION: u64 = 4;
+/// (`server`, see `docs/SERVER.md`); version 5 added `tss_partitions` and
+/// `tss_max_partition` to `tables` (`tss_groups` now sums over partitions).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// One program lifecycle event as the controller executed it.
 ///
@@ -847,8 +848,11 @@ impl TelemetryReport {
                     t.mode,
                     t.hits, t.misses
                 ));
-                if t.tss_groups > 0 {
-                    out.push_str(&format!(", {} mask group(s)", t.tss_groups));
+                if t.tss_partitions > 0 {
+                    out.push_str(&format!(
+                        ", {} partition(s) of at most {}, {} mask group(s)",
+                        t.tss_partitions, t.tss_max_partition, t.tss_groups
+                    ));
                 }
                 if t.cache {
                     out.push_str(&format!(
@@ -990,6 +994,8 @@ mod tests {
                 indexed: true,
                 entries: 12,
                 tss_groups: 3,
+                tss_partitions: 2,
+                tss_max_partition: 10,
                 hits: 100,
                 misses: 4,
                 cache: true,

@@ -116,8 +116,8 @@ pub struct TableRef {
 }
 
 /// Per-table lookup-structure statistics: which index serves the table
-/// (`exact` / `lpm` / `tss` / `scan`), tuple-space mask-group counts, and
-/// megaflow result-cache effectiveness. Surfaced through the telemetry
+/// (`exact` / `lpm` / `tss` / `scan`), common-mask partition and
+/// tuple-space mask-group counts, and megaflow result-cache effectiveness. Surfaced through the telemetry
 /// report's `tables` section (`status --json`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableIndexStats {
@@ -135,8 +135,14 @@ pub struct TableIndexStats {
     pub indexed: bool,
     /// Live entries.
     pub entries: u64,
-    /// Tuple-space mask groups (0 unless `mode == "tss"`).
+    /// Tuple-space mask groups, summed over the partitions large enough
+    /// to keep them (0 unless `mode == "tss"`).
     pub tss_groups: u64,
+    /// Common-mask partitions (0 unless `mode == "tss"`).
+    pub tss_partitions: u64,
+    /// Entries in the largest partition — the number that predicts lookup
+    /// cost (0 unless `mode == "tss"`).
+    pub tss_max_partition: u64,
     /// Lookup hits.
     pub hits: u64,
     /// Lookup misses.
@@ -160,6 +166,8 @@ serde::impl_serde_struct!(TableIndexStats {
     indexed,
     entries,
     tss_groups,
+    tss_partitions,
+    tss_max_partition,
     hits,
     misses,
     cache,
@@ -552,6 +560,8 @@ impl Switch {
                         indexed: t.is_indexed(),
                         entries: t.len() as u64,
                         tss_groups: t.tss_groups() as u64,
+                        tss_partitions: t.tss_partitions() as u64,
+                        tss_max_partition: t.tss_max_partition() as u64,
                         hits: t.hits,
                         misses: t.misses,
                         cache: t.result_cache_enabled(),

@@ -16,14 +16,15 @@
 //!   entry, the software analogue of hash-addressed exact-match SRAM;
 //! * **single-field LPM** — per-prefix-length hash buckets probed longest
 //!   prefix first, the classic algorithmic-LPM decomposition;
-//! * **ternary / range / mixed keys** — tuple-space search: entries are
-//!   grouped by their effective per-field mask tuple, each group hashes
-//!   the masked key, and lookup probes groups in best-possible-precedence
-//!   order with early exit — the software analogue of an algorithmic TCAM
-//!   (see `docs/PERF.md`, "Algorithmic TCAM"). Groups whose key contains a
-//!   single range field keep a per-bucket sorted interval list probed by
-//!   binary search; tables below [`TSS_SCAN_CUTOFF`] entries take the
-//!   short scan, which beats any per-group hashing at that size.
+//! * **ternary / range / mixed keys** — common-mask partitions: entries
+//!   are filed under the key bits *every* live entry constrains, so one
+//!   hash probe selects the few entries that can match at all. A partition
+//!   (or whole table) of at most [`TSS_SCAN_CUTOFF`] entries is scanned; a
+//!   larger partition runs tuple-space search over its members: entries
+//!   grouped by effective per-field mask tuple, each group hashing the
+//!   masked key, groups probed in best-possible-precedence order with
+//!   early exit, single-range-field groups by interval binary search —
+//!   the software analogue of an algorithmic TCAM (see `docs/PERF.md`).
 //!
 //! All indexes are maintained incrementally by `insert`/`delete`, so RMT's
 //! per-entry update atomicity is untouched: every control-plane operation
@@ -42,8 +43,9 @@
 
 use crate::action::ActionDef;
 use crate::error::{SimError, SimResult};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::phv::{FieldId, Phv};
+use std::hash::Hasher;
 
 /// How one key field matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,10 +191,11 @@ impl StoredEntry {
 /// masked probe tuples in a fixed stack array of this size.
 const MAX_INDEX_KEY_FIELDS: usize = 16;
 
-/// Below this entry count the tuple-space index falls through to the
-/// ordered scan: the RPB dispatch tables hold a handful of entries each,
-/// and a few linear compares beat even one group-hash probe there (the
-/// "when the scan still wins" case in `docs/PERF.md`).
+/// Up to this many candidates are scanned in rank order instead of hashed:
+/// a few linear compares beat even one group-hash probe ("when the scan
+/// still wins" in `docs/PERF.md`). It bounds a whole table (a lightly
+/// loaded switch) and one common-mask partition of a large one (a loaded
+/// RPB table holds up to 2 048 entries, one program a handful of them).
 const TSS_SCAN_CUTOFF: usize = 8;
 
 /// Memoized probes the result cache holds before a wholesale flush.
@@ -228,13 +231,14 @@ fn eff_mask(mv: &MatchValue) -> EffMask {
     }
 }
 
-/// The effective mask as a plain word for union-mask accumulation: a
-/// range field constrains the whole word, so the cache must key on all of
-/// it.
-fn eff_mask_word(mv: &MatchValue) -> u64 {
+/// The effective mask as a plain word, a range field standing in as
+/// `range`: `u64::MAX` for union-mask accumulation (a range constrains the
+/// whole word, so the cache must key on all of it), 0 for AND-masks that
+/// build hash probes (a range has no maskable bits).
+fn mask_word(mv: &MatchValue, range: u64) -> u64 {
     match eff_mask(mv) {
         EffMask::Mask(m) => m,
-        EffMask::Range => u64::MAX,
+        EffMask::Range => range,
     }
 }
 
@@ -305,12 +309,64 @@ struct TssGroup {
     len: usize,
 }
 
-/// Tuple-space search over ternary/range/mixed keys: groups sorted by
-/// `best_rank` ascending, so lookup can stop as soon as its current best
-/// match outranks every remaining group's best possible member.
+/// One common-mask partition: the live entries that agree on every key
+/// bit the table's `common` mask covers.
 #[derive(Debug, Clone, Default)]
-struct TssIndex {
+struct TssPartition {
+    /// Slots in rank order; scanned with the full match check while there
+    /// are at most [`TSS_SCAN_CUTOFF`] of them.
+    members: Vec<u32>,
+    /// Tuple-space groups over `members`, sorted by `best_rank` ascending
+    /// so lookup can stop as soon as its current best match outranks every
+    /// remaining group's best possible member. Non-empty exactly while
+    /// the partition holds more than [`TSS_SCAN_CUTOFF`] members.
     groups: Vec<TssGroup>,
+}
+
+/// Common-mask partitions over ternary/range/mixed keys. An entry that
+/// matches key `k` has `k & m == v & m` under its own mask `m ⊇ common`,
+/// so it lives in partition `k & common`: one hash probe finds every
+/// candidate. With no common bit there is one partition — plain
+/// tuple-space search.
+#[derive(Debug, Clone)]
+struct TssIndex {
+    /// Per-field AND of every filed entry's effective mask (range fields
+    /// contribute 0). Only narrows — an insert that clears a bit refiles
+    /// every entry; a delete never widens it (a subset of the true common
+    /// bits merely merges partitions); all-ones again once the table
+    /// empties or `clear()`s.
+    common: Box<[u64]>,
+    /// 64-bit fold of `value & common` → partition. A fold collision
+    /// merges two partitions; every candidate is still fully matched.
+    partitions: FxHashMap<u64, TssPartition>,
+}
+
+impl TssIndex {
+    /// The partition key of one key tuple (an entry's value words or a
+    /// probe's field values): only fields with a common bit are hashed.
+    fn partition_key(&self, words: impl Iterator<Item = u64>) -> u64 {
+        let mut h = FxHasher::default();
+        for (&c, w) in self.common.iter().zip(words) {
+            if c != 0 {
+                h.write_u64(w & c);
+            }
+        }
+        // The multiplicative fold leaves its entropy in the high bits and
+        // the map picks buckets by the low ones: swap the halves.
+        h.finish().rotate_left(32)
+    }
+
+    /// Clear from `common` every bit `entry` leaves unconstrained; whether
+    /// any was cleared.
+    fn narrow(common: &mut [u64], entry: &TableEntry) -> bool {
+        let mut narrowed = false;
+        for (c, mv) in common.iter_mut().zip(&entry.matches) {
+            let m = mask_word(mv, 0);
+            narrowed |= *c & !m != 0;
+            *c &= m;
+        }
+        narrowed
+    }
 }
 
 /// Megaflow-style result cache: memoizes [`Table::find_slot`] keyed by
@@ -500,12 +556,30 @@ impl Table {
         }
     }
 
-    /// Tuple-space mask-group count (0 unless the TSS index is active).
+    /// The common-mask partitions (none unless the TSS index is active).
+    fn tss_parts(&self) -> impl Iterator<Item = &TssPartition> {
+        let tss = match &self.index {
+            Index::Tss(tss) => Some(tss),
+            _ => None,
+        };
+        tss.into_iter().flat_map(|t| t.partitions.values())
+    }
+
+    /// Tuple-space mask-group count, summed over the partitions large
+    /// enough to keep groups (0 unless the TSS index is active).
     pub fn tss_groups(&self) -> usize {
-        match &self.index {
-            Index::Tss(tss) => tss.groups.len(),
-            _ => 0,
-        }
+        self.tss_parts().map(|p| p.groups.len()).sum()
+    }
+
+    /// Common-mask partition count (0 unless the TSS index is active).
+    pub fn tss_partitions(&self) -> usize {
+        self.tss_parts().count()
+    }
+
+    /// Member count of the largest partition — the number that predicts
+    /// lookup cost (0 unless the TSS index is active).
+    pub fn tss_max_partition(&self) -> usize {
+        self.tss_parts().map(|p| p.members.len()).max().unwrap_or(0)
     }
 
     /// Arm (`true`) or drop (`false`) the megaflow-style result cache.
@@ -525,7 +599,7 @@ impl Table {
         for &slot in &self.order {
             let entry = &self.slots[slot as usize].as_ref().expect("live slot").entry;
             for (um, mv) in union_mask.iter_mut().zip(&entry.matches) {
-                *um |= eff_mask_word(mv);
+                *um |= mask_word(mv, u64::MAX);
             }
         }
         self.cache = Some(Box::new(ResultCache {
@@ -577,10 +651,19 @@ impl Table {
             self.index = Index::Scan;
             return;
         }
-        let mut tss = TssIndex::default();
+        let mut common: Box<[u64]> = vec![u64::MAX; self.key.fields.len()].into();
         for &slot in &self.order {
-            let stored = self.slots[slot as usize].as_ref().expect("live slot");
-            Self::tss_insert(&mut tss, &stored.entry, stored.rank(), slot);
+            TssIndex::narrow(&mut common, &self.stored(slot).entry);
+        }
+        self.tss_rebuild(common);
+    }
+
+    /// Refile every entry in `order` under `common`, which must be a
+    /// subset of every live entry's effective mask.
+    fn tss_rebuild(&mut self, common: Box<[u64]>) {
+        let mut tss = TssIndex { common, partitions: FxHashMap::default() };
+        for &slot in &self.order {
+            Self::tss_insert(&mut tss, &self.slots, slot);
         }
         self.index = Index::Tss(tss);
     }
@@ -594,7 +677,10 @@ impl Table {
         } else if key.fields.iter().all(|(_, k)| *k == MatchKind::Exact) {
             Index::Exact(FxHashMap::default())
         } else {
-            Index::Tss(TssIndex::default())
+            Index::Tss(TssIndex {
+                common: vec![u64::MAX; key.fields.len()].into(),
+                partitions: FxHashMap::default(),
+            })
         }
     }
 
@@ -612,37 +698,77 @@ impl Table {
     }
 
     /// The masked key an entry hashes to within its tuple-space group.
-    fn tss_key(entry: &TableEntry, key_masks: &[u64]) -> Box<[u64]> {
-        entry
-            .matches
-            .iter()
-            .zip(key_masks)
-            .map(|(mv, m)| value_word(mv) & m)
-            .collect()
+    fn tss_key<'a>(entry: &'a TableEntry, key_masks: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+        entry.matches.iter().zip(key_masks).map(|(mv, m)| value_word(mv) & m)
     }
 
-    /// Hook an entry into the tuple-space index, creating its mask group
-    /// on first sight and keeping the group list sorted by best rank.
-    /// Never fails: every match-value shape has an effective mask tuple.
-    fn tss_insert(tss: &mut TssIndex, entry: &TableEntry, rank: Rank, slot: u32) {
-        let id: Box<[EffMask]> = entry.matches.iter().map(eff_mask).collect();
-        let gi = match tss.groups.iter().position(|g| g.id == id) {
+    /// File a stored entry in its partition, building the partition's
+    /// tuple-space groups when it outgrows the scan cutoff.
+    fn tss_insert(tss: &mut TssIndex, slots: &[Option<StoredEntry>], slot: u32) {
+        let live = |s: u32| slots[s as usize].as_ref().expect("live slot");
+        let rank = live(slot).rank();
+        let key = tss.partition_key(live(slot).entry.matches.iter().map(value_word));
+        let part = tss.partitions.entry(key).or_default();
+        let pos = part.members.partition_point(|&s| live(s).rank() < rank);
+        part.members.insert(pos, slot);
+        let grouped = match part.members.len() {
+            n if n <= TSS_SCAN_CUTOFF => &[][..],
+            n if n == TSS_SCAN_CUTOFF + 1 => &part.members[..],
+            _ => std::slice::from_ref(&slot),
+        };
+        for &s in grouped {
+            Self::group_insert(&mut part.groups, &live(s).entry, live(s).rank(), s);
+        }
+    }
+
+    /// Unfile a just-vacated entry from its partition, dropping the
+    /// partition when it empties and its groups when it shrinks back to
+    /// the scan cutoff.
+    fn tss_remove(tss: &mut TssIndex, slots: &[Option<StoredEntry>], stored: &StoredEntry, slot: u32) {
+        let rank = stored.rank();
+        let key = tss.partition_key(stored.entry.matches.iter().map(value_word));
+        let Some(part) = tss.partitions.get_mut(&key) else {
+            return;
+        };
+        // The only vacated member is the one being removed.
+        let Ok(pos) = part.members.binary_search_by(|&s| {
+            slots[s as usize].as_ref().map_or(std::cmp::Ordering::Equal, |e| e.rank().cmp(&rank))
+        }) else {
+            return;
+        };
+        part.members.remove(pos);
+        match part.members.len() {
+            0 => {
+                tss.partitions.remove(&key);
+            }
+            n if n > TSS_SCAN_CUTOFF => Self::group_remove(&mut part.groups, stored, slot),
+            _ => part.groups = Vec::new(),
+        }
+    }
+
+    /// The group holding entries of `entry`'s effective mask tuple, if any.
+    fn group_of(groups: &[TssGroup], entry: &TableEntry) -> Option<usize> {
+        groups
+            .iter()
+            .position(|g| g.id.iter().zip(&entry.matches).all(|(em, mv)| *em == eff_mask(mv)))
+    }
+
+    /// Hook an entry into a partition's tuple-space groups, creating its
+    /// mask group on first sight and keeping the group list sorted by best
+    /// rank. Never fails: every match-value shape has an effective mask.
+    fn group_insert(groups: &mut Vec<TssGroup>, entry: &TableEntry, rank: Rank, slot: u32) {
+        let gi = match Self::group_of(groups, entry) {
             Some(gi) => gi,
             None => {
-                let key_masks: Box<[u64]> = id
-                    .iter()
-                    .map(|em| match *em {
-                        EffMask::Mask(m) => m,
-                        EffMask::Range => 0,
-                    })
-                    .collect();
+                let id: Box<[EffMask]> = entry.matches.iter().map(eff_mask).collect();
+                let key_masks: Box<[u64]> = entry.matches.iter().map(|mv| mask_word(mv, 0)).collect();
                 let range_fields = id.iter().filter(|em| matches!(em, EffMask::Range)).count();
                 let single_range = (range_fields == 1)
                     .then(|| id.iter().position(|em| matches!(em, EffMask::Range)))
                     .flatten();
                 // Pushed with a sentinel worst rank; the reposition below
                 // sorts it into place before this call returns.
-                tss.groups.push(TssGroup {
+                groups.push(TssGroup {
                     id,
                     key_masks,
                     single_range,
@@ -651,12 +777,11 @@ impl Table {
                     buckets: FxHashMap::default(),
                     len: 0,
                 });
-                tss.groups.len() - 1
+                groups.len() - 1
             }
         };
-        let g = &mut tss.groups[gi];
-        let key = Self::tss_key(entry, &g.key_masks);
-        let bucket = g.buckets.entry(key).or_default();
+        let g = &mut groups[gi];
+        let bucket = g.buckets.entry(Self::tss_key(entry, &g.key_masks).collect()).or_default();
         let pos = match bucket.members.binary_search(&(rank, slot)) {
             Ok(p) | Err(p) => p,
         };
@@ -671,26 +796,29 @@ impl Table {
         }
         g.len += 1;
         if rank < g.best_rank {
-            let mut g = tss.groups.remove(gi);
+            let mut g = groups.remove(gi);
             g.best_rank = rank;
-            let pos = tss.groups.partition_point(|o| o.best_rank < rank);
-            tss.groups.insert(pos, g);
+            let pos = groups.partition_point(|o| o.best_rank < rank);
+            groups.insert(pos, g);
         }
     }
 
-    /// Unhook a removed entry from the tuple-space index, dropping empty
-    /// buckets/groups and re-sorting the group list if the group's best
-    /// member left.
-    fn tss_remove(tss: &mut TssIndex, stored: &StoredEntry, slot: u32) {
+    /// Unhook a removed entry from a partition's tuple-space groups,
+    /// dropping empty buckets/groups and re-sorting the group list if the
+    /// group's best member left.
+    fn group_remove(groups: &mut Vec<TssGroup>, stored: &StoredEntry, slot: u32) {
         let entry = &stored.entry;
         let rank = stored.rank();
-        let id: Box<[EffMask]> = entry.matches.iter().map(eff_mask).collect();
-        let Some(gi) = tss.groups.iter().position(|g| g.id == id) else {
+        let Some(gi) = Self::group_of(groups, entry) else {
             return;
         };
-        let g = &mut tss.groups[gi];
-        let key = Self::tss_key(entry, &g.key_masks);
-        let Some(bucket) = g.buckets.get_mut(&key) else {
+        let g = &mut groups[gi];
+        let mut key = [0u64; MAX_INDEX_KEY_FIELDS];
+        for (k, w) in key.iter_mut().zip(Self::tss_key(entry, &g.key_masks)) {
+            *k = w;
+        }
+        let key = &key[..entry.matches.len()];
+        let Some(bucket) = g.buckets.get_mut(key) else {
             return;
         };
         bucket.members.retain(|&(_, s)| s != slot);
@@ -699,23 +827,23 @@ impl Table {
             fix_max_hi(&mut bucket.intervals);
         }
         if bucket.members.is_empty() {
-            g.buckets.remove(&key);
+            g.buckets.remove(key);
         }
         g.len -= 1;
         if g.len == 0 {
-            tss.groups.remove(gi);
+            groups.remove(gi);
             return;
         }
         if rank == g.best_rank {
-            let mut g = tss.groups.remove(gi);
+            let mut g = groups.remove(gi);
             g.best_rank = g
                 .buckets
                 .values()
                 .map(|b| b.members[0].0)
                 .min()
                 .expect("non-empty group has a best member");
-            let pos = tss.groups.partition_point(|o| o.best_rank < g.best_rank);
-            tss.groups.insert(pos, g);
+            let pos = groups.partition_point(|o| o.best_rank < g.best_rank);
+            groups.insert(pos, g);
         }
     }
 
@@ -726,7 +854,13 @@ impl Table {
         match &mut self.index {
             Index::Scan => true,
             Index::Tss(tss) => {
-                Self::tss_insert(tss, &stored.entry, stored.rank(), slot);
+                if TssIndex::narrow(&mut tss.common, &stored.entry) && !tss.partitions.is_empty() {
+                    // `order` already holds the new entry.
+                    let common = std::mem::take(&mut tss.common);
+                    self.tss_rebuild(common);
+                } else {
+                    Self::tss_insert(tss, &self.slots, slot);
+                }
                 true
             }
             Index::Exact(map) => {
@@ -787,7 +921,10 @@ impl Table {
             Index::Scan => {}
             Index::Tss(_) => {
                 let Index::Tss(tss) = &mut self.index else { unreachable!() };
-                Self::tss_remove(tss, stored, slot);
+                Self::tss_remove(tss, &self.slots, stored, slot);
+                if self.order.is_empty() {
+                    tss.common.fill(u64::MAX);
+                }
             }
             Index::Exact(map) => {
                 let Some(key) = Self::exact_key_of(entry) else {
@@ -875,7 +1012,7 @@ impl Table {
         self.generation += 1;
         if let Some(cache) = self.cache.as_mut() {
             for (um, mv) in cache.union_mask.iter_mut().zip(&entry.matches) {
-                *um |= eff_mask_word(mv);
+                *um |= mask_word(mv, u64::MAX);
             }
         }
         let seq = self.next_seq;
@@ -912,13 +1049,14 @@ impl Table {
             return Err(SimError::NoSuchEntry(handle.0));
         };
         self.generation += 1;
-        let stored = self.slots[slot as usize].take().expect("live slot");
+        // Ranks are unique, so the rank-sorted order finds the slot exactly.
+        let rank = self.stored(slot).rank();
         let pos = self
             .order
-            .iter()
-            .position(|&s| s == slot)
+            .binary_search_by(|&s| self.stored(s).rank().cmp(&rank))
             .expect("slot in order");
         self.order.remove(pos);
+        let stored = self.slots[slot as usize].take().expect("live slot");
         self.index_remove(slot, &stored);
         self.free_slots.push(slot);
         Ok(stored.entry)
@@ -982,19 +1120,20 @@ impl Table {
                 Index::Scan => {}
             }
         }
-        'entries: for &slot in &self.order {
-            let e = &self.stored(slot).entry;
-            for ((field, _kind), mv) in self.key.fields.iter().zip(&e.matches) {
-                if !mv.matches(phv.get(*field)) {
-                    continue 'entries;
-                }
-            }
-            return Some(slot);
-        }
-        None
+        self.first_match(&self.order, phv)
     }
 
-    /// Tuple-space probe: groups in best-rank order, early exit once the
+    /// The first of the rank-ordered `slots` whose every field matches.
+    fn first_match(&self, slots: &[u32], phv: &Phv) -> Option<u32> {
+        slots.iter().copied().find(|&slot| {
+            let e = &self.stored(slot).entry;
+            self.key.fields.iter().zip(&e.matches).all(|((field, _), mv)| mv.matches(phv.get(*field)))
+        })
+    }
+
+    /// Partition probe: hash the key under the common mask, then scan the
+    /// partition's few members — or, past the scan cutoff, run tuple-space
+    /// search over them: groups in best-rank order, early exit once the
     /// current best match outranks every remaining group's best possible
     /// member, masked-key hash within each group, interval binary search
     /// where a single range field participates.
@@ -1004,9 +1143,13 @@ impl Table {
         for (i, (field, _)) in self.key.fields.iter().enumerate() {
             vals[i] = phv.get(*field);
         }
+        let part = tss.partitions.get(&tss.partition_key(vals[..n].iter().copied()))?;
+        if part.groups.is_empty() {
+            return self.first_match(&part.members, phv);
+        }
         let mut probe = [0u64; MAX_INDEX_KEY_FIELDS];
         let mut best: Option<(Rank, u32)> = None;
-        for g in &tss.groups {
+        for g in &part.groups {
             if let Some((rank, _)) = best {
                 if rank < g.best_rank {
                     // Every remaining group's best member ranks worse.
@@ -1468,7 +1611,9 @@ mod tests {
         .unwrap();
         assert!(tbl.is_indexed());
         assert_eq!(tbl.index_mode(), "tss");
-        assert_eq!(tbl.tss_groups(), 2);
+        // Both prefixes share their top byte: one partition, too small for
+        // mask groups.
+        assert_eq!((tbl.tss_partitions(), tbl.tss_max_partition(), tbl.tss_groups()), (1, 2, 0));
         let mut phv = Phv::new(&ft);
         phv.set(&ft, a, 0x0a010203);
         // Priority 10 /8 beats priority 0 /16.
@@ -1675,6 +1820,111 @@ mod tests {
         .unwrap();
         assert_eq!(both_ways(&mut tbl, &phv, "after reinsert"), Some(vec![3]));
         assert_eq!(tbl.tss_groups(), 2);
+    }
+
+    /// An RPB-shaped table: `(prog id, branch id, register)`, all ternary;
+    /// every entry pins the full program id, branch masks are hierarchical
+    /// prefixes, the register is mostly don't-care.
+    fn rpb_table(ft: &mut FieldTable) -> (Table, [FieldId; 3]) {
+        let f = [
+            ft.register("meta.prog", 16).unwrap(),
+            ft.register("meta.branch", 16).unwrap(),
+            ft.register("meta.reg", 32).unwrap(),
+        ];
+        let key = KeySpec::new(f.iter().map(|&id| (id, MatchKind::Ternary)).collect());
+        (Table::new("rpb", key, noop_actions(1), 4096), f)
+    }
+
+    fn rpb_entry(prog: u64, i: u64) -> TableEntry {
+        let branch_mask = [0u64, 0x8000, 0xc000, 0xe000][i as usize % 4];
+        let reg = if i % 3 == 2 { MatchValue::Ternary { value: i, mask: 0xff } } else { MatchValue::ANY };
+        TableEntry {
+            matches: vec![
+                MatchValue::Ternary { value: prog, mask: 0xffff },
+                MatchValue::Ternary { value: (i << 13) & branch_mask, mask: branch_mask },
+                reg,
+            ],
+            priority: (i % 2) as i32,
+            action: 0,
+            data: vec![prog, i],
+        }
+    }
+
+    #[test]
+    fn rpb_entries_partition_by_program_and_absent_ids_touch_nothing() {
+        let mut ft = FieldTable::new();
+        let (mut tbl, f) = rpb_table(&mut ft);
+        for prog in 1..=40u64 {
+            for i in 0..3 {
+                tbl.insert(EntryHandle(prog * 100 + i), rpb_entry(prog, i)).unwrap();
+            }
+        }
+        // One partition per program id, none large enough for mask groups.
+        assert_eq!(tbl.index_mode(), "tss");
+        assert_eq!((tbl.tss_partitions(), tbl.tss_max_partition(), tbl.tss_groups()), (40, 3, 0));
+        let Index::Tss(tss) = &tbl.index else { unreachable!() };
+        assert_eq!(&tss.common[..], &[0xffff, 0, 0]);
+        // A packet of a program with no entry here finds no partition: the
+        // lookup ends at the hash probe without reading a single entry.
+        assert!(!tss.partitions.contains_key(&tss.partition_key([999u64, 0, 0].into_iter())));
+        let mut phv = Phv::new(&ft);
+        phv.set(&ft, f[0], 999);
+        assert!(both_ways(&mut tbl, &phv, "absent program").is_none());
+        phv.set(&ft, f[0], 17);
+        // Entry 1 (priority 1, branch prefix 0/1) outranks the branch-any entry 0.
+        assert_eq!(both_ways(&mut tbl, &phv, "resident program"), Some(vec![17, 1]));
+
+        // A program that outgrows the cutoff gets mask groups of its own,
+        // and loses them again when it shrinks back.
+        for i in 3..12 {
+            tbl.insert(EntryHandle(1700 + i), rpb_entry(17, i)).unwrap();
+        }
+        assert_eq!((tbl.tss_partitions(), tbl.tss_max_partition()), (40, 12));
+        assert!(tbl.tss_groups() > 1);
+        phv.set(&ft, f[1], 0xe000);
+        phv.set(&ft, f[2], 0x0b);
+        both_ways(&mut tbl, &phv, "grouped partition");
+        for i in 3..7 {
+            tbl.delete(EntryHandle(1700 + i)).unwrap();
+        }
+        assert_eq!((tbl.tss_max_partition(), tbl.tss_groups()), (8, 0));
+        both_ways(&mut tbl, &phv, "back under the cutoff");
+    }
+
+    #[test]
+    fn common_mask_narrows_never_widens_and_resets_when_empty() {
+        let mut ft = FieldTable::new();
+        let (mut tbl, f) = rpb_table(&mut ft);
+        for prog in 1..=12u64 {
+            tbl.insert(EntryHandle(prog), rpb_entry(prog, 0)).unwrap();
+        }
+        assert_eq!(tbl.tss_partitions(), 12);
+        // A catch-all constrains nothing: every entry refiles into one
+        // partition, which then needs mask groups.
+        let any = TableEntry { matches: vec![MatchValue::ANY; 3], priority: -1, action: 0, data: vec![0] };
+        tbl.insert(EntryHandle(99), any).unwrap();
+        assert_eq!((tbl.tss_partitions(), tbl.tss_max_partition(), tbl.tss_groups()), (1, 13, 2));
+        let mut phv = Phv::new(&ft);
+        phv.set(&ft, f[0], 5);
+        assert_eq!(both_ways(&mut tbl, &phv, "specific beats catch-all"), Some(vec![5, 0]));
+        phv.set(&ft, f[0], 500);
+        assert_eq!(both_ways(&mut tbl, &phv, "catch-all"), Some(vec![0]));
+        // Deleting it does not widen `common` again (still sound, merely
+        // coarser) ...
+        tbl.delete(EntryHandle(99)).unwrap();
+        assert_eq!(tbl.tss_partitions(), 1);
+        assert!(both_ways(&mut tbl, &phv, "catch-all gone").is_none());
+        // ... emptying the table does.
+        for prog in 1..=12u64 {
+            tbl.delete(EntryHandle(prog)).unwrap();
+        }
+        assert_eq!(tbl.tss_partitions(), 0);
+        for prog in 1..=12u64 {
+            tbl.insert(EntryHandle(prog), rpb_entry(prog, 0)).unwrap();
+        }
+        assert_eq!(tbl.tss_partitions(), 12);
+        phv.set(&ft, f[0], 5);
+        assert_eq!(both_ways(&mut tbl, &phv, "refilled"), Some(vec![5, 0]));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!
 //! The case count obeys `P4RP_PROPTEST_CASES` (CI's `tcam-equivalence`
 //! step sets it low for a fast smoke; the default is the full campaign).
+//!
+//! The directed cases below the properties pin the common-mask partition
+//! maintenance rules (narrowing, never widening, reset on empty, the scan
+//! cutoff inside a partition, fold collisions), and one switch-level guard
+//! replays traffic through a loaded switch against its scan-forced clone.
 
 use proptest::prelude::*;
 use rmt_sim::action::ActionDef;
@@ -191,6 +196,16 @@ fn make_entry(
     }
 }
 
+/// A key value the match value accepts (a range gives its `lo`).
+fn value_of(m: &MatchValue) -> u64 {
+    match *m {
+        MatchValue::Exact(v) => v,
+        MatchValue::Ternary { value, .. } => value,
+        MatchValue::Lpm { value, .. } => value,
+        MatchValue::Range { lo, .. } => lo,
+    }
+}
+
 /// A probe PHV: either random or derived from a stored entry's own match
 /// values (with a small perturbation) so hits are common.
 fn probe_phv(sc: &Scenario, raw: (u64, u8, u8), entries: &[(u64, TableEntry)]) -> Phv {
@@ -200,12 +215,7 @@ fn probe_phv(sc: &Scenario, raw: (u64, u8, u8), entries: &[(u64, TableEntry)]) -
         let bits = field_width(&sc.ft, *f);
         let base = if !entries.is_empty() && usize::from(pick) % 4 != 0 {
             let (_, e) = &entries[usize::from(pick) % entries.len()];
-            match e.matches[i] {
-                MatchValue::Exact(v) => v,
-                MatchValue::Ternary { value, .. } => value,
-                MatchValue::Lpm { value, .. } => value,
-                MatchValue::Range { lo, .. } => lo,
-            }
+            value_of(&e.matches[i])
         } else {
             rand_v.rotate_left(i as u32 * 13)
         };
@@ -279,96 +289,221 @@ fn assert_modes_agree(
     Ok(())
 }
 
+/// A table and its reference model kept in step through inserts, deletes
+/// and delete-then-reinsert churn (a reinserted entry gets a fresh handle
+/// and sequence number, so the insertion-order tie-break must move it to
+/// the back of its priority class).
+struct Mirror {
+    ft: FieldTable,
+    field_ids: Vec<FieldId>,
+    tbl: Table,
+    reference: RefTable,
+    live: Vec<(u64, TableEntry)>,
+    graveyard: Vec<TableEntry>,
+    next_handle: u64,
+}
+
+impl Mirror {
+    /// A table over freshly registered fields `meta.k<i>` of the given
+    /// widths and match kinds.
+    fn new(name: &str, spec: &[(u8, MatchKind)]) -> Mirror {
+        let mut ft = FieldTable::new();
+        let fields: Vec<(FieldId, MatchKind)> = spec
+            .iter()
+            .enumerate()
+            .map(|(i, &(bits, kind))| (ft.register(&format!("meta.k{i}"), bits).unwrap(), kind))
+            .collect();
+        Mirror {
+            field_ids: fields.iter().map(|(f, _)| *f).collect(),
+            tbl: Table::new(name, KeySpec::new(fields), noop_actions(4), 1 << 16),
+            ft,
+            reference: RefTable::default(),
+            live: Vec::new(),
+            graveyard: Vec::new(),
+            next_handle: 0,
+        }
+    }
+
+    fn insert(&mut self, entry: TableEntry) -> u64 {
+        let h = self.next_handle;
+        self.next_handle += 1;
+        self.tbl.insert(EntryHandle(h), entry.clone()).unwrap();
+        self.reference.insert(h, &entry);
+        self.live.push((h, entry));
+        h
+    }
+
+    fn delete(&mut self, handle: u64) {
+        let i = self.live.iter().position(|(h, _)| *h == handle).expect("live handle");
+        let (_, e) = self.live.remove(i);
+        self.tbl.delete(EntryHandle(handle)).unwrap();
+        assert!(self.reference.delete(handle));
+        self.graveyard.push(e);
+    }
+
+    /// `(true, i)` deletes the `i`-th live entry (mod the live count),
+    /// `(false, i)` reinserts the `i`-th buried one.
+    fn churn(&mut self, ops: &[(bool, u16)]) {
+        for &(delete, idx) in ops {
+            if delete && !self.live.is_empty() {
+                self.delete(self.live[usize::from(idx) % self.live.len()].0);
+            } else if !delete && !self.graveyard.is_empty() {
+                let e = self.graveyard.remove(usize::from(idx) % self.graveyard.len());
+                self.insert(e);
+            }
+        }
+    }
+
+    /// Probe with one value per key field, in all four modes.
+    fn probe(&mut self, vals: &[u64]) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut phv = Phv::new(&self.ft);
+        for (f, v) in self.field_ids.iter().zip(vals) {
+            phv.set(&self.ft, *f, *v);
+        }
+        assert_modes_agree(&mut self.tbl, &self.reference, &self.field_ids, &phv)
+    }
+
+    /// What the partitioning must look like when exactly the key fields
+    /// `common` are common to every live entry: the number of distinct
+    /// value tuples over those fields, and the most entries sharing one.
+    fn shape(&self, common: &[usize]) -> (usize, usize) {
+        let mut sizes = std::collections::HashMap::new();
+        for pick in 0..self.live.len() {
+            let vals = self.values_of(pick).unwrap();
+            *sizes.entry(common.iter().map(|&i| vals[i]).collect::<Vec<_>>()).or_insert(0) += 1;
+        }
+        (sizes.len(), sizes.values().copied().max().unwrap_or(0))
+    }
+
+    fn partitions(&self) -> (usize, usize) {
+        (self.tbl.tss_partitions(), self.tbl.tss_max_partition())
+    }
+
+    /// A key the `pick`-th live entry matches, or `None` on an empty table.
+    fn values_of(&self, pick: usize) -> Option<Vec<u64>> {
+        let (_, e) = self.live.get(pick % self.live.len().max(1))?;
+        Some(e.matches.iter().map(value_of).collect())
+    }
+}
+
+fn ternary(value: u64, mask: u64) -> MatchValue {
+    MatchValue::Ternary { value, mask }
+}
+
 /// The tuple-space-search stress shape: one ternary field whose masks come
 /// from a tiny pool (so groups run deep instead of wide), optionally a
 /// second range field, duplicate-heavy priorities, and explicit
-/// delete-then-reinsert churn *inside* a mask group — the reinserted entry
-/// gets a fresh sequence number, so the insertion-order tie-break must
-/// move it to the back of its priority class.
+/// delete-then-reinsert churn *inside* a mask group.
 fn check_tss_churn(
     masks: &[u16],
     raw_entries: &[(u8, u16, u8, u8, u8, u64)],
-    ops: &[(bool, u8)],
+    ops: &[(bool, u16)],
     probes: &[(u16, u8, u8, u8)],
     with_range: bool,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut ft = FieldTable::new();
-    let t = ft.register("meta.t", 16).unwrap();
-    let r = ft.register("meta.r", 8).unwrap();
-    let mut fields = vec![(t, MatchKind::Ternary)];
+    let mut spec = vec![(16, MatchKind::Ternary)];
     if with_range {
-        fields.push((r, MatchKind::Range));
+        spec.push((8, MatchKind::Range));
     }
-    let mut tbl = Table::new("tss_churn", KeySpec::new(fields.clone()), noop_actions(4), 4096);
-    let mut reference = RefTable::default();
-    let mut live: Vec<(u64, TableEntry)> = Vec::new();
-    let mut graveyard: Vec<TableEntry> = Vec::new();
-    let mut next_handle = 0u64;
-
+    let mut m = Mirror::new("tss_churn", &spec);
     for &(mi, v, pri, lo, hi, data) in raw_entries {
-        let mut matches = vec![MatchValue::Ternary {
-            value: u64::from(v),
-            mask: u64::from(masks[usize::from(mi) % masks.len()]),
-        }];
+        let mut matches =
+            vec![ternary(u64::from(v), u64::from(masks[usize::from(mi) % masks.len()]))];
         if with_range {
             let (lo, hi) = (u64::from(lo.min(hi)), u64::from(lo.max(hi)));
             matches.push(MatchValue::Range { lo, hi });
         }
-        let entry = TableEntry {
+        m.insert(TableEntry {
             matches,
             priority: i32::from(pri % 3),
             action: usize::from(pri % 3),
             data: vec![data],
-        };
-        let h = next_handle;
-        next_handle += 1;
-        tbl.insert(EntryHandle(h), entry.clone()).unwrap();
-        reference.insert(h, &entry);
-        live.push((h, entry));
+        });
     }
-    for &(delete, idx) in ops {
-        if delete {
-            if live.is_empty() {
-                continue;
-            }
-            let (h, e) = live.remove(usize::from(idx) % live.len());
-            tbl.delete(EntryHandle(h)).unwrap();
-            assert!(reference.delete(h));
-            graveyard.push(e);
-        } else {
-            if graveyard.is_empty() {
-                continue;
-            }
-            let e = graveyard.remove(usize::from(idx) % graveyard.len());
-            let h = next_handle;
-            next_handle += 1;
-            tbl.insert(EntryHandle(h), e.clone()).unwrap();
-            reference.insert(h, &e);
-            live.push((h, e));
-        }
-    }
-    prop_assert_eq!(tbl.len(), live.len());
+    m.churn(ops);
+    prop_assert_eq!(m.tbl.len(), m.live.len());
 
-    let field_ids: Vec<FieldId> = fields.iter().map(|(f, _)| *f).collect();
     for &(rand_v, pick, tweak, rv) in probes {
         // Mostly probe at/near a live entry's own value so hits and
         // same-group collisions dominate; sometimes fully random.
-        let mut phv = Phv::new(&ft);
-        let base = if !live.is_empty() && usize::from(pick) % 4 != 0 {
-            match live[usize::from(pick) % live.len()].1.matches[0] {
-                MatchValue::Ternary { value, .. } => value,
-                _ => unreachable!("field 0 is ternary"),
-            }
-        } else {
-            u64::from(rand_v)
+        let base = match m.values_of(usize::from(pick)) {
+            Some(vals) if pick % 4 != 0 => vals[0],
+            _ => u64::from(rand_v),
         };
-        phv.set(&ft, t, base ^ u64::from(tweak % 4));
-        if with_range {
-            phv.set(&ft, r, u64::from(rv));
-        }
-        assert_modes_agree(&mut tbl, &reference, &field_ids, &phv)?;
+        m.probe(&[base ^ u64::from(tweak % 4), u64::from(rv)][..spec.len()])?;
     }
     Ok(())
+}
+
+/// splitmix64: the per-entry randomness of the RPB-shaped property, drawn
+/// from one generated seed per program so cases stay small to shrink.
+fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The RPB key: `(prog id, branch id, recirc id, har, sar, mar)`.
+const RPB_SPEC: [(u8, MatchKind); 6] = [
+    (16, MatchKind::Ternary),
+    (16, MatchKind::Ternary),
+    (8, MatchKind::Ternary),
+    (32, MatchKind::Ternary),
+    (32, MatchKind::Ternary),
+    (32, MatchKind::Ternary),
+];
+
+/// Entry `j` of program `prog`, shaped like `encode_rpb_entry`'s output:
+/// program and recirculation id under full masks, a hierarchical prefix
+/// mask on the branch id, registers don't-care or masked, priorities from
+/// a range of three so ties are the common case.
+fn rpb_entry(prog: u64, seed: u64, j: u64) -> TableEntry {
+    let r = mix64(seed ^ j.wrapping_mul(0x1_0001));
+    let depth = (r % 5) as u32;
+    let branch_mask = (0xffffu64 << (16 - depth)) & 0xffff;
+    let reg = |r: u64| match r % 4 {
+        0 | 1 => MatchValue::ANY,
+        2 => ternary((r >> 8) & 0xf, 0xff),
+        _ => ternary((r >> 8) & 0xf0, 0xf0),
+    };
+    TableEntry {
+        matches: vec![
+            ternary(prog, 0xffff),
+            ternary((r >> 16) & branch_mask, branch_mask),
+            ternary((r >> 3) & 1, 0xff),
+            reg(r >> 32),
+            reg(r >> 40),
+            reg(r >> 48),
+        ],
+        priority: ((r >> 56) % 3) as i32,
+        action: (r % 3) as usize,
+        data: vec![prog, j],
+    }
+}
+
+/// An RPB table of `programs` residents with `per` entries each.
+fn rpb_mirror(programs: u64, per: u64) -> Mirror {
+    let mut m = Mirror::new("rpb", &RPB_SPEC);
+    for prog in 1..=programs {
+        for j in 0..per {
+            m.insert(rpb_entry(prog, mix64(prog), j));
+        }
+    }
+    m
+}
+
+/// Probe every live entry's own values, with and without register noise,
+/// plus one program id nobody owns.
+fn probe_all(m: &mut Mirror) {
+    for pick in 0..m.live.len() {
+        let mut vals = m.values_of(pick).unwrap();
+        m.probe(&vals).unwrap();
+        vals[3] ^= 0x100;
+        vals[1] ^= 1;
+        m.probe(&vals).unwrap();
+    }
+    m.probe(&[0xfffe, 0, 0, 0, 0, 0]).unwrap();
 }
 
 proptest! {
@@ -456,7 +591,7 @@ proptest! {
             (any::<u8>(), any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()),
             1..24,
         ),
-        ops in prop::collection::vec((any::<bool>(), any::<u8>()), 0..24),
+        ops in prop::collection::vec((any::<bool>(), any::<u16>()), 0..24),
         probes in prop::collection::vec(
             (any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>()),
             1..16,
@@ -475,7 +610,7 @@ proptest! {
             (any::<u8>(), any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()),
             1..20,
         ),
-        ops in prop::collection::vec((any::<bool>(), any::<u8>()), 0..16),
+        ops in prop::collection::vec((any::<bool>(), any::<u16>()), 0..16),
         probes in prop::collection::vec(
             (any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>()),
             1..16,
@@ -483,4 +618,263 @@ proptest! {
     ) {
         check_tss_churn(&masks, &raw_entries, &ops, &probes, true)?;
     }
+
+    /// The loaded-switch shape: hundreds of programs own one to six
+    /// entries each in one RPB table, so the table is far past the scan
+    /// cutoff while each common-mask partition stays at or near it. Every
+    /// probe — a resident's own key with noise, or a program id nobody
+    /// owns — agrees in all four modes with the reference, through
+    /// delete/reinsert churn.
+    #[test]
+    fn rpb_shaped_partitions_survive_churn(
+        programs in prop::collection::vec((any::<u64>(), 1u64..=6), 100..300),
+        ops in prop::collection::vec((any::<bool>(), any::<u16>()), 0..64),
+        probes in prop::collection::vec((any::<u16>(), any::<u64>()), 1..48),
+    ) {
+        let mut m = Mirror::new("rpb", &RPB_SPEC);
+        for (i, &(seed, n)) in programs.iter().enumerate() {
+            for j in 0..n {
+                m.insert(rpb_entry(i as u64 + 1, seed, j));
+            }
+        }
+        m.churn(&ops);
+        prop_assert_eq!(m.tbl.len(), m.live.len());
+        prop_assert!(m.tbl.tss_partitions() > 8 || m.live.len() < 64);
+        for &(pick, noise) in &probes {
+            let mut vals = m.values_of(usize::from(pick)).unwrap_or_else(|| vec![0; 6]);
+            match noise % 8 {
+                // An absent program id: no partition, one probe.
+                0 => vals[0] = 0x8000 | (noise >> 8) & 0x7fff,
+                // The other recirculation pass.
+                1 => vals[2] ^= 1,
+                // Noise in the branch and register bits the entry may or
+                // may not constrain.
+                _ => {
+                    vals[1] ^= (noise >> 8) & 0xffff;
+                    vals[3] ^= (noise >> 24) & 0xff;
+                    vals[4] ^= (noise >> 32) & 0xff;
+                    vals[5] ^= (noise >> 40) & 0xff;
+                }
+            }
+            m.probe(&vals)?;
+        }
+    }
+}
+
+#[test]
+fn catch_all_collapses_partitions_and_deleting_it_stays_sound() {
+    let mut m = rpb_mirror(24, 3);
+    // Program and recirculation id are under full masks in every entry.
+    assert_eq!(m.partitions(), m.shape(&[0, 2]));
+    assert!(m.tbl.tss_partitions() >= 24);
+    probe_all(&mut m);
+    let any = m.insert(TableEntry {
+        matches: vec![MatchValue::ANY; 6],
+        priority: -1,
+        action: 3,
+        data: vec![0xa11],
+    });
+    // Nothing is common to every entry any more: one partition.
+    assert_eq!(m.partitions(), (1, 73));
+    probe_all(&mut m);
+    m.delete(any);
+    // `common` never widens on delete; the coarser filing is still exact.
+    assert_eq!(m.partitions(), (1, 72));
+    probe_all(&mut m);
+}
+
+#[test]
+fn partition_crosses_the_scan_cutoff_both_ways() {
+    let mut m = rpb_mirror(16, 2);
+    assert_eq!(m.tbl.tss_groups(), 0);
+    // Program 5 grows to 30 entries: its partitions alone get mask groups.
+    let grown: Vec<u64> = (2..30).map(|j| m.insert(rpb_entry(5, mix64(5), j))).collect();
+    assert_eq!(m.partitions(), m.shape(&[0, 2]));
+    assert!(m.tbl.tss_max_partition() > 8 && m.tbl.tss_groups() > 1);
+    probe_all(&mut m);
+    // One at a time back down through the cutoff.
+    for h in grown {
+        m.delete(h);
+        probe_all(&mut m);
+    }
+    assert_eq!(m.partitions(), m.shape(&[0, 2]));
+    assert!(m.tbl.tss_max_partition() <= 2);
+    assert_eq!(m.tbl.tss_groups(), 0);
+}
+
+#[test]
+fn emptied_table_refills_under_different_masks() {
+    let mut m = Mirror::new("refill", &[(32, MatchKind::Ternary), (16, MatchKind::Ternary)]);
+    let fill = |m: &mut Mirror, by_second: bool| {
+        for i in 0..20u64 {
+            let (a, b) = (ternary(i << 8, 0xff00), MatchValue::ANY);
+            let matches = if by_second { vec![b, ternary(i, 0x00ff)] } else { vec![a, b] };
+            m.insert(TableEntry { matches, priority: 0, action: 0, data: vec![i] });
+        }
+    };
+    let probe_grid = |m: &mut Mirror| {
+        for i in 0..24u64 {
+            m.probe(&[i << 8 | 0x11, i]).unwrap();
+        }
+    };
+    fill(&mut m, false);
+    assert_eq!(m.tbl.tss_partitions(), 20);
+    probe_grid(&mut m);
+    while let Some(&(h, _)) = m.live.first() {
+        m.delete(h);
+    }
+    assert_eq!(m.tbl.tss_partitions(), 0);
+    // The first fill's common bits are all don't-care now; had the mask
+    // not reset, everything would land in one partition.
+    fill(&mut m, true);
+    assert_eq!(m.tbl.tss_partitions(), 20);
+    probe_grid(&mut m);
+}
+
+#[test]
+fn range_field_partitions_on_the_other_fields_only() {
+    let mut m = Mirror::new("ranged", &[(16, MatchKind::Ternary), (16, MatchKind::Range)]);
+    for id in 0..12u64 {
+        // Id 7 holds twelve overlapping ranges (an interval-probed bucket
+        // inside its partition), the rest two each (scanned).
+        for j in 0..if id == 7 { 12 } else { 2 } {
+            m.insert(TableEntry {
+                matches: vec![ternary(id, 0xffff), MatchValue::Range { lo: j * 40, hi: j * 40 + 100 }],
+                priority: (j % 3) as i32,
+                action: 0,
+                data: vec![id, j],
+            });
+        }
+    }
+    assert_eq!((m.partitions(), m.tbl.tss_groups()), ((12, 12), 1));
+    for id in [0u64, 7, 11, 12] {
+        for port in (0..640).step_by(13) {
+            m.probe(&[id, port]).unwrap();
+        }
+    }
+}
+
+#[test]
+fn colliding_partition_keys_share_a_partition_and_still_match_exactly() {
+    use rmt_sim::fxhash::FxHasher;
+    use std::hash::Hasher;
+    // Two full-mask 64-bit fields: the partition key is the Fx fold
+    // `(rotl5(h0) ^ w1) * K` with `h0 = fold(w0)`, so for any two first
+    // words the second can be solved to cancel the difference.
+    let h0 = |w0: u64| {
+        let mut h = FxHasher::default();
+        h.write_u64(w0);
+        h.finish().rotate_left(5)
+    };
+    let (a, b) = ([0x1111u64, 0x2222], [0x3333u64, 0x2222 ^ h0(0x1111) ^ h0(0x3333)]);
+    let mut m = Mirror::new("collide", &[(64, MatchKind::Ternary), (64, MatchKind::Ternary)]);
+    let mut keys = vec![a, b];
+    keys.extend((0..10u64).map(|i| [0x5000 + i, i]));
+    for (i, k) in keys.iter().enumerate() {
+        m.insert(TableEntry {
+            matches: vec![ternary(k[0], u64::MAX), ternary(k[1], u64::MAX)],
+            priority: 0,
+            action: 0,
+            data: vec![i as u64],
+        });
+    }
+    // Twelve distinct keys, eleven partitions: `a` and `b` were merged.
+    assert_eq!(m.partitions(), (11, 2));
+    for k in &keys {
+        m.probe(k).unwrap();
+    }
+    m.probe(&[a[0], b[1]]).unwrap();
+    m.delete(0);
+    m.probe(&a).unwrap();
+    m.probe(&b).unwrap();
+}
+
+/// Switch-level guard: a loaded switch (72 mixed-family residents, one of
+/// them two-pass, so the RPB tables are past the scan cutoff and
+/// partitioned by program) decides every frame exactly as its
+/// scan-forced clone does — same emitted frames, reports, drops and pass
+/// counts, and the same hit/miss count on every table — both with all
+/// residents installed and after half of them were revoked.
+#[test]
+fn loaded_switch_matches_its_scan_forced_clone() {
+    use p4runpro::netpkt::FiveTuple;
+    use p4runpro::p4rp_progs::workloads::{instance, Family, WorkloadParams};
+    use p4runpro::traffic::gen::frame_for;
+    use p4runpro::Controller;
+    use std::net::Ipv4Addr;
+
+    const SINGLE_PASS: [Family; 12] = [
+        Family::Cache,
+        Family::Lb,
+        Family::Dqacc,
+        Family::L2Fwd,
+        Family::L3Route,
+        Family::Tunnel,
+        Family::Calculator,
+        Family::Ecn,
+        Family::Cms,
+        Family::Bf,
+        Family::SuMax,
+        Family::Hll,
+    ];
+    const RESIDENTS: usize = 72;
+    const TWO_PASS_AT: usize = 5;
+
+    let mut ctl = Controller::with_defaults().unwrap();
+    let mut names = Vec::new();
+    for i in 0..RESIDENTS {
+        let family = if i == TWO_PASS_AT { Family::Hh } else { SINGLE_PASS[i % SINGLE_PASS.len()] };
+        ctl.deploy(&instance(family, i, WorkloadParams::default())).unwrap();
+        names.push(format!("{}_{i:05}", family.name()));
+    }
+    let stats = ctl.switch().table_index_stats();
+    assert!(
+        stats.iter().any(|t| t.mode == "tss" && t.entries > 8 && t.tss_partitions > 8),
+        "no RPB table is past the scan cutoff: the guard would only test the short scan"
+    );
+
+    // Residents' own addresses (instance `i` filters on 10.0.i.1) and a
+    // quarter strangers, TCP and UDP, ports varying per frame.
+    let frames: Vec<Vec<u8>> = (0..3000u64)
+        .map(|n| {
+            let r = mix64(n);
+            let host = if r.is_multiple_of(4) { 200 + (r >> 8) % 50 } else { (r >> 8) % RESIDENTS as u64 };
+            let tuple = FiveTuple {
+                src_addr: Ipv4Addr::new(10, 1, (r >> 16) as u8, 1 + (r >> 24) as u8 % 200),
+                dst_addr: Ipv4Addr::new(10, 0, host as u8, 1),
+                src_port: 1024 + (r >> 32) as u16 % 4096,
+                dst_port: 1 + (r >> 48) as u16 % 1023,
+                protocol: if r & 2 == 0 { 6 } else { 17 },
+            };
+            frame_for(&tuple, 16 + (r >> 40) as usize % 200)
+        })
+        .collect();
+
+    let mut replayed_two_pass = false;
+    let mut compare = |ctl: &mut Controller, frames: &[Vec<u8>], when: &str| {
+        let indexed = ctl.switch_mut();
+        let mut scanned = indexed.clone();
+        scanned.set_indexed_all(false);
+        for (n, frame) in frames.iter().enumerate() {
+            let a = indexed.process_frame(0, frame).unwrap();
+            let b = scanned.process_frame(0, frame).unwrap();
+            assert_eq!(
+                (&a.emitted, &a.reports, a.dropped, a.passes),
+                (&b.emitted, &b.reports, b.dropped, b.passes),
+                "{when}: frame {n} decided differently by the index and the scan"
+            );
+            replayed_two_pass |= a.passes > 1;
+        }
+        let counters = |sw: &p4runpro::rmt_sim::switch::Switch| -> Vec<(String, u64, u64)> {
+            sw.table_index_stats().into_iter().map(|t| (t.name, t.hits, t.misses)).collect()
+        };
+        assert_eq!(counters(indexed), counters(&scanned), "{when}: table hit/miss counters");
+    };
+
+    compare(&mut ctl, &frames[..1500], "all resident");
+    for name in names.iter().step_by(2) {
+        ctl.revoke(name).unwrap();
+    }
+    compare(&mut ctl, &frames[1500..], "half revoked");
+    assert!(replayed_two_pass, "the two-pass resident never recirculated a frame");
 }
