@@ -7,7 +7,7 @@
 //! * **before** — the naive reference allocator
 //!   (`AllocConfig::reference`) and the per-op-latency channel path
 //!   (`fast_path` off): what the control plane did prior to this work;
-//! * **after** — the interned/pruned/memoized solver plus the vectored
+//! * **after** — the window-propagated solver plus the vectored
 //!   single-batch channel (`fast_path` on).
 //!
 //! Per-deploy latency decomposes into the solver wall-clock (Figure 7's
@@ -21,7 +21,7 @@
 //! noise of the plan-free fast path. A `server_overhead` section drives
 //! the same deploy/revoke cycle through a loopback `p4rp serve` session
 //! (docs/SERVER.md) and pins the line-protocol + batching overhead to
-//! < 1.5x the direct in-process calls, using the interleaved same-run
+//! < 2x the direct in-process calls, using the interleaved same-run
 //! A/B scheme (`measure::ab_min`) so wall-clock drift cancels.
 //!
 //! Run from the workspace root (`cargo run --release -p bench --bin
@@ -252,8 +252,10 @@ fn main() {
     };
     let mut direct = Controller::with_defaults().expect("provision");
     // A heavier probe than the latency sections: the session tax (two loopback
-    // round trips plus thread handoffs, ~100 µs) should be judged against a
-    // realistic deploy, not a minimal one.
+    // round trips plus thread handoffs, ~65 µs) should be judged against a
+    // realistic deploy, not a minimal one. The bound was 1.5x while this
+    // probe's solve took ~140 µs; at ~10 µs the same tax is ~1.65x of a
+    // direct cycle half as long, so the bound is 2x and the tax is recorded.
     let probe = instance(Family::Cache, 3_000_000, WorkloadParams { mem: 512, elastic: 8 });
     let ok = |reply: &str| {
         let doc = json::parse(reply).expect("reply parses");
@@ -277,7 +279,7 @@ fn main() {
     server.join().expect("server thread");
     let server_ratio = server_ns / direct_ns;
     assert!(
-        server_ratio < 1.5,
+        server_ratio < 2.0,
         "loopback control session cost {server_ratio:.2}x per deploy+revoke cycle \
          ({:.1} µs vs {:.1} µs direct) — the line protocol must stay cheap",
         server_ns / 1e3,
@@ -287,6 +289,7 @@ fn main() {
         ("cycles_per_window", Value::U64(cycles as u64)),
         ("direct_cycle_us", Value::F64(round1(direct_ns / 1e3))),
         ("server_cycle_us", Value::F64(round1(server_ns / 1e3))),
+        ("tax_us", Value::F64(round1((server_ns - direct_ns) / 1e3))),
         ("ratio", Value::F64((server_ratio * 100.0).round() / 100.0)),
     ]);
     println!(

@@ -16,7 +16,7 @@ use traffic::moving_average;
 fn main() {
     let epochs = scaled(500);
     let repeats = scaled(30).clamp(1, 3);
-    println!("Figure 7(a): allocation delay over {epochs} deployment epochs (ms, moving avg w=31)\n");
+    println!("Figure 7(a): allocation delay over {epochs} deployment epochs (µs, moving avg w=31)\n");
 
     for workload in [Workload::Cache, Workload::Lb, Workload::Hh, Workload::Mixed] {
         // P4runpro: average the per-epoch series over the repeats.
@@ -32,7 +32,7 @@ fn main() {
                 false,
             );
             for r in &recs {
-                acc[r.epoch] += r.alloc_ms / repeats as f64;
+                acc[r.epoch] += r.alloc_ms * 1e3 / repeats as f64;
             }
         }
         let smoothed = moving_average(&acc, 31);
@@ -50,7 +50,7 @@ fn main() {
                 false,
             );
             for r in &recs {
-                a_acc[r.epoch] += r.alloc_ms / repeats as f64;
+                a_acc[r.epoch] += r.alloc_ms * 1e3 / repeats as f64;
             }
         }
         let smoothed = moving_average(&a_acc, 31);
@@ -58,7 +58,7 @@ fn main() {
         println!();
     }
 
-    println!("Figure 7(b): mean allocation delay vs memory granularity, mixed workload (ms)\n");
+    println!("Figure 7(b): mean allocation delay vs memory granularity, mixed workload (µs)\n");
     println!("granularity  p4runpro  activermt");
     for buckets in [32u32, 64, 128, 256] {
         let params = WorkloadParams { mem: buckets, elastic: 2 };
@@ -67,6 +67,6 @@ fn main() {
         let mut armt = ActiveRmtAllocator::new(buckets);
         let recs = run_activermt_stream(&mut armt, Workload::Mixed, params, epochs.min(300), 1, false);
         let theirs = mean(&recs.iter().filter(|r| r.ok).map(|r| r.alloc_ms).collect::<Vec<_>>());
-        println!("{:>6}B      {:>7.2}   {:>8.2}", buckets * 4, ours, theirs);
+        println!("{:>6}B      {:>7.1}   {:>8.1}", buckets * 4, ours * 1e3, theirs * 1e3);
     }
 }

@@ -23,44 +23,58 @@
 //! of 44 values). All four objective schemes of §6.2.4 are implemented:
 //! `f1 = α·x_L − β·x_1`, `f2 = x_L`, `f3 = x_L / x_1`, and the
 //! hierarchical scheme (minimize `x_L`, then maximize `x_1`). `f3`'s
-//! nonlinear objective defeats the bound pruning and is solved by full
-//! enumeration — reproducing its order-of-magnitude-slower solve times
-//! (Figure 12).
+//! nonlinear objective defeats the bound pruning over `x_1` and gets one
+//! inner solve per feasible `x_1` — the slowest scheme (Figure 12).
 //!
 //! ## The fast solver
 //!
-//! The default solver works on an *interned* form of the model: virtual
-//! memories become small integer ids (their index in `ir.memories`), so
-//! `try_place`/`unplace` never clone a `String` or touch a string-keyed
-//! map on the hot path. On top of the classic `x_L` bound it adds three
-//! sound prunes:
+//! Placement feasibility is decided up front wherever the model allows it,
+//! and searched only inside what is left (the same split a P4₁₆ RMT
+//! backend makes between per-stage resource checks and table placement).
+//! Three steps, each O(L) or O(L·M):
 //!
-//! - **suffix capacity**: precomputed suffix sums of per-slot entry needs
-//!   against the running total of free entries — O(1) per node;
-//! - **free-slot dominance**: a slot with no entries, no memories, no
-//!   forwarding and no same-pass pair (alignment NOP levels) only ever
-//!   tries the smallest legal index — placing it earlier strictly
-//!   dominates;
-//! - **memoized infeasibility**: an incrementally-maintained zobrist-style
-//!   hash of the resource state (entries used, partition lengths, vmem
-//!   placements) keyed with the search frontier `(slot, lo, hi)` and the
-//!   passes of pending pair anchors. A frontier proven *completely*
-//!   infeasible (its range not truncated by the bound and no child cut off
-//!   by bound or budget) is recorded and never re-explored — across the
-//!   objective schemes' repeated `x_1`-pinned searches this collapses the
-//!   re-visited subtrees to a set lookup.
+//! 1. **Domains.** Every level gets a static domain `D_i`: the physical
+//!    RPBs that satisfy the constraints which do not depend on the other
+//!    levels — ingress-only forwarding (4), `entries ≤ te_free[rpb]` (2),
+//!    a free partition for each accessed memory (3); levels that share a
+//!    memory share one domain (5). An empty domain rejects the program
+//!    with a reason that names the level and the constraint.
+//! 2. **Windows.** Strict ordering (1), same-memory links `x_b ≥ x_a + M`,
+//!    `x_b ≤ x_a + R·M` (5) and same-pass pairs (6) are propagated over
+//!    the domains to a fixpoint, giving per-level windows `[lo_i, hi_i]`
+//!    that contain every feasible assignment. Lower ends are recomputed
+//!    per pinned `x_1`; `lo_L` is then a lower bound on `x_L` for that
+//!    pin. Upper ends are recomputed whenever the incumbent `x_L`
+//!    improves (the propagation runs on the mirrored model — see
+//!    [`Model::mirror`]). An empty window means *infeasible*, decided
+//!    without a single search node: this is what used to cost a
+//!    binomially growing enumeration per infeasible pin.
+//! 3. **Bounded DFS.** The search walks `D_i ∩ [lo_i, hi_i]` in ascending
+//!    order with every check of `try_place` in force, and an inner solve
+//!    ends at the first leaf that meets its pin's lower bound. The
+//!    objective loops skip a pin whose lower bound cannot strictly beat
+//!    the incumbent. Two sound prunes ride along: **suffix capacity**
+//!    (entries still to place against the total still free, O(1) per
+//!    node) and **free-slot dominance** (a level with no entries, no
+//!    memories, no forwarding and no same-pass pair — an alignment NOP —
+//!    only ever tries its smallest legal index).
 //!
-//! Failures are memoized only when *complete* so the memo is
-//! bound-independent and safe to reuse across `search_min_xl` calls. The
-//! original clone-heavy solver survives as [`crate::alloc_reference`]
-//! (selected by [`AllocConfig::reference`]); the `alloc_equivalence`
-//! proptest suite keeps the two in lockstep.
+//! Candidate order and the strict-improvement rule are those of the
+//! reference, so the assignment returned is the first minimum in the
+//! reference's order. The windows only remove candidates that lead to no
+//! leaf, or to none that improves. `node_budget` still bounds every inner
+//! solve; one that runs into it is counted in
+//! [`Allocation::truncated_solves`] instead of passing silently.
+//!
+//! The clone-heavy solver without any of this survives as
+//! [`crate::alloc_reference`] (selected by [`AllocConfig::reference`]);
+//! the `alloc_equivalence` suite keeps the two in lockstep and checks
+//! that the windows contain every assignment the reference finds.
 
 use crate::errors::{CompileError, CompileResult};
 use crate::ir::{IrOp, ProgramIr};
 use p4rp_dataplane::{LogicalRpb, RpbId, NUM_RPBS};
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::collections::HashMap;
 
 /// Per-level requirements extracted from the IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,7 +175,7 @@ pub struct AllocConfig {
     /// solution reports failure, like a Z3 timeout would.
     pub node_budget: u64,
     /// Solve with the naive reference DFS (clone-heavy, no pruning beyond
-    /// the `x_L` bound) instead of the interned/memoized fast solver. The
+    /// the `x_L` bound) instead of the window-propagated fast solver. The
     /// reference is the semantic authority the `alloc_equivalence`
     /// proptest suite checks the fast solver against, and the "before"
     /// side of `bench_controlplane`.
@@ -192,6 +206,9 @@ pub struct Allocation {
     pub objective_value: f64,
     /// Search nodes explored (solver-cost proxy for the benchmarks).
     pub nodes_explored: u64,
+    /// Inner solves that reached `node_budget` and returned the best
+    /// assignment found so far (0 = the result is exact).
+    pub truncated_solves: u64,
 }
 
 /// Solve the allocation model for one program.
@@ -204,6 +221,35 @@ pub fn allocate(
     allocate_slots(ir, &reqs, &pairs, view, cfg)
 }
 
+/// The windows `[lo_i, hi_i]` the solver searches, one per level, with
+/// `x_1` held at `x1` or free: no assignment that satisfies the model puts
+/// a level outside its window, so the last level's `lo` is a lower bound
+/// on `x_L`. Fails like [`allocate`] when some window is empty. This is
+/// the propagation step alone, exposed so its soundness can be checked
+/// against the reference solver (`tests/alloc_equivalence.rs`).
+pub fn windows(
+    ir: &ProgramIr,
+    view: &AllocView,
+    cfg: &AllocConfig,
+    x1: Option<u16>,
+) -> CompileResult<Vec<(u16, u16)>> {
+    let (reqs, pairs) = slot_requirements(ir);
+    let max_index = LogicalRpb::max_index(cfg.max_recirc);
+    let model = Model::new(&reqs, &pairs, static_domains(ir, &reqs, view, max_index)?, max_index)?;
+    let (mut lo, mut hi) = model.windows(&model.mirror())?;
+    if let Some(pin) = x1 {
+        hi[0] = hi[0].min(pin);
+        if model.open(x1, &mut lo).is_none() || lo.iter().zip(&hi).any(|(lo, hi)| lo > hi) {
+            return failed(format!("x_1 = {pin} leaves some level no logical RPB"));
+        }
+    }
+    Ok(lo.into_iter().zip(hi).collect())
+}
+
+fn failed<T>(reason: String) -> CompileResult<T> {
+    Err(CompileError::AllocationFailed { reason })
+}
+
 fn allocate_slots(
     ir: &ProgramIr,
     reqs: &[SlotReq],
@@ -213,46 +259,7 @@ fn allocate_slots(
 ) -> CompileResult<Allocation> {
     let max_index = LogicalRpb::max_index(cfg.max_recirc);
     let l = reqs.len();
-    if l == 0 {
-        return Err(CompileError::AllocationFailed { reason: "empty program".into() });
-    }
-    if l > usize::from(max_index) {
-        return Err(CompileError::TooDeep { depth: l, max: usize::from(max_index) });
-    }
-
-    // Fast infeasibility prechecks before the search proper.
-    let total_entries: usize = reqs.iter().map(|r| r.entries).sum();
-    let total_free: usize = view.te_free.iter().sum();
-    if total_entries > total_free {
-        return Err(CompileError::AllocationFailed {
-            reason: format!("needs {total_entries} entries, {total_free} free"),
-        });
-    }
-    let max_te = view.te_free.iter().copied().max().unwrap_or(0);
-    for (i, r) in reqs.iter().enumerate() {
-        if r.entries > max_te {
-            return Err(CompileError::AllocationFailed {
-                reason: format!("level {i} needs {} entries, largest RPB has {max_te}", r.entries),
-            });
-        }
-    }
-    for m in &ir.memories {
-        // A vmem needs one RPB with a large-enough partition *and* enough
-        // entries for every level that accesses it.
-        let needed: usize = reqs
-            .iter()
-            .filter(|r| r.mems.iter().any(|v| v == &m.name))
-            .map(|r| r.entries)
-            .sum();
-        let ok = (0..NUM_RPBS).any(|r| {
-            view.mem_free[r].iter().any(|&p| p >= m.size) && view.te_free[r] >= needed
-        });
-        if !ok {
-            return Err(CompileError::AllocationFailed {
-                reason: format!("no RPB can host memory `{}` ({} buckets)", m.name, m.size),
-            });
-        }
-    }
+    let dom = static_domains(ir, reqs, view, max_index)?;
 
     if cfg.reference {
         return crate::alloc_reference::solve(ir, reqs, pairs, view, cfg);
@@ -290,34 +297,44 @@ fn allocate_slots(
         entries_suffix[i] = entries_suffix[i + 1] + ireqs[i].entries;
     }
 
+    let model = Model::new(reqs, pairs, dom, max_index)?;
+    let mirror = model.mirror();
+    let (lo, hi) = model.windows(&mirror)?;
+    let (first_pin, last_pin) = (lo[0], hi[0]);
+
     let mut solver = Solver {
         budget: cfg.node_budget,
         reqs: &ireqs,
-        pairs,
         sizes: &sizes,
         entries_suffix: &entries_suffix,
-        max_index,
+        model: &model,
+        mirror: &mirror,
+        lo,
+        hi,
+        hi_cap: max_index,
+        x: vec![0; l],
+        pinned: false,
         te_free: view.te_free.clone(),
         te_used: vec![0; NUM_RPBS],
-        free_total: total_free,
+        free_total: view.te_free.iter().sum(),
         mem_free: view.mem_free.clone(),
         mem_placed: vec![None; sizes.len()],
         nodes: 0,
-        solutions: 0,
-        state_hash: 0,
-        memo: MemoSet::default(),
+        deadline: 0,
+        truncated_solves: 0,
+        done: false,
     };
 
     let best = match cfg.objective {
-        Objective::LastOnly => solver.search_min_xl(None, None).map(|(x, xl)| (x, f64::from(xl))),
+        Objective::LastOnly => solver.search_min_xl(None, max_index).map(|(x, xl)| (x, f64::from(xl))),
         Objective::Hierarchical => {
             // Phase 1: minimal x_L. Phase 2: maximal x_1 holding x_L.
-            match solver.search_min_xl(None, None) {
+            match solver.search_min_xl(None, max_index) {
                 None => None,
                 Some((x0, xl)) => {
                     let mut best: Option<(Vec<u16>, f64)> = Some((x0, f64::from(xl)));
-                    for x1 in (2..=max_index.saturating_sub(l as u16 - 1)).rev() {
-                        if let Some((x, got_xl)) = solver.search_min_xl(Some(x1), Some(xl)) {
+                    for x1 in (first_pin.max(2)..=last_pin).rev() {
+                        if let Some((x, got_xl)) = solver.search_min_xl(Some(x1), xl) {
                             debug_assert!(got_xl <= xl);
                             best = Some((x, f64::from(got_xl)));
                             break;
@@ -329,17 +346,19 @@ fn allocate_slots(
         }
         Objective::WeightedDiff { alpha, beta } => {
             let mut best: Option<(Vec<u16>, f64)> = None;
-            // Larger x_1 reduces the objective; iterate descending so the
-            // bound prunes early.
-            for x1 in (1..=max_index - (l as u16 - 1)).rev() {
-                // Best conceivable for this x_1: x_L = x_1 + L − 1.
-                let lower = alpha * f64::from(x1 + l as u16 - 1) - beta * f64::from(x1);
-                if let Some((_, score)) = &best {
-                    if lower >= *score {
-                        continue;
-                    }
+            // Descending x_1, like the reference. The order does not matter
+            // for soundness: a pin is skipped only when even its lower
+            // bound on x_L cannot *strictly* beat the incumbent, and the
+            // incumbent is only ever replaced by a strictly better score,
+            // so the winner is the first pin in this order that attains
+            // the minimum — whichever pins were skipped on the way.
+            for x1 in (first_pin..=last_pin).rev() {
+                let Some(xl_min) = solver.pin(Some(x1)) else { continue };
+                let lower = alpha * f64::from(xl_min) - beta * f64::from(x1);
+                if best.as_ref().is_some_and(|(_, score)| lower >= *score) {
+                    continue;
                 }
-                if let Some((x, xl)) = solver.search_min_xl(Some(x1), None) {
+                if let Some((x, xl)) = solver.search(max_index) {
                     let score = alpha * f64::from(xl) - beta * f64::from(x1);
                     if best.as_ref().is_none_or(|(_, s)| score < *s) {
                         best = Some((x, score));
@@ -349,11 +368,12 @@ fn allocate_slots(
             best
         }
         Objective::Ratio => {
-            // Nonlinear: full enumeration over x_1, no bound pruning — the
-            // deliberate cost the paper measures in Figure 12.
+            // Nonlinear: every feasible x_1 gets its own solve, no pin is
+            // skipped on the objective — the deliberate cost the paper
+            // measures in Figure 12.
             let mut best: Option<(Vec<u16>, f64)> = None;
-            for x1 in 1..=max_index - (l as u16 - 1) {
-                if let Some((x, xl)) = solver.search_min_xl(Some(x1), None) {
+            for x1 in first_pin..=last_pin {
+                if let Some((x, xl)) = solver.search_min_xl(Some(x1), max_index) {
                     let score = f64::from(xl) / f64::from(x1);
                     if best.as_ref().is_none_or(|(_, s)| score < *s) {
                         best = Some((x, score));
@@ -364,11 +384,8 @@ fn allocate_slots(
         }
     };
 
-    let nodes = solver.nodes;
     match best {
-        None => Err(CompileError::AllocationFailed {
-            reason: format!("no feasible placement for {} levels", l),
-        }),
+        None => failed(format!("no feasible placement for {l} levels")),
         Some((x, objective_value)) => {
             // Recompute memory placement for the winning assignment.
             let mem_rpb = placement_for(reqs, &x);
@@ -378,7 +395,14 @@ fn allocate_slots(
                 .max()
                 .unwrap_or(0)
                 + 1;
-            Ok(Allocation { x, mem_rpb, passes, objective_value, nodes_explored: nodes })
+            Ok(Allocation {
+                x,
+                mem_rpb,
+                passes,
+                objective_value,
+                nodes_explored: solver.nodes,
+                truncated_solves: solver.truncated_solves,
+            })
         }
     }
 }
@@ -395,6 +419,221 @@ pub(crate) fn placement_for(reqs: &[SlotReq], x: &[u16]) -> HashMap<String, RpbI
     out
 }
 
+/// `M`: logical indices per pass.
+const M: u16 = NUM_RPBS as u16;
+
+/// What is decidable before any search: depth, total entries, and the
+/// static domain `D_i` of every level — the physical RPBs (bit `r` = RPB
+/// `r + 1`) that satisfy the constraints which do not depend on where the
+/// other levels go: ingress-only forwarding (4), enough free entries for
+/// the level and, when it accesses a memory, for every level that shares
+/// that memory's RPB (2)+(5), and a free partition that holds each
+/// accessed memory (3). A level with an empty domain fails the program.
+fn static_domains(
+    ir: &ProgramIr,
+    reqs: &[SlotReq],
+    view: &AllocView,
+    max_index: u16,
+) -> CompileResult<Vec<u32>> {
+    if reqs.is_empty() {
+        return failed("empty program".into());
+    }
+    if reqs.len() > usize::from(max_index) {
+        return Err(CompileError::TooDeep { depth: reqs.len(), max: usize::from(max_index) });
+    }
+    let total_entries: usize = reqs.iter().map(|r| r.entries).sum();
+    let total_free: usize = view.te_free.iter().sum();
+    if total_entries > total_free {
+        return failed(format!("needs {total_entries} entries, {total_free} free"));
+    }
+    let hosted = |m: &String| -> usize {
+        reqs.iter().filter(|r| r.mems.contains(m)).map(|r| r.entries).sum()
+    };
+    let size = |m: &String| ir.memory_size(m).expect("lowered op references a declared memory");
+    reqs.iter()
+        .enumerate()
+        .map(|(i, req)| {
+            let entries = req.mems.iter().map(hosted).fold(req.entries, usize::max);
+            let dom = (0..NUM_RPBS)
+                .filter(|&r| {
+                    (!req.is_forwarding || RpbId(r as u8 + 1).is_ingress())
+                        && view.te_free[r] >= entries
+                        && req.mems.iter().all(|m| view.mem_free[r].iter().any(|&p| p >= size(m)))
+                })
+                .fold(0u32, |dom, r| dom | 1 << r);
+            if dom != 0 {
+                return Ok(dom);
+            }
+            let (tag, kind) = if req.is_forwarding { (" (forwarding)", "ingress ") } else { ("", "") };
+            let mut reason = format!("level {i}{tag}: no {kind}RPB with ≥ {entries} free entries");
+            for m in &req.mems {
+                reason.push_str(&format!(" and a free partition of ≥ {} buckets for `{m}`", size(m)));
+            }
+            failed(reason)
+        })
+        .collect()
+}
+
+/// Smallest logical index `≥ from` (and `≤ max`) whose physical RPB is in
+/// `dom`.
+#[inline]
+fn next_in(dom: u32, from: u16, max: u16) -> Option<u16> {
+    let r = u32::from((from - 1) % M);
+    // Rotate the M-bit set so that bit 0 is `from`'s own RPB.
+    let rot = ((dom >> r) | (dom << (u32::from(M) - r))) & ((1u32 << M) - 1);
+    let next = from + rot.trailing_zeros() as u16;
+    (rot != 0 && next <= max).then_some(next)
+}
+
+/// The part of the model that window propagation reads: static domains,
+/// ordering, same-memory links and same-pass pairs.
+struct Model {
+    max_index: u16,
+    /// `D_i` per level; levels that access one memory share one domain.
+    dom: Vec<u32>,
+    /// Consecutive accesses `(a, b)`, `a < b`, to one memory (5):
+    /// `x_b = x_a + k·M` with `1 ≤ k ≤ R`.
+    links: Vec<(usize, usize)>,
+    /// Same-pass pairs `(a, b)`, `a < b` (6).
+    pairs: Vec<(usize, usize)>,
+}
+
+impl Model {
+    fn new(
+        reqs: &[SlotReq],
+        pairs: &[(usize, usize)],
+        mut dom: Vec<u32>,
+        max_index: u16,
+    ) -> CompileResult<Model> {
+        let mut links = Vec::new();
+        let mut last_access: HashMap<&str, usize> = HashMap::new();
+        for (b, req) in reqs.iter().enumerate() {
+            for m in &req.mems {
+                if let Some(a) = last_access.insert(m, b) {
+                    links.push((a, b));
+                }
+            }
+        }
+        // Linked levels sit in one physical RPB, so they share a domain.
+        // (A level with two memories joins two chains, hence the loop.)
+        loop {
+            let mut narrowed = false;
+            for &(a, b) in &links {
+                let both = dom[a] & dom[b];
+                if both == 0 {
+                    return failed(format!(
+                        "levels {a} and {b} access one memory (5) but no RPB suits both"
+                    ));
+                }
+                narrowed |= dom[a] != both || dom[b] != both;
+                dom[a] = both;
+                dom[b] = both;
+            }
+            if !narrowed {
+                break;
+            }
+        }
+        Ok(Model { max_index, dom, links, pairs: pairs.to_vec() })
+    }
+
+    /// The widest windows `(lo, hi)` — `x_1` free, `x_L` up to the last
+    /// logical index — or the reason some level has none.
+    fn windows(&self, mirror: &Model) -> CompileResult<(Vec<u16>, Vec<u16>)> {
+        let l = self.dom.len();
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        let empty = match (self.tighten(1, &mut lo), mirror.tighten(1, &mut hi)) {
+            (Err(i), _) => Some(i),
+            (_, Err(i)) => Some(l - 1 - i),
+            _ => {
+                mirror.reflect(&mut hi);
+                (0..l).find(|&i| lo[i] > hi[i])
+            }
+        };
+        match empty {
+            None => Ok((lo, hi)),
+            Some(i) => failed(format!(
+                "level {i}: ordering (1), same-memory (5) and same-pass (6) constraints leave it \
+                 no logical RPB among {}",
+                self.max_index
+            )),
+        }
+    }
+
+    /// The same model read from the far end: level `i` becomes level
+    /// `L−1−i` and index `c` becomes `max_index + 1 − c`. Every constraint
+    /// keeps its form under this reflection (a pass maps onto a pass
+    /// because `max_index` is a multiple of `M`), so an upper bound of the
+    /// model is a lower bound of its mirror and [`Model::tighten`] serves
+    /// both ends.
+    fn mirror(&self) -> Model {
+        let last = self.dom.len() - 1;
+        let flip = |&(a, b): &(usize, usize)| (last - b, last - a);
+        Model {
+            max_index: self.max_index,
+            dom: self.dom.iter().rev().map(|d| d.reverse_bits() >> (32 - u32::from(M))).collect(),
+            links: self.links.iter().map(flip).collect(),
+            pairs: self.pairs.iter().map(flip).collect(),
+        }
+    }
+
+    /// Turn lower bounds computed on the mirror into upper bounds of the
+    /// original, in place.
+    fn reflect(&self, bounds: &mut [u16]) {
+        bounds.reverse();
+        for b in bounds {
+            *b = self.max_index + 1 - *b;
+        }
+    }
+
+    /// Lower window ends for `x_1 = pin` (or `x_1` free). Returns the lower
+    /// bound on `x_L`, or `None` when the pin is outside its own window —
+    /// infeasible, no search needed.
+    fn open(&self, pin: Option<u16>, lo: &mut Vec<u16>) -> Option<u16> {
+        self.tighten(pin.unwrap_or(1), lo).ok()?;
+        pin.is_none_or(|p| lo[0] == p).then(|| lo[lo.len() - 1])
+    }
+
+    /// Per-level lower bounds given `x_1 ≥ start`: the least fixpoint of
+    /// `lo_i ∈ D_i`, `lo_{i+1} > lo_i` (1), `lo_b ≥ lo_a + M` and
+    /// `lo_a ≥ lo_b − R·M` for a link (5), and `pass(lo_a) ≥ pass(lo_b)`
+    /// for a pair (6). Each sweep is O(L); a sweep is repeated only after
+    /// a link or pair raised some bound. `Err(i)` when level `i` is pushed
+    /// past `max_index` (no assignment exists).
+    fn tighten(&self, start: u16, lo: &mut Vec<u16>) -> Result<(), usize> {
+        let span = self.max_index - M;
+        lo.clear();
+        lo.resize(self.dom.len(), 0);
+        loop {
+            let mut floor = start;
+            for (i, (bound, &dom)) in lo.iter_mut().zip(&self.dom).enumerate() {
+                *bound = next_in(dom, floor.max(*bound), self.max_index).ok_or(i)?;
+                floor = *bound + 1;
+            }
+            let mut raised = false;
+            for &(a, b) in &self.links {
+                if lo[b] < lo[a] + M {
+                    lo[b] = lo[a] + M;
+                    raised = true;
+                }
+                if lo[a] + span < lo[b] {
+                    lo[a] = lo[b] - span;
+                    raised = true;
+                }
+            }
+            for &(a, b) in &self.pairs {
+                let pass_start = (lo[b] - 1) / M * M + 1;
+                if lo[a] < pass_start {
+                    lo[a] = pass_start;
+                    raised = true;
+                }
+            }
+            if !raised {
+                return Ok(());
+            }
+        }
+    }
+}
+
 /// Interned per-level requirements (memories by id, dominance flag).
 struct SlotReqI {
     entries: usize,
@@ -405,44 +644,25 @@ struct SlotReqI {
     free: bool,
 }
 
-/// splitmix64 finalizer — the per-component mixer for the state hash.
-#[inline]
-fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Memo keys are already splitmix-mixed; the set hasher passes them through.
-#[derive(Default)]
-struct PreMixed(u64);
-
-impl std::hash::Hasher for PreMixed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type MemoSet = HashSet<u64, BuildHasherDefault<PreMixed>>;
-
 struct Solver<'a> {
     budget: u64,
     reqs: &'a [SlotReqI],
-    pairs: &'a [(usize, usize)],
     /// vmem id → size.
     sizes: &'a [u32],
     /// `entries_suffix[i]` = entries needed by slots `i..`.
     entries_suffix: &'a [usize],
-    max_index: u16,
+    model: &'a Model,
+    mirror: &'a Model,
+    /// Lower window ends for the current pin ([`Solver::pin`]).
+    lo: Vec<u16>,
+    /// Upper window ends that still let `x_L` beat the incumbent of the
+    /// running inner solve ([`Solver::cap`]), computed for `x_L ≤ hi_cap`.
+    hi: Vec<u16>,
+    hi_cap: u16,
+    /// The partial assignment of the running inner solve (0 = unplaced).
+    x: Vec<u16>,
+    /// The current windows hold `x_1` at `lo[0]`.
+    pinned: bool,
     te_free: Vec<usize>,
     te_used: Vec<usize>,
     /// Total free entries remaining across all RPBs.
@@ -451,172 +671,104 @@ struct Solver<'a> {
     /// vmem id → (physical rpb index 0-based, last pass used).
     mem_placed: Vec<Option<(usize, u8)>>,
     nodes: u64,
-    /// Assignments reaching the base case (for memo soundness checks).
-    solutions: u64,
-    /// Zobrist-style hash of (te_used, mem_free lengths, mem_placed),
-    /// maintained incrementally by `try_place`/`unplace`.
-    state_hash: u64,
-    /// Frontiers proven completely infeasible.
-    memo: MemoSet,
+    /// `nodes` value at which the running inner solve gives up.
+    deadline: u64,
+    truncated_solves: u64,
+    /// The running inner solve is over: its incumbent cannot be beaten,
+    /// or it ran out of budget.
+    done: bool,
 }
 
 impl Solver<'_> {
-    /// Branch-and-bound minimizing `x_L`, optionally pinning `x_1` and
-    /// bounding `x_L`. Returns the best assignment found. The memo is
-    /// shared across calls — entries are bound-independent facts.
-    fn search_min_xl(&mut self, x1: Option<u16>, xl_cap: Option<u16>) -> Option<(Vec<u16>, u16)> {
+    /// Open the windows for `x_1 = pin` (or `x_1` free); see [`Model::open`].
+    fn pin(&mut self, pin: Option<u16>) -> Option<u16> {
+        self.pinned = pin.is_some();
+        self.model.open(pin, &mut self.lo)
+    }
+
+    /// Shrink the upper window ends to what `x_L ≤ cap` allows; `false`
+    /// when that leaves some window empty.
+    fn cap(&mut self, cap: u16) -> bool {
+        // Most inner solves end at their lower bound and never lower the
+        // cap, so successive pins usually ask for the ends `hi` still holds.
+        if self.hi_cap != cap {
+            self.hi_cap = u16::MAX; // `hi` is scratch until the reflect below
+            if self.mirror.tighten(self.model.max_index + 1 - cap, &mut self.hi).is_err() {
+                return false;
+            }
+            self.mirror.reflect(&mut self.hi);
+            self.hi_cap = cap;
+        }
+        self.lo.iter().zip(&self.hi).all(|(lo, hi)| lo <= hi)
+    }
+
+    /// Branch-and-bound minimizing `x_L` subject to `x_L ≤ cap`,
+    /// optionally pinning `x_1`. Returns the best assignment found.
+    fn search_min_xl(&mut self, x1: Option<u16>, cap: u16) -> Option<(Vec<u16>, u16)> {
+        self.pin(x1)?;
+        self.search(cap)
+    }
+
+    /// The inner solve, inside the windows [`Solver::pin`] opened.
+    fn search(&mut self, cap: u16) -> Option<(Vec<u16>, u16)> {
+        if !self.cap(cap) {
+            return None;
+        }
         let mut best: Option<(Vec<u16>, u16)> = None;
-        let mut x = vec![0u16; self.reqs.len()];
-        let mut bound = xl_cap.map(|c| c + 1).unwrap_or(self.max_index + 1);
-        let deadline = self.nodes.saturating_add(self.budget);
-        self.dfs(0, 0, x1, &mut x, &mut best, &mut bound, deadline);
+        self.deadline = self.nodes.saturating_add(self.budget);
+        self.done = false;
+        self.dfs(0, 0, &mut best);
         best
     }
 
-    /// Returns `true` when the subtree was searched *completely* — its
-    /// candidate range not truncated by the `x_L` bound and no descendant
-    /// cut off by bound or budget. A complete subtree without a solution
-    /// is a bound-independent infeasibility fact, safe to memoize.
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        &mut self,
-        slot: usize,
-        prev: u16,
-        x1: Option<u16>,
-        x: &mut Vec<u16>,
-        best: &mut Option<(Vec<u16>, u16)>,
-        bound: &mut u16,
-        deadline: u64,
-    ) -> bool {
-        if self.nodes >= deadline {
-            return false;
+    fn dfs(&mut self, slot: usize, prev: u16, best: &mut Option<(Vec<u16>, u16)>) {
+        if self.done {
+            return;
+        }
+        if self.nodes >= self.deadline {
+            self.truncated_solves += 1;
+            self.done = true;
+            return;
         }
         let l = self.reqs.len();
         if slot == l {
-            let xl = x[l - 1];
-            self.solutions += 1;
-            if best.as_ref().is_none_or(|(_, b)| xl < *b) {
-                *best = Some((x.clone(), xl));
-                *bound = xl;
-            }
-            return true;
+            // `hi` admits only leaves that beat the incumbent. The next
+            // one must beat this one; none can once the lower bound is met.
+            let xl = prev;
+            *best = Some((self.x.clone(), xl));
+            self.done = xl == self.lo[l - 1] || !self.cap(xl - 1);
+            return;
         }
         // Suffix capacity: entries still to place exceed the total free —
         // infeasible no matter the assignment.
         if self.entries_suffix[slot] > self.free_total {
-            return true;
+            return;
         }
-        let remaining = (l - 1 - slot) as u16;
-        let lo = if slot == 0 { x1.unwrap_or(1) } else { prev + 1 };
-        let mut hi_struct = self.max_index - remaining;
-        if slot == 0 && x1.is_some() {
-            hi_struct = hi_struct.min(lo);
-        }
-        if lo > hi_struct {
-            return true;
-        }
-        let key = self.frontier_key(slot, lo, hi_struct, x);
-        if self.memo.contains(&key) {
-            return true;
-        }
-        // Bound: x_L ≥ x_slot + remaining, so x_slot must stay below
-        // bound − remaining to improve.
-        let hi = hi_struct.min(bound.saturating_sub(remaining + 1));
-        if lo > hi {
-            return false;
-        }
-
-        let found_before = self.solutions;
-        let mut complete;
-        if self.reqs[slot].free {
-            // Dominance: placing an unconstrained slot at `lo` strictly
-            // dominates any later index (same resources, looser ordering),
-            // so one child decides the whole structural range.
+        let dom = self.model.dom[slot];
+        let mut next = next_in(dom, self.lo[slot].max(prev + 1), self.hi[slot]);
+        while let Some(cand) = next {
+            // A leaf below may have ended the solve or lowered `hi`.
+            if self.done || cand > self.hi[slot] {
+                return;
+            }
             self.nodes += 1;
-            x[slot] = lo;
-            complete = self.dfs(slot + 1, lo, x1, x, best, bound, deadline);
-            x[slot] = 0;
-        } else {
-            complete = hi == hi_struct;
-            for cand in lo..=hi {
-                // A solution inside this subtree tightened the bound;
-                // re-derive the cutoff (truncation is fine — the memo
-                // insert below is already off once a solution exists).
-                if cand > bound.saturating_sub(remaining + 1) {
-                    complete = false;
-                    break;
-                }
-                self.nodes += 1;
-                if let Some(undo) = self.try_place(slot, cand, x) {
-                    x[slot] = cand;
-                    let child = self.dfs(slot + 1, cand, x1, x, best, bound, deadline);
-                    x[slot] = 0;
-                    self.unplace(undo);
-                    complete &= child;
-                }
+            if let Some(undo) = self.try_place(slot, cand) {
+                self.x[slot] = cand;
+                self.dfs(slot + 1, cand, best);
+                self.x[slot] = 0;
+                self.unplace(undo);
             }
-        }
-        if complete && self.solutions == found_before {
-            self.memo.insert(key);
-        }
-        complete
-    }
-
-    /// The memo key for a frontier: resource-state hash, the slot, its
-    /// candidate range, and the passes of anchors of still-pending
-    /// same-pass pairs (the only way already-assigned `x` values reach
-    /// into the subtree other than through `lo`).
-    fn frontier_key(&self, slot: usize, lo: u16, hi_struct: u16, x: &[u16]) -> u64 {
-        let mut h = self.state_hash
-            ^ mix(
-                0x5000_0000_0000_0000
-                    | (slot as u64) << 32
-                    | u64::from(lo) << 16
-                    | u64::from(hi_struct),
-            );
-        for &(a, b) in self.pairs {
-            if a < slot && b >= slot {
-                let pass = LogicalRpb::from_index(x[a]).pass();
-                h ^= mix(
-                    0x6000_0000_0000_0000
-                        | (a as u64) << 32
-                        | (b as u64) << 16
-                        | u64::from(pass),
-                );
-            }
-        }
-        h
-    }
-
-    #[inline]
-    fn toggle_te(&mut self, rpb_idx: usize) {
-        self.state_hash ^= mix(
-            0x1000_0000_0000_0000 | (rpb_idx as u64) << 32 | self.te_used[rpb_idx] as u64,
-        );
-    }
-
-    #[inline]
-    fn toggle_part(&mut self, rpb_idx: usize, part: usize) {
-        self.state_hash ^= mix(
-            0x2000_0000_0000_0000
-                | (rpb_idx as u64) << 40
-                | (part as u64) << 20
-                | u64::from(self.mem_free[rpb_idx][part]),
-        );
-    }
-
-    #[inline]
-    fn toggle_placed(&mut self, mem: usize) {
-        if let Some((rpb, pass)) = self.mem_placed[mem] {
-            self.state_hash ^= mix(
-                0x3000_0000_0000_0000 | (mem as u64) << 32 | (rpb as u64) << 8 | u64::from(pass),
-            );
+            // Dominance: a free slot at its smallest legal index strictly
+            // dominates any later one (same resources, looser ordering),
+            // so one child decides the whole range. So does a pinned x_1.
+            let only = self.reqs[slot].free || (slot == 0 && self.pinned);
+            next = if only { None } else { next_in(dom, cand + 1, self.hi[slot]) };
         }
     }
 
     /// Attempt to place `slot` at logical index `cand`; on success return
     /// the undo record.
-    fn try_place(&mut self, slot: usize, cand: u16, x: &[u16]) -> Option<Undo> {
+    fn try_place(&mut self, slot: usize, cand: u16) -> Option<Undo> {
         let req = &self.reqs[slot];
         let logical = LogicalRpb::from_index(cand);
         let rpb = logical.rpb();
@@ -628,9 +780,9 @@ impl Solver<'_> {
             return None;
         }
         // (6) same-pass pairs where this slot is the second element.
-        for &(a, b) in self.pairs {
+        for &(a, b) in &self.model.pairs {
             if b == slot {
-                let xa = x[a];
+                let xa = self.x[a];
                 if xa != 0 && LogicalRpb::from_index(xa).pass() != pass {
                     return None;
                 }
@@ -651,9 +803,7 @@ impl Solver<'_> {
                         self.rollback(mem_undo);
                         return None;
                     }
-                    self.toggle_placed(mi);
                     self.mem_placed[mi] = Some((rpb_idx, pass));
-                    self.toggle_placed(mi);
                     mem_undo.push(MemUndo::Replaced(m, (placed_rpb, last_pass)));
                 }
                 None => {
@@ -661,11 +811,8 @@ impl Solver<'_> {
                     // First-fit over the free partitions.
                     match self.mem_free[rpb_idx].iter().position(|&p| p >= size) {
                         Some(part) => {
-                            self.toggle_part(rpb_idx, part);
                             self.mem_free[rpb_idx][part] -= size;
-                            self.toggle_part(rpb_idx, part);
                             self.mem_placed[mi] = Some((rpb_idx, pass));
-                            self.toggle_placed(mi);
                             mem_undo.push(MemUndo::Taken(m, rpb_idx, part, size));
                         }
                         None => {
@@ -676,22 +823,14 @@ impl Solver<'_> {
                 }
             }
         }
-        if req.entries > 0 {
-            self.toggle_te(rpb_idx);
-            self.te_used[rpb_idx] += req.entries;
-            self.toggle_te(rpb_idx);
-            self.free_total -= req.entries;
-        }
+        self.te_used[rpb_idx] += req.entries;
+        self.free_total -= req.entries;
         Some(Undo { rpb_idx, entries: req.entries, mem: mem_undo })
     }
 
     fn unplace(&mut self, undo: Undo) {
-        if undo.entries > 0 {
-            self.toggle_te(undo.rpb_idx);
-            self.te_used[undo.rpb_idx] -= undo.entries;
-            self.toggle_te(undo.rpb_idx);
-            self.free_total += undo.entries;
-        }
+        self.te_used[undo.rpb_idx] -= undo.entries;
+        self.free_total += undo.entries;
         self.rollback(undo.mem);
     }
 
@@ -705,17 +844,12 @@ impl Solver<'_> {
         match u {
             MemUndo::Taken(m, rpb, part, size) => {
                 let mi = usize::from(m);
-                self.toggle_part(rpb, part);
                 self.mem_free[rpb][part] += size;
-                self.toggle_part(rpb, part);
-                self.toggle_placed(mi);
                 self.mem_placed[mi] = None;
             }
             MemUndo::Replaced(m, prev) => {
                 let mi = usize::from(m);
-                self.toggle_placed(mi);
                 self.mem_placed[mi] = Some(prev);
-                self.toggle_placed(mi);
             }
         }
     }
@@ -853,25 +987,103 @@ program p(<f,1,1>) {
         );
     }
 
+    /// The rejection's reason; a window-proved rejection explores nothing,
+    /// so the same call with a zero node budget must reject the same way.
+    fn rejection(ir: &ProgramIr, view: &AllocView, cfg: AllocConfig) -> String {
+        let reason = |cfg: &AllocConfig| match allocate(ir, view, cfg) {
+            Err(CompileError::AllocationFailed { reason }) => reason,
+            other => panic!("expected AllocationFailed, got {other:?}"),
+        };
+        let r = reason(&cfg);
+        assert_eq!(r, reason(&AllocConfig { node_budget: 0, ..cfg }), "decided without search");
+        r
+    }
+
     #[test]
-    fn memory_exhaustion_fails_cleanly() {
+    fn memory_exhaustion_names_the_level_and_the_partition() {
         let ir = ir_of(CACHE);
         let mut view = full_view();
         for parts in &mut view.mem_free {
             *parts = vec![512]; // less than the requested 1024 everywhere
         }
-        let err = allocate(&ir, &view, &AllocConfig::default()).unwrap_err();
-        assert!(matches!(err, CompileError::AllocationFailed { .. }));
+        assert_eq!(
+            rejection(&ir, &view, AllocConfig::default()),
+            "level 8: no RPB with ≥ 2 free entries and a free partition of ≥ 1024 buckets for `mem1`"
+        );
     }
 
     #[test]
-    fn entry_exhaustion_fails_cleanly() {
+    fn entry_exhaustion_names_the_level_and_the_entries() {
         let ir = ir_of(CACHE);
         let mut view = full_view();
         for te in &mut view.te_free {
             *te = 1;
         }
-        assert!(allocate(&ir, &view, &AllocConfig::default()).is_err());
+        assert_eq!(
+            rejection(&ir, &view, AllocConfig::default()),
+            "level 3: no RPB with ≥ 2 free entries"
+        );
+    }
+
+    #[test]
+    fn forwarding_exhaustion_names_the_ingress_rpbs() {
+        let ir = ir_of("program p(<f,1,1>) { LOADI(har, 1); DROP; }");
+        let mut view = full_view();
+        for te in &mut view.te_free[..p4rp_dataplane::NUM_INGRESS_RPBS] {
+            *te = 0; // the egress RPBs stay free, and cannot forward
+        }
+        assert_eq!(
+            rejection(&ir, &view, AllocConfig::default()),
+            "level 1 (forwarding): no ingress RPB with ≥ 1 free entries"
+        );
+    }
+
+    #[test]
+    fn linked_levels_without_a_common_rpb_are_rejected() {
+        // Level 0 reads `m` and must forward (ingress only); level 1 reads
+        // `m` again where only an egress RPB is left to it.
+        let level = |is_forwarding| SlotReq { entries: 1, mems: vec!["m".into()], is_forwarding };
+        let err = Model::new(&[level(true), level(false)], &[], vec![0b11, 1 << 12], 44);
+        assert!(matches!(
+            err,
+            Err(CompileError::AllocationFailed { reason })
+                if reason == "levels 0 and 1 access one memory (5) but no RPB suits both"
+        ));
+    }
+
+    #[test]
+    fn an_empty_window_is_rejected_without_search() {
+        // Twelve levels, then a DROP: without recirculation the 13th level
+        // starts at the first egress RPB and no ingress RPB follows it.
+        let mut body = String::new();
+        for i in 0..12 {
+            body.push_str(&format!("LOADI(har, {i});\n"));
+        }
+        let ir = ir_of(&format!("program p(<f,1,1>) {{ {body} DROP; }}"));
+        let cfg = AllocConfig { max_recirc: 0, ..Default::default() };
+        let reason = rejection(&ir, &full_view(), cfg);
+        assert!(reason.starts_with("level 12: ordering (1), same-memory (5)"), "{reason}");
+    }
+
+    #[test]
+    fn budget_exhaustion_is_counted_not_silent() {
+        // 24 one-entry levels wrap into the second pass. From x_1 = 1 the
+        // 23rd level lands on RPB 1 again, which has a single free entry:
+        // that pin backtracks once (26 nodes), every other pin walks
+        // straight to its leaf (24 nodes).
+        let mut body = String::new();
+        for i in 0..24 {
+            body.push_str(&format!("LOADI(har, {i});\n"));
+        }
+        let ir = ir_of(&format!("program p(<f,1,1>) {{ {body} }}"));
+        let mut view = full_view();
+        view.te_free[0] = 1;
+        let ratio = AllocConfig { objective: Objective::Ratio, ..Default::default() };
+        let exact = allocate(&ir, &view, &ratio).unwrap();
+        assert_eq!(exact.truncated_solves, 0);
+        let cut = allocate(&ir, &view, &AllocConfig { node_budget: 25, ..ratio }).unwrap();
+        assert_eq!(cut.truncated_solves, 1, "only the x_1 = 1 solve runs out");
+        assert_eq!(cut.x, exact.x, "the winning pin was solved in full");
     }
 
     #[test]

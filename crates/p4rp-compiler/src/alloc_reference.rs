@@ -2,9 +2,9 @@
 //! first written, with `String`-keyed maps cloned per DFS node and no
 //! pruning beyond the `x_L` bound.
 //!
-//! [`crate::alloc`] now solves the same model with interned memory ids, a
-//! suffix-capacity prune, free-slot dominance, and memoized infeasible
-//! frontiers. This module is kept as the semantic authority: the
+//! [`crate::alloc`] now solves the same model inside propagated per-level
+//! windows, with interned memory ids, a suffix-capacity prune and
+//! free-slot dominance. This module is kept as the semantic authority: the
 //! `alloc_equivalence` proptest suite checks the fast solver against it
 //! (same feasibility verdict, no-worse `x_L`), and `bench_controlplane`
 //! uses it as the "before" measurement. Select it with
@@ -39,6 +39,7 @@ pub(crate) fn solve(
         mem_free: view.mem_free.clone(),
         mem_placed: HashMap::new(),
         nodes: 0,
+        truncated_solves: 0,
     };
 
     let best = match cfg.objective {
@@ -111,7 +112,14 @@ pub(crate) fn solve(
                 .max()
                 .unwrap_or(0)
                 + 1;
-            Ok(Allocation { x, mem_rpb, passes, objective_value, nodes_explored: nodes })
+            Ok(Allocation {
+                x,
+                mem_rpb,
+                passes,
+                objective_value,
+                nodes_explored: nodes,
+                truncated_solves: solver.truncated_solves,
+            })
         }
     }
 }
@@ -128,6 +136,8 @@ struct Solver<'a> {
     /// vmem → (physical rpb index 0-based, last pass used).
     mem_placed: HashMap<String, (usize, u8)>,
     nodes: u64,
+    /// Inner solves that ran into `budget`.
+    truncated_solves: u64,
 }
 
 impl Solver<'_> {
@@ -139,6 +149,7 @@ impl Solver<'_> {
         let mut bound = xl_cap.map(|c| c + 1).unwrap_or(self.max_index + 1);
         let deadline = self.nodes.saturating_add(self.budget);
         self.dfs(0, 0, x1, &mut x, &mut best, &mut bound, deadline);
+        self.truncated_solves += u64::from(self.nodes >= deadline);
         best
     }
 

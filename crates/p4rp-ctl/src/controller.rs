@@ -13,7 +13,7 @@
 use crate::resman::ResourceManager;
 use crate::telemetry::{
     FaultStats, LifecycleSpan, ParallelStats, ProgramUsage, ResourceGauges, SeriesRing,
-    ServerStats, SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION,
+    ServerStats, SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION, SPAN_HISTORY,
 };
 use p4rp_compiler::alloc::{allocate, AllocConfig, AllocView, Allocation};
 use p4rp_compiler::consistency::{plan_install, plan_remove, InstalledHandles};
@@ -31,7 +31,7 @@ use rmt_sim::switch::{ControlOp, OpResult, ProcessOutcome, Switch, SwitchConfig,
 use rmt_sim::table::{EntryHandle, TableEntry};
 use rmt_sim::telemetry::{MetricsRecorder, ProgramMetrics};
 use rmt_sim::trace::{LifecycleKind, SloKind, TraceBuffer, TraceConfig, TraceStats};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How many times a transient channel fault (timeout, drop) is retried
@@ -131,6 +131,9 @@ pub struct DeployReport {
     pub alloc_wall: Duration,
     /// Alloc nodes.
     pub alloc_nodes: u64,
+    /// Inner solves of the allocation that ran out of `node_budget`
+    /// (0 = the placement is the exact optimum).
+    pub truncated_solves: u64,
     /// Wall-clock spent applying batches through the control channel
     /// (entry encode + table mutation on this side of the simulated
     /// `bfrt` latency, which is reported separately as `update_delay`).
@@ -236,7 +239,10 @@ pub struct Controller {
     /// Telemetry epoch: bumped at every lifecycle event that mutates the
     /// data plane, mirrored into the switch's recorder when enabled.
     epoch: u64,
-    spans: Vec<LifecycleSpan>,
+    /// The most recent [`SPAN_HISTORY`] lifecycle spans, oldest first.
+    spans: VecDeque<LifecycleSpan>,
+    /// `seq` of the next span: spans recorded since provisioning.
+    span_seq: u64,
     /// Opt-in deploy fast path: vectored (single-batch, marginal-cost)
     /// channel application and shape-cached entry generation. Off by
     /// default so the Table 1 / Figure 13 per-op latency reproductions
@@ -314,7 +320,8 @@ impl Controller {
             alloc_cfg,
             check_ctx,
             epoch: 0,
-            spans: Vec::new(),
+            spans: VecDeque::new(),
+            span_seq: 0,
             fast_path: false,
             entry_cache: EntryGenCache::default(),
             spec_conflicts: 0,
@@ -644,9 +651,24 @@ impl Controller {
         self.switch.trace_stats()
     }
 
-    /// Every lifecycle span recorded so far, oldest first.
-    pub fn lifecycle_spans(&self) -> &[LifecycleSpan] {
-        &self.spans
+    /// The most recent [`SPAN_HISTORY`] lifecycle spans, oldest first.
+    /// `seq` keeps counting past evicted spans.
+    pub fn lifecycle_spans(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = &LifecycleSpan> + ExactSizeIterator {
+        self.spans.iter()
+    }
+
+    /// Record a span under the next `seq`, evicting the oldest one once
+    /// the history is full (a controller lives through unboundedly many
+    /// deploys; totals live in the epoch and the channel counters).
+    fn push_span(&mut self, span: LifecycleSpan) {
+        debug_assert_eq!(span.seq, self.span_seq);
+        self.span_seq += 1;
+        if self.spans.len() == SPAN_HISTORY {
+            self.spans.pop_front();
+        }
+        self.spans.push_back(span);
     }
 
     /// Snapshot the full telemetry report: spans + gauges + control-channel
@@ -661,7 +683,7 @@ impl Controller {
             schema_version: SCHEMA_VERSION,
             epoch: self.epoch,
             programs_deployed: self.programs.len() as u64,
-            spans: self.spans.clone(),
+            spans: self.spans.iter().cloned().collect(),
             resources: ResourceGauges::collect(&self.resman),
             control_write_latency: self.channel.write_latency.clone(),
             dataplane,
@@ -1216,8 +1238,8 @@ impl Controller {
             if parked.is_none() {
                 self.refund_program(&image);
             }
-            self.spans.push(LifecycleSpan {
-                seq: self.spans.len() as u64,
+            self.push_span(LifecycleSpan {
+                seq: self.span_seq,
                 kind: "deploy-fault".into(),
                 program: c.name.clone(),
                 prog_id: u64::from(prog_id),
@@ -1225,6 +1247,7 @@ impl Controller {
                 parse_wall_ns: c.parse_wall.as_nanos() as u64,
                 solver_wall_ns: c.alloc_wall.as_nanos() as u64,
                 solver_nodes: c.allocation.nodes_explored,
+                solver_truncated: c.allocation.truncated_solves,
                 channel_wall_ns: channel_wall.as_nanos() as u64,
                 entries_written,
                 entries_revoked: rollback_ops,
@@ -1247,8 +1270,8 @@ impl Controller {
             t.lifecycle(LifecycleKind::Deploy, prog_id, epoch, update_delay);
         }
 
-        self.spans.push(LifecycleSpan {
-            seq: self.spans.len() as u64,
+        self.push_span(LifecycleSpan {
+            seq: self.span_seq,
             kind: "deploy".into(),
             program: c.name.clone(),
             prog_id: u64::from(prog_id),
@@ -1256,6 +1279,7 @@ impl Controller {
             parse_wall_ns: c.parse_wall.as_nanos() as u64,
             solver_wall_ns: c.alloc_wall.as_nanos() as u64,
             solver_nodes: c.allocation.nodes_explored,
+            solver_truncated: c.allocation.truncated_solves,
             channel_wall_ns: channel_wall.as_nanos() as u64,
             entries_written,
             entries_revoked: 0,
@@ -1273,6 +1297,7 @@ impl Controller {
             parse_wall: c.parse_wall,
             alloc_wall: c.alloc_wall,
             alloc_nodes: c.allocation.nodes_explored,
+            truncated_solves: c.allocation.truncated_solves,
             channel_wall,
             update_delay,
             entries_installed: image.entry_count(),
@@ -1370,8 +1395,8 @@ impl Controller {
                     name.to_string(),
                     WedgedProgram { image: installed.image, pending_ops: remaining },
                 );
-                self.spans.push(LifecycleSpan {
-                    seq: self.spans.len() as u64,
+                self.push_span(LifecycleSpan {
+                    seq: self.span_seq,
                     kind: "revoke-fault".into(),
                     program: name.to_string(),
                     prog_id: u64::from(prog_id),
@@ -1379,6 +1404,7 @@ impl Controller {
                     parse_wall_ns: 0,
                     solver_wall_ns: 0,
                     solver_nodes: 0,
+                    solver_truncated: 0,
                     channel_wall_ns: channel_wall.as_nanos() as u64,
                     entries_written: 0,
                     entries_revoked,
@@ -1406,8 +1432,8 @@ impl Controller {
             t.set_now(now);
             t.lifecycle(LifecycleKind::Revoke, installed.image.prog_id, epoch, update_delay);
         }
-        self.spans.push(LifecycleSpan {
-            seq: self.spans.len() as u64,
+        self.push_span(LifecycleSpan {
+            seq: self.span_seq,
             kind: "revoke".into(),
             program: name.to_string(),
             prog_id: u64::from(installed.image.prog_id),
@@ -1415,6 +1441,7 @@ impl Controller {
             parse_wall_ns: 0,
             solver_wall_ns: 0,
             solver_nodes: 0,
+            solver_truncated: 0,
             channel_wall_ns: channel_wall.as_nanos() as u64,
             entries_written: 0,
             entries_revoked,
@@ -1493,8 +1520,8 @@ impl Controller {
             t.set_now(now);
             t.lifecycle(LifecycleKind::Revoke, prog_id, epoch, update_delay);
         }
-        self.spans.push(LifecycleSpan {
-            seq: self.spans.len() as u64,
+        self.push_span(LifecycleSpan {
+            seq: self.span_seq,
             kind: "revoke".into(),
             program: name.to_string(),
             prog_id: u64::from(prog_id),
@@ -1502,6 +1529,7 @@ impl Controller {
             parse_wall_ns: 0,
             solver_wall_ns: 0,
             solver_nodes: 0,
+            solver_truncated: 0,
             channel_wall_ns: channel_wall.as_nanos() as u64,
             entries_written: 0,
             entries_revoked: out

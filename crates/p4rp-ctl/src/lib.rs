@@ -33,5 +33,5 @@ pub use resman::ResourceManager;
 pub use server::{serve, Client, ServerConfig};
 pub use telemetry::{
     FaultStats, LifecycleSpan, ProgramUsage, ResourceGauges, SeriesPoint, SeriesRing, ServerStats,
-    SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION,
+    SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION, SPAN_HISTORY,
 };

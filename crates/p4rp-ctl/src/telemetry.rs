@@ -29,8 +29,15 @@ use std::collections::BTreeMap;
 /// sections; version 3 added the per-table lookup-structure section
 /// (`tables`); version 4 added the runtime-control server section
 /// (`server`, see `docs/SERVER.md`); version 5 added `tss_partitions` and
-/// `tss_max_partition` to `tables` (`tss_groups` now sums over partitions).
-pub const SCHEMA_VERSION: u64 = 5;
+/// `tss_max_partition` to `tables` (`tss_groups` now sums over partitions);
+/// version 6 added `solver_truncated` to spans, whose `seq` now counts past
+/// the [`SPAN_HISTORY`] spans the document keeps.
+pub const SCHEMA_VERSION: u64 = 6;
+
+/// Lifecycle spans a controller keeps (the most recent ones). A span is
+/// ~200 bytes; a controller churning 16 000 deploys a second would
+/// otherwise grow by hundreds of MiB a minute.
+pub const SPAN_HISTORY: usize = 4096;
 
 /// One program lifecycle event as the controller executed it.
 ///
@@ -39,7 +46,8 @@ pub const SCHEMA_VERSION: u64 = 5;
 /// therefore emits two spans. All durations are nanoseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleSpan {
-    /// Monotonic span index within this controller.
+    /// Monotonic span index within this controller (spans recorded
+    /// before this one, evicted ones included).
     pub seq: u64,
     /// `"deploy"` or `"revoke"`.
     pub kind: String,
@@ -56,6 +64,9 @@ pub struct LifecycleSpan {
     pub solver_wall_ns: u64,
     /// Branch-and-bound nodes the solver explored (deploy only).
     pub solver_nodes: u64,
+    /// Inner solves that ran out of the node budget and kept their best
+    /// answer so far (deploy only; 0 = the placement is exact).
+    pub solver_truncated: u64,
     /// Wall-clock spent applying batches through the control channel —
     /// the controller-side cost of the install/remove, as opposed to the
     /// simulated device latency in `update_delay_ns`.
@@ -87,6 +98,7 @@ serde::impl_serde_struct!(LifecycleSpan {
     parse_wall_ns,
     solver_wall_ns,
     solver_nodes,
+    solver_truncated,
     channel_wall_ns,
     entries_written,
     entries_revoked,
@@ -117,6 +129,9 @@ impl LifecycleSpan {
             self.channel_wall_ns as f64 / 1e6,
             self.update_delay_ns as f64 / 1e6,
         );
+        if self.solver_truncated > 0 {
+            row.push_str(&format!(", {} truncated solve(s)", self.solver_truncated));
+        }
         if self.faults + self.retries + self.rollback_ops > 0 {
             row.push_str(&format!(
                 ", {} fault(s), {} retries, {} undo ops",
@@ -603,7 +618,7 @@ pub struct TelemetryReport {
     pub epoch: u64,
     /// Programs currently deployed.
     pub programs_deployed: u64,
-    /// Every lifecycle event, oldest first.
+    /// The most recent [`SPAN_HISTORY`] lifecycle events, oldest first.
     pub spans: Vec<LifecycleSpan>,
     /// Resource-manager gauges at snapshot time.
     pub resources: ResourceGauges,
@@ -900,6 +915,7 @@ mod tests {
             parse_wall_ns: 80_000,
             solver_wall_ns: 1_500_000,
             solver_nodes: 42,
+            solver_truncated: 0,
             channel_wall_ns: 120_000,
             entries_written: if kind == "deploy" { 9 } else { 0 },
             entries_revoked: if kind == "revoke" { 9 } else { 0 },

@@ -1,28 +1,91 @@
-//! The fast allocator against the reference: the interned / pruned /
-//! memoized solver in `p4rp_compiler::alloc` must be observationally
-//! equivalent to the naive DFS preserved in `alloc_reference` — same
-//! feasibility verdict and the same (exact) objective on every program
-//! and plane state — plus a regression test that concurrent `deploy_many`
-//! commits never double-book memory or table entries.
+//! The fast allocator against the reference: the window-propagated
+//! solver in `p4rp_compiler::alloc` must be observationally equivalent to
+//! the naive DFS preserved in `alloc_reference` — same feasibility verdict
+//! and the same (exact) objective on every program and plane state — plus
+//! a regression test that concurrent `deploy_many` commits never
+//! double-book memory or table entries.
 //!
 //! The reference is the §4.3 model written out directly, with no pruning
-//! beyond the `x_L` bound; the fast solver adds suffix-capacity cuts,
-//! free-slot dominance, and memoized infeasible frontiers, all of which
-//! must be invisible in the result. Both run with a node budget large
-//! enough that neither truncates on these program sizes, so exact
-//! equality (not just "no worse") is the right assertion.
+//! beyond the `x_L` bound; the fast solver searches only inside propagated
+//! per-level windows and adds suffix-capacity cuts and free-slot
+//! dominance, all of which must be invisible in the result. The windows
+//! themselves are checked for soundness: no assignment the reference
+//! finds may lie outside them. Cases where the reference runs out of its
+//! (large) node budget are discarded, so exact equality (not just "no
+//! worse") is the right assertion.
 
 use proptest::prelude::*;
-use p4runpro::p4rp_compiler::alloc::{allocate, AllocConfig, AllocView, Objective};
-use p4runpro::p4rp_compiler::ir::{lower, MemDecl};
-use p4runpro::p4rp_dataplane::{NUM_RPBS, RPB_MEM_SIZE, RPB_TABLE_SIZE};
+use p4runpro::p4rp_compiler::alloc::{
+    allocate, slot_requirements, windows, AllocConfig, AllocView, Objective,
+};
+use p4runpro::p4rp_compiler::ir::{lower, MemDecl, ProgramIr};
+use p4runpro::p4rp_dataplane::{LogicalRpb, NUM_RPBS, RPB_MEM_SIZE, RPB_TABLE_SIZE};
 use p4runpro::p4rp_lang::parse;
 use p4runpro::p4rp_ctl::Controller;
+use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
 use p4runpro::rmt_sim::trace::TraceConfig;
 
-/// Random small-program source: register ops, up to two accesses to each
-/// of two virtual memories (R = 1 permits at most two passes), optional
-/// forwarding primitives that trigger the ingress-only constraint.
+fn ir_of(src: &str) -> ProgramIr {
+    let unit = parse(src).unwrap();
+    let mems: Vec<MemDecl> = unit
+        .annotations
+        .iter()
+        .map(|a| MemDecl { name: a.name.clone(), size: a.size as u32 })
+        .collect();
+    lower(&unit.programs[0], &mems).unwrap()
+}
+
+/// The §4.3 model stated directly, independent of both solvers: does the
+/// assignment `x` satisfy constraints (1)–(6) on `view`? Memory is granted
+/// first-fit in level order, the resource manager's policy.
+fn check_assignment(ir: &ProgramIr, view: &AllocView, max_index: u16, x: &[u16]) -> Result<(), String> {
+    let (reqs, pairs) = slot_requirements(ir);
+    if x.len() != reqs.len() || x[0] < 1 || *x.last().unwrap() > max_index {
+        return Err(format!("{x:?}: wrong length or outside 1..={max_index}"));
+    }
+    if !x.windows(2).all(|w| w[0] < w[1]) {
+        return Err(format!("(1) not strictly increasing: {x:?}"));
+    }
+    let at = |i: usize| LogicalRpb::from_index(x[i]);
+    if let Some(&(a, b)) = pairs.iter().find(|&&(a, b)| at(a).pass() != at(b).pass()) {
+        return Err(format!("(6) levels {a} and {b} in different passes: {x:?}"));
+    }
+    let mut used = [0usize; NUM_RPBS];
+    let mut parts = view.mem_free.clone();
+    let mut home: std::collections::HashMap<&str, (usize, u8)> = Default::default();
+    for (i, req) in reqs.iter().enumerate() {
+        let (rpb, pass) = (usize::from(at(i).rpb().0) - 1, at(i).pass());
+        if req.is_forwarding && !at(i).is_ingress() {
+            return Err(format!("(4) forwarding level {i} in an egress RPB: {x:?}"));
+        }
+        used[rpb] += req.entries;
+        if used[rpb] > view.te_free[rpb] {
+            return Err(format!("(2) RPB {} over its free entries at level {i}: {x:?}", rpb + 1));
+        }
+        for m in &req.mems {
+            match home.insert(m, (rpb, pass)) {
+                Some((r, p)) if r != rpb || p >= pass => {
+                    return Err(format!("(5) `{m}` at level {i} not in its RPB on a later pass: {x:?}"));
+                }
+                Some(_) => {}
+                None => {
+                    let size = ir.memory_size(m).unwrap();
+                    match parts[rpb].iter_mut().find(|p| **p >= size) {
+                        Some(p) => *p -= size,
+                        None => return Err(format!("(3) no partition for `{m}` in RPB {}: {x:?}", rpb + 1)),
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Random program source: register ops, up to two accesses to each of two
+/// virtual memories (R = 1 permits at most two passes), optional
+/// forwarding primitives that trigger the ingress-only constraint. Up to
+/// 13 statements, so programs that use both memories twice — two passes,
+/// two same-memory links — appear.
 fn arb_source() -> impl Strategy<Value = String> {
     let reg = prop::sample::select(vec!["har", "sar", "mar"]);
     let simple = (reg.clone(), 0u32..1000).prop_map(|(r, i)| format!("LOADI({r}, {i});"));
@@ -39,7 +102,7 @@ fn arb_source() -> impl Strategy<Value = String> {
     .prop_map(str::to_string);
     let fwd = prop::sample::select(vec!["FORWARD(5);", "DROP;"]).prop_map(str::to_string);
     let stmt = prop_oneof![simple, two, mem, fwd];
-    proptest::collection::vec(stmt, 1..8)
+    proptest::collection::vec(stmt, 1..14)
         .prop_filter("≤2 accesses per memory", |stmts| {
             let joined = stmts.join(" ");
             joined.matches("(ma)").count() <= 2 && joined.matches("(mb)").count() <= 2
@@ -94,7 +157,11 @@ fn arb_objective() -> impl Strategy<Value = Objective> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig {
+        cases: std::env::var("P4RP_PROPTEST_CASES")
+            .ok().and_then(|s| s.parse().ok()).unwrap_or(48),
+        .. ProptestConfig::default()
+    })]
 
     /// Fast solver ≡ reference DFS: same verdict, same objective, and an
     /// `x_L` that is no worse, on random programs × planes × objectives.
@@ -104,20 +171,48 @@ proptest! {
         view in arb_view(),
         objective in arb_objective(),
     ) {
-        let unit = parse(&src).unwrap();
-        let mems: Vec<MemDecl> = unit.annotations.iter()
-            .map(|a| MemDecl { name: a.name.clone(), size: a.size as u32 })
-            .collect();
-        let ir = lower(&unit.programs[0], &mems).unwrap();
-        // Budget high enough that neither solver truncates at this size:
-        // completeness makes exact equality the correct assertion.
+        let ir = ir_of(&src);
+        // Completeness makes exact equality the correct assertion: a case
+        // where the reference exhausts even this budget is discarded.
         let fast_cfg = AllocConfig { objective, node_budget: 20_000_000, ..AllocConfig::default() };
         let ref_cfg = AllocConfig { reference: true, ..fast_cfg };
 
         let fast = allocate(&ir, &view, &fast_cfg);
         let reference = allocate(&ir, &view, &ref_cfg);
+        if let Ok(f) = &fast {
+            let valid = check_assignment(&ir, &view, 44, &f.x);
+            prop_assert!(valid.is_ok(), "fast solver broke the model: {}", valid.unwrap_err());
+            // Where the fast solver runs out of budget, the reference —
+            // which visits a superset of its nodes — cannot have finished.
+            prop_assert!(
+                f.truncated_solves == 0 || reference.as_ref().map_or(true, |r| r.truncated_solves > 0),
+                "only the fast solver truncated: {:?}", f,
+            );
+            // A valid assignment the reference did not find: it ran out of
+            // budget in every inner solve, which an `Err` cannot report.
+            prop_assume!(reference.is_ok());
+        }
+        if let Ok(r) = &reference {
+            prop_assume!(r.truncated_solves == 0);
+        }
         match (fast, reference) {
             (Ok(f), Ok(r)) => {
+                // Window soundness: the reference's assignment lies inside
+                // every window, with x_1 free and with x_1 held where the
+                // reference put it; the latter's lower bound on x_L holds.
+                for pin in [None, Some(r.x[0])] {
+                    let w = windows(&ir, &view, &fast_cfg, pin);
+                    prop_assert!(w.is_ok(), "windows({:?}) empty, reference found {:?}", pin, r.x);
+                    let w = w.unwrap();
+                    for (i, (&xi, &(lo, hi))) in r.x.iter().zip(&w).enumerate() {
+                        prop_assert!(
+                            lo <= xi && xi <= hi,
+                            "windows({:?}): level {} at {} outside [{}, {}] (x {:?})",
+                            pin, i, xi, lo, hi, r.x,
+                        );
+                    }
+                    prop_assert!(w.last().unwrap().0 <= *r.x.last().unwrap());
+                }
                 prop_assert!(
                     (f.objective_value - r.objective_value).abs() < 1e-9,
                     "objective diverged: fast {} vs reference {} (x {:?} vs {:?})",
@@ -140,6 +235,44 @@ proptest! {
                 "verdict diverged: fast {:?} vs reference {:?}",
                 f.map(|a| a.x), r.map(|a| a.x),
             ),
+        }
+    }
+}
+
+/// The paper's three deep programs (depth 11–23, two passes), on an empty
+/// plane and on the 128-resident plane the benchmark's `deploy_deep`
+/// churns over: the solve is exact (nothing truncated, the same answer
+/// with an unlimited budget), cheap, and no worse than what the
+/// enumeration-based solver returned before it, whose inner solves ran
+/// out of budget on exactly these programs.
+#[test]
+fn deep_programs_solve_exactly_in_a_few_hundred_nodes() {
+    let family = |name: &str| *Family::ALL.iter().find(|f| f.name() == name).unwrap();
+    let source = |name: &str, i: usize| instance(family(name), i, WorkloadParams::default());
+    let shallow =
+        ["cache", "lb", "dqacc", "l2", "l3", "tun", "calc", "ecn", "cms", "bf", "sumax", "hll"];
+    let mut ctl = Controller::with_defaults().unwrap();
+    for i in 0..128 {
+        ctl.deploy(&source(shallow[i % shallow.len()], i)).unwrap();
+    }
+    let loaded = ctl.resources().alloc_view().clone();
+    let empty = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
+
+    // f1 objective values of the parent solver (budget 200 000, truncated).
+    for (name, parent_objective) in [("hh", 16.2), ("nc", 16.2), ("fw", 12.6)] {
+        let ir = ir_of(&source(name, 60_000));
+        for (plane, view) in [("empty", &empty), ("128 residents", &loaded)] {
+            let cfg = AllocConfig::default();
+            let a = allocate(&ir, view, &cfg).unwrap();
+            assert_eq!(a.truncated_solves, 0, "{name} on {plane}");
+            assert!(a.nodes_explored <= 20_000, "{name} on {plane}: {} nodes", a.nodes_explored);
+            assert!(
+                a.objective_value <= parent_objective + 1e-9,
+                "{name} on {plane}: {} > {parent_objective}",
+                a.objective_value
+            );
+            let unlimited = AllocConfig { node_budget: u64::MAX, ..cfg };
+            assert_eq!(a, allocate(&ir, view, &unlimited).unwrap(), "{name} on {plane}");
         }
     }
 }

@@ -74,9 +74,10 @@ fn deploy_replay_revoke_counters_are_consistent() {
     assert_eq!(report.resources.recirc_used, 0);
     assert_eq!(report.programs_deployed, 0);
 
-    // One epoch per lifecycle event, and the data plane recorder carries
+    // One epoch per lifecycle event (`seq` counts them all, `spans` keeps
+    // only the latest `SPAN_HISTORY`), and the data plane recorder carries
     // the latest.
-    assert_eq!(report.epoch, report.spans.len() as u64);
+    assert_eq!(report.epoch, report.spans.last().unwrap().seq + 1);
     let dp = report.dataplane.as_ref().expect("telemetry enabled");
     assert_eq!(dp.epoch, report.epoch);
 
@@ -94,6 +95,35 @@ fn deploy_replay_revoke_counters_are_consistent() {
     // through the JSON document `status --json` emits.
     let back = TelemetryReport::from_json(&report.to_json()).unwrap();
     assert_eq!(back, report);
+}
+
+/// The span history is a ring: a controller that lives through more
+/// lifecycle events than `SPAN_HISTORY` keeps the most recent ones, `seq`
+/// keeps counting, and the totals stay in the epoch and the channel
+/// counters.
+#[test]
+fn span_history_is_bounded_and_seq_keeps_counting() {
+    use p4runpro::p4rp_ctl::SPAN_HISTORY;
+
+    let mut ctl = Controller::with_defaults().unwrap();
+    let src = "program fwd(<hdr.ipv4.src, 0.0.0.0, 0x00000000>) { FORWARD(1); }";
+    let cycles = SPAN_HISTORY / 2 + 8; // deploy + revoke: two spans a cycle
+    for _ in 0..cycles {
+        ctl.deploy(src).unwrap();
+        ctl.revoke("fwd").unwrap();
+    }
+    let events = 2 * cycles as u64;
+    let report = ctl.telemetry_report();
+    assert_eq!(report.epoch, events);
+    assert_eq!(report.spans.len(), SPAN_HISTORY);
+    assert_eq!(ctl.lifecycle_spans().len(), SPAN_HISTORY);
+    let first = events - SPAN_HISTORY as u64;
+    for (i, s) in report.spans.iter().enumerate() {
+        assert_eq!(s.seq, first + i as u64, "oldest first, no gaps");
+        assert_eq!(s.kind, if s.seq % 2 == 0 { "deploy" } else { "revoke" });
+        assert_eq!(s.epoch, s.seq + 1);
+    }
+    assert!(report.control_write_latency.count() >= events, "every write still counted");
 }
 
 /// Single-program attribution round-trip: with exactly one resident
