@@ -7,16 +7,14 @@
 //! * **before** — the naive reference allocator
 //!   (`AllocConfig::reference`) and the per-op-latency channel path
 //!   (`fast_path` off): what the control plane did prior to this work;
-//! * **after** — the window-propagated solver plus the vectored
-//!   single-batch channel (`fast_path` on).
+//! * **after** — the window-propagated solver plus the bulk-mode
+//!   channel, one RPC per plan (`fast_path` on).
 //!
 //! Per-deploy latency decomposes into the solver wall-clock (Figure 7's
 //! quantity), the controller-side channel-apply wall-clock, and the
 //! simulated `bfrt`-calibrated device latency (Table 1's quantity); the
 //! JSON reports the p50 of each split so the solver-vs-channel
-//! attribution is explicit. A final section times `deploy_many` (the
-//! speculative-allocate → validate-commit pipeline) against the same
-//! programs deployed sequentially, and a `fault_guard` section pins the
+//! attribution is explicit. A `fault_guard` section pins the
 //! cost of an armed-but-idle `FaultPlan` (see `docs/CHAOS.md`) to within
 //! noise of the plan-free fast path. A `server_overhead` section drives
 //! the same deploy/revoke cycle through a loopback `p4rp serve` session
@@ -149,41 +147,6 @@ fn main() {
         );
     }
 
-    // Concurrent deploys: wall-clock for one deploy_many batch against the
-    // same sources pushed through sequential deploy calls.
-    println!("measuring deploy_many vs sequential ...");
-    let batch = scaled(16).min(64);
-    let sources: Vec<String> = (0..batch).map(|i| resident_source(2_000_000 + i)).collect();
-    let mut seq = Controller::with_defaults().expect("provision");
-    seq.set_fast_path(true);
-    let t = std::time::Instant::now();
-    for s in &sources {
-        seq.deploy(s).expect("sequential deploy");
-    }
-    let seq_us = t.elapsed().as_secs_f64() * 1e6;
-    let mut conc = Controller::with_defaults().expect("provision");
-    let t = std::time::Instant::now();
-    for r in conc.deploy_many(&sources) {
-        r.expect("concurrent deploy");
-    }
-    let conc_us = t.elapsed().as_secs_f64() * 1e6;
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let concurrency = obj(vec![
-        ("batch", Value::U64(batch as u64)),
-        ("host_cores", Value::U64(cores as u64)),
-        ("sequential_wall_us", Value::F64(round1(seq_us))),
-        ("deploy_many_wall_us", Value::F64(round1(conc_us))),
-        ("speedup", Value::F64(round1(seq_us / conc_us))),
-        ("spec_conflicts", Value::U64(conc.spec_conflicts())),
-    ]);
-    println!(
-        "  sequential {:.0} µs, deploy_many {:.0} µs ({:.1}x, {} conflicts re-solved)",
-        seq_us,
-        conc_us,
-        seq_us / conc_us,
-        conc.spec_conflicts()
-    );
-
     // Fault-injection guard: the deploy fast path with an armed-but-idle
     // FaultPlan (triggers parked beyond any reachable op index) must sit
     // within noise of the plan-free path — the injection hooks are two
@@ -303,7 +266,6 @@ fn main() {
         ("units", Value::Str("us_per_deploy".into())),
         ("samples_per_point", Value::U64(samples as u64)),
         ("deploy_latency", Value::Array(rows)),
-        ("concurrency", concurrency),
         ("fault_guard", fault_guard),
         ("server_overhead", server_overhead),
         (

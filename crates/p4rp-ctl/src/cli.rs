@@ -7,10 +7,9 @@
 //! ```text
 //! deploy <inline source…>      link a program (source until end of line;
 //!                              use \n escapes or `deploy-file` in shells)
-//! deploy-many <file…>          link many source files through one
-//!                              concurrent compilation context
+//! deploy-many <file…>          link many source files, in order
 //! revoke <name>                unlink a program
-//! revoke-many <name…>          unlink many programs (vectored batches)
+//! revoke-many <name…>          unlink many programs, in order
 //! update <name> <source…>      incremental update: revoke + redeploy
 //! programs                     list deployed programs
 //! status                       resource-manager summary
@@ -140,9 +139,8 @@ impl Cli {
             .join("\n"))
     }
 
-    /// `deploy-many <file...>`: read each file, compile them all through
-    /// one concurrent compilation context, and report one line per
-    /// program plus a conflict summary.
+    /// `deploy-many <file...>`: read every file, then deploy them in
+    /// order, best-effort, reporting one line per program.
     fn deploy_many(&mut self, rest: &str) -> String {
         let paths: Vec<&str> = rest.split_whitespace().collect();
         if paths.is_empty() {
@@ -155,11 +153,9 @@ impl Cli {
                 Err(e) => return format!("error reading {p}: {e}"),
             }
         }
-        let conflicts_before = self.ctl.spec_conflicts();
-        let results = self.ctl.deploy_many(&sources);
         let mut out = Vec::new();
-        for (p, result) in paths.iter().zip(results) {
-            match result {
+        for (p, source) in paths.iter().zip(&sources) {
+            match self.ctl.deploy(source) {
                 Ok(reports) => {
                     for r in reports {
                         out.push(format!(
@@ -177,24 +173,16 @@ impl Cli {
                 Err(e) => out.push(format!("error in {p}: {e}")),
             }
         }
-        out.push(format!(
-            "{} speculative conflict(s) re-allocated",
-            self.ctl.spec_conflicts() - conflicts_before
-        ));
         out.join("\n")
     }
 
-    /// `revoke-many <name...>`: one vectored revoke per name, best-effort.
+    /// `revoke-many <name...>`: one revoke per name, best-effort.
     fn revoke_many(&mut self, rest: &str) -> String {
-        let names: Vec<String> = rest.split_whitespace().map(String::from).collect();
-        if names.is_empty() {
+        if rest.is_empty() {
             return "usage: revoke-many <name...>".to_string();
         }
-        self.ctl
-            .revoke_many(&names)
-            .into_iter()
-            .zip(&names)
-            .map(|(r, n)| match r {
+        rest.split_whitespace()
+            .map(|n| match self.ctl.revoke(n) {
                 Ok(r) => {
                     format!("revoked `{}` in {:.2} ms", r.name, r.update_delay.as_millis_f64())
                 }
@@ -964,7 +952,7 @@ mod tests {
         for i in 0..4 {
             assert!(out.contains(&format!("linked `p{i}`")), "{out}");
         }
-        assert!(out.contains("speculative conflict(s) re-allocated"), "{out}");
+        assert_eq!(out.lines().count(), 4, "one line per program, nothing else: {out}");
         assert_eq!(cli.ctl.deployed_programs().count(), 4);
         let out = cli.exec("revoke-many p0 p1 p2 p3 ghost");
         for i in 0..4 {

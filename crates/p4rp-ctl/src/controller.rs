@@ -15,12 +15,12 @@ use crate::telemetry::{
     FaultStats, LifecycleSpan, ParallelStats, ProgramUsage, ResourceGauges, SeriesRing,
     ServerStats, SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION, SPAN_HISTORY,
 };
-use p4rp_compiler::alloc::{allocate, AllocConfig, AllocView, Allocation};
+use p4rp_compiler::alloc::{allocate, AllocConfig, Allocation};
 use p4rp_compiler::consistency::{plan_install, plan_remove, InstalledHandles};
 use p4rp_compiler::entrygen::{generate_cached, EntryGenCache, ProgramImage};
-use p4rp_compiler::ir::{lower, IrOp, MemDecl, ProgramIr};
+use p4rp_compiler::ir::{lower, MemDecl, ProgramIr};
 use p4rp_compiler::CompileError;
-use p4rp_dataplane::{provision, Dataplane, LogicalRpb, RpbId, NUM_RPBS, RPB_MEM_SIZE};
+use p4rp_dataplane::{provision, Dataplane, RpbId, RPB_MEM_SIZE};
 use p4rp_lang::{check, parse, CheckContext};
 use rmt_sim::clock::Nanos;
 use rmt_sim::control::{BatchOutcome, ControlChannel, LatencyModel};
@@ -148,23 +148,6 @@ pub struct DeployReport {
     pub passes: u8,
 }
 
-/// A program compiled and speculatively allocated but not yet committed
-/// to the data plane. Produced by the parse → check → lower → allocate
-/// front half of `deploy`; consumed by the validate-commit back half.
-///
-/// The allocation inside may have been computed against a *snapshot* of
-/// the resource view (the concurrent `deploy_many` path); `commit` with
-/// `revalidate` re-checks it against the live view and re-runs the
-/// solver if the speculation lost a conflict.
-#[derive(Debug, Clone)]
-struct CompiledProgram {
-    name: String,
-    ir: ProgramIr,
-    allocation: Allocation,
-    parse_wall: Duration,
-    alloc_wall: Duration,
-}
-
 /// What `revoke` reports.
 #[derive(Debug, Clone)]
 pub struct RevokeReport {
@@ -183,6 +166,32 @@ pub struct RevokeReport {
 struct WedgedProgram {
     image: ProgramImage,
     pending_ops: Vec<ControlOp>,
+}
+
+/// What [`Controller::ship`] did with an ordered plan of control batches.
+#[derive(Default)]
+struct Shipped {
+    /// The plan flattened, in ship order.
+    ops: Vec<ControlOp>,
+    /// Results of the applied prefix of `ops`.
+    results: Vec<OpResult>,
+    /// Modeled latency of every RPC sent, summed.
+    cost: Nanos,
+    /// The fault that stopped the plan, if any.
+    error: Option<SimError>,
+    retries: u64,
+}
+
+impl Shipped {
+    /// Entry deletions that landed.
+    fn deleted(&self) -> u64 {
+        self.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count() as u64
+    }
+
+    /// The ops a fault kept from landing.
+    fn remaining(&self) -> Vec<ControlOp> {
+        self.ops[self.results.len()..].to_vec()
+    }
 }
 
 /// One device-resident entry in an audit/reconcile snapshot: its handle,
@@ -243,15 +252,7 @@ pub struct Controller {
     spans: VecDeque<LifecycleSpan>,
     /// `seq` of the next span: spans recorded since provisioning.
     span_seq: u64,
-    /// Opt-in deploy fast path: vectored (single-batch, marginal-cost)
-    /// channel application and shape-cached entry generation. Off by
-    /// default so the Table 1 / Figure 13 per-op latency reproductions
-    /// keep their calibrated costs.
-    fast_path: bool,
     entry_cache: EntryGenCache,
-    /// Speculative allocations that failed validation at commit time and
-    /// were re-solved against the live view (`deploy_many` conflicts).
-    spec_conflicts: u64,
     /// Programs whose cleanup double-faulted; disjoint from `programs`.
     wedged: HashMap<String, WedgedProgram>,
     /// Cumulative fault/recovery counters. `faults_injected` only carries
@@ -322,9 +323,7 @@ impl Controller {
             epoch: 0,
             spans: VecDeque::new(),
             span_seq: 0,
-            fast_path: false,
             entry_cache: EntryGenCache::default(),
-            spec_conflicts: 0,
             wedged: HashMap::new(),
             fault_stats: FaultStats::default(),
             needs_reconcile: false,
@@ -423,22 +422,20 @@ impl Controller {
         self.alloc_cfg = cfg;
     }
 
-    /// Is the deploy fast path (vectored channel batches, cached entry
-    /// generation) enabled?
+    /// Is the control channel in bulk mode? Off by default, so the
+    /// Table 1 / Figure 13 reproductions keep the paper-calibrated
+    /// per-entry RPC costs.
     pub fn fast_path(&self) -> bool {
-        self.fast_path
+        self.channel.model.bulk
     }
 
-    /// Enable / disable the deploy fast path. `deploy_many` always uses
-    /// it regardless of this flag.
+    /// Switch the control channel between per-entry RPCs (off) and one
+    /// bulk RPC per plan billed at marginal per-op cost (on). This is the
+    /// only place the choice is made: every install, removal, rollback,
+    /// wedged-cleanup and reconcile batch is shipped and billed by the
+    /// channel's mode.
     pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-    }
-
-    /// Speculative allocations that lost a conflict at commit time and
-    /// were re-solved against the live resource view.
-    pub fn spec_conflicts(&self) -> u64 {
-        self.spec_conflicts
+        self.channel.model.bulk = on;
     }
 
     /// Entry-generation shape-cache hit/miss counters.
@@ -822,10 +819,10 @@ impl Controller {
     /// backoff on the simulated clock. Transient faults apply nothing,
     /// so re-sending the whole batch is safe. Returns the final outcome
     /// and the number of retries taken.
-    fn apply_with_retry(&mut self, ops: &[ControlOp], vectored: bool) -> (BatchOutcome, u64) {
+    fn apply_with_retry(&mut self, ops: &[ControlOp]) -> (BatchOutcome, u64) {
         let mut retries = 0u64;
         loop {
-            let out = self.channel.apply_batch_checked(&mut self.switch, ops, vectored);
+            let out = self.channel.apply_batch(&mut self.switch, ops);
             match out.error {
                 Some(SimError::ChannelTimeout) | Some(SimError::ChannelDown)
                     if retries < u64::from(MAX_RETRIES) =>
@@ -842,6 +839,31 @@ impl Controller {
                 }
             }
         }
+    }
+
+    /// Ship an ordered plan of control batches to the device: one RPC for
+    /// the whole plan when the channel is in bulk mode, else one RPC per
+    /// batch, stopping at the first fault. Batch order is plan order in
+    /// both modes, so Figure 6's body-then-filter (and filter-then-body)
+    /// sequencing holds whichever way the plan travels. A plan of no
+    /// batches sends nothing; an empty batch is still an RPC.
+    fn ship(&mut self, plan: impl IntoIterator<Item = Vec<ControlOp>>) -> Shipped {
+        let mut rpcs: Vec<Vec<ControlOp>> = plan.into_iter().collect();
+        if self.channel.model.bulk && rpcs.len() > 1 {
+            rpcs = vec![rpcs.into_iter().flatten().collect()];
+        }
+        let mut sent = Shipped::default();
+        for rpc in rpcs {
+            if sent.error.is_none() {
+                let (out, retries) = self.apply_with_retry(&rpc);
+                sent.results.extend(out.results);
+                sent.cost += out.cost;
+                sent.error = out.error;
+                sent.retries += retries;
+            }
+            sent.ops.extend(rpc);
+        }
+        sent
     }
 
     /// Return every resource a program image holds: its memory regions,
@@ -881,17 +903,17 @@ impl Controller {
             t.set_now(now);
             t.rollback_begin(prog_id);
         }
-        let (out, _) = self.apply_with_retry(&undo, true);
-        let undone = out.results.len() as u64;
+        let mut sent = self.ship([undo]);
+        let undone = sent.results.len() as u64;
         self.fault_stats.rollback_ops += undone;
-        let double = match out.error {
+        let double = match sent.error.take() {
             None => None,
             Some(SimError::DeviceReset { .. }) => {
                 // The wipe took the rest of the prefix with it.
                 self.needs_reconcile = true;
                 None
             }
-            Some(f) => Some((undo[out.results.len()..].to_vec(), f)),
+            Some(f) => Some((sent.remaining(), f)),
         };
         let complete = double.is_none();
         if complete {
@@ -905,12 +927,10 @@ impl Controller {
         (undone, double)
     }
 
-    /// Deploy every program in a P4runpro source string.
-    ///
-    /// Programs are deployed sequentially, best-effort: an error aborts at
-    /// the failing program, leaving earlier ones installed (first-come-
-    /// first-serve, §4.3).
-    pub fn deploy(&mut self, source: &str) -> CtlResult<Vec<DeployReport>> {
+    /// The front half of a deploy — parse, check, lower — with the
+    /// wall-clock parse + check time. Touches neither the device nor the
+    /// resource manager, so `update` runs it before it revokes anything.
+    fn compile(&self, source: &str) -> CtlResult<(Vec<ProgramIr>, Duration)> {
         let t0 = Instant::now();
         let unit = parse(source).map_err(CompileError::from)?;
         check(&unit, &self.check_ctx).map_err(CompileError::from)?;
@@ -920,154 +940,45 @@ impl Controller {
             .iter()
             .map(|a| MemDecl { name: a.name.clone(), size: a.size as u32 })
             .collect();
-
-        let mut reports = Vec::new();
-        for prog in &unit.programs {
-            if self.programs.contains_key(&prog.name) || self.wedged.contains_key(&prog.name) {
-                return Err(CtlError::DuplicateProgram(prog.name.clone()));
-            }
-            let ir = lower(prog, &mems)?;
-
-            // Allocation against the live resource view (Figure 7 timing).
-            let t_alloc = Instant::now();
-            let allocation = allocate(&ir, self.resman.alloc_view(), &self.alloc_cfg)?;
-            let alloc_wall = t_alloc.elapsed();
-
-            let compiled = CompiledProgram {
-                name: prog.name.clone(),
-                ir,
-                allocation,
-                parse_wall,
-                alloc_wall,
-            };
-            let vectored = self.fast_path;
-            reports.push(self.commit(compiled, false, vectored)?);
-        }
-        Ok(reports)
+        let irs = unit.programs.iter().map(|p| lower(p, &mems)).collect::<Result<_, _>>()?;
+        Ok((irs, parse_wall))
     }
 
-    /// Deploy many independent source strings concurrently.
-    ///
-    /// The compile front half (parse, check, lower, allocate) of every
-    /// source runs on worker threads against a *snapshot* of the resource
-    /// view taken at entry; commits stay serialized on the control
-    /// channel, in input order, so §4.3's first-come-first-serve
-    /// semantics hold by index. Each commit revalidates its speculative
-    /// allocation against the live view and re-runs the solver if an
-    /// earlier commit took the resources it was counting on
-    /// ([`Controller::spec_conflicts`] counts the losers). A speculation
-    /// that found *no* placement is reported as failure directly:
-    /// resources only shrink while the batch commits, and feasibility is
-    /// monotone in resources.
-    ///
-    /// Returns one result per source, each carrying one report per
-    /// program in that source. Always uses the vectored channel path.
-    pub fn deploy_many(&mut self, sources: &[String]) -> Vec<CtlResult<Vec<DeployReport>>> {
-        let n = sources.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let snapshot = self.resman.alloc_view().clone();
-        let cfg = self.alloc_cfg;
-        let ctx = &self.check_ctx;
-        // At least two workers even on a single-core host: the pipeline's
-        // cross-thread handoff should be exercised wherever it runs, and
-        // the interleaving overhead is noise next to a solver call.
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(2, 8)
-            .min(n);
-        let mut compiled: Vec<Option<CtlResult<Vec<CompiledProgram>>>> =
-            (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            // The vendored channel is single-consumer, so work is handed
-            // out by striding indices rather than through a shared queue.
-            let (tx, rx) = crossbeam::channel::unbounded();
-            for w in 0..workers {
-                let tx = tx.clone();
-                let snapshot = &snapshot;
-                s.spawn(move || {
-                    let mut i = w;
-                    while i < n {
-                        let r = compile_source(&sources[i], ctx, snapshot, &cfg);
-                        let _ = tx.send((i, r));
-                        i += workers;
-                    }
-                });
-            }
-            drop(tx);
-            for (i, r) in rx.iter() {
-                compiled[i] = Some(r);
-            }
-        });
-        compiled
-            .into_iter()
-            .map(|r| {
-                let cs = r.expect("every index was compiled")?;
-                let mut reps = Vec::with_capacity(cs.len());
-                for c in cs {
-                    reps.push(self.commit(c, true, true)?);
-                }
-                Ok(reps)
-            })
-            .collect()
-    }
-
-    /// Does a speculative allocation still fit the live resource view?
-    /// Mirrors what `commit` is about to do: cumulative entry needs per
-    /// physical RPB, and first-fit placement of every virtual memory in
-    /// the RPB the solver chose for it.
-    fn validates(&self, c: &CompiledProgram) -> bool {
-        let view = self.resman.alloc_view();
-        let mut need = [0usize; NUM_RPBS];
-        for (slot, level) in c.ir.levels.iter().enumerate() {
-            let n = level.iter().filter(|p| p.op != IrOp::Nop).count();
-            let idx = usize::from(LogicalRpb::from_index(c.allocation.x[slot]).rpb().0) - 1;
-            need[idx] += n;
-        }
-        if need.iter().zip(&view.te_free).any(|(n, f)| n > f) {
-            return false;
-        }
-        let mut free: HashMap<usize, Vec<u32>> = HashMap::new();
-        for m in &c.ir.memories {
-            let idx = usize::from(c.allocation.mem_rpb[&m.name].0) - 1;
-            let parts = free.entry(idx).or_insert_with(|| view.mem_free[idx].clone());
-            match parts.iter().position(|&p| p >= m.size) {
-                Some(pi) => parts[pi] -= m.size,
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Commit a compiled program to the data plane: grant memory, generate
-    /// entries (through the shape cache), charge budgets, and install via
-    /// the Figure 6 consistent batch order. With `revalidate`, first check
-    /// the (possibly stale) speculative allocation against the live view
-    /// and re-run the solver on conflict. With `vectored`, the install
-    /// goes out as one ordered batch at marginal per-op cost.
-    fn commit(
+    /// Commit compiled programs one after another, best-effort: an error
+    /// aborts at the failing program, leaving earlier ones installed
+    /// (first-come-first-serve, §4.3).
+    fn install(
         &mut self,
-        mut c: CompiledProgram,
-        revalidate: bool,
-        vectored: bool,
-    ) -> CtlResult<DeployReport> {
-        if self.programs.contains_key(&c.name) || self.wedged.contains_key(&c.name) {
-            return Err(CtlError::DuplicateProgram(c.name.clone()));
+        irs: Vec<ProgramIr>,
+        parse_wall: Duration,
+    ) -> CtlResult<Vec<DeployReport>> {
+        irs.into_iter().map(|ir| self.commit(ir, parse_wall)).collect()
+    }
+
+    /// Deploy every program in a P4runpro source string: compile the whole
+    /// source, then allocate and install its programs in order.
+    pub fn deploy(&mut self, source: &str) -> CtlResult<Vec<DeployReport>> {
+        let (irs, parse_wall) = self.compile(source)?;
+        self.install(irs, parse_wall)
+    }
+
+    /// Commit one lowered program to the data plane: allocate against the
+    /// live resource view (Figure 7 timing), grant memory, generate entries
+    /// (through the shape cache), charge budgets, and install via the
+    /// Figure 6 consistent batch order.
+    fn commit(&mut self, ir: ProgramIr, parse_wall: Duration) -> CtlResult<DeployReport> {
+        if self.programs.contains_key(&ir.name) || self.wedged.contains_key(&ir.name) {
+            return Err(CtlError::DuplicateProgram(ir.name));
         }
-        if revalidate && !self.validates(&c) {
-            self.spec_conflicts += 1;
-            let t = Instant::now();
-            c.allocation = allocate(&c.ir, self.resman.alloc_view(), &self.alloc_cfg)?;
-            c.alloc_wall += t.elapsed();
-        }
+        let t_alloc = Instant::now();
+        let allocation = allocate(&ir, self.resman.alloc_view(), &self.alloc_cfg)?;
+        let alloc_wall = t_alloc.elapsed();
 
         // Grant physical memory where the solver placed each vmem.
         let mut offsets: HashMap<String, (RpbId, u32)> = HashMap::new();
         let mut granted: Vec<(RpbId, u32, u32)> = Vec::new();
-        for m in &c.ir.memories {
-            let rpb = c.allocation.mem_rpb[&m.name];
+        for m in &ir.memories {
+            let rpb = allocation.mem_rpb[&m.name];
             match self.resman.grant_memory(rpb, m.size) {
                 Some(off) => {
                     offsets.insert(m.name.clone(), (rpb, off));
@@ -1087,8 +998,8 @@ impl Controller {
         let prog_id = self.take_prog_id()?;
         let image = match generate_cached(
             &mut self.entry_cache,
-            &c.ir,
-            &c.allocation,
+            &ir,
+            &allocation,
             &offsets,
             prog_id,
             &self.dp.fields,
@@ -1132,69 +1043,32 @@ impl Controller {
         // Consistent install: program components first, filters last.
         // The install mutates the data plane, so it opens a new
         // telemetry epoch before the first batch lands.
-        let memory_claimed: u64 = c.ir.memories.iter().map(|m| u64::from(m.size)).sum();
+        let memory_claimed: u64 = ir.memories.iter().map(|m| u64::from(m.size)).sum();
         let faults_before = self.faults_fired_total();
         let epoch = self.bump_epoch();
-        let mut batches = plan_install(&image, &self.dp, self.switch.field_table())?;
+        let batches = plan_install(&image, &self.dp, self.switch.field_table())?;
+        let boundary = batches[0].ops.len();
         let t_chan = Instant::now();
-        let mut update_delay = Nanos::ZERO;
-        let mut entries_written = 0u64;
-        let mut retries_total = 0u64;
-        let mut fault: Option<SimError> = None;
+        let sent = self.ship(batches.into_iter().map(|b| b.ops));
+        let update_delay = sent.cost;
         let mut handles = InstalledHandles {
             mem_regions: image.mem_regions.clone(),
             ..Default::default()
         };
-        if vectored {
-            // One ordered batch: body entries first, filter last, so the
-            // activation still flips strictly after every component is in
-            // place, at marginal per-op cost.
-            let filters = batches.pop().expect("plan_install returns two batches");
-            let body = batches.pop().expect("plan_install returns two batches");
-            let boundary = body.ops.len();
-            let mut ops = body.ops;
-            ops.extend(filters.ops);
-            let (out, retries) = self.apply_with_retry(&ops, true);
-            retries_total += retries;
-            update_delay += out.cost;
-            for (k, (op, res)) in ops.iter().zip(&out.results).enumerate() {
-                if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
-                    entries_written += 1;
-                    let rec: &mut Vec<(TableRef, _)> = if k < boundary {
-                        &mut handles.body_handles
-                    } else {
-                        &mut handles.filter_handles
-                    };
-                    rec.push((*table, *h));
-                }
-            }
-            fault = out.error;
-        } else {
-            for (bi, batch) in batches.iter().enumerate() {
-                let (out, retries) = self.apply_with_retry(&batch.ops, false);
-                retries_total += retries;
-                update_delay += out.cost;
-                for (op, res) in batch.ops.iter().zip(&out.results) {
-                    if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res)
-                    {
-                        entries_written += 1;
-                        let rec: &mut Vec<(TableRef, _)> = if bi == 0 {
-                            &mut handles.body_handles
-                        } else {
-                            &mut handles.filter_handles
-                        };
-                        rec.push((*table, *h));
-                    }
-                }
-                if out.error.is_some() {
-                    fault = out.error;
-                    break;
-                }
+        for (k, (op, res)) in sent.ops.iter().zip(&sent.results).enumerate() {
+            if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
+                let rec = if k < boundary {
+                    &mut handles.body_handles
+                } else {
+                    &mut handles.filter_handles
+                };
+                rec.push((*table, *h));
             }
         }
+        let entries_written = (handles.body_handles.len() + handles.filter_handles.len()) as u64;
         let channel_wall = t_chan.elapsed();
 
-        if let Some(fault) = fault {
+        if let Some(fault) = sent.error {
             // Mid-install fault. The filter activation is always the last
             // op of the plan, so the half-installed program was never
             // packet-visible; undoing the applied prefix (filters first,
@@ -1229,7 +1103,7 @@ impl Controller {
                         });
                     }
                     self.wedged.insert(
-                        c.name.clone(),
+                        ir.name.clone(),
                         WedgedProgram { image: image.clone(), pending_ops: pending },
                     );
                     parked = Some(second);
@@ -1241,13 +1115,13 @@ impl Controller {
             self.push_span(LifecycleSpan {
                 seq: self.span_seq,
                 kind: "deploy-fault".into(),
-                program: c.name.clone(),
+                program: ir.name.clone(),
                 prog_id: u64::from(prog_id),
                 epoch,
-                parse_wall_ns: c.parse_wall.as_nanos() as u64,
-                solver_wall_ns: c.alloc_wall.as_nanos() as u64,
-                solver_nodes: c.allocation.nodes_explored,
-                solver_truncated: c.allocation.truncated_solves,
+                parse_wall_ns: parse_wall.as_nanos() as u64,
+                solver_wall_ns: alloc_wall.as_nanos() as u64,
+                solver_nodes: allocation.nodes_explored,
+                solver_truncated: allocation.truncated_solves,
                 channel_wall_ns: channel_wall.as_nanos() as u64,
                 entries_written,
                 entries_revoked: rollback_ops,
@@ -1255,12 +1129,12 @@ impl Controller {
                 memory_released: 0,
                 update_delay_ns: update_delay.0,
                 faults: self.faults_fired_total() - faults_before,
-                retries: retries_total,
+                retries: sent.retries,
                 rollback_ops,
             });
             return Err(match parked {
-                Some(second) => CtlError::Wedged { program: c.name, fault: second },
-                None => CtlError::DeployFault { program: c.name, fault },
+                Some(second) => CtlError::Wedged { program: ir.name, fault: second },
+                None => CtlError::DeployFault { program: ir.name, fault },
             });
         }
 
@@ -1273,13 +1147,13 @@ impl Controller {
         self.push_span(LifecycleSpan {
             seq: self.span_seq,
             kind: "deploy".into(),
-            program: c.name.clone(),
+            program: ir.name.clone(),
             prog_id: u64::from(prog_id),
             epoch,
-            parse_wall_ns: c.parse_wall.as_nanos() as u64,
-            solver_wall_ns: c.alloc_wall.as_nanos() as u64,
-            solver_nodes: c.allocation.nodes_explored,
-            solver_truncated: c.allocation.truncated_solves,
+            parse_wall_ns: parse_wall.as_nanos() as u64,
+            solver_wall_ns: alloc_wall.as_nanos() as u64,
+            solver_nodes: allocation.nodes_explored,
+            solver_truncated: allocation.truncated_solves,
             channel_wall_ns: channel_wall.as_nanos() as u64,
             entries_written,
             entries_revoked: 0,
@@ -1287,42 +1161,30 @@ impl Controller {
             memory_released: 0,
             update_delay_ns: update_delay.0,
             faults: self.faults_fired_total() - faults_before,
-            retries: retries_total,
+            retries: sent.retries,
             rollback_ops: 0,
         });
 
         let report = DeployReport {
-            name: c.name.clone(),
+            name: ir.name.clone(),
             prog_id,
-            parse_wall: c.parse_wall,
-            alloc_wall: c.alloc_wall,
-            alloc_nodes: c.allocation.nodes_explored,
-            truncated_solves: c.allocation.truncated_solves,
+            parse_wall,
+            alloc_wall,
+            alloc_nodes: allocation.nodes_explored,
+            truncated_solves: allocation.truncated_solves,
             channel_wall,
             update_delay,
             entries_installed: image.entry_count(),
-            depth: c.ir.depth(),
+            depth: ir.depth(),
             passes: image.passes,
         };
-        self.programs
-            .insert(c.name, InstalledProgram { image, handles, allocation: c.allocation });
+        self.programs.insert(ir.name, InstalledProgram { image, handles, allocation });
         Ok(report)
     }
 
     /// Revoke a deployed program (Figure 6 left half): filters first, then
     /// components, then lock + reset + release its memory.
     pub fn revoke(&mut self, name: &str) -> CtlResult<RevokeReport> {
-        let vectored = self.fast_path;
-        self.revoke_impl(name, vectored)
-    }
-
-    /// Revoke many programs, best-effort: one result per name, always on
-    /// the vectored channel path.
-    pub fn revoke_many(&mut self, names: &[String]) -> Vec<CtlResult<RevokeReport>> {
-        names.iter().map(|n| self.revoke_impl(n, true)).collect()
-    }
-
-    fn revoke_impl(&mut self, name: &str, vectored: bool) -> CtlResult<RevokeReport> {
         if self.wedged.contains_key(name) {
             return self.finish_wedged(name);
         }
@@ -1339,47 +1201,15 @@ impl Controller {
         // The remove batches mutate the data plane: new telemetry epoch.
         let faults_before = self.faults_fired_total();
         let epoch = self.bump_epoch();
-        let batches = plan_remove(&installed.handles);
+        // Filter deletions lead the plan, so the program stops matching
+        // before any component disappears.
         let t_chan = Instant::now();
-        let mut update_delay = Nanos::ZERO;
-        let mut entries_revoked = 0u64;
-        let mut retries_total = 0u64;
-        let mut fault: Option<SimError> = None;
-        let mut remaining: Vec<ControlOp> = Vec::new();
-        if vectored {
-            // One ordered batch; the filter deletions still come first, so
-            // the program stops matching before any component disappears.
-            let ops: Vec<ControlOp> = batches.into_iter().flat_map(|b| b.ops).collect();
-            let (out, retries) = self.apply_with_retry(&ops, true);
-            retries_total += retries;
-            update_delay += out.cost;
-            entries_revoked +=
-                out.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count() as u64;
-            if out.error.is_some() {
-                fault = out.error;
-                remaining = ops[out.results.len()..].to_vec();
-            }
-        } else {
-            let mut it = batches.into_iter();
-            for batch in it.by_ref() {
-                let (out, retries) = self.apply_with_retry(&batch.ops, false);
-                retries_total += retries;
-                update_delay += out.cost;
-                entries_revoked +=
-                    out.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count() as u64;
-                if out.error.is_some() {
-                    fault = out.error;
-                    remaining = batch.ops[out.results.len()..].to_vec();
-                    break;
-                }
-            }
-            for batch in it {
-                remaining.extend(batch.ops);
-            }
-        }
+        let mut sent = self.ship(plan_remove(&installed.handles).into_iter().map(|b| b.ops));
         let channel_wall = t_chan.elapsed();
+        let update_delay = sent.cost;
+        let entries_revoked = sent.deleted();
 
-        if let Some(f) = fault {
+        if let Some(f) = sent.error.take() {
             self.fault_stats.revoke_faults += 1;
             if matches!(f, SimError::DeviceReset { .. }) {
                 // Forward recovery: the wipe finished the removal (it also
@@ -1393,7 +1223,7 @@ impl Controller {
                 let prog_id = installed.image.prog_id;
                 self.wedged.insert(
                     name.to_string(),
-                    WedgedProgram { image: installed.image, pending_ops: remaining },
+                    WedgedProgram { image: installed.image, pending_ops: sent.remaining() },
                 );
                 self.push_span(LifecycleSpan {
                     seq: self.span_seq,
@@ -1412,7 +1242,7 @@ impl Controller {
                     memory_released: 0,
                     update_delay_ns: update_delay.0,
                     faults: self.faults_fired_total() - faults_before,
-                    retries: retries_total,
+                    retries: sent.retries,
                     rollback_ops: 0,
                 });
                 return Err(CtlError::Wedged { program: name.to_string(), fault: f });
@@ -1449,7 +1279,7 @@ impl Controller {
             memory_released,
             update_delay_ns: update_delay.0,
             faults: self.faults_fired_total() - faults_before,
-            retries: retries_total,
+            retries: sent.retries,
             rollback_ops: 0,
         });
 
@@ -1484,11 +1314,11 @@ impl Controller {
             t.rollback_begin(prog_id);
         }
         let t_chan = Instant::now();
-        let (out, retries) = self.apply_with_retry(&pending, true);
-        let update_delay = out.cost;
-        let undone = out.results.len() as u64;
+        let mut sent = self.ship([pending]);
+        let update_delay = sent.cost;
+        let undone = sent.results.len() as u64;
         self.fault_stats.rollback_ops += undone;
-        let complete = match &out.error {
+        let complete = match &sent.error {
             None => true,
             Some(SimError::DeviceReset { .. }) => {
                 self.needs_reconcile = true;
@@ -1502,13 +1332,10 @@ impl Controller {
             t.rollback_end(prog_id, undone as u32, complete);
         }
         if !complete {
-            let f = out.error.expect("incomplete cleanup carries its fault");
+            let f = sent.error.take().expect("incomplete cleanup carries its fault");
             self.wedged.insert(
                 name.to_string(),
-                WedgedProgram {
-                    image: w.image,
-                    pending_ops: pending[out.results.len()..].to_vec(),
-                },
+                WedgedProgram { image: w.image, pending_ops: sent.remaining() },
             );
             return Err(CtlError::Wedged { program: name.to_string(), fault: f });
         }
@@ -1532,16 +1359,12 @@ impl Controller {
             solver_truncated: 0,
             channel_wall_ns: channel_wall.as_nanos() as u64,
             entries_written: 0,
-            entries_revoked: out
-                .results
-                .iter()
-                .filter(|r| matches!(r, OpResult::Deleted))
-                .count() as u64,
+            entries_revoked: sent.deleted(),
             memory_claimed: 0,
             memory_released: w.image.mem_regions.iter().map(|r| u64::from(r.size)).sum(),
             update_delay_ns: update_delay.0,
             faults: self.faults_fired_total() - faults_before,
-            retries,
+            retries: sent.retries,
             rollback_ops: undone,
         });
         Ok(RevokeReport { name: name.to_string(), update_delay })
@@ -1696,11 +1519,10 @@ impl Controller {
         }
         gc.extend(wedge_resets);
         if !gc.is_empty() {
-            let (out, _) = self.apply_with_retry(&gc, true);
-            rep.update_delay += out.cost;
-            rep.deleted +=
-                out.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count();
-            if let Some(f) = out.error {
+            let sent = self.ship([gc]);
+            rep.update_delay += sent.cost;
+            rep.deleted += sent.deleted() as usize;
+            if let Some(f) = sent.error {
                 // Partial sweep; the next pass finds the rest again.
                 self.trace_reconcile_end(rep.reinstalled as u32, rep.deleted as u32);
                 return Err(CtlError::Sim(f));
@@ -1711,27 +1533,21 @@ impl Controller {
         // from the claims plus the fresh inserts.
         for rp in repairs {
             let boundary = rp.missing[0].len();
-            let ops: Vec<ControlOp> =
-                rp.missing[0].iter().chain(rp.missing[1].iter()).cloned().collect();
             let mut keep = rp.keep;
-            let mut err = None;
-            if !ops.is_empty() {
-                let (out, _) = self.apply_with_retry(&ops, true);
-                rep.update_delay += out.cost;
-                for (k, (op, res)) in ops.iter().zip(&out.results).enumerate() {
-                    if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res)
-                    {
-                        rep.reinstalled += 1;
-                        keep[usize::from(k >= boundary)].push((*table, *h));
-                    }
+            // A section with nothing missing costs no RPC.
+            let sent = self.ship(rp.missing.into_iter().filter(|b| !b.is_empty()));
+            rep.update_delay += sent.cost;
+            for (k, (op, res)) in sent.ops.iter().zip(&sent.results).enumerate() {
+                if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
+                    rep.reinstalled += 1;
+                    keep[usize::from(k >= boundary)].push((*table, *h));
                 }
-                err = out.error;
             }
             let [body, filters] = keep;
             let p = self.programs.get_mut(&rp.name).expect("program is installed");
             p.handles.body_handles = body;
             p.handles.filter_handles = filters;
-            if let Some(f) = err {
+            if let Some(f) = sent.error {
                 // Partially repaired: what landed is recorded, so the next
                 // pass claims it by content and continues from there.
                 self.trace_reconcile_end(rep.reinstalled as u32, rep.deleted as u32);
@@ -1749,9 +1565,16 @@ impl Controller {
     /// implemented the way the prototype does it — revoke the old program
     /// and allocate the new one through the compiler. Returns the combined
     /// deploy report with the revocation's update delay folded in.
+    ///
+    /// The new source is compiled before anything is revoked, so a source
+    /// that does not compile leaves the running program, its memory and its
+    /// entries untouched. Allocation needs the old program's resources back,
+    /// so it runs after the revoke: if it (or the install) fails, the old
+    /// program is gone — the prototype's revoke-then-redeploy semantics.
     pub fn update(&mut self, name: &str, new_source: &str) -> CtlResult<DeployReport> {
+        let (irs, parse_wall) = self.compile(new_source)?;
         let revoke = self.revoke(name)?;
-        let mut reports = self.deploy(new_source)?;
+        let mut reports = self.install(irs, parse_wall)?;
         let mut report = reports.remove(0);
         report.update_delay += revoke.update_delay;
         Ok(report)
@@ -1766,7 +1589,7 @@ impl Controller {
             start: region.1,
             len: region.2,
         };
-        let (mut results, _) = self.channel.apply_batch(&mut self.switch, &[op])?;
+        let (mut results, _) = self.channel.apply_batch(&mut self.switch, &[op]).into_result()?;
         match results.pop() {
             Some(OpResult::ReadRange(v)) => Ok(v),
             _ => unreachable!("read returns a range"),
@@ -1781,7 +1604,7 @@ impl Controller {
             return Err(CtlError::AddressOutOfRange { memory: memory.into(), addr: vaddr, size });
         }
         let op = ControlOp::WriteReg { array: rpb.array_ref(), addr: offset + vaddr, value };
-        self.channel.apply_batch(&mut self.switch, &[op])?;
+        self.channel.apply_batch(&mut self.switch, &[op]).into_result()?;
         Ok(())
     }
 
@@ -1915,38 +1738,4 @@ impl Controller {
             None => self.switch.trace().cloned(),
         }
     }
-}
-
-/// The compile front half of a deploy — parse, check, lower, allocate —
-/// against a caller-supplied (possibly snapshot) resource view. Runs on
-/// `deploy_many` worker threads; touches no controller state.
-fn compile_source(
-    source: &str,
-    ctx: &CheckContext,
-    view: &AllocView,
-    cfg: &AllocConfig,
-) -> CtlResult<Vec<CompiledProgram>> {
-    let t0 = Instant::now();
-    let unit = parse(source).map_err(CompileError::from)?;
-    check(&unit, ctx).map_err(CompileError::from)?;
-    let parse_wall = t0.elapsed();
-    let mems: Vec<MemDecl> = unit
-        .annotations
-        .iter()
-        .map(|a| MemDecl { name: a.name.clone(), size: a.size as u32 })
-        .collect();
-    let mut out = Vec::with_capacity(unit.programs.len());
-    for prog in &unit.programs {
-        let ir = lower(prog, &mems)?;
-        let t_alloc = Instant::now();
-        let allocation = allocate(&ir, view, cfg)?;
-        out.push(CompiledProgram {
-            name: prog.name.clone(),
-            ir,
-            allocation,
-            parse_wall,
-            alloc_wall: t_alloc.elapsed(),
-        });
-    }
-    Ok(out)
 }

@@ -11,8 +11,8 @@
 //!   [`TelemetryReport`] joining control-side and packet-side series
 //!   (rendered by `status --metrics`, documented in `docs/TELEMETRY.md`);
 //! * [`server`] — the persistent multi-client runtime-control server
-//!   (line-framed JSON over TCP, batching into `deploy_many` /
-//!   `revoke_many`, explicit backpressure; `docs/SERVER.md`).
+//!   (line-framed JSON over TCP, coalescing requests into service ticks
+//!   over `deploy` / `revoke`, explicit backpressure; `docs/SERVER.md`).
 
 pub mod chaos;
 pub mod cli;

@@ -194,7 +194,7 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         sample(&mut out, "p4rp_server_parse_errors_total", &[], sv.parse_errors as f64);
         header(&mut out, "p4rp_server_batches_total", "Service ticks that executed operations.", "counter");
         sample(&mut out, "p4rp_server_batches_total", &[], sv.batches as f64);
-        header(&mut out, "p4rp_server_batched_ops_total", "Operations coalesced into vectored batches.", "counter");
+        header(&mut out, "p4rp_server_batched_ops_total", "Operations coalesced into service ticks.", "counter");
         sample(&mut out, "p4rp_server_batched_ops_total", &[("op", "deploy".into())], sv.batched_deploys as f64);
         sample(&mut out, "p4rp_server_batched_ops_total", &[("op", "revoke".into())], sv.batched_revokes as f64);
         header(&mut out, "p4rp_server_http_total", "One-shot HTTP scrape requests, by outcome.", "counter");

@@ -1,6 +1,6 @@
 //! The persistent runtime-control server: a multi-client, line-framed
-//! JSON protocol over `std::net::TcpListener`, batching concurrent
-//! deploy/revoke requests into the controller's vectored fast paths.
+//! JSON protocol over `std::net::TcpListener`, coalescing concurrent
+//! deploy/revoke requests into service ticks.
 //!
 //! The paper's control plane is an always-on service taking runtime
 //! program deployments from many operators at once. This module is that
@@ -8,9 +8,10 @@
 //! *session* (reader + writer thread pair), every request line becomes a
 //! command on a single service queue, and the service loop — the only
 //! code that touches the [`Controller`] — drains the queue one *tick* at
-//! a time, coalescing all deploys in the tick into one
-//! [`Controller::deploy_many`] call and all revokes into one
-//! [`Controller::revoke_many`] call. Per-entry atomicity and
+//! a time: the tick's deploys run first, then its revokes, each through
+//! [`Controller::deploy`] / [`Controller::revoke`] in arrival order. A
+//! reply therefore depends on the commit order and the controller's
+//! channel mode, never on what shared its tick. Per-entry atomicity and
 //! epoch-before-batch consistency are untouched: the server sits wholly
 //! in front of the controller, it never reaches around it.
 //!
@@ -22,7 +23,9 @@
 //!   `rate_limited`,
 //! * an optional queue-age bound answers `timeout` at dispatch,
 //! * `shutdown` drains: queued work completes, new connections are
-//!   refused, open sessions see `draining`.
+//!   refused, open sessions see `draining`,
+//! * a request line longer than [`MAX_LINE`] is answered with a `parse`
+//!   error and the session is closed instead of buffering without bound.
 //!
 //! A connection that opens with an HTTP request line is served as a
 //! one-shot Prometheus scrape through [`crate::metrics::http_response`]
@@ -37,11 +40,15 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use rmt_sim::trace::{RejectReason, RequestOp};
 use serde::Value;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// The longest request line a session accepts, in bytes, newline
+/// included. The largest program source in `p4rp-progs` is a few KiB.
+pub const MAX_LINE: usize = 1 << 20;
 
 /// Tuning knobs for [`serve`]. `Default` matches the CLI's defaults.
 #[derive(Debug, Clone)]
@@ -99,7 +106,7 @@ struct Reply {
     /// Write the bytes verbatim (HTTP documents carry their own `\r\n`
     /// framing); line replies get a trailing `\n` appended.
     raw: bool,
-    /// Shut the connection down after writing (one-shot HTTP).
+    /// Send end-of-stream after writing (one-shot HTTP, over-long line).
     close: bool,
 }
 
@@ -192,9 +199,9 @@ fn parse_request(line: &str, lineno: u64) -> Result<(u64, Op), String> {
 }
 
 /// A request admitted past admission control, waiting in a tick batch:
-/// `(request id, submit ns, client id, payload, reply lane, in-flight
+/// `(request id, submit ns, client id, op, reply lane, in-flight
 /// window)`.
-type Admitted<T> = (u64, u64, u32, T, Sender<Reply>, Arc<AtomicUsize>);
+type Admitted = (u64, u64, u32, Op, Sender<Reply>, Arc<AtomicUsize>);
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -290,14 +297,14 @@ impl Service<'_> {
     /// Execute one service tick over everything that was queued.
     ///
     /// Admission (timeout, rate limit) runs per request in arrival
-    /// order; admitted deploys then execute as ONE `deploy_many` batch,
-    /// admitted revokes as ONE `revoke_many` batch, and everything else
-    /// in arrival order after them. Replies restate the request id, so
-    /// clients correlate however the tick reordered.
+    /// order; admitted deploys then execute in arrival order, admitted
+    /// revokes after them, and everything else after those. Replies
+    /// restate the request id, so clients correlate however the tick
+    /// reordered.
     fn tick(&mut self, batch: Vec<Command>) {
-        let mut deploys: Vec<Admitted<String>> = Vec::new();
-        let mut revokes: Vec<Admitted<String>> = Vec::new();
-        let mut others: Vec<Admitted<Op>> = Vec::new();
+        let mut deploys: Vec<Admitted> = Vec::new();
+        let mut revokes: Vec<Admitted> = Vec::new();
+        let mut others: Vec<Admitted> = Vec::new();
         for cmd in batch {
             match cmd {
                 Command::Rejected { client, request, reason } => {
@@ -349,84 +356,34 @@ impl Service<'_> {
                         inflight.fetch_sub(1, Ordering::SeqCst);
                         continue;
                     }
-                    match op {
-                        Op::Deploy { source } => {
-                            deploys.push((request, submit_ns, client, source, reply, inflight))
-                        }
-                        Op::Revoke { name } => {
-                            revokes.push((request, submit_ns, client, name, reply, inflight))
-                        }
-                        other => others.push((request, submit_ns, client, other, reply, inflight)),
-                    }
+                    let lane = match op {
+                        Op::Deploy { .. } => &mut deploys,
+                        Op::Revoke { .. } => &mut revokes,
+                        _ => &mut others,
+                    };
+                    lane.push((request, submit_ns, client, op, reply, inflight));
                 }
             }
-        }
-
-        if !(deploys.is_empty() && revokes.is_empty() && others.is_empty()) {
-            self.stats.batches += 1;
         }
 
         // Deploys first: a revoke in the same tick naming a program the
         // tick also deploys sees it resident, mirroring arrival causality
         // for the common deploy→revoke sequence.
-        if !deploys.is_empty() {
-            self.stats.batched_deploys += deploys.len() as u64;
-            self.begin_all(deploys.iter().map(|d| (d.2, d.0, RequestOp::Deploy)));
-            // A batch of one skips the vectored path: `deploy_many`
-            // clones the allocator snapshot and spins worker threads,
-            // which is pure overhead when there is nothing to overlap.
-            let results = if deploys.len() == 1 {
-                vec![self.ctl.deploy(&deploys[0].3)]
-            } else {
-                let sources: Vec<String> = deploys.iter().map(|d| d.3.clone()).collect();
-                self.ctl.deploy_many(&sources)
-            };
-            for ((request, submit_ns, client, _, reply, inflight), result) in
-                deploys.into_iter().zip(results)
-            {
-                let text = match &result {
-                    Ok(reports) => serde::json::to_string(&obj(vec![
-                        ("id", Value::U64(request)),
-                        ("ok", Value::Bool(true)),
-                        ("op", Value::Str("deploy".into())),
-                        ("reports", Value::Array(reports.iter().map(deploy_value).collect())),
-                    ])),
-                    Err(e) => error_reply(request, "failed", &e.to_string()),
-                };
-                self.finish(client, request, RequestOp::Deploy, result.is_ok(), submit_ns);
-                let _ = reply.send(Reply::line(text));
-                inflight.fetch_sub(1, Ordering::SeqCst);
-            }
+        self.stats.batched_deploys += deploys.len() as u64;
+        self.stats.batched_revokes += revokes.len() as u64;
+        let work: Vec<Admitted> = deploys.into_iter().chain(revokes).chain(others).collect();
+        if !work.is_empty() {
+            self.stats.batches += 1;
         }
-
-        if !revokes.is_empty() {
-            self.stats.batched_revokes += revokes.len() as u64;
-            self.begin_all(revokes.iter().map(|r| (r.2, r.0, RequestOp::Revoke)));
-            let names: Vec<String> = revokes.iter().map(|r| r.3.clone()).collect();
-            let results = self.ctl.revoke_many(&names);
-            for ((request, submit_ns, client, _, reply, inflight), result) in
-                revokes.into_iter().zip(results)
-            {
-                let text = match &result {
-                    Ok(report) => serde::json::to_string(&obj(vec![
-                        ("id", Value::U64(request)),
-                        ("ok", Value::Bool(true)),
-                        ("op", Value::Str("revoke".into())),
-                        ("report", revoke_value(report)),
-                    ])),
-                    Err(e) => error_reply(request, "failed", &e.to_string()),
-                };
-                self.finish(client, request, RequestOp::Revoke, result.is_ok(), submit_ns);
-                let _ = reply.send(Reply::line(text));
-                inflight.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-
-        for (request, submit_ns, client, op, reply, inflight) in others {
+        for (request, submit_ns, client, op, reply, inflight) in work {
             let kind = op.kind();
-            self.begin_all(std::iter::once((client, request, kind)));
-            let text = self.execute_other(request, op);
-            self.finish(client, request, kind, true, submit_ns);
+            let now = self.ctl.channel().clock.now();
+            if let Some(tr) = self.ctl.trace_mut() {
+                tr.set_now(now);
+                tr.request_begin(client, request, kind);
+            }
+            let (text, ok) = self.execute(request, op);
+            self.finish(client, request, kind, ok, submit_ns);
             let _ = reply.send(Reply::line(text));
             inflight.fetch_sub(1, Ordering::SeqCst);
         }
@@ -434,16 +391,6 @@ impl Service<'_> {
         // Publish fresh counters so `status --json` / scrapes read the
         // live server even mid-session.
         self.ctl.set_server_stats(self.stats.clone());
-    }
-
-    fn begin_all(&mut self, reqs: impl Iterator<Item = (u32, u64, RequestOp)>) {
-        let now = self.ctl.channel().clock.now();
-        if let Some(tr) = self.ctl.trace_mut() {
-            tr.set_now(now);
-            for (client, request, op) in reqs {
-                tr.request_begin(client, request, op);
-            }
-        }
     }
 
     fn finish(&mut self, client: u32, request: u64, op: RequestOp, ok: bool, submit_ns: u64) {
@@ -461,8 +408,28 @@ impl Service<'_> {
         }
     }
 
-    fn execute_other(&mut self, request: u64, op: Op) -> String {
-        match op {
+    /// Execute one admitted request, returning its reply line and
+    /// whether it succeeded.
+    fn execute(&mut self, request: u64, op: Op) -> (String, bool) {
+        let text = match op {
+            Op::Deploy { source } => match self.ctl.deploy(&source) {
+                Ok(reports) => serde::json::to_string(&obj(vec![
+                    ("id", Value::U64(request)),
+                    ("ok", Value::Bool(true)),
+                    ("op", Value::Str("deploy".into())),
+                    ("reports", Value::Array(reports.iter().map(deploy_value).collect())),
+                ])),
+                Err(e) => return (error_reply(request, "failed", &e.to_string()), false),
+            },
+            Op::Revoke { name } => match self.ctl.revoke(&name) {
+                Ok(report) => serde::json::to_string(&obj(vec![
+                    ("id", Value::U64(request)),
+                    ("ok", Value::Bool(true)),
+                    ("op", Value::Str("revoke".into())),
+                    ("report", revoke_value(&report)),
+                ])),
+                Err(e) => return (error_reply(request, "failed", &e.to_string()), false),
+            },
             Op::Status { full } => {
                 let report = self.ctl.telemetry_report();
                 let mut fields = vec![
@@ -518,8 +485,8 @@ impl Service<'_> {
                     ("draining", Value::Bool(true)),
                 ]))
             }
-            Op::Deploy { .. } | Op::Revoke { .. } => unreachable!("batched above"),
-        }
+        };
+        (text, true)
     }
 }
 
@@ -642,10 +609,23 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Reply>) {
         }
         let _ = out.flush();
         if reply.close {
-            let _ = out.get_ref().shutdown(Shutdown::Both);
+            // Write half only: the reader may still be discarding input.
+            let _ = out.get_ref().shutdown(Shutdown::Write);
             return;
         }
     }
+}
+
+/// Read one line into `buf` (cleared first), stopping after
+/// [`MAX_LINE`]` + 1` bytes so a peer that never sends a newline cannot
+/// grow the buffer without bound. A result longer than `MAX_LINE` is an
+/// over-long line cut short.
+fn read_bounded_line(
+    reader: &mut BufReader<TcpStream>,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<usize> {
+    buf.clear();
+    reader.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', buf)
 }
 
 /// One session's reader: sniffs HTTP, then parses request lines, applies
@@ -664,14 +644,25 @@ fn session_loop(
     let inflight = Arc::new(AtomicUsize::new(0));
     let mut lineno: u64 = 0;
     let mut first = true;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        match read_bounded_line(&mut reader, &mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
         lineno += 1;
+        if line.len() > MAX_LINE {
+            let detail = format!("line {lineno}: request line exceeds {MAX_LINE} bytes");
+            let text = error_reply(0, "parse", &detail);
+            let _ = reply_tx.send(Reply { text, raw: false, close: true });
+            let _ = tx.send(Command::Rejected { client, request: 0, reason: RejectReason::Parse });
+            // Discard whatever the client is still sending: leaving it
+            // unread would turn the close into a reset that can destroy
+            // the reply before the client reads it.
+            let _ = std::io::copy(&mut reader, &mut std::io::sink());
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else { return };
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if first {
             first = false;
@@ -680,12 +671,11 @@ fn session_loop(
                 // Drain the header block, then hand the head to the
                 // service for a one-shot routed response.
                 let head = trimmed.to_string();
-                let mut hdr = String::new();
-                while reader.read_line(&mut hdr).is_ok() {
-                    if hdr.trim_end_matches(['\r', '\n']).is_empty() || hdr.is_empty() {
+                let mut hdr = Vec::new();
+                while read_bounded_line(&mut reader, &mut hdr).is_ok_and(|n| n > 0) {
+                    if hdr == b"\n" || hdr == b"\r\n" {
                         break;
                     }
-                    hdr.clear();
                 }
                 let _ = tx.send(Command::Http { head, reply: reply_tx });
                 return;

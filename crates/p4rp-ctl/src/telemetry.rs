@@ -279,13 +279,13 @@ pub struct ServerStats {
     /// Requests refused because the server was draining.
     pub rejected_draining: u64,
     /// Request lines that failed to parse (malformed JSON, unknown op,
-    /// bad field types).
+    /// bad field types, longer than `server::MAX_LINE`).
     pub parse_errors: u64,
     /// Service ticks that executed at least one operation.
     pub batches: u64,
-    /// Deploys coalesced into `deploy_many` batches.
+    /// Deploys admitted to service ticks.
     pub batched_deploys: u64,
-    /// Revokes coalesced into `revoke_many` batches.
+    /// Revokes admitted to service ticks.
     pub batched_revokes: u64,
     /// One-shot HTTP `GET /metrics` scrapes answered `200 OK`.
     pub http_gets: u64,

@@ -31,6 +31,12 @@ pub struct LatencyModel {
     pub per_batch: Nanos,
     /// Marginal per-op costs on the vectored path.
     pub vectored: VectoredModel,
+    /// The channel's mode. Off (the default, the paper-calibrated model):
+    /// every op is its own write RPC billed at the per-op costs above. On:
+    /// a batch ships as one bulk RPC and each op is billed its
+    /// [`VectoredModel`] share. Callers shipping a multi-batch plan read
+    /// this to decide whether the plan goes out as one RPC or one per batch.
+    pub bulk: bool,
 }
 
 /// Marginal per-operation costs on the *vectored* path: the whole batch
@@ -70,34 +76,28 @@ impl Default for LatencyModel {
             per_reg_read: Nanos::from_micros(25),
             per_batch: Nanos::from_micros(600),
             vectored: VectoredModel::default(),
+            bulk: false,
         }
     }
 }
 
 impl LatencyModel {
-    /// Cost of.
+    /// Cost of one op under the channel's mode.
     pub fn cost_of(&self, op: &ControlOp) -> Nanos {
+        let (insert, delete, reg_write, reg_read) = if self.bulk {
+            let v = &self.vectored;
+            (v.per_insert, v.per_delete, v.per_reg_write, v.per_reg_read)
+        } else {
+            (self.per_insert, self.per_delete, self.per_reg_write, self.per_reg_read)
+        };
         match op {
-            ControlOp::InsertEntry { .. } => self.per_insert,
-            ControlOp::DeleteEntry { .. } => self.per_delete,
-            ControlOp::WriteReg { .. } => self.per_reg_write,
-            ControlOp::ReadReg { .. } | ControlOp::ReadRegRange { .. } => self.per_reg_read,
+            ControlOp::InsertEntry { .. } => insert,
+            ControlOp::DeleteEntry { .. } => delete,
+            ControlOp::WriteReg { .. } => reg_write,
+            ControlOp::ReadReg { .. } | ControlOp::ReadRegRange { .. } => reg_read,
             // A range reset is a DMA-style bulk operation billed as one
             // register write regardless of length.
-            ControlOp::ResetRegRange { .. } => self.per_reg_write,
-        }
-    }
-
-    /// Marginal cost of one op inside a vectored batch.
-    pub fn vectored_cost_of(&self, op: &ControlOp) -> Nanos {
-        match op {
-            ControlOp::InsertEntry { .. } => self.vectored.per_insert,
-            ControlOp::DeleteEntry { .. } => self.vectored.per_delete,
-            ControlOp::WriteReg { .. } => self.vectored.per_reg_write,
-            ControlOp::ReadReg { .. } | ControlOp::ReadRegRange { .. } => {
-                self.vectored.per_reg_read
-            }
-            ControlOp::ResetRegRange { .. } => self.vectored.per_reg_write,
+            ControlOp::ResetRegRange { .. } => reg_write,
         }
     }
 }
@@ -107,11 +107,10 @@ impl LatencyModel {
 /// shows up in update-delay telemetry.
 pub const BATCH_TIMEOUT_COST: Nanos = Nanos(100_000_000);
 
-/// The outcome of a checked batch: the results of the *applied prefix*,
-/// the modeled latency, and the error that stopped the batch early (if
-/// any). This is the transactional controller's view — unlike
-/// [`ControlChannel::apply_batch`], a fault does not discard the prefix's
-/// results, so the caller knows exactly what to undo.
+/// The outcome of a batch: the results of the *applied prefix*, the
+/// modeled latency, and the error that stopped the batch early (if any).
+/// A fault does not discard the prefix's results, so a transactional
+/// caller knows exactly what to undo.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Results of the ops that applied, in order.
@@ -123,7 +122,7 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Collapse to the legacy fail-stop result shape.
+    /// Collapse to the fail-stop result shape, discarding the prefix.
     pub fn into_result(self) -> SimResult<(Vec<OpResult>, Nanos)> {
         match self.error {
             Some(e) => Err(e),
@@ -206,52 +205,17 @@ impl ControlChannel {
         self.connected = true;
     }
 
-    /// Apply a batch of operations in order, advancing the simulated clock.
-    /// Returns the results and the total batch latency.
+    /// Apply a batch of operations in order as one RPC, advancing the
+    /// simulated clock by the cost the channel's mode
+    /// ([`LatencyModel::bulk`]) bills for it. Consults the armed
+    /// [`FaultPlan`].
     ///
     /// Fail-stop semantics: the batch aborts at the first failing
     /// operation. Everything already applied stays applied — exactly the
     /// partial-state hazard the paper's consistent-update ordering is
-    /// designed to make harmless.
-    pub fn apply_batch(
-        &mut self,
-        sw: &mut Switch,
-        ops: &[ControlOp],
-    ) -> SimResult<(Vec<OpResult>, Nanos)> {
-        self.apply_batch_impl(sw, ops, false).into_result()
-    }
-
-    /// [`apply_batch`](Self::apply_batch) on the vectored path: the batch
-    /// ships as one ordered bulk RPC, so each op is billed its marginal
-    /// [`VectoredModel`] cost instead of a full RPC round trip. Semantics
-    /// are otherwise identical — per-op atomicity, fail-stop with the
-    /// applied prefix kept, and the same batch begin/end trace events.
-    pub fn apply_batch_vectored(
-        &mut self,
-        sw: &mut Switch,
-        ops: &[ControlOp],
-    ) -> SimResult<(Vec<OpResult>, Nanos)> {
-        self.apply_batch_impl(sw, ops, true).into_result()
-    }
-
-    /// The transactional interface: like [`apply_batch`](Self::apply_batch)
-    /// but a fault keeps the applied prefix's results, so the caller can
-    /// undo exactly what landed. Consults the armed [`FaultPlan`].
-    pub fn apply_batch_checked(
-        &mut self,
-        sw: &mut Switch,
-        ops: &[ControlOp],
-        vectored: bool,
-    ) -> BatchOutcome {
-        self.apply_batch_impl(sw, ops, vectored)
-    }
-
-    fn apply_batch_impl(
-        &mut self,
-        sw: &mut Switch,
-        ops: &[ControlOp],
-        vectored: bool,
-    ) -> BatchOutcome {
+    /// designed to make harmless — and the outcome keeps the applied
+    /// prefix's results.
+    pub fn apply_batch(&mut self, sw: &mut Switch, ops: &[ControlOp]) -> BatchOutcome {
         let start = self.clock.now();
         // A dropped channel fails the RPC client-side: the device never
         // sees the batch, and no time is modeled (the failure is
@@ -332,11 +296,7 @@ impl ControlChannel {
                     break;
                 }
             };
-            let cost = if vectored {
-                self.model.vectored_cost_of(op)
-            } else {
-                self.model.cost_of(op)
-            };
+            let cost = self.model.cost_of(op);
             total += cost;
             if matches!(
                 op,
@@ -406,17 +366,6 @@ impl ControlChannel {
         }
         BatchOutcome { results, cost: total, error }
     }
-
-    /// Pure cost estimation without touching a switch (used by planners).
-    pub fn estimate_batch(&self, ops: &[ControlOp]) -> Nanos {
-        ops.iter().fold(self.model.per_batch, |acc, op| acc + self.model.cost_of(op))
-    }
-
-    /// [`estimate_batch`](Self::estimate_batch) for the vectored path.
-    pub fn estimate_batch_vectored(&self, ops: &[ControlOp]) -> Nanos {
-        ops.iter()
-            .fold(self.model.per_batch, |acc, op| acc + self.model.vectored_cost_of(op))
-    }
 }
 
 #[cfg(test)]
@@ -479,25 +428,24 @@ mod tests {
         let mut sw = switch_with_one_table();
         let mut ch = ControlChannel::default();
         let ops = vec![insert_op(1), insert_op(2), insert_op(3)];
-        let (results, cost) = ch.apply_batch(&mut sw, &ops).unwrap();
+        let (results, cost) = ch.apply_batch(&mut sw, &ops).into_result().unwrap();
         assert_eq!(results.len(), 3);
         let expect = ch.model.per_batch + Nanos(3 * ch.model.per_insert.0);
         assert_eq!(cost, expect);
         assert_eq!(ch.clock.now(), expect);
-        assert_eq!(ch.estimate_batch(&ops), expect);
     }
 
     #[test]
-    fn vectored_batch_applies_same_ops_at_marginal_cost() {
+    fn bulk_channel_applies_same_ops_at_marginal_cost() {
         let mut sw = switch_with_one_table();
         let mut ch = ControlChannel::default();
+        ch.model.bulk = true;
         let ops = vec![insert_op(1), insert_op(2), insert_op(3)];
-        let (results, cost) = ch.apply_batch_vectored(&mut sw, &ops).unwrap();
+        let (results, cost) = ch.apply_batch(&mut sw, &ops).into_result().unwrap();
         assert_eq!(results.len(), 3);
         let expect = ch.model.per_batch + Nanos(3 * ch.model.vectored.per_insert.0);
         assert_eq!(cost, expect);
-        assert_eq!(ch.estimate_batch_vectored(&ops), expect);
-        assert!(cost < ch.estimate_batch(&ops), "vectoring amortizes per-op latency");
+        assert_eq!(ch.clock.now(), expect);
         // All three entries really landed.
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
         assert_eq!(sw.table(tref).unwrap().len(), 3);
@@ -516,13 +464,13 @@ mod tests {
             ..Default::default()
         };
         let ops = vec![insert_op(1), insert_op(2), insert_op(3)];
-        let out = ch.apply_batch_checked(&mut sw, &ops, false);
+        let out = ch.apply_batch(&mut sw, &ops);
         assert_eq!(out.error, Some(SimError::FaultInjected { at_op: 1 }));
         assert_eq!(out.results.len(), 1, "only the first op applied");
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
         assert_eq!(sw.table(tref).unwrap().len(), 1);
         // The plan is exhausted: the same batch now goes through.
-        let out = ch.apply_batch_checked(&mut sw, &[insert_op(4)], false);
+        let out = ch.apply_batch(&mut sw, &[insert_op(4)]);
         assert!(out.error.is_none());
     }
 
@@ -538,7 +486,7 @@ mod tests {
             }]),
             ..Default::default()
         };
-        let out = ch.apply_batch_checked(&mut sw, &[insert_op(1)], false);
+        let out = ch.apply_batch(&mut sw, &[insert_op(1)]);
         assert_eq!(out.error, Some(SimError::ChannelTimeout));
         assert!(out.results.is_empty());
         assert_eq!(ch.clock.now(), BATCH_TIMEOUT_COST);
@@ -559,14 +507,14 @@ mod tests {
             }]),
             ..Default::default()
         };
-        let out = ch.apply_batch_checked(&mut sw, &[insert_op(1)], false);
+        let out = ch.apply_batch(&mut sw, &[insert_op(1)]);
         assert_eq!(out.error, Some(SimError::ChannelDown));
         assert!(!ch.is_connected());
         // Every batch fails while down, even with the plan exhausted.
-        let out = ch.apply_batch_checked(&mut sw, &[insert_op(1)], false);
+        let out = ch.apply_batch(&mut sw, &[insert_op(1)]);
         assert_eq!(out.error, Some(SimError::ChannelDown));
         ch.reconnect();
-        assert!(ch.apply_batch_checked(&mut sw, &[insert_op(1)], false).error.is_none());
+        assert!(ch.apply_batch(&mut sw, &[insert_op(1)]).error.is_none());
     }
 
     #[test]
@@ -575,7 +523,7 @@ mod tests {
         let mut sw = switch_with_one_table();
         let mut ch = ControlChannel::default();
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
-        ch.apply_batch(&mut sw, &[insert_op(1), insert_op(2)]).unwrap();
+        ch.apply_batch(&mut sw, &[insert_op(1), insert_op(2)]).into_result().unwrap();
         assert_eq!(sw.generation(), 0);
         // A freshly armed plan counts ops from zero.
         ch.fault = FaultPlan::new(vec![FaultTrigger {
@@ -584,7 +532,7 @@ mod tests {
             fault: FaultKind::DeviceReset,
         }]);
         let ops = vec![insert_op(3), insert_op(4), insert_op(5)];
-        let out = ch.apply_batch_checked(&mut sw, &ops, false);
+        let out = ch.apply_batch(&mut sw, &ops);
         assert_eq!(out.error, Some(SimError::DeviceReset { generation: 1 }));
         assert_eq!(out.results.len(), 2, "two ops of this batch applied before the reset");
         assert_eq!(sw.generation(), 1);
@@ -599,7 +547,7 @@ mod tests {
         let mut ch = ControlChannel::default();
         let mut reader = ch.enable_snapshots().subscribe();
         // A clean batch publishes exactly once, whole.
-        ch.apply_batch(&mut sw, &[insert_op(1), insert_op(2)]).unwrap();
+        ch.apply_batch(&mut sw, &[insert_op(1), insert_op(2)]).into_result().unwrap();
         assert_eq!(ch.snapshot_generation(), 1);
         let got = reader.poll();
         assert_eq!(got.len(), 1, "one batch, one delta");
@@ -614,7 +562,7 @@ mod tests {
             op_kind: None,
             fault: FaultKind::FailOp,
         }]);
-        let out = ch.apply_batch_checked(&mut sw, &[insert_op(3), insert_op(4)], false);
+        let out = ch.apply_batch(&mut sw, &[insert_op(3), insert_op(4)]);
         assert!(out.error.is_some());
         let got = reader.poll();
         assert_eq!(got.len(), 1);
@@ -625,7 +573,7 @@ mod tests {
             op_kind: None,
             fault: FaultKind::BatchTimeout,
         }]);
-        ch.apply_batch_checked(&mut sw, &[insert_op(5)], false);
+        ch.apply_batch(&mut sw, &[insert_op(5)]);
         assert!(reader.poll().is_empty(), "timed-out batch applied nothing");
         assert_eq!(ch.snapshot_generation(), 2);
     }
@@ -637,12 +585,13 @@ mod tests {
         let mut reader = ch.enable_snapshots().subscribe();
         let mut worker = master.fork_worker();
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
-        ch.apply_batch(&mut master, &[insert_op(7), insert_op(8)]).unwrap();
+        ch.apply_batch(&mut master, &[insert_op(7), insert_op(8)]).into_result().unwrap();
         let (r, _) = ch
             .apply_batch(
                 &mut master,
                 &[ControlOp::DeleteEntry { table: tref, handle: crate::table::EntryHandle(1) }],
             )
+            .into_result()
             .unwrap();
         assert_eq!(r[0], OpResult::Deleted);
         for d in reader.poll().to_vec() {
@@ -651,7 +600,7 @@ mod tests {
         assert_eq!(worker.table(tref).unwrap().len(), master.table(tref).unwrap().len());
         // Handle allocation stays aligned: the next insert on either side
         // would get the same handle.
-        let (wr, _) = ch.apply_batch(&mut master, &[insert_op(9)]).unwrap();
+        let (wr, _) = ch.apply_batch(&mut master, &[insert_op(9)]).into_result().unwrap();
         for d in reader.poll().to_vec() {
             worker.adopt_delta(&d).unwrap();
         }
@@ -672,7 +621,7 @@ mod tests {
             handle: crate::table::EntryHandle(999),
         };
         let ops = vec![insert_op(1), bad, insert_op(2)];
-        assert!(ch.apply_batch(&mut sw, &ops).is_err());
+        assert!(ch.apply_batch(&mut sw, &ops).error.is_some());
         // The first insert survived: partial state, as in real hardware.
         assert_eq!(sw.table(tref).unwrap().len(), 1);
     }

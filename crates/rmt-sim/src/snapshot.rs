@@ -8,7 +8,7 @@
 //! without ever seeing a batch half-applied. Both come from publishing
 //! each applied batch as one immutable **delta**:
 //!
-//! * [`ControlChannel::apply_batch*`](crate::control::ControlChannel)
+//! * [`ControlChannel::apply_batch`](crate::control::ControlChannel::apply_batch)
 //!   collects the operations that actually landed on the device — the
 //!   applied prefix under fail-stop, including any mid-batch device
 //!   reset — and publishes them as a single [`BatchDelta`] through a

@@ -2,8 +2,8 @@
 //! solver in `p4rp_compiler::alloc` must be observationally equivalent to
 //! the naive DFS preserved in `alloc_reference` — same feasibility verdict
 //! and the same (exact) objective on every program and plane state — plus
-//! a regression test that concurrent `deploy_many` commits never
-//! double-book memory or table entries.
+//! a regression test that back-to-back deploys competing for the same
+//! RPB never double-book memory or table entries.
 //!
 //! The reference is the §4.3 model written out directly, with no pruning
 //! beyond the `x_L` bound; the fast solver searches only inside propagated
@@ -277,12 +277,11 @@ fn deep_programs_solve_exactly_in_a_few_hundred_nodes() {
     }
 }
 
-/// Conflicting concurrent deploys must never double-book resources: every
-/// speculative allocation is computed against the same snapshot (so they
-/// all want the same placement), and the serial validate-commit phase has
-/// to detect each collision and re-solve the loser against the live view.
-/// Granted regions must end up pairwise disjoint, and the invariant
-/// checker must stay quiet through deploy-under-replay.
+/// Conflicting deploys must never double-book resources: on an empty
+/// plane all six programs want the same placement, so each one has to be
+/// allocated against the view its predecessors left behind. Granted
+/// regions must end up pairwise disjoint, and the invariant checker must
+/// stay quiet through deploy-under-replay.
 #[test]
 fn concurrent_deploys_never_double_book() {
     let mut ctl = Controller::with_defaults().unwrap();
@@ -290,7 +289,7 @@ fn concurrent_deploys_never_double_book() {
 
     // Each program wants an entire RPB's memory (sizes must be powers of
     // two for mask-based address translation), so no two fit in the RPB
-    // the snapshot speculation steers them all toward.
+    // an empty plane steers them all toward.
     let big = RPB_MEM_SIZE;
     let sources: Vec<String> = (0..6)
         .map(|i| {
@@ -300,15 +299,9 @@ fn concurrent_deploys_never_double_book() {
             )
         })
         .collect();
-    let results = ctl.deploy_many(&sources);
-    assert_eq!(results.len(), 6);
-    for r in &results {
-        r.as_ref().expect("plane has room for all six in distinct RPBs");
+    for s in &sources {
+        ctl.deploy(s).expect("plane has room for all six in distinct RPBs");
     }
-    assert!(
-        ctl.spec_conflicts() >= 1,
-        "all six speculated the same RPB; at least one commit must have re-solved"
-    );
 
     // No two granted regions overlap within an RPB.
     let mut regions: Vec<(u8, u32, u32)> = Vec::new();
@@ -353,21 +346,20 @@ fn concurrent_deploys_never_double_book() {
     for _ in 0..64 {
         ctl.inject(1, &frame).unwrap();
     }
-    let names: Vec<String> = (0..3).map(|i| format!("p{i}")).collect();
-    for r in ctl.revoke_many(&names) {
-        r.unwrap();
+    for i in 0..3 {
+        ctl.revoke(&format!("p{i}")).unwrap();
     }
     assert_eq!(ctl.deployed_programs().count(), 3);
     let stats = ctl.trace_stats();
     assert!(stats.enabled);
-    assert_eq!(stats.violations, 0, "invariant checker flagged the fast path");
+    assert_eq!(stats.violations, 0, "invariant checker flagged deploy-under-replay");
 }
 
 /// The same shape deployed many times exercises the entry-generation
 /// cache; outputs must stay per-instance (distinct prog ids and offsets
 /// were already covered by the unit test — here the whole pipeline runs).
 #[test]
-fn deploy_many_reuses_entry_templates() {
+fn repeated_shapes_reuse_entry_templates() {
     let mut ctl = Controller::with_defaults().unwrap();
     let sources: Vec<String> = (0..8)
         .map(|i| {
@@ -377,8 +369,8 @@ fn deploy_many_reuses_entry_templates() {
             )
         })
         .collect();
-    for r in ctl.deploy_many(&sources) {
-        r.unwrap();
+    for s in &sources {
+        ctl.deploy(s).unwrap();
     }
     let (hits, misses) = ctl.entry_cache_stats();
     assert_eq!(hits + misses, 8);

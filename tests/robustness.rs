@@ -151,3 +151,83 @@ fn double_fault_wedges_and_revoke_is_idempotent() {
     ctl.deploy(PROG).unwrap();
     assert!(ctl.audit().unwrap().clean());
 }
+
+/// Recovery traffic is billed by the controller's channel mode like any
+/// other plan: per-entry RPC costs plus 600 µs per RPC with the fast path
+/// off, marginal bulk costs with it on. PROG owns one memory region.
+#[test]
+fn recovery_traffic_is_billed_by_the_channel_mode() {
+    use p4runpro::rmt_sim::clock::Nanos;
+    use p4runpro::rmt_sim::fault::FaultPlan;
+
+    for (fast_path, per_insert, per_delete, per_reset) in [(false, 330, 250, 25), (true, 30, 20, 5)]
+    {
+        let mut ctl = p4runpro::Controller::with_defaults().unwrap();
+        ctl.set_fast_path(fast_path);
+
+        // failop@2: two body inserts land and the third faults, in either
+        // mode inside the first RPC; the rollback deletes the two in one
+        // RPC of its own.
+        ctl.set_fault_plan(FaultPlan::parse_spec("failop@2").unwrap());
+        let t0 = ctl.channel().clock.now();
+        let err = ctl.deploy(PROG).unwrap_err();
+        assert!(matches!(err, p4runpro::CtlError::DeployFault { .. }), "got {err}");
+        assert_eq!(
+            ctl.channel().clock.now().0 - t0.0,
+            Nanos::from_micros(600 + 2 * per_insert + 600 + 2 * per_delete).0,
+            "mid-install rollback, fast_path={fast_path}"
+        );
+        assert!(ctl.audit().unwrap().clean());
+
+        // A revoke faulted on its first op parks the whole removal plan;
+        // the retry ships it — every entry's delete and the region reset —
+        // as one RPC.
+        let entries = ctl.deploy(PROG).unwrap()[0].entries_installed as u64;
+        ctl.set_fault_plan(FaultPlan::parse_spec("failop@0").unwrap());
+        let err = ctl.revoke("p").unwrap_err();
+        assert!(matches!(err, p4runpro::CtlError::Wedged { .. }), "got {err}");
+        let finished = ctl.revoke("p").unwrap();
+        assert_eq!(
+            finished.update_delay,
+            Nanos::from_micros(600 + entries * per_delete + per_reset),
+            "wedged-then-finished revoke, fast_path={fast_path}"
+        );
+        assert!(ctl.audit().unwrap().clean());
+    }
+}
+
+/// `update` compiles the new source before it revokes anything: a source
+/// that does not compile leaves the running program exactly as it was,
+/// and a good one reports revoke + deploy under the controller's one
+/// channel model.
+#[test]
+fn update_compiles_before_it_revokes() {
+    for fast_path in [false, true] {
+        let mut ctl = p4runpro::Controller::with_defaults().unwrap();
+        ctl.set_fast_path(fast_path);
+        ctl.deploy(PROG).unwrap();
+        ctl.write_memory("p", "m", 3, 77).unwrap();
+        let epoch = ctl.epoch();
+
+        let broken = PROG.replace("FORWARD(1)", "FORWARD(");
+        let err = ctl.update("p", &broken).unwrap_err();
+        assert!(matches!(err, p4runpro::CtlError::Compile(_)), "got {err}");
+        assert!(ctl.program("p").is_some(), "failed update destroyed the running program");
+        assert_eq!(ctl.read_memory("p", "m").unwrap()[3], 77, "memory was reset");
+        assert_eq!(ctl.epoch(), epoch, "a rejected source must not touch the data plane");
+        assert!(ctl.audit().unwrap().clean());
+
+        // The same lifecycle as separate calls on a twin controller.
+        let replacement = PROG.replace("FORWARD(1)", "FORWARD(9)");
+        let mut twin = p4runpro::Controller::with_defaults().unwrap();
+        twin.set_fast_path(fast_path);
+        twin.deploy(PROG).unwrap();
+        let revoked = twin.revoke("p").unwrap();
+        let redeployed = twin.deploy(&replacement).unwrap().remove(0);
+
+        let updated = ctl.update("p", &replacement).unwrap();
+        assert_eq!(updated.update_delay, revoked.update_delay + redeployed.update_delay);
+        assert_eq!(updated.entries_installed, redeployed.entries_installed);
+        assert!(ctl.audit().unwrap().clean());
+    }
+}

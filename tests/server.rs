@@ -33,13 +33,22 @@ fn bind() -> (TcpListener, String) {
 
 /// Start a server over a fresh traced controller on its own thread.
 /// Returns the address and a handle yielding (final stats, controller).
-#[allow(clippy::type_complexity)]
 fn start_server(
     cfg: ServerConfig,
+) -> (String, std::thread::JoinHandle<(ServerStats, Controller)>) {
+    start_server_in_mode(cfg, false)
+}
+
+/// [`start_server`] with the controller's channel mode chosen.
+#[allow(clippy::type_complexity)]
+fn start_server_in_mode(
+    cfg: ServerConfig,
+    fast_path: bool,
 ) -> (String, std::thread::JoinHandle<(ServerStats, Controller)>) {
     let (listener, addr) = bind();
     let handle = std::thread::spawn(move || {
         let mut ctl = Controller::with_defaults().unwrap();
+        ctl.set_fast_path(fast_path);
         ctl.enable_trace(TraceConfig::default());
         let stats = serve(&mut ctl, listener, &cfg).unwrap();
         (stats, ctl)
@@ -94,33 +103,66 @@ fn source_for(i: usize) -> String {
 /// Concurrent clients interleave the whole request surface; the
 /// responses must reproduce a direct controller bit-for-bit, and the
 /// drained server must audit clean with a silent invariant checker.
+///
+/// Tick coalescing is varied on purpose — four clients released together
+/// (ticks of up to four) and the same four strictly one after another
+/// (ticks of one) — in both channel modes: a reply depends on the commit
+/// order and the controller's channel mode, never on what shared its tick.
 #[test]
 fn concurrent_sessions_match_direct_controller_bit_for_bit() {
-    const CLIENTS: usize = 4;
-    let (addr, server) = start_server(ServerConfig::default());
-
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS));
-    let mut workers = Vec::new();
-    for i in 0..CLIENTS {
-        let addr = addr.clone();
-        let barrier = barrier.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).unwrap();
-            let source = source_for(i);
-            // Phase A: everyone deploys a distinct program concurrently,
-            // with status/metrics interleaved on the same sessions.
-            barrier.wait();
-            let deploy = c.deploy(&source).unwrap();
-            let status = c.status().unwrap();
-            let metrics = c.metrics().unwrap();
-            // Phase B: everyone revokes their own program concurrently.
-            barrier.wait();
-            let revoke = c.revoke(&format!("c{i}")).unwrap();
-            (source, deploy, status, metrics, revoke)
-        }));
+    for fast_path in [false, true] {
+        for together in [true, false] {
+            fidelity_scenario(together, fast_path);
+        }
     }
-    let mut sessions: Vec<(String, String, String, String, String)> =
-        workers.into_iter().map(|w| w.join().unwrap()).collect();
+}
+
+/// Phase A of one fidelity client: deploy a distinct program, with
+/// status/metrics interleaved on the same session.
+fn fidelity_deploy(c: &mut Client, i: usize) -> (String, String, String, String) {
+    let source = source_for(i);
+    let deploy = c.deploy(&source).unwrap();
+    (source, deploy, c.status().unwrap(), c.metrics().unwrap())
+}
+
+fn fidelity_scenario(together: bool, fast_path: bool) {
+    const CLIENTS: usize = 4;
+    let (addr, server) = start_server_in_mode(ServerConfig::default(), fast_path);
+
+    let mut sessions: Vec<(String, String, String, String, String)> = if together {
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS));
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|i| {
+                let addr = addr.clone();
+                let barrier = barrier.clone();
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(&addr).unwrap();
+                    // Phase A: everyone deploys concurrently.
+                    barrier.wait();
+                    let (source, deploy, status, metrics) = fidelity_deploy(&mut c, i);
+                    // Phase B: everyone revokes their own program concurrently.
+                    barrier.wait();
+                    let revoke = c.revoke(&format!("c{i}")).unwrap();
+                    (source, deploy, status, metrics, revoke)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    } else {
+        // Closed loop on one thread: every tick holds exactly one request.
+        let mut clients: Vec<Client> =
+            (0..CLIENTS).map(|_| Client::connect(&addr).unwrap()).collect();
+        let deployed: Vec<_> =
+            clients.iter_mut().enumerate().map(|(i, c)| fidelity_deploy(c, i)).collect();
+        deployed
+            .into_iter()
+            .zip(&mut clients)
+            .enumerate()
+            .map(|(i, ((source, deploy, status, metrics), c))| {
+                (source, deploy, status, metrics, c.revoke(&format!("c{i}")).unwrap())
+            })
+            .collect()
+    };
 
     // One last session checks post-drain audit and stops the server.
     let mut closer = Client::connect(&addr).unwrap();
@@ -150,11 +192,11 @@ fn concurrent_sessions_match_direct_controller_bit_for_bit() {
     }
 
     // -- Fidelity ------------------------------------------------------
-    // The response prog_id reveals the global commit order the batches
-    // chose. Replaying the sources in that order on a fresh controller
-    // must reproduce every deterministic field exactly: commit applies a
-    // program's own entries only, so per-program results depend on the
-    // commit sequence, not on what shared a batch.
+    // The response prog_id reveals the global commit order the ticks
+    // chose. Replaying the sources in that order on a fresh controller in
+    // the same channel mode must reproduce every deterministic field
+    // exactly: commit applies a program's own entries only, so per-program
+    // results depend on the commit sequence, not on what shared a tick.
     let mut committed: Vec<(DeployFacts, String, String)> = sessions
         .drain(..)
         .map(|(source, deploy, _, _, revoke)| {
@@ -168,10 +210,10 @@ fn concurrent_sessions_match_direct_controller_bit_for_bit() {
     committed.sort_by_key(|(facts, _, _)| facts.prog_id);
 
     let mut direct = Controller::with_defaults().unwrap();
+    direct.set_fast_path(fast_path);
     for (facts, source, _) in &committed {
-        let results = direct.deploy_many(std::slice::from_ref(source));
-        let reports = results[0]
-            .as_ref()
+        let reports = direct
+            .deploy(source)
             .unwrap_or_else(|e| panic!("direct deploy of `{}`: {e}", facts.name));
         assert_eq!(reports.len(), 1);
         let want = DeployFacts {
@@ -183,12 +225,15 @@ fn concurrent_sessions_match_direct_controller_bit_for_bit() {
             update_delay_ns: reports[0].update_delay.0,
         };
         assert_eq!(facts, &want, "server/direct deploy reports diverged");
+        // One body entry plus one filter entry: two 930 µs RPCs per entry,
+        // or one 600 µs RPC carrying two 30 µs inserts.
+        let model_ns = if fast_path { 660_000 } else { 1_860_000 };
+        assert_eq!(facts.update_delay_ns, model_ns, "together={together}");
     }
     for (facts, _, revoke) in &committed {
-        let direct_report = direct.revoke_many(std::slice::from_ref(&facts.name))[0]
-            .as_ref()
-            .unwrap_or_else(|e| panic!("direct revoke of `{}`: {e}", facts.name))
-            .clone();
+        let direct_report = direct
+            .revoke(&facts.name)
+            .unwrap_or_else(|e| panic!("direct revoke of `{}`: {e}", facts.name));
         let doc = serde::json::parse(revoke).unwrap();
         assert_ok(&doc, "revoke");
         let report = doc.get("report").unwrap();
@@ -360,4 +405,33 @@ fn malformed_requests_get_line_numbered_errors() {
     let (stats, _ctl) = server.join().unwrap();
     assert_eq!(stats.parse_errors, 4, "{stats:?}");
     assert_eq!(stats.responses_ok, 2, "{stats:?}");
+}
+
+/// A client that streams bytes without ever sending a newline gets a
+/// `parse` error naming the limit and an end-of-stream, not an
+/// ever-growing server buffer; the server keeps serving other sessions.
+#[test]
+fn over_long_request_line_is_refused_and_the_session_closed() {
+    use p4runpro::p4rp_ctl::server::MAX_LINE;
+
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut hog = TcpStream::connect(&addr).unwrap();
+    hog.write_all(&vec![b'x'; 2 * MAX_LINE]).unwrap();
+    // The reply is followed by end-of-stream, so this returns.
+    let mut reply = String::new();
+    hog.read_to_string(&mut reply).unwrap();
+    let doc = serde::json::parse(reply.trim()).unwrap_or_else(|e| panic!("{e}: {reply:?}"));
+    assert_eq!(get_str(&doc, "error"), "parse", "{reply}");
+    assert!(get_str(&doc, "detail").contains(&format!("exceeds {MAX_LINE} bytes")), "{reply}");
+    drop(hog);
+
+    // A fresh session is unaffected.
+    let mut c = Client::connect(&addr).unwrap();
+    assert_ok(&serde::json::parse(&c.deploy(&source_for(0)).unwrap()).unwrap(), "deploy");
+    assert_ok(&serde::json::parse(&c.revoke("c0").unwrap()).unwrap(), "revoke");
+    assert_ok(&serde::json::parse(&c.shutdown().unwrap()).unwrap(), "shutdown");
+    let (stats, ctl) = server.join().unwrap();
+    assert_eq!(stats.parse_errors, 1, "{stats:?}");
+    assert_eq!(stats.responses_err, 0, "{stats:?}");
+    assert!(ctl.audit().unwrap().clean(), "audit dirty after drain");
 }
