@@ -440,6 +440,12 @@ mod tests {
         .emit()
     }
 
+    fn deparse(parser: &Parser, ft: &FieldTable, phv: &Phv, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        parser.deparse_into(ft, phv, payload, &mut out);
+        out
+    }
+
     #[test]
     fn udp_packet_parses_with_bitmap() {
         let (ft, parser, f) = build().unwrap();
@@ -505,7 +511,7 @@ mod tests {
         let frame = udp_frame(5000);
         let mut phv = Phv::new(&ft);
         let r = parser.parse(&ft, &frame, &mut phv, false).unwrap();
-        let out = parser.deparse(&ft, &phv, &frame[r.payload_offset..]);
+        let out = deparse(&parser, &ft, &phv, &frame[r.payload_offset..]);
         assert_eq!(out, frame, "unmodified parse→deparse must be identity");
     }
 
@@ -520,7 +526,7 @@ mod tests {
         // The header carries the *next*-pass id (deparse override); the
         // working key stays at the current pass (§4.1.3).
         phv.set(&ft, f.recirc_next, 1);
-        let out = parser.deparse(&ft, &phv, &frame[r.payload_offset..]);
+        let out = deparse(&parser, &ft, &phv, &frame[r.payload_offset..]);
         assert_eq!(out.len(), frame.len() + netpkt::RECIRC_HEADER_LEN);
         let hdr = netpkt::RecircHeader::new_checked(&out).unwrap();
         assert_eq!(hdr.program_id(), 7);

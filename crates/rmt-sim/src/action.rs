@@ -219,7 +219,7 @@ impl ActionDef {
         for op in &self.ops {
             let a = read(phv, op.a);
             let b = read(phv, op.b);
-            let width_mask = table.spec(op.dst).mask();
+            // Unmasked: `Phv::set` truncates to the destination width below.
             let v = match op.func {
                 AluFunc::Set => a,
                 AluFunc::Add => a.wrapping_add(b),
@@ -230,7 +230,7 @@ impl ActionDef {
                 AluFunc::Min => a.min(b),
                 AluFunc::Max => a.max(b),
                 AluFunc::Not => !a,
-            } & width_mask;
+            };
             writes.push((op.dst, v));
         }
 

@@ -72,6 +72,9 @@ pub struct Intrinsics {
 #[derive(Debug, Clone)]
 pub struct FieldTable {
     specs: Vec<FieldSpec>,
+    /// `specs[i].mask()`, kept dense so the per-write width mask is one
+    /// 8-byte load rather than a walk through a `FieldSpec`.
+    masks: Vec<u64>,
     by_name: HashMap<String, FieldId>,
     intrinsics: Intrinsics,
 }
@@ -81,6 +84,7 @@ impl FieldTable {
     pub fn new() -> FieldTable {
         let mut t = FieldTable {
             specs: Vec::new(),
+            masks: Vec::new(),
             by_name: HashMap::new(),
             intrinsics: Intrinsics {
                 ingress_port: FieldId(0),
@@ -125,7 +129,9 @@ impl FieldTable {
             return Ok(id);
         }
         let id = FieldId(u16::try_from(self.specs.len()).expect("too many PHV fields"));
-        self.specs.push(FieldSpec { name: name.to_string(), bits });
+        let spec = FieldSpec { name: name.to_string(), bits };
+        self.masks.push(spec.mask());
+        self.specs.push(spec);
         self.by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -141,6 +147,11 @@ impl FieldTable {
     /// Spec.
     pub fn spec(&self, id: FieldId) -> &FieldSpec {
         &self.specs[id.0 as usize]
+    }
+
+    /// The width mask every write to `id` is truncated with.
+    pub fn mask(&self, id: FieldId) -> u64 {
+        self.masks[id.0 as usize]
     }
 
     /// Number of elements.
@@ -185,20 +196,21 @@ impl Default for FieldTable {
     }
 }
 
-/// One packet's header vector: a value and a validity bit per field.
+/// One packet's header vector: a value per field. Header validity is not
+/// tracked here — it is the `$valid` presence fields the parser sets and
+/// the deparser reads.
 ///
 /// `Default` is the zero-field PHV: a valid pooling placeholder (see
 /// [`Phv::reset_for`]), not a usable packet state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Phv {
     values: Vec<u64>,
-    valid: Vec<bool>,
 }
 
 impl Phv {
-    /// An all-invalid PHV sized for `table`.
+    /// An all-zero PHV sized for `table`.
     pub fn new(table: &FieldTable) -> Phv {
-        Phv { values: vec![0; table.len()], valid: vec![false; table.len()] }
+        Phv { values: vec![0; table.len()] }
     }
 
     /// Make this PHV equivalent to `Phv::new(table)` in place, reusing its
@@ -206,33 +218,19 @@ impl Phv {
     pub fn reset_for(&mut self, table: &FieldTable) {
         self.values.clear();
         self.values.resize(table.len(), 0);
-        self.valid.clear();
-        self.valid.resize(table.len(), false);
     }
 
-    /// Read a field. Invalid fields read as 0, matching how RMT match keys
-    /// treat unparsed headers (their validity is part of the match instead).
+    /// Read a field. Fields of unparsed headers read as 0, matching how RMT
+    /// match keys treat them (validity is part of the match instead).
+    #[inline]
     pub fn get(&self, id: FieldId) -> u64 {
         self.values[id.0 as usize]
     }
 
-    /// Is valid.
-    pub fn is_valid(&self, id: FieldId) -> bool {
-        self.valid[id.0 as usize]
-    }
-
-    /// Write a field, masking to the declared width, and mark it valid.
+    /// Write a field, masking to the declared width.
+    #[inline]
     pub fn set(&mut self, table: &FieldTable, id: FieldId, value: u64) {
-        let masked = value & table.spec(id).mask();
-        self.values[id.0 as usize] = masked;
-        self.valid[id.0 as usize] = true;
-    }
-
-    /// Mark a field invalid and clear it (used between pipeline passes for
-    /// per-pass metadata).
-    pub fn invalidate(&mut self, id: FieldId) {
-        self.values[id.0 as usize] = 0;
-        self.valid[id.0 as usize] = false;
+        self.values[id.0 as usize] = value & table.mask(id);
     }
 }
 
@@ -286,15 +284,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_clears() {
+    fn dense_masks_agree_with_specs() {
         let mut t = FieldTable::new();
-        let f = t.register("meta.y", 32).unwrap();
-        let mut phv = Phv::new(&t);
-        phv.set(&t, f, 7);
-        assert!(phv.is_valid(f));
-        phv.invalidate(f);
-        assert!(!phv.is_valid(f));
-        assert_eq!(phv.get(f), 0);
+        t.register("meta.one", 1).unwrap();
+        t.register("meta.wide", 64).unwrap();
+        for (id, spec) in t.iter() {
+            assert_eq!(t.mask(id), spec.mask(), "{}", spec.name);
+        }
     }
 
     #[test]

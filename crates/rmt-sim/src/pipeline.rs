@@ -145,30 +145,24 @@ impl Stage {
 
     /// Execute all tables of this stage against `phv`, in order.
     pub fn execute(&mut self, ft: &FieldTable, phv: &mut Phv) -> SimResult<()> {
-        self.execute_with(ft, phv, &mut NopRecorder)
+        self.run(ft, phv, &mut NopRecorder, None)
     }
 
     /// [`Stage::execute`], reporting lookup/action/SALU events into `rec`.
-    pub fn execute_with(
+    /// Generic over the recorder so that with [`NopRecorder`] every hook
+    /// compiles away; `&mut dyn Recorder` is the one other instantiation
+    /// the switch uses.
+    ///
+    /// Per-program attribution: when `attr` names the PHV field carrying
+    /// the owning program id, the recorder's program context is refreshed
+    /// from the PHV before this stage's events fire — so events after the
+    /// filter table's binding action land on the owning program's slot, and
+    /// events before it land on slot 0 (see `telemetry::ProgramMetrics`).
+    pub fn run<R: Recorder + ?Sized>(
         &mut self,
         ft: &FieldTable,
         phv: &mut Phv,
-        rec: &mut dyn Recorder,
-    ) -> SimResult<()> {
-        self.execute_attributed(ft, phv, rec, None)
-    }
-
-    /// [`Stage::execute_with`] with per-program attribution: when `attr`
-    /// names the PHV field carrying the owning program id, the recorder's
-    /// program context is refreshed from the PHV before this stage's
-    /// events fire — so events after the filter table's binding action
-    /// land on the owning program's slot, and events before it land on
-    /// slot 0 (see `telemetry::ProgramMetrics`).
-    pub fn execute_attributed(
-        &mut self,
-        ft: &FieldTable,
-        phv: &mut Phv,
-        rec: &mut dyn Recorder,
+        rec: &mut R,
         attr: Option<FieldId>,
     ) -> SimResult<()> {
         if let Some(f) = attr {
@@ -240,31 +234,20 @@ impl Pipeline {
 
     /// Run the PHV through every stage front-to-back.
     pub fn process(&mut self, ft: &FieldTable, phv: &mut Phv) -> SimResult<()> {
-        self.process_with(ft, phv, &mut NopRecorder)
+        self.run(ft, phv, &mut NopRecorder, None)
     }
 
-    /// [`Pipeline::process`], reporting per-stage events into `rec`.
-    pub fn process_with(
+    /// [`Pipeline::process`], reporting per-stage events into `rec` and
+    /// attributing them through `attr` (see [`Stage::run`]).
+    pub fn run<R: Recorder + ?Sized>(
         &mut self,
         ft: &FieldTable,
         phv: &mut Phv,
-        rec: &mut dyn Recorder,
-    ) -> SimResult<()> {
-        self.process_attributed(ft, phv, rec, None)
-    }
-
-    /// [`Pipeline::process_with`] with per-program attribution (see
-    /// [`Stage::execute_attributed`]). `attr = None` is the plain path —
-    /// one branch per stage, nothing else.
-    pub fn process_attributed(
-        &mut self,
-        ft: &FieldTable,
-        phv: &mut Phv,
-        rec: &mut dyn Recorder,
+        rec: &mut R,
         attr: Option<FieldId>,
     ) -> SimResult<()> {
         for stage in &mut self.stages {
-            stage.execute_attributed(ft, phv, rec, attr)?;
+            stage.run(ft, phv, rec, attr)?;
         }
         Ok(())
     }

@@ -81,6 +81,10 @@ pub struct ProcessOutcome {
     pub passes: u8,
     /// Final PHV, for white-box assertions in tests.
     pub phv: Phv,
+    /// The frame buffers of the outcome's previous use, handed out again by
+    /// [`ProcessOutcome::buffer`]: an outcome that is reused stops
+    /// allocating once it has held its largest emission.
+    spare: Vec<Vec<u8>>,
 }
 
 impl ProcessOutcome {
@@ -93,14 +97,22 @@ impl ProcessOutcome {
             dropped: false,
             passes: 0,
             phv: Phv::default(),
+            spare: Vec::new(),
         }
     }
 
     fn clear(&mut self) {
-        self.emitted.clear();
-        self.reports.clear();
+        self.spare.extend(self.emitted.drain(..).map(|(_, bytes)| bytes));
+        self.spare.append(&mut self.reports);
         self.dropped = false;
         self.passes = 0;
+    }
+
+    /// An empty frame buffer, recycled where one is spare.
+    fn buffer(&mut self) -> Vec<u8> {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf
     }
 }
 
@@ -265,11 +277,13 @@ pub struct Switch {
     /// enable/disable windows of the flight recorder.
     next_packet_id: u64,
     /// Scratch pool reused across packets and recirculation passes: the
-    /// working PHV and two ping-pong frame buffers. `process_frame` resets
-    /// them per pass instead of allocating fresh ones.
+    /// working PHV (swapped with the outcome's at the end of a frame), two
+    /// ping-pong frame buffers a recirculating packet is rebuilt into, and
+    /// the `strip_on_emit` values set aside while a REPORT copy is built.
     scratch_phv: Phv,
     scratch_frame: Vec<u8>,
     scratch_next: Vec<u8>,
+    scratch_strip: Vec<u64>,
 }
 
 impl Switch {
@@ -306,6 +320,7 @@ impl Switch {
             scratch_phv,
             scratch_frame: Vec::new(),
             scratch_next: Vec::new(),
+            scratch_strip: Vec::new(),
         }
     }
 
@@ -432,6 +447,27 @@ impl Switch {
     /// it. The analogue of pushing a compiled binary to the ASIC.
     pub fn provision(&mut self) -> SimResult<ChipReport> {
         self.parser.validate()?;
+        // The parser can only check itself; that every header field fits
+        // the PHV field it is extracted into needs the field table. A wider
+        // one would be truncated on parse and deparsed short.
+        for def in self.parser.headers() {
+            let fields = def.fields.iter().map(|hf| (hf.field, hf.bits));
+            for (field, bits) in fields.chain([(def.presence, 1)]) {
+                if usize::from(field.0) >= self.ft.len() {
+                    return Err(SimError::Config(format!(
+                        "header `{}` names PHV field {}, which is not registered",
+                        def.name, field.0
+                    )));
+                }
+                let spec = self.ft.spec(field);
+                if bits > spec.bits {
+                    return Err(SimError::Config(format!(
+                        "header `{}`: {bits} bits are extracted into `{}`, which holds {}",
+                        def.name, spec.name, spec.bits
+                    )));
+                }
+            }
+        }
         for pipe in [&self.ingress, &self.egress] {
             for stage in &pipe.stages {
                 check_stage(stage, &self.ft)?;
@@ -750,16 +786,53 @@ impl Switch {
 
     /// [`Switch::process_frame`] into a caller-owned outcome: `outcome` is
     /// cleared and refilled, so an injection loop that keeps one outcome
-    /// alive reuses its buffers instead of allocating per packet. The
-    /// working PHV and the recirculation frame buffers come from the
-    /// switch's scratch pool, reused across passes and across packets.
+    /// alive reuses its buffers — emitted frames, report copies and the PHV
+    /// — instead of allocating per packet. The working PHV and the
+    /// recirculation frame buffers come from the switch's scratch pool,
+    /// reused across passes and across packets.
     pub fn process_frame_into(
         &mut self,
         port: u16,
         frame: &[u8],
         outcome: &mut ProcessOutcome,
     ) -> SimResult<()> {
-        let r = self.process_frame_inner(port, frame, outcome);
+        // The recorder is picked once per frame. Nothing listening is the
+        // common case and gets the walk instantiated over `NopRecorder`,
+        // where every hook compiles away; anything else shares the one
+        // `dyn Recorder` instantiation.
+        if self.telemetry.is_none() && self.trace.is_none() {
+            return self.run_frame(port, frame, outcome, &mut NopRecorder, None, None);
+        }
+        // The sinks leave the switch for the duration of the frame, so the
+        // walk can borrow them and the rest of the switch at once; they are
+        // back in place before the result is looked at.
+        let mut telemetry = self.telemetry.take();
+        let mut trace = self.trace.take();
+        // Per-program attribution: resolve the PHV field to thread through
+        // the pipelines once per frame. `None` (attribution off, or
+        // telemetry off) keeps every stage on the plain path.
+        let attr = match &telemetry {
+            Some(m) if m.is_attributing() => self.attr_field,
+            _ => None,
+        };
+        // Five-tuple extraction is trace-only work.
+        let flow = if trace.is_some() { frame_five_tuple(frame) } else { None };
+        let mut nop = NopRecorder;
+        let mut tee;
+        // The tee fans the same hooks to both metrics and the flight
+        // recorder when both are on.
+        let rec: &mut dyn Recorder = match (&mut telemetry, &mut trace) {
+            (Some(m), Some(t)) => {
+                tee = TeeRecorder { a: m, b: t.as_mut() };
+                &mut tee
+            }
+            (Some(m), None) => m,
+            (None, Some(t)) => t.as_mut(),
+            (None, None) => &mut nop,
+        };
+        let r = self.run_frame(port, frame, outcome, rec, attr, flow);
+        self.telemetry = telemetry;
+        self.trace = trace;
         if let Err(e) = &r {
             if let Some(t) = self.trace.as_deref_mut() {
                 t.dump_postmortem(&format!("process_frame error: {e}"));
@@ -768,11 +841,14 @@ impl Switch {
         r
     }
 
-    fn process_frame_inner(
+    fn run_frame<R: Recorder + ?Sized>(
         &mut self,
         port: u16,
         frame: &[u8],
         outcome: &mut ProcessOutcome,
+        rec: &mut R,
+        attr: Option<FieldId>,
+        flow: Option<(u32, u32, u16, u16, u8)>,
     ) -> SimResult<()> {
         if !self.provisioned {
             return Err(SimError::Config("switch not provisioned".into()));
@@ -785,48 +861,20 @@ impl Switch {
         outcome.clear();
         let packet = self.next_packet_id;
         self.next_packet_id += 1;
-        // Five-tuple extraction is trace-only work; skip the byte peeks
-        // entirely when the flight recorder is off.
-        let flow = if self.trace.is_some() { frame_five_tuple(frame) } else { None };
 
         let intr = self.ft.intrinsics();
         let external_port = port;
         // Borrow-check the scratch pool as locals for the duration of the
         // frame; an early `?` return forfeits the buffers' capacity (they
         // re-grow on the next frame), never their correctness.
-        let mut current = std::mem::take(&mut self.scratch_frame);
+        let mut rebuilt = std::mem::take(&mut self.scratch_frame);
         let mut next = std::mem::take(&mut self.scratch_next);
+        let mut stripped = std::mem::take(&mut self.scratch_strip);
         let mut phv = std::mem::take(&mut self.scratch_phv);
-        current.clear();
-        current.extend_from_slice(frame);
         let mut from_recirc = self.cfg.recirc_ingress_ports.contains(&port);
         let mut ingress_port = port;
         let mut passes: u8 = 0;
 
-        // One recorder borrow for the whole frame: the no-op recorder keeps
-        // the disabled path at a single virtual call per hook, and the tee
-        // fans the same hooks to both metrics and the flight recorder when
-        // both are on. The borrow covers only `telemetry`/`trace`, so the
-        // direct field accesses below (parser, pipelines, counters, …)
-        // split-borrow around it.
-        // Per-program attribution: resolve the PHV field to thread through
-        // the pipelines once per frame. `None` (attribution off, or
-        // telemetry off) keeps every stage on the plain path.
-        let attr = match &self.telemetry {
-            Some(m) if m.is_attributing() => self.attr_field,
-            _ => None,
-        };
-        let mut nop = NopRecorder;
-        let mut tee_storage;
-        let rec: &mut dyn Recorder = match (&mut self.telemetry, &mut self.trace) {
-            (Some(m), Some(t)) => {
-                tee_storage = TeeRecorder { a: m, b: t.as_mut() };
-                &mut tee_storage
-            }
-            (Some(m), None) => m,
-            (None, Some(t)) => t.as_mut(),
-            (None, None) => &mut nop,
-        };
         rec.packet_begin(packet, port, frame.len() as u32);
         if let Some((src, dst, sport, dport, proto)) = flow {
             rec.packet_flow(packet, src, dst, sport, dport, proto);
@@ -834,8 +882,11 @@ impl Switch {
         loop {
             passes += 1;
             rec.pass_begin(packet, passes);
+            // The first pass reads the caller's bytes where they are; only a
+            // recirculating packet is ever copied, by being rebuilt.
+            let current: &[u8] = if passes == 1 { frame } else { &rebuilt };
             phv.reset_for(&self.ft);
-            let parse = match self.parser.parse(&self.ft, &current, &mut phv, from_recirc) {
+            let parse = match self.parser.parse(&self.ft, current, &mut phv, from_recirc) {
                 Ok(p) => p,
                 Err(SimError::ParserReject) => {
                     self.drops += 1;
@@ -844,11 +895,11 @@ impl Switch {
                 }
                 Err(e) => return Err(e),
             };
-            let payload_offset = parse.payload_offset;
+            let payload = &current[parse.payload_offset..];
             phv.set(&self.ft, intr.ingress_port, u64::from(ingress_port));
 
             rec.parser_path(parse.bitmap);
-            self.ingress.process_attributed(&self.ft, &mut phv, rec, attr)?;
+            self.ingress.run(&self.ft, &mut phv, rec, attr)?;
             let decision = decide(&self.ft, &phv);
             // Re-sync the program context before the TM verdict: the
             // filter table's binding action ran *after* the last stage-top
@@ -861,12 +912,19 @@ impl Switch {
             // REPORT copies are punted once, on the packet's final pass
             // (the flag rides the recirculation header between passes).
             if decision.report_copy && decision.verdict != Verdict::Recirculate {
-                let mut copy_phv = phv.clone();
+                // The copy leaves the switch, so it is built with the
+                // internal-only headers stripped; the packet itself keeps
+                // them until its own emission.
+                stripped.clear();
                 for f in &self.strip_on_emit {
-                    copy_phv.set(&self.ft, *f, 0);
+                    stripped.push(phv.get(*f));
+                    phv.set(&self.ft, *f, 0);
                 }
-                let bytes =
-                    self.parser.deparse(&self.ft, &copy_phv, &current[payload_offset..]);
+                let mut bytes = outcome.buffer();
+                self.parser.deparse_into(&self.ft, &phv, payload, &mut bytes);
+                for (f, v) in self.strip_on_emit.iter().zip(&stripped) {
+                    phv.set(&self.ft, *f, *v);
+                }
                 self.cpu_counters.tx_pkts += 1;
                 self.cpu_counters.tx_bytes += bytes.len() as u64;
                 outcome.reports.push(bytes);
@@ -878,7 +936,7 @@ impl Switch {
                     // packet still traverses the egress pipeline so that
                     // egress-RPB state updates (e.g. the cache-write
                     // MEMWRITE before a DROP verdict) take effect.
-                    self.egress.process_attributed(&self.ft, &mut phv, rec, attr)?;
+                    self.egress.run(&self.ft, &mut phv, rec, attr)?;
                     self.drops += 1;
                     outcome.dropped = true;
                     break;
@@ -889,14 +947,14 @@ impl Switch {
                         outcome.dropped = true;
                         break;
                     }
-                    self.egress.process_attributed(&self.ft, &mut phv, rec, attr)?;
+                    self.egress.run(&self.ft, &mut phv, rec, attr)?;
                     self.recirc_passes += 1;
                     // Multi-switch chain: hand the state-headered frame to
                     // the next switch over the wire (the header is *not*
                     // stripped on this port).
                     if let Some(wire) = self.cfg.recirc_wire_port {
-                        let bytes =
-                            self.parser.deparse(&self.ft, &phv, &current[payload_offset..]);
+                        let mut bytes = outcome.buffer();
+                        self.parser.deparse_into(&self.ft, &phv, payload, &mut bytes);
                         if let Some(c) = self.counters.get_mut(usize::from(wire)) {
                             c.tx_pkts += 1;
                             c.tx_bytes += bytes.len() as u64;
@@ -906,13 +964,8 @@ impl Switch {
                     }
                     // Rebuild the frame for the next pass into the spare
                     // buffer and swap — no allocation per recirculation.
-                    self.parser.deparse_into(
-                        &self.ft,
-                        &phv,
-                        &current[payload_offset..],
-                        &mut next,
-                    );
-                    std::mem::swap(&mut current, &mut next);
+                    self.parser.deparse_into(&self.ft, &phv, payload, &mut next);
+                    std::mem::swap(&mut rebuilt, &mut next);
                     from_recirc = true;
                     ingress_port = self.cfg.recirc_port;
                 }
@@ -921,12 +974,12 @@ impl Switch {
                     // clones before the egress pipeline; with identical
                     // egress state the results coincide, so one egress pass
                     // is processed and the frame replicated).
-                    self.egress.process_attributed(&self.ft, &mut phv, rec, attr)?;
+                    self.egress.run(&self.ft, &mut phv, rec, attr)?;
                     for f in &self.strip_on_emit {
                         phv.set(&self.ft, *f, 0);
                     }
-                    let mut bytes =
-                        self.parser.deparse(&self.ft, &phv, &current[payload_offset..]);
+                    let mut bytes = outcome.buffer();
+                    self.parser.deparse_into(&self.ft, &phv, payload, &mut bytes);
                     let single;
                     let out_ports: &[u16] = match decision.verdict {
                         Verdict::Return => {
@@ -942,23 +995,28 @@ impl Switch {
                         }
                         _ => unreachable!(),
                     };
-                    if out_ports.is_empty() {
-                        self.drops += 1;
-                        outcome.dropped = true;
-                    }
-                    for (k, &out_port) in out_ports.iter().enumerate() {
+                    for &out_port in out_ports {
                         if let Some(c) = self.counters.get_mut(usize::from(out_port)) {
                             c.tx_pkts += 1;
                             c.tx_bytes += bytes.len() as u64;
                         }
+                    }
+                    match out_ports.split_last() {
+                        None => {
+                            self.drops += 1;
+                            outcome.dropped = true;
+                            outcome.spare.push(bytes);
+                        }
                         // The last replica takes the deparsed frame itself;
-                        // earlier ones clone.
-                        let frame = if k + 1 == out_ports.len() {
-                            std::mem::take(&mut bytes)
-                        } else {
-                            bytes.clone()
-                        };
-                        outcome.emitted.push((out_port, frame));
+                        // earlier ones are copies of it.
+                        Some((&last, earlier)) => {
+                            for &out_port in earlier {
+                                let mut copy = outcome.buffer();
+                                copy.extend_from_slice(&bytes);
+                                outcome.emitted.push((out_port, copy));
+                            }
+                            outcome.emitted.push((last, bytes));
+                        }
                     }
                     break;
                 }
@@ -966,9 +1024,12 @@ impl Switch {
         }
         rec.packet_end(packet, passes, outcome.dropped);
         outcome.passes = passes;
-        outcome.phv.clone_from(&phv);
-        self.scratch_frame = current;
+        // The outcome takes the working PHV; its previous one becomes the
+        // next frame's scratch, which every pass resets before use.
+        std::mem::swap(&mut outcome.phv, &mut phv);
+        self.scratch_frame = rebuilt;
         self.scratch_next = next;
+        self.scratch_strip = stripped;
         self.scratch_phv = phv;
         Ok(())
     }
@@ -1253,5 +1314,135 @@ mod tests {
         let (mut sw, _, _) = tiny_switch();
         sw.provision().unwrap();
         assert!(matches!(sw.process_frame(500, &[1, 2]), Err(SimError::NoSuchPort(500))));
+    }
+
+    #[test]
+    fn header_field_wider_than_its_phv_field_is_rejected_at_provision() {
+        // Eight header bits into a four-bit PHV field: `Phv::set` would
+        // truncate on parse and the deparser would emit the short value.
+        let mut ft = FieldTable::new();
+        let narrow = ft.register("hdr.t.narrow", 4).unwrap();
+        let v_t = ft.register("hdr.t.$valid", 1).unwrap();
+        let mut parser = Parser::new();
+        let h = parser.add_header(HeaderDef {
+            name: "t".into(),
+            len_bytes: 1,
+            fields: vec![HeaderField { field: narrow, bit_offset: 0, bits: 8 }],
+            presence: v_t,
+            checksum_at: None,
+            bitmap_bit: 0,
+        });
+        parser.add_state(ParseState {
+            header: h,
+            select: None,
+            transitions: vec![],
+            default: NextState::Accept,
+        });
+        parser.validate().expect("the parser alone cannot see PHV widths");
+        let ingress = Pipeline::new(Gress::Ingress, 1, StageLimits::default());
+        let egress = Pipeline::new(Gress::Egress, 1, StageLimits::default());
+        let mut sw = Switch::assemble(SwitchConfig::default(), ft, parser, ingress, egress);
+        match sw.provision() {
+            Err(SimError::Config(msg)) => assert!(msg.contains("hdr.t.narrow"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+        assert!(!sw.is_provisioned());
+    }
+
+    /// Install `tag 7 → forward to the frame's dst byte` in [`tiny_switch`]'s
+    /// stage-0 table.
+    fn forward_tag_7(sw: &mut Switch) {
+        sw.apply_op(&ControlOp::InsertEntry {
+            table: TableRef { gress: Gress::Ingress, stage: 0, table: 0 },
+            entry: TableEntry {
+                matches: vec![MatchValue::Exact(7)],
+                priority: 0,
+                action: 0,
+                data: vec![],
+            },
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn failed_frame_keeps_the_sinks_and_writes_the_postmortem() {
+        // Stage 1 reads a 4-bucket array at the address the frame's second
+        // byte names, so a frame can walk the SALU out of range mid-pipeline.
+        let (mut sw, _, f_dst) = tiny_switch();
+        let stage = sw.pipeline_mut(Gress::Ingress).stage_mut(1).unwrap();
+        stage.add_array(RegArray::new("m", 4));
+        let mut read = Table::new(
+            "read",
+            KeySpec::new(vec![(f_dst, MatchKind::Ternary)]),
+            vec![ActionDef {
+                name: "read".into(),
+                ops: vec![],
+                hash: None,
+                salu: Some(crate::action::SaluCall {
+                    array: 0,
+                    addr: Operand::Field(f_dst),
+                    operand: Operand::Const(0),
+                    instr: crate::salu::SaluInstr::READ,
+                    alt_instr: None,
+                    select_flag: None,
+                    output: None,
+                }),
+            }],
+            4,
+        );
+        read.set_default_action(0, vec![]);
+        stage.add_table(read);
+        sw.provision().unwrap();
+        forward_tag_7(&mut sw);
+        let dir = std::env::temp_dir().join(format!("rmt-sim-frame-err-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        sw.enable_telemetry();
+        sw.enable_trace(TraceConfig {
+            postmortem_dir: Some(dir.to_string_lossy().into_owned()),
+            ..TraceConfig::default()
+        });
+
+        let mut outcome = ProcessOutcome::empty();
+        sw.process_frame_into(3, &[7, 2, 0xAA], &mut outcome).unwrap();
+        let events_before = sw.trace().unwrap().stats().recorded;
+
+        let err = sw.process_frame_into(3, &[7, 9, 0xAA], &mut outcome).unwrap_err();
+        assert!(matches!(err, SimError::AddrOutOfRange { .. }), "{err:?}");
+        let trace = sw.trace().expect("the flight recorder is still on");
+        assert!(trace.stats().recorded > events_before, "and kept the failed frame's events");
+        let [dump] = &trace.postmortems[..] else {
+            panic!("one post-mortem, got {:?}", trace.postmortems);
+        };
+        let text = std::fs::read_to_string(dump).unwrap();
+        assert!(text.contains("process_frame error"), "{text}");
+        let m = sw.telemetry().expect("telemetry is still on");
+        // Two stage-0 hits and the first frame's stage-1 default action; the
+        // failing lookup was counted before its action ran.
+        assert_eq!(m.ingress.total().hits.get(), 2);
+        assert_eq!(m.ingress.total().misses.get(), 2);
+
+        // The next frame is processed as if nothing had happened.
+        sw.process_frame_into(3, &[7, 1, 0xBB], &mut outcome).unwrap();
+        assert_eq!(outcome.emitted, vec![(1u16, vec![7, 1, 0xBB])]);
+        assert_eq!(outcome.passes, 1);
+        assert_eq!(sw.telemetry().unwrap().ingress.total().hits.get(), 3);
+        assert_eq!(sw.trace().unwrap().postmortems.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reused_outcome_recycles_its_frame_buffers() {
+        let (mut sw, _, _) = tiny_switch();
+        sw.provision().unwrap();
+        forward_tag_7(&mut sw);
+        let mut outcome = ProcessOutcome::empty();
+        sw.process_frame_into(0, &[7, 9, 1, 2, 3], &mut outcome).unwrap();
+        let first = outcome.emitted[0].1.as_ptr();
+        // A drop in between parks the buffer; the next emission takes it back.
+        sw.process_frame_into(0, &[8, 9], &mut outcome).unwrap();
+        assert!(outcome.dropped && outcome.emitted.is_empty());
+        sw.process_frame_into(0, &[7, 4, 5], &mut outcome).unwrap();
+        assert_eq!(outcome.emitted, vec![(4u16, vec![7, 4, 5])]);
+        assert_eq!(outcome.emitted[0].1.as_ptr(), first, "same allocation, refilled");
     }
 }

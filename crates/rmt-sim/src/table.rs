@@ -483,7 +483,7 @@ pub enum DataSrc {
 /// Outcome of a [`Table::lookup_slot`]: plain indices, so the caller can
 /// split-borrow the action and data against its own mutable state without
 /// cloning either (the zero-allocation dispatch path in
-/// [`crate::pipeline::Stage::execute_with`]).
+/// [`crate::pipeline::Stage::run`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SlotLookup {
     /// Index into [`Table::actions`].
@@ -1236,10 +1236,15 @@ impl Table {
     /// borrows — the allocation-free dispatch interface. Bumps hit/miss
     /// counters exactly as [`Table::lookup`] does.
     pub fn lookup_slot(&mut self, phv: &Phv) -> Option<SlotLookup> {
+        // A table with no entry misses whatever the key: answer before any
+        // index dispatch or key read. Emptiness is read from the live entry
+        // list, so no control operation has anything to invalidate.
+        let found = if self.order.is_empty() {
+            None
         // The memo probe (union-mask + hash) only pays for itself past the
         // scan cutoff — below it the direct scan is already cheaper than a
         // hash, so tiny dispatch tables skip the cache even when armed.
-        let found = if self.indexed && self.cache.is_some() && self.order.len() > TSS_SCAN_CUTOFF {
+        } else if self.indexed && self.cache.is_some() && self.order.len() > TSS_SCAN_CUTOFF {
             self.cached_find_slot(phv)
         } else {
             self.find_slot(phv)

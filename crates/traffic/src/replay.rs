@@ -429,14 +429,13 @@ mod tests {
     use rmt_sim::phv::{FieldTable, Phv};
 
     fn fake_outcome(emit: Option<(u16, usize)>, dropped: bool, report: bool) -> ProcessOutcome {
-        let ft = FieldTable::new();
-        ProcessOutcome {
-            emitted: emit.map(|(p, n)| (p, vec![0u8; n])).into_iter().collect(),
-            reports: if report { vec![vec![0u8; 14]] } else { vec![] },
-            dropped,
-            passes: 1,
-            phv: Phv::new(&ft),
-        }
+        let mut out = ProcessOutcome::empty();
+        out.emitted = emit.map(|(p, n)| (p, vec![0u8; n])).into_iter().collect();
+        out.reports = if report { vec![vec![0u8; 14]] } else { vec![] };
+        out.dropped = dropped;
+        out.passes = 1;
+        out.phv = Phv::new(&FieldTable::new());
+        out
     }
 
     fn pkt(t_ms: u64, len: usize) -> TimedPacket {

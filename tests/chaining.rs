@@ -113,3 +113,63 @@ fn single_pass_traffic_skips_the_wire() {
     // And no recirculation header on the ordinary egress.
     assert!(ParsedPacket::parse(&out.emitted[0].1).unwrap().ipv4.is_some());
 }
+
+/// The verdict side effects come *first*, so the state header of pass 1
+/// carries them: egress-valid and report set in the flag byte (a 4-bit pad
+/// and four 1-bit fields at bit offsets 136–143), the port in the last two
+/// bytes, and `recirc_next` — not the working `recirc_id` — in byte 16.
+const EARLY_VERDICT: &str = r#"
+program early(<hdr.udp.dst_port, 7777, 0xffff>) {
+    REPORT;
+    FORWARD(30);
+    LOADI(mar, 0xa1b2c3d4);
+    EXTRACT(hdr.nc.value, sar);
+    LOADI(har, 1); LOADI(har, 2); LOADI(har, 3); LOADI(har, 4);
+    LOADI(har, 5); LOADI(har, 6); LOADI(har, 7); LOADI(har, 8);
+    LOADI(har, 9); LOADI(har, 10); LOADI(har, 11); LOADI(har, 12);
+    LOADI(har, 13); LOADI(har, 14); LOADI(har, 15); LOADI(har, 16);
+    LOADI(har, 17); LOADI(har, 18); LOADI(har, 19); LOADI(har, 20);
+    MODIFY(hdr.nc.value, sar);
+}
+"#;
+
+/// The frame a two-pass program puts on the wire between its passes,
+/// byte for byte as the field-at-a-time deparser built it before the
+/// deparse programs were compiled (captured from that commit).
+#[test]
+fn state_header_between_passes_is_bit_exact() {
+    const WIRE_FRAME: &str = "00010000000000120badcafea1b2c3d4010c001e\
+        02000000000102000a0185920800450000290000000040117c7d0a0185920a0264b2\
+        282d1e61001500000000000000000000010badcafe";
+    let cfg = SwitchConfig { recirc_wire_port: Some(WIRE_OUT), ..Default::default() };
+    let mut first = Controller::new(cfg, AllocConfig::default()).unwrap();
+    first.deploy(EARLY_VERDICT).unwrap();
+    let flow = make_flows(1, 1, 0.0)[0].tuple;
+    let frame = netcache_frame(&flow, CacheOp::Read, 1, 0x0badcafe);
+
+    let out = first.inject(3, &frame).unwrap();
+    assert_eq!(out.passes, 1);
+    let (port, wire_frame) = &out.emitted[0];
+    assert_eq!(*port, WIRE_OUT);
+    let hex: String = wire_frame.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, WIRE_FRAME);
+
+    let hdr = netpkt::RecircHeader::new_checked(wire_frame).unwrap();
+    assert_eq!(hdr.recirc_id(), 1);
+    assert_eq!(hdr.flags(), 0x08 | netpkt::recirc::FLAG_REPORT, "pad 0, egress-valid, report");
+    assert_eq!(hdr.egress_spec(), 30);
+    assert_eq!((hdr.har(), hdr.sar(), hdr.mar()), (0x12, 0x0badcafe, 0xa1b2c3d4));
+    assert_eq!(hdr.payload(), &frame[..], "nothing was modified on pass 1");
+    assert!(out.reports.is_empty(), "the copy is punted on the final pass");
+
+    // Same header through the internal loop: the second pass restores the
+    // verdict from it and the report copy is stripped of it.
+    let mut single = Controller::with_defaults().unwrap();
+    single.deploy(EARLY_VERDICT).unwrap();
+    let out = single.inject(3, &frame).unwrap();
+    assert_eq!(out.passes, 2);
+    assert_eq!(out.emitted.len(), 1);
+    assert_eq!(out.emitted[0].0, 30);
+    assert_eq!(out.reports, vec![out.emitted[0].1.clone()]);
+    assert_eq!(out.emitted[0].1, frame, "MODIFY wrote back the value it read");
+}

@@ -234,3 +234,40 @@ fn disabled_telemetry_records_nothing() {
     assert_eq!(dp.epoch, 1);
     assert_eq!(dp.tm.forwarded.get(), 1);
 }
+
+/// An entry-less table is answered before any index work, but it is still
+/// looked up: with one wildcard `FORWARD` resident, 22 of the 24 tables hold
+/// nothing, and every one of them must count every frame — on its own
+/// hit/miss counters whether or not anything records, and as one
+/// `table_lookup` event each when something does.
+#[test]
+fn empty_tables_still_count_every_lookup() {
+    const N: u64 = 100;
+    let mut ctl = Controller::with_defaults().unwrap();
+    ctl.deploy("program fwd(<hdr.ipv4.src, 0.0.0.0, 0x00000000>) { FORWARD(1); }")
+        .unwrap();
+    let frame = p4runpro::traffic::frame_for(
+        &p4runpro::traffic::make_flows(1, 1, 0.0)[0].tuple,
+        64,
+    );
+    // Half with nothing listening, half with the recorder on.
+    for _ in 0..N / 2 {
+        assert_eq!(ctl.inject(0, &frame).unwrap().passes, 1);
+    }
+    ctl.enable_telemetry();
+    for _ in 0..N / 2 {
+        assert_eq!(ctl.inject(0, &frame).unwrap().passes, 1);
+    }
+
+    let tables = ctl.switch().table_index_stats();
+    assert_eq!(tables.len(), 24);
+    assert_eq!(tables.iter().filter(|t| t.entries == 0).count(), 22);
+    for t in &tables {
+        assert_eq!(t.hits + t.misses, N, "{} {} table `{}`", t.gress, t.stage, t.name);
+    }
+    let dp = ctl.telemetry_report().dataplane.unwrap();
+    let (i, e) = (dp.ingress.total(), dp.egress.total());
+    let recorded = i.hits.get() + i.misses.get() + e.hits.get() + e.misses.get();
+    assert_eq!(recorded, 24 * (N / 2), "24 lookup events per recorded frame");
+    assert_eq!(i.hits.get() + e.hits.get(), 2 * (N / 2), "the filter and the one RPB entry");
+}
