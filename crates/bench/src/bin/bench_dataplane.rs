@@ -1,51 +1,58 @@
-//! Headline data-plane numbers, written to `BENCH_dataplane.json`.
+//! The kept features' evidence, written to `BENCH_dataplane.json`.
 //!
-//! This harness seeds the repo's perf trajectory: it re-measures the
-//! `switch/process_frame` and `table/lookup` workloads that the Criterion
-//! bench (`benches/dataplane.rs`) covers. Every before/after pair is now
-//! measured **in the same run**, interleaved via [`bench::measure::ab_min`]:
-//! the "before" side forces the pre-change algorithm (priority-ordered
-//! scan via `set_indexed(false)`, megaflow cache disarmed) on the same
-//! fixture, so the guards assert on ratios only. Absolute figures from
-//! earlier PRs survive in the `history` object as context, never as
-//! assertion anchors — the hardcoded-ns guards drifted out of band twice
-//! (PR-6 and PR-7 both had to re-anchor) before this harness replaced them.
+//! `p4rp_bench` (`BENCHMARK.json`) measures the frame path and the deploy
+//! path end to end. This harness holds the four probes that have no
+//! workload there and that are the reason a piece of machinery stays in
+//! the tree (docs/PERF.md, "Earn-its-keep verdicts"):
 //!
-//! Timing is hand-rolled on `std::time::Instant` because Criterion is a
-//! dev-dependency (benches only); the methodology matches the vendored
-//! Criterion stand-in: warm up, calibrate an iteration count for a fixed
-//! wall-time budget, report the best of three windows.
+//! * `table_lookup` — the exact-key hash index against the ordered scan;
+//! * `ternary_scaling` — tuple-space groups against the scan inside one
+//!   partition;
+//! * `parallel_scaling` — the worker pool against the sequential engine on
+//!   a loaded switch (the paper's operating point), with ROADMAP's keep-bar
+//!   asserted on hosts with two or more cores;
+//! * `snapshot_publish` — what publishing every batch to the workers costs
+//!   a deploy, and that deploy churn does not stall them.
 //!
-//! Run from the workspace root (`cargo run --release -p bench --bin
-//! bench_dataplane`); the JSON lands in the current directory.
+//! Both sides of every ratio are measured in the same run, interleaved,
+//! and only ratios are asserted — never a nanosecond figure from an
+//! earlier session.
+//!
+//! Run from the workspace root on a host with at least two cores
+//! (`cargo run --release -p bench --bin bench_dataplane`); the JSON lands
+//! in the current directory. `P4RP_SCALE=quick` shrinks the loaded switch
+//! for a smoke run — do not commit its output.
 
-use bench::fixtures::{cache_controller, exact_fixture, ternary_fixture, ternary_switch, tss_fixture};
+use bench::fixtures::{exact_fixture, tss_fixture};
 use bench::measure::{ab_min, time_ns};
+use bench::scaled;
+use p4rp_ctl::Controller;
+use p4rp_progs::workloads::{instance, Family, WorkloadParams};
+use rand::prelude::*;
+use rand::rngs::StdRng;
 use rmt_sim::clock::Nanos;
-use rmt_sim::switch::ProcessOutcome;
-use rmt_sim::trace::TraceConfig;
 use serde::{json, Value};
 use std::hint::black_box;
+use std::net::Ipv4Addr;
 use std::time::Instant;
 use traffic::replay::{ParallelReplay, Replay, TimedPacket};
 
-/// Any branch-on-None indirection (snapshot lookup, attribution gate,
-/// sharded-entry fallback) must stay inside this band of its direct
-/// counterpart, measured interleaved in the same run.
-const GUARD_MAX_RATIO: f64 = 1.05;
-/// Telemetry and attribution do real work per frame; bound their
-/// same-run overhead ratios loosely (historically 1.19x and 1.28x).
-const ATTR_MAX_RATIO: f64 = 1.6;
-/// The tuple-space-search acceptance floor: at 4096 ternary entries in
-/// 64 mask groups, the indexed path (with the megaflow result cache
-/// armed) must beat the priority-ordered scan by at least this factor.
+/// The tuple-space-search floor: at 4096 ternary entries in 64 mask
+/// groups the groups must beat the priority-ordered scan by this factor.
 const TSS_MIN_SPEEDUP_4096: f64 = 10.0;
+/// ROADMAP's keep-bar for the worker pool: two workers against the
+/// sequential engine, on a host that has two cores to give.
+const POOL_MIN_SPEEDUP: f64 = 1.5;
+/// Alternating measurement rounds of the replay probes; medians reported.
+const ROUNDS: usize = 5;
 
-/// Packets per parallel-scaling replay window.
-const REPLAY_PACKETS: usize = 20_000;
-/// Distinct five-tuples in the replay mix (all NetCache hits), so the
-/// RSS-style shard hash actually spreads flows across workers.
-const REPLAY_FLOWS: usize = 64;
+/// Resident programs on the loaded switch (`P4RP_SCALE=quick`: 100).
+fn residents() -> usize {
+    scaled(1000)
+}
+
+/// Distinct five-tuples in the replay mix.
+const REPLAY_FLOWS: usize = 4096;
 
 fn round1(v: f64) -> f64 {
     (v * 10.0).round() / 10.0
@@ -55,72 +62,117 @@ fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
-/// The cache-hit replay mix: [`REPLAY_PACKETS`] frames round-robin over
-/// [`REPLAY_FLOWS`] distinct five-tuples, every one a NetCache read of
-/// the resident key — so per-packet work matches the `cache_hit` probe
-/// while the RSS-style shard hash spreads flows across workers.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Family of resident `i`: every twentieth is a two-pass program, the rest
+/// cycle over the single-pass families (`p4rp_bench`'s `frames_1k_resident`
+/// mix).
+fn family_of(i: usize) -> Family {
+    const TWO_PASS: [Family; 3] = [Family::Hh, Family::NetCache, Family::Firewall];
+    if i % 20 == 3 {
+        return TWO_PASS[(i / 20) % TWO_PASS.len()];
+    }
+    let n = Family::ALL.len() - TWO_PASS.len();
+    *Family::ALL.iter().filter(|f| !TWO_PASS.contains(f)).nth(i % n).expect("i % n < n")
+}
+
+/// A controller with [`residents`] programs deployed, instance `i`
+/// filtering on destination `10.(i >> 8).(i & 0xff).1`.
+fn loaded_controller() -> Controller {
+    let mut ctl = Controller::with_defaults().expect("default controller");
+    for i in 0..residents() {
+        ctl.deploy(&instance(family_of(i), i, WorkloadParams::default())).expect("resident deploys");
+    }
+    ctl
+}
+
+/// The loaded-switch replay mix: Zipf(1.1) popularity over
+/// [`REPLAY_FLOWS`] flows, the flow of rank `r` talking to resident
+/// `r mod residents`, NetCache reads for the families that parse them and
+/// campus-like payload sizes for the rest.
+///
+/// The top flow carries a sixth of this traffic and the top four a third,
+/// so where the RSS hash puts them decides how evenly two shards split —
+/// 51 % to 70 % in the larger one over flow seeds 1–16 — and the larger
+/// shard bounds any pool's speed-up at `total / largest`. Seed 1 splits
+/// 53 / 47; `shard_packets` in the JSON records it.
 fn replay_mix() -> Vec<TimedPacket> {
-    let flows = traffic::make_flows(9, REPLAY_FLOWS, 0.0);
-    let frames: Vec<Vec<u8>> = flows
-        .iter()
-        .map(|f| traffic::netcache_frame(&f.tuple, netpkt::CacheOp::Read, 0x8888, 0))
-        .collect();
-    (0..REPLAY_PACKETS)
-        .map(|i| TimedPacket {
-            t: Nanos(i as u64 * 100),
-            port: 0,
-            frame: frames[i % frames.len()].clone(),
+    let n = residents();
+    let mut flows = traffic::make_flows(1, REPLAY_FLOWS, 0.8);
+    traffic::zipf_weights(&mut flows, 1.1);
+    for (rank, f) in flows.iter_mut().enumerate() {
+        let i = rank % n;
+        f.tuple.dst_addr = Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 1);
+    }
+    let sampler = traffic::FlowSampler::new(&flows);
+    let mut rng = StdRng::seed_from_u64(1);
+    (0..scaled(65_536))
+        .map(|k| {
+            let rank = sampler.sample(&mut rng);
+            let tuple = &flows[rank].tuple;
+            let frame = match family_of(rank % n) {
+                Family::Cache | Family::NetCache | Family::Calculator => {
+                    traffic::netcache_frame(tuple, netpkt::CacheOp::Read, 0x8000, 0)
+                }
+                _ => {
+                    let u: f64 = rng.random();
+                    let payload = if u < 0.60 {
+                        rng.random_range(0..64)
+                    } else if u < 0.98 {
+                        rng.random_range(200..800)
+                    } else {
+                        1400
+                    };
+                    traffic::frame_for(tuple, payload)
+                }
+            };
+            TimedPacket { t: Nanos(k as u64 * 100), port: 0, frame }
         })
         .collect()
 }
 
-/// ns/packet for the sequential engine over the replay mix (best of 3).
+/// ns/packet for the sequential engine over the replay mix.
 fn sequential_replay_ns(trace: &[TimedPacket]) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let (mut ctl, _, _, _) = cache_controller();
-        let mut r = Replay::new(trace.to_vec());
-        let t = Instant::now();
-        r.run_all_into(|port, frame, out| {
-            ctl.inject_into(port, frame, out).expect("replay inject");
-        });
-        best = best.min(t.elapsed().as_nanos() as f64 / trace.len() as f64);
-    }
-    best
+    let mut ctl = loaded_controller();
+    let mut r = Replay::new(trace.to_vec());
+    let t = Instant::now();
+    r.run_all(|_, port, frame, out| {
+        ctl.inject_into(port, frame, out).expect("replay inject");
+    });
+    t.elapsed().as_nanos() as f64 / trace.len() as f64
 }
 
-/// ns/packet for the threaded engine at `workers` workers (best of 3).
+/// ns/packet for the threaded engine at `workers` workers.
 fn parallel_replay_ns(trace: &[TimedPacket], workers: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let (mut ctl, _, _, _) = cache_controller();
-        ctl.enable_workers(workers);
-        let pr = ParallelReplay::new(trace.to_vec(), workers);
-        let pool = ctl.workers_mut().expect("pool installed");
-        let t = Instant::now();
-        let out = pr.run(pool).expect("parallel replay");
-        let ns = t.elapsed().as_nanos() as f64 / out.packets.max(1) as f64;
-        assert_eq!(out.packets as usize, trace.len());
-        best = best.min(ns);
-    }
-    best
+    let mut ctl = loaded_controller();
+    ctl.enable_workers(workers);
+    let pr = ParallelReplay::new(trace.to_vec(), workers);
+    let pool = ctl.workers_mut().expect("pool installed");
+    let t = Instant::now();
+    let out = pr.run(pool).expect("parallel replay");
+    let ns = t.elapsed().as_nanos() as f64 / out.packets.max(1) as f64;
+    assert_eq!(out.packets as usize, trace.len());
+    ns
 }
 
-/// Mean wall latency of one deploy+revoke round; with `snapshots` the
-/// control channel also publishes every batch as a worker delta, so the
-/// two figures bracket the snapshot-publish cost.
+fn probe_source(i: usize) -> String {
+    format!("program probe(<hdr.ipv4.dst, 10.77.{}.1, 0xffffffff>) {{ FORWARD(1); }}", i % 200)
+}
+
+/// Mean wall latency of one deploy+revoke round on the loaded switch; with
+/// `snapshots` the control channel also publishes every batch as a worker
+/// delta, so the two figures bracket the snapshot-publish cost.
 fn deploy_probe_ns(snapshots: bool, rounds: usize) -> f64 {
-    let (mut ctl, _, _, _) = cache_controller();
+    let mut ctl = loaded_controller();
     if snapshots {
         ctl.channel_mut().enable_snapshots();
     }
     let t = Instant::now();
     for i in 0..rounds {
-        let src = format!(
-            "program probe(<hdr.ipv4.dst, 10.77.{}.1, 0xffffffff>) {{ FORWARD(1); }}",
-            i % 200
-        );
-        ctl.deploy(&src).expect("probe deploys");
+        ctl.deploy(&probe_source(i)).expect("probe deploys");
         ctl.revoke("probe").expect("probe revokes");
     }
     t.elapsed().as_nanos() as f64 / rounds as f64
@@ -131,7 +183,7 @@ fn deploy_probe_ns(snapshots: bool, rounds: usize) -> f64 {
 /// deploy latency under churn) — the stall ratio against the quiet
 /// 2-worker figure is the "publishes never block workers" probe.
 fn churned_parallel_replay(trace: &[TimedPacket], deploys: usize) -> (f64, f64) {
-    let (mut ctl, _, _, _) = cache_controller();
+    let mut ctl = loaded_controller();
     ctl.enable_workers(2);
     let mut pool = ctl.disable_workers().expect("pool installed");
     let pr = ParallelReplay::new(trace.to_vec(), 2);
@@ -144,12 +196,8 @@ fn churned_parallel_replay(trace: &[TimedPacket], deploys: usize) -> (f64, f64) 
             t.elapsed().as_nanos() as f64 / out.packets.max(1) as f64
         });
         for i in 0..deploys {
-            let src = format!(
-                "program probe(<hdr.ipv4.dst, 10.77.{}.1, 0xffffffff>) {{ FORWARD(1); }}",
-                i % 200
-            );
             let t = Instant::now();
-            ctl.deploy(&src).expect("probe deploys");
+            ctl.deploy(&probe_source(i)).expect("probe deploys");
             deploy_total += t.elapsed().as_nanos();
             ctl.revoke("probe").expect("probe revokes");
         }
@@ -162,161 +210,14 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// A same-run scan-forced vs indexed pair, rendered with the ratio the
-/// guards actually assert on.
-fn scan_vs_indexed(scan: f64, indexed: f64) -> Value {
-    obj(vec![
-        ("scan_forced_ns", Value::F64(round1(scan))),
-        ("indexed_ns", Value::F64(round1(indexed))),
-        ("speedup", Value::F64(round3(scan / indexed))),
-    ])
-}
-
 fn main() {
-    let (mut ctl, hit, miss, plain) = cache_controller();
-
-    println!("measuring switch/process_frame (scan-forced vs indexed, interleaved) ...");
-    let (cache_hit_scan, cache_hit) = ab_min(3, |scan| {
-        ctl.set_indexed(!scan);
-        time_ns(|| {
-            ctl.inject(0, black_box(&hit)).unwrap();
-        })
-    });
-    ctl.set_indexed(true);
-    let (cache_miss_scan, cache_miss) = ab_min(3, |scan| {
-        ctl.set_indexed(!scan);
-        time_ns(|| {
-            ctl.inject(0, black_box(&miss)).unwrap();
-        })
-    });
-    ctl.set_indexed(true);
-    let (no_program_scan, no_program) = ab_min(3, |scan| {
-        ctl.set_indexed(!scan);
-        time_ns(|| {
-            ctl.inject(0, black_box(&plain)).unwrap();
-        })
-    });
-    ctl.set_indexed(true);
-    let mut out = ProcessOutcome::empty();
-    // With no worker pool installed, the sharded entry point is one
-    // `Option` branch away from `inject_into` — this is the sequential
-    // path every command takes, measured through the new indirection.
-    // The two probes interleave so slow wall-clock drift (this is a
-    // shared box) lands on both sides of the ratio equally.
-    let (reused, sharded_fallback) = ab_min(3, |direct| {
-        if direct {
-            time_ns(|| {
-                ctl.inject_into(0, black_box(&hit), &mut out).unwrap();
-            })
-        } else {
-            time_ns(|| {
-                ctl.inject_sharded_into(0, black_box(&hit), &mut out).unwrap();
-            })
-        }
-    });
-
-    println!("measuring flight-recorder overhead ...");
-    // With no ring attached, tracing is a `None` branch on the same code
-    // path. The ring wraps during the window (wraparound is
-    // allocation-free) and post-mortem dumps are disabled so the hot loop
-    // never touches the filesystem.
-    let (untraced_hit, traced_hit) = ab_min(3, |off| {
-        if off {
-            ctl.disable_trace();
-        } else {
-            ctl.enable_trace(TraceConfig {
-                capacity: 1 << 16,
-                postmortem_dir: None,
-                ..TraceConfig::default()
-            });
-        }
-        time_ns(|| {
-            ctl.inject(0, black_box(&hit)).unwrap();
-        })
-    });
-    ctl.disable_trace();
-
-    println!("measuring megaflow result cache on the frame path ...");
-    // On the NetCache dispatch path every table is small, so the cache's
-    // scan-cutoff bypass keeps it out of the way — this side is a
-    // branch-on-None guard, not a speedup claim.
-    let (megaflow_off_hit, megaflow_hit) = ab_min(3, |off| {
-        ctl.set_result_cache(!off);
-        time_ns(|| {
-            ctl.inject(0, black_box(&hit)).unwrap();
-        })
-    });
-    ctl.set_result_cache(false);
-    let megaflow_ratio = megaflow_hit / megaflow_off_hit;
-    // The speedup claim lives on an all-ternary dispatch path: a 4096-entry
-    // 64-group TCAM table in front of the forwarding decision, where even
-    // the tuple-space search loses to one memoized hash probe.
-    let (mut tsw, tframes) = ternary_switch(4096, 64);
-    let mut i = 0;
-    let (ternary_path_off, ternary_path_on) = ab_min(3, |off| {
-        tsw.set_result_cache_all(!off);
-        i = 0;
-        time_ns(|| {
-            i = (i + 1) % tframes.len();
-            black_box(tsw.process_frame(0, black_box(&tframes[i])).unwrap());
-        })
-    });
-    let ternary_path_speedup = ternary_path_off / ternary_path_on;
-    println!(
-        "  all-ternary dispatch: {ternary_path_off:.1} ns uncached vs \
-         {ternary_path_on:.1} ns with megaflow cache ({ternary_path_speedup:.2}x)"
-    );
-    assert!(
-        ternary_path_speedup > 1.0,
-        "megaflow cache shows no process_frame improvement on the all-ternary \
-         path: {ternary_path_off:.1} ns off vs {ternary_path_on:.1} ns on"
-    );
-
-    println!("measuring attribution overhead ...");
-    // Three states, interleaved so slow wall-clock drift lands on every
-    // side of the ratios equally: attribution fully off (telemetry
-    // dropped — bit-identical to the plain path), telemetry without
-    // attribution (field cleared), and attribution armed. The off probe
-    // is the denominator for both overhead figures.
-    let mut attr_off_hit = f64::INFINITY;
-    let mut telemetry_hit = f64::INFINITY;
-    let mut attributed_hit = f64::INFINITY;
-    for _ in 0..3 {
-        ctl.switch_mut().disable_telemetry();
-        ctl.switch_mut().clear_attribution_field();
-        attr_off_hit = attr_off_hit.min(time_ns(|| {
-            ctl.inject(0, black_box(&hit)).unwrap();
-        }));
-        ctl.enable_telemetry();
-        telemetry_hit = telemetry_hit.min(time_ns(|| {
-            ctl.inject(0, black_box(&hit)).unwrap();
-        }));
-        ctl.enable_attribution();
-        attributed_hit = attributed_hit.min(time_ns(|| {
-            ctl.inject(0, black_box(&hit)).unwrap();
-        }));
-    }
-    ctl.switch_mut().disable_telemetry();
-    ctl.switch_mut().clear_attribution_field();
-
-    println!("measuring table/lookup scaling ...");
+    println!("measuring table_lookup (exact index vs scan) ...");
     let mut lookups = Vec::new();
     for &n in &[16usize, 256, 4096] {
         let (mut tbl, probes) = exact_fixture(n);
         let mut i = 0;
-        // Scan mode is the pre-change lookup algorithm, so it doubles as
-        // the measured "before" for the same table contents.
-        let (exact_scan, exact_indexed) = ab_min(3, |scan| {
-            tbl.set_indexed(!scan);
-            time_ns(|| {
-                i = (i + 1) % probes.len();
-                black_box(tbl.lookup(&probes[i]).is_some());
-            })
-        });
-        let (mut tbl, probes) = ternary_fixture(n);
-        let mut i = 0;
-        let (ternary_scan, ternary_tss) = ab_min(3, |scan| {
-            tbl.set_indexed(!scan);
+        let (scan, indexed) = ab_min(3, |scan_side| {
+            tbl.set_indexed(!scan_side);
             time_ns(|| {
                 i = (i + 1) % probes.len();
                 black_box(tbl.lookup(&probes[i]).is_some());
@@ -324,19 +225,16 @@ fn main() {
         });
         lookups.push(obj(vec![
             ("entries", Value::U64(n as u64)),
-            ("exact_scan_ns", Value::F64(round1(exact_scan))),
-            ("exact_indexed_ns", Value::F64(round1(exact_indexed))),
-            ("exact_speedup", Value::F64(round1(exact_scan / exact_indexed))),
-            ("ternary_scan_ns", Value::F64(round1(ternary_scan))),
-            ("ternary_tss_ns", Value::F64(round1(ternary_tss))),
-            ("ternary_speedup", Value::F64(round1(ternary_scan / ternary_tss))),
+            ("exact_scan_ns", Value::F64(round1(scan))),
+            ("exact_indexed_ns", Value::F64(round1(indexed))),
+            ("exact_speedup", Value::F64(round1(scan / indexed))),
         ]));
+        println!("  {n} entries: scan {scan:.1} ns, indexed {indexed:.1} ns ({:.1}x)", scan / indexed);
     }
 
-    println!("measuring ternary_scaling (tuple-space search vs scan) ...");
+    println!("measuring ternary_scaling (tuple-space groups vs scan) ...");
     let mut ternary_rows = Vec::new();
     let mut headline_speedup = 0.0;
-    let mut headline_cached_speedup = 0.0;
     for &(n, groups) in &[(16usize, 1usize), (256, 8), (4096, 64)] {
         let (mut tbl, probes) = tss_fixture(n, groups);
         assert_eq!(tbl.index_mode(), "tss", "tss_fixture must build a TSS index");
@@ -352,18 +250,9 @@ fn main() {
                 black_box(tbl.lookup(&probes[i]).is_some());
             })
         });
-        tbl.set_indexed(true);
-        tbl.set_result_cache(true);
-        let mut i = 0;
-        let cached = time_ns(|| {
-            i = (i + 1) % probes.len();
-            black_box(tbl.lookup(&probes[i]).is_some());
-        });
         let tss_speedup = scan / tss;
-        let cached_speedup = scan / cached;
         if n == 4096 {
             headline_speedup = tss_speedup;
-            headline_cached_speedup = cached_speedup;
         }
         ternary_rows.push(obj(vec![
             ("entries", Value::U64(n as u64)),
@@ -371,89 +260,58 @@ fn main() {
             ("scan_ns", Value::F64(round1(scan))),
             ("tss_ns", Value::F64(round1(tss))),
             ("tss_speedup", Value::F64(round1(tss_speedup))),
-            ("cached_ns", Value::F64(round1(cached))),
-            ("cached_speedup", Value::F64(round1(cached_speedup))),
         ]));
         println!(
-            "  {n} entries / {groups} group(s): scan {scan:.1} ns, tss {tss:.1} ns \
-             ({tss_speedup:.1}x), cached {cached:.1} ns ({cached_speedup:.1}x)"
+            "  {n} entries / {groups} group(s): scan {scan:.1} ns, tss {tss:.1} ns ({tss_speedup:.1}x)"
         );
     }
-    let best_4096 = headline_speedup.max(headline_cached_speedup);
     assert!(
-        best_4096 >= TSS_MIN_SPEEDUP_4096,
-        "ternary 4096/64: tss {headline_speedup:.1}x, cached \
-         {headline_cached_speedup:.1}x — need >= {TSS_MIN_SPEEDUP_4096}x over scan"
+        headline_speedup >= TSS_MIN_SPEEDUP_4096,
+        "ternary 4096/64: tss {headline_speedup:.1}x — need >= {TSS_MIN_SPEEDUP_4096}x over scan"
     );
     let tss_assert = format!(
-        "ok (tss {headline_speedup:.1}x, cached {headline_cached_speedup:.1}x at \
-         4096 entries / 64 groups, >= {TSS_MIN_SPEEDUP_4096}x required)"
+        "ok ({headline_speedup:.1}x at 4096 entries / 64 groups, >= {TSS_MIN_SPEEDUP_4096}x required)"
     );
     println!("  4096-entry speedup gate: {tss_assert}");
 
-    println!("measuring parallel replay scaling ...");
+    println!("measuring parallel_scaling on {} residents ...", residents());
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mix = replay_mix();
-    let seq_ns = sequential_replay_ns(&mix);
-    let worker_counts = [1usize, 2, 4];
-    let mut worker_ns = Vec::new();
-    let mut scaling_rows = Vec::new();
-    for &w in &worker_counts {
-        let ns = parallel_replay_ns(&mix, w);
-        worker_ns.push(ns);
-        scaling_rows.push(obj(vec![
-            ("workers", Value::U64(w as u64)),
-            ("ns_per_pkt", Value::F64(round1(ns))),
-            ("aggregate_mpps", Value::F64(round3(1000.0 / ns))),
-            ("speedup_vs_sequential", Value::F64(round3(seq_ns / ns))),
-        ]));
+    let shard_packets = ParallelReplay::new(mix.clone(), 2).shard_sizes();
+    let (mut seq, mut one, mut two) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        seq.push(sequential_replay_ns(&mix));
+        one.push(parallel_replay_ns(&mix, 1));
+        two.push(parallel_replay_ns(&mix, 2));
     }
-    let two_worker_speedup = worker_ns[0] / worker_ns[1];
+    let two_worker_rounds: Vec<Value> =
+        seq.iter().zip(&two).map(|(s, t)| Value::F64(round3(s / t))).collect();
+    let (seq_ns, one_ns, two_ns) = (median(seq), median(one), median(two));
+    let scaling_rows = [(1u64, one_ns), (2, two_ns)]
+        .iter()
+        .map(|&(w, ns)| {
+            obj(vec![
+                ("workers", Value::U64(w)),
+                ("ns_per_pkt", Value::F64(round1(ns))),
+                ("aggregate_mpps", Value::F64(round3(1000.0 / ns))),
+                ("speedup_vs_sequential", Value::F64(round3(seq_ns / ns))),
+            ])
+        })
+        .collect();
+    let two_worker_speedup = seq_ns / two_ns;
     let scaling_assert = if host_cores >= 2 {
         assert!(
-            two_worker_speedup >= 1.7,
-            "2-worker replay only {two_worker_speedup:.2}x of 1-worker on a \
-             {host_cores}-core host (need >= 1.7x)"
+            two_worker_speedup >= POOL_MIN_SPEEDUP,
+            "2-worker replay only {two_worker_speedup:.2}x of sequential on a \
+             {host_cores}-core host (need >= {POOL_MIN_SPEEDUP}x)"
         );
-        format!("ok ({two_worker_speedup:.2}x at 2 workers, >= 1.7x required)")
+        format!("ok ({two_worker_speedup:.2}x at 2 workers, >= {POOL_MIN_SPEEDUP}x required)")
     } else {
         format!("skipped (host_cores = {host_cores})")
     };
     println!("  2-worker speedup {two_worker_speedup:.2}x on {host_cores} core(s): {scaling_assert}");
 
-    // Single-worker guard: indexed dispatch must never lose to the scan
-    // it replaced, measured on the same fixture in the same run.
-    let guard_ratio = cache_hit / cache_hit_scan;
-    assert!(
-        guard_ratio < GUARD_MAX_RATIO,
-        "indexed cache-hit frame costs {cache_hit:.1} ns vs {cache_hit_scan:.1} ns \
-         scan-forced in the same run ({guard_ratio:.3}x)"
-    );
-    let fallback_ratio = sharded_fallback / reused;
-    assert!(
-        fallback_ratio < GUARD_MAX_RATIO,
-        "inject_sharded fallback costs {sharded_fallback:.1} ns vs \
-         {reused:.1} ns direct ({fallback_ratio:.3}x, branch-on-None broken?)"
-    );
-    // Megaflow guard: with every dispatch table under the scan cutoff the
-    // armed cache must stay bypassed on the NetCache path.
-    assert!(
-        megaflow_ratio < GUARD_MAX_RATIO,
-        "armed megaflow cache costs {megaflow_hit:.1} ns vs {megaflow_off_hit:.1} ns \
-         disarmed on the small-table dispatch path ({megaflow_ratio:.3}x, \
-         scan-cutoff bypass broken?)"
-    );
-    // Attribution guard: both overheads are real per-frame work, bounded
-    // loosely against the interleaved off probe from the same run.
-    let telemetry_ratio = telemetry_hit / attr_off_hit;
-    let attribution_ratio = attributed_hit / attr_off_hit;
-    assert!(
-        telemetry_ratio < ATTR_MAX_RATIO && attribution_ratio < ATTR_MAX_RATIO,
-        "telemetry {telemetry_ratio:.3}x / attribution {attribution_ratio:.3}x of the \
-         off probe {attr_off_hit:.1} ns (bound {ATTR_MAX_RATIO}x)"
-    );
-
-    println!("measuring snapshot-publish latency ...");
+    println!("measuring snapshot_publish ...");
     let plain_deploy = deploy_probe_ns(false, 200);
     let published_deploy = deploy_probe_ns(true, 200);
     let mut publish_fields = vec![
@@ -463,12 +321,11 @@ fn main() {
     ];
     if host_cores >= 2 {
         let (churn_replay_ns, deploy_under_churn_ns) = churned_parallel_replay(&mix, 50);
-        let stall_ratio = churn_replay_ns / worker_ns[1];
+        let stall_ratio = churn_replay_ns / two_ns;
         assert!(
             stall_ratio < 2.0,
             "deploy churn stalled the 2-worker replay: {churn_replay_ns:.1} ns/pkt \
-             vs {:.1} ns/pkt quiet ({stall_ratio:.2}x)",
-            worker_ns[1]
+             vs {two_ns:.1} ns/pkt quiet ({stall_ratio:.2}x)"
         );
         publish_fields.push(("replay_under_churn_ns_per_pkt", Value::F64(round1(churn_replay_ns))));
         publish_fields.push(("deploy_under_churn_ns", Value::F64(round1(deploy_under_churn_ns))));
@@ -487,34 +344,6 @@ fn main() {
     let doc = obj(vec![
         ("bench", Value::Str("dataplane".into())),
         ("units", Value::Str("ns_per_iter".into())),
-        (
-            "process_frame",
-            obj(vec![
-                ("cache_hit", scan_vs_indexed(cache_hit_scan, cache_hit)),
-                ("cache_miss", scan_vs_indexed(cache_miss_scan, cache_miss)),
-                ("no_program", scan_vs_indexed(no_program_scan, no_program)),
-                ("reused_outcome_ns", Value::F64(round1(reused))),
-                (
-                    "tracing",
-                    obj(vec![
-                        ("disabled_cache_hit_ns", Value::F64(round1(untraced_hit))),
-                        ("enabled_cache_hit_ns", Value::F64(round1(traced_hit))),
-                        ("overhead_ratio", Value::F64(round3(traced_hit / untraced_hit))),
-                    ]),
-                ),
-                (
-                    "megaflow_cache",
-                    obj(vec![
-                        ("dispatch_off_cache_hit_ns", Value::F64(round1(megaflow_off_hit))),
-                        ("dispatch_on_cache_hit_ns", Value::F64(round1(megaflow_hit))),
-                        ("dispatch_ratio", Value::F64(round3(megaflow_ratio))),
-                        ("ternary_path_off_ns", Value::F64(round1(ternary_path_off))),
-                        ("ternary_path_on_ns", Value::F64(round1(ternary_path_on))),
-                        ("ternary_path_speedup", Value::F64(round3(ternary_path_speedup))),
-                    ]),
-                ),
-            ]),
-        ),
         ("table_lookup", Value::Array(lookups)),
         (
             "ternary_scaling",
@@ -528,59 +357,23 @@ fn main() {
             "parallel_scaling",
             obj(vec![
                 ("host_cores", Value::U64(host_cores as u64)),
-                ("replay_packets", Value::U64(REPLAY_PACKETS as u64)),
+                ("residents", Value::U64(residents() as u64)),
+                ("replay_packets", Value::U64(mix.len() as u64)),
                 ("replay_flows", Value::U64(REPLAY_FLOWS as u64)),
+                (
+                    "shard_packets",
+                    Value::Array(shard_packets.iter().map(|&n| Value::U64(n as u64)).collect()),
+                ),
+                ("rounds", Value::U64(ROUNDS as u64)),
                 ("sequential_ns_per_pkt", Value::F64(round1(seq_ns))),
                 ("workers", Value::Array(scaling_rows)),
                 ("two_worker_speedup", Value::F64(round3(two_worker_speedup))),
+                ("two_worker_speedup_per_round", Value::Array(two_worker_rounds)),
+                ("min_speedup", Value::F64(POOL_MIN_SPEEDUP)),
                 ("scaling_assert", Value::Str(scaling_assert)),
             ]),
         ),
-        (
-            "single_worker_guard",
-            obj(vec![
-                ("cache_hit_scan_forced_ns", Value::F64(round1(cache_hit_scan))),
-                ("cache_hit_indexed_ns", Value::F64(round1(cache_hit))),
-                ("indexed_vs_scan_ratio", Value::F64(round3(guard_ratio))),
-                ("inject_into_ns", Value::F64(round1(reused))),
-                ("inject_sharded_fallback_ns", Value::F64(round1(sharded_fallback))),
-                ("fallback_ratio", Value::F64(round3(fallback_ratio))),
-                ("max_ratio", Value::F64(GUARD_MAX_RATIO)),
-            ]),
-        ),
-        (
-            "attribution_guard",
-            obj(vec![
-                ("interleaved_off_ns", Value::F64(round1(attr_off_hit))),
-                ("telemetry_cache_hit_ns", Value::F64(round1(telemetry_hit))),
-                ("telemetry_overhead_ratio", Value::F64(round3(telemetry_ratio))),
-                ("attributed_cache_hit_ns", Value::F64(round1(attributed_hit))),
-                ("attribution_overhead_ratio", Value::F64(round3(attribution_ratio))),
-                ("max_ratio", Value::F64(ATTR_MAX_RATIO)),
-            ]),
-        ),
         ("snapshot_publish", obj(publish_fields)),
-        (
-            "history",
-            obj(vec![
-                (
-                    "note",
-                    Value::Str(
-                        "Absolute ns figures carried from earlier PRs on this host; \
-                         informational only. Guards compare interleaved same-run A/B \
-                         ratios and never assert against these."
-                            .into(),
-                    ),
-                ),
-                ("seed_cache_hit_ns", Value::F64(2450.0)),
-                ("pre_fastpath_cache_hit_ns", Value::F64(2900.1)),
-                ("pre_fastpath_cache_miss_ns", Value::F64(2656.5)),
-                ("pre_fastpath_no_program_ns", Value::F64(876.8)),
-                ("pr5_cache_hit_ns", Value::F64(923.6)),
-                ("pr5_cache_hit_remeasured_ns", Value::F64(1119.1)),
-                ("pre_attribution_cache_hit_ns", Value::F64(1214.5)),
-            ]),
-        ),
     ]);
 
     let rendered = json::to_string_pretty(&doc);

@@ -50,7 +50,7 @@ fn case_a_impact_on_traffic() {
     let mut churn = 0usize;
     while !replay.done() {
         let until = replay.next_time().map(|t| t.max(event_t)).unwrap_or(event_t);
-        replay.run_until_into(event_t.min(until + Nanos(1)), |port, frame, out| {
+        replay.run_until(event_t.min(until + Nanos(1)), |_, port, frame, out| {
             ctl.inject_into(port, frame, out).unwrap()
         });
         if replay.done() {
@@ -156,7 +156,7 @@ fn case_b_cache() {
             server_bytes = 0;
             bucket_end += Nanos::from_millis(BUCKET_MS);
         }
-        replay.run_until_into(t + Nanos(1), |port, frame, out| {
+        replay.run_until(t + Nanos(1), |_, port, frame, out| {
             ctl.inject_into(port, frame, out).unwrap();
             for (p, bytes) in &out.emitted {
                 if *p == 32 {
@@ -234,7 +234,7 @@ fn case_c_lb() {
             b = 0;
             bucket_end += Nanos::from_millis(BUCKET_MS);
         }
-        replay.run_until_into(t + Nanos(1), |port, frame, out| {
+        replay.run_until(t + Nanos(1), |_, port, frame, out| {
             ctl.inject_into(port, frame, out).unwrap();
             for (p, bytes) in &out.emitted {
                 match p {
@@ -298,7 +298,7 @@ fn case_d_hh() {
     let step = Nanos::from_millis(250);
     let mut next = step;
     while !replay.done() {
-        replay.run_until_into(next, |port, frame, out| {
+        replay.run_until(next, |_, port, frame, out| {
             ctl.inject_into(port, frame, out).unwrap()
         });
         f1_series.push(f1_score(&replay.reported_flows, &truth).f1);
@@ -314,7 +314,7 @@ fn case_d_hh() {
     // Native equivalent.
     let mut native = baselines::NativeHh::build(1024, 1024).unwrap();
     let mut replay = Replay::new(timed);
-    replay.run_all_into(|port, frame, out| {
+    replay.run_all(|_, port, frame, out| {
         native.switch.process_frame_into(port, frame, out).unwrap()
     });
     let theirs = f1_score(&replay.reported_flows, &truth);

@@ -198,7 +198,7 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Wall-clock measurement helpers shared by the headline harnesses.
+/// Wall-clock measurement helpers of `bench_dataplane`.
 ///
 /// The guard methodology: never assert a fresh measurement against a
 /// nanosecond constant recorded in an earlier session (PR-6 and PR-7 each
@@ -253,33 +253,11 @@ pub mod measure {
     }
 }
 
-/// Data-plane fixtures shared by the Criterion benches and the
-/// `bench_dataplane` headline harness, so both measure exactly the same
-/// workloads.
+/// Table fixtures of the `bench_dataplane` probes.
 pub mod fixtures {
-    use netpkt::CacheOp;
-    use p4rp_ctl::Controller;
-    use p4rp_progs::sources;
-    use rmt_sim::action::{ActionDef, Operand, VliwOp};
-    use rmt_sim::parser::{HeaderDef, HeaderField, NextState, ParseState, Parser};
+    use rmt_sim::action::ActionDef;
     use rmt_sim::phv::{FieldTable, Phv};
-    use rmt_sim::pipeline::{Gress, Pipeline, StageLimits};
-    use rmt_sim::switch::{Switch, SwitchConfig};
     use rmt_sim::table::{EntryHandle, KeySpec, MatchKind, MatchValue, Table, TableEntry};
-
-    /// Controller with the cache program deployed, plus (hit, miss, plain)
-    /// probe frames for its key space.
-    pub fn cache_controller() -> (Controller, Vec<u8>, Vec<u8>, Vec<u8>) {
-        let mut ctl = Controller::with_defaults().unwrap();
-        let src =
-            sources::cache("cache", "<hdr.udp.dst_port, 7777, 0xffff>", 1024, &[(0x8888, 512)]);
-        ctl.deploy(&src).unwrap();
-        let flows = traffic::make_flows(5, 1, 0.0);
-        let hit = traffic::netcache_frame(&flows[0].tuple, CacheOp::Read, 0x8888, 0);
-        let miss = traffic::netcache_frame(&flows[0].tuple, CacheOp::Read, 0x9999, 0);
-        let plain = traffic::frame_for(&flows[0].tuple, 64);
-        (ctl, hit, miss, plain)
-    }
 
     /// An exact-key two-field table with `n` entries, plus probe PHVs
     /// cycling over the stored keys (so the scan cost is the average
@@ -314,46 +292,14 @@ pub mod fixtures {
         (tbl, probes)
     }
 
-    /// A single-field ternary table with `n` disjoint entries sharing one
-    /// mask — the TCAM stand-in. Indexed this is a one-group tuple-space
-    /// search; `set_indexed(false)` measures the priority-ordered scan it
-    /// replaced.
-    pub fn ternary_fixture(n: usize) -> (Table, Vec<Phv>) {
-        let mut ft = FieldTable::new();
-        let a = ft.register("meta.a", 32).unwrap();
-        let key = KeySpec::new(vec![(a, MatchKind::Ternary)]);
-        let mut tbl = Table::new("bench_ternary", key, vec![ActionDef::noop("hit")], n);
-        for i in 0..n as u64 {
-            tbl.insert(
-                EntryHandle(i),
-                TableEntry {
-                    matches: vec![MatchValue::Ternary { value: i << 8, mask: 0xffff_ff00 }],
-                    priority: 0,
-                    action: 0,
-                    data: vec![i],
-                },
-            )
-            .unwrap();
-        }
-        let probes = (0..64u64)
-            .map(|p| {
-                let i = (p * 17) % n as u64;
-                let mut phv = Phv::new(&ft);
-                phv.set(&ft, a, (i << 8) | 0x42);
-                phv
-            })
-            .collect();
-        (tbl, probes)
-    }
-
     /// A single-field ternary table with `n` entries spread evenly over
     /// `groups` distinct masks — the tuple-space-search stress workload
     /// (`ternary_scaling` in `BENCH_dataplane.json`). Bits 12–31 identify
     /// the entry, bits 6–11 vary per mask group, bits 0–5 are never
-    /// matched (probe noise, which the megaflow union mask must absorb).
-    /// Each probe matches exactly one entry. One more entry
-    /// ([`tss_spoiler`]) keeps the table a single common-mask partition, so
-    /// every lookup really walks the mask groups (`groups + 1` of them).
+    /// matched (probe noise). Each probe matches exactly one entry. One more
+    /// entry ([`tss_spoiler`]) keeps the table a single common-mask
+    /// partition, so every lookup really walks the mask groups
+    /// (`groups + 1` of them).
     pub fn tss_fixture(n: usize, groups: usize) -> (Table, Vec<Phv>) {
         assert!(n.is_multiple_of(groups) && n / groups > 0, "groups must divide n");
         let per = (n / groups) as u64;
@@ -389,11 +335,11 @@ pub mod fixtures {
         (tbl, probes)
     }
 
-    /// The entry that defeats common-mask partitioning in the tuple-space
-    /// fixtures: its mask shares no bit with the bits every group mask has
+    /// The entry that defeats common-mask partitioning in [`tss_fixture`]:
+    /// its mask shares no bit with the bits every group mask has
     /// (12–31), so no key bit is common to all entries, and it needs bits
     /// 6–11 set, which no probe has, so it never matches. Without it each
-    /// fixture entry would be a partition of its own and the fixtures would
+    /// fixture entry would be a partition of its own and the fixture would
     /// stop measuring tuple-space search.
     fn tss_spoiler() -> TableEntry {
         TableEntry {
@@ -402,77 +348,6 @@ pub mod fixtures {
             action: 0,
             data: vec![],
         }
-    }
-
-    /// A provisioned one-stage switch whose only ingress table is the
-    /// all-ternary [`tss_fixture`] workload keyed on a parsed header field —
-    /// the frame-path megaflow-cache probe. Probe frames cycle the same
-    /// 64-value mix as the table fixture, each matching exactly one entry,
-    /// with low-bit noise the union mask must absorb.
-    pub fn ternary_switch(n: usize, groups: usize) -> (Switch, Vec<Vec<u8>>) {
-        assert!(n.is_multiple_of(groups) && n / groups > 0, "groups must divide n");
-        let per = (n / groups) as u64;
-        let mut ft = FieldTable::new();
-        let a = ft.register("hdr.key.a", 32).unwrap();
-        let valid = ft.register("hdr.key.$valid", 1).unwrap();
-        let intr = ft.intrinsics();
-        let mut parser = Parser::new();
-        let h = parser.add_header(HeaderDef {
-            name: "key".into(),
-            len_bytes: 4,
-            fields: vec![HeaderField { field: a, bit_offset: 0, bits: 32 }],
-            presence: valid,
-            checksum_at: None,
-            bitmap_bit: 0,
-        });
-        let s = parser.add_state(ParseState {
-            header: h,
-            select: None,
-            transitions: vec![],
-            default: NextState::Accept,
-        });
-        parser.set_start(s);
-        let mut ingress = Pipeline::new(Gress::Ingress, 1, StageLimits::default());
-        let fwd = ActionDef {
-            name: "fwd".into(),
-            ops: vec![
-                VliwOp::set(intr.egress_spec, Operand::Const(1)),
-                VliwOp::set(intr.egress_valid, Operand::Const(1)),
-            ],
-            hash: None,
-            salu: None,
-        };
-        let key = KeySpec::new(vec![(a, MatchKind::Ternary)]);
-        let mut tbl = Table::new("tcam", key, vec![fwd], n + 1);
-        for g in 0..groups as u64 {
-            let mask = 0xffff_f000u64 | (g << 6);
-            for i in 0..per {
-                tbl.insert(
-                    EntryHandle(g * per + i),
-                    TableEntry {
-                        matches: vec![MatchValue::Ternary { value: (g << 26) | (i << 12), mask }],
-                        priority: 0,
-                        action: 0,
-                        data: vec![],
-                    },
-                )
-                .unwrap();
-            }
-        }
-        tbl.insert(EntryHandle(n as u64), tss_spoiler()).unwrap();
-        tbl.set_default_action(0, vec![]);
-        ingress.stage_mut(0).unwrap().add_table(tbl);
-        let egress = Pipeline::new(Gress::Egress, 1, StageLimits::default());
-        let mut sw = Switch::assemble(SwitchConfig::default(), ft, parser, ingress, egress);
-        sw.provision().unwrap();
-        let frames = (0..64u64)
-            .map(|p| {
-                let idx = (p * 17) % n as u64;
-                let (g, i) = (idx / per, idx % per);
-                (((g << 26) | (i << 12) | (p & 0x3f)) as u32).to_be_bytes().to_vec()
-            })
-            .collect();
-        (sw, frames)
     }
 }
 

@@ -177,8 +177,7 @@ pub struct AllocConfig {
     /// Solve with the naive reference DFS (clone-heavy, no pruning beyond
     /// the `x_L` bound) instead of the window-propagated fast solver. The
     /// reference is the semantic authority the `alloc_equivalence`
-    /// proptest suite checks the fast solver against, and the "before"
-    /// side of `bench_controlplane`.
+    /// proptest suite checks the fast solver against.
     pub reference: bool,
 }
 

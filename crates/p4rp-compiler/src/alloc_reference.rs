@@ -6,8 +6,7 @@
 //! windows, with interned memory ids, a suffix-capacity prune and
 //! free-slot dominance. This module is kept as the semantic authority: the
 //! `alloc_equivalence` proptest suite checks the fast solver against it
-//! (same feasibility verdict, no-worse `x_L`), and `bench_controlplane`
-//! uses it as the "before" measurement. Select it with
+//! (same feasibility verdict, no-worse `x_L`). Select it with
 //! [`crate::alloc::AllocConfig::reference`].
 
 use crate::alloc::{AllocConfig, AllocView, Allocation, Objective, SlotReq};

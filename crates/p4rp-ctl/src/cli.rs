@@ -403,7 +403,7 @@ impl Cli {
         if workers <= 1 {
             let mut r = traffic::replay::Replay::new(trace);
             let mut failed = None;
-            r.run_all_into(|port, frame, out| {
+            r.run_all(|_, port, frame, out| {
                 if failed.is_none() {
                     if let Err(e) = self.ctl.inject_into(port, frame, out) {
                         failed = Some(format!("error: {e}"));

@@ -699,18 +699,6 @@ impl Controller {
         }
     }
 
-    /// Arm or drop the megaflow result cache on every table of the master
-    /// switch and any live workers (forked workers inherit the master's
-    /// setting). See `rmt_sim::table::Table::set_result_cache`.
-    pub fn set_result_cache(&mut self, on: bool) {
-        self.switch.set_result_cache_all(on);
-        if let Some(pool) = self.workers.as_mut() {
-            for w in pool.workers_mut() {
-                w.switch_mut().set_result_cache_all(on);
-            }
-        }
-    }
-
     /// Force every table (master and workers) onto the priority-ordered
     /// scan (`false`) or its maintained index (`true`) — the scan-authority
     /// toggle for bit-identical replay comparisons.

@@ -31,8 +31,10 @@ use std::collections::BTreeMap;
 /// (`server`, see `docs/SERVER.md`); version 5 added `tss_partitions` and
 /// `tss_max_partition` to `tables` (`tss_groups` now sums over partitions);
 /// version 6 added `solver_truncated` to spans, whose `seq` now counts past
-/// the [`SPAN_HISTORY`] spans the document keeps.
-pub const SCHEMA_VERSION: u64 = 6;
+/// the [`SPAN_HISTORY`] spans the document keeps; version 7 removed `cache`
+/// and `cache_entries` from `tables` with the megaflow result cache
+/// (`cache_hits` / `cache_misses` stay as reserved zeros).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Lifecycle spans a controller keeps (the most recent ones). A span is
 /// ~200 bytes; a controller churning 16 000 deploys a second would
@@ -640,8 +642,8 @@ pub struct TelemetryReport {
     pub slo: Option<SloStatus>,
     /// Windowed time series; `None` when series collection is off.
     pub series: Option<SeriesRing>,
-    /// Per-table lookup-structure rows (index mode, tuple-space groups,
-    /// result-cache effectiveness), in pipeline order.
+    /// Per-table lookup-structure rows (index mode, partitions,
+    /// tuple-space groups), in pipeline order.
     pub tables: Vec<TableIndexStats>,
     /// Runtime-control server counters; `None` when no server has run on
     /// this controller (`docs/SERVER.md`).
@@ -869,12 +871,6 @@ impl TelemetryReport {
                         t.tss_partitions, t.tss_max_partition, t.tss_groups
                     ));
                 }
-                if t.cache {
-                    out.push_str(&format!(
-                        ", cache {} line(s) {} hits / {} misses",
-                        t.cache_entries, t.cache_hits, t.cache_misses
-                    ));
-                }
                 out.push('\n');
             }
         }
@@ -1014,10 +1010,8 @@ mod tests {
                 tss_max_partition: 10,
                 hits: 100,
                 misses: 4,
-                cache: true,
-                cache_entries: 7,
-                cache_hits: 90,
-                cache_misses: 14,
+                cache_hits: 0,
+                cache_misses: 0,
             }],
             server: Some({
                 let mut sv = ServerStats::new();

@@ -21,16 +21,29 @@ use crate::error::LangError;
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 
+/// Deepest nesting of `case` blocks the parser accepts. The parser and
+/// every later walk over the AST (`Drop`, pretty-printing, type checking,
+/// lowering) recurse once per level, so an unbounded source — the control
+/// server accepts lines up to 1 MiB — would overflow the stack, which
+/// aborts the process rather than unwinding. Each nested `BRANCH` needs a
+/// logical RPB of its own and a bit of the 16-bit branch id; the allocator
+/// has 44 logical RPBs (22 RPBs × 2 passes), so 64 rejects nothing that
+/// could be deployed. A debug build parses twice that depth on a 2 MiB
+/// thread stack.
+const MAX_NESTING: usize = 64;
+
 /// Parse a full source unit.
 pub fn parse(src: &str) -> Result<SourceUnit, LangError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     p.source_unit()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `case` blocks enclosing the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -305,6 +318,13 @@ impl Parser {
 
     fn case(&mut self) -> Result<Case, LangError> {
         let kw = self.expect(&TokenKind::KwCase)?;
+        if self.depth == MAX_NESTING {
+            return Err(LangError::parse(
+                format!("case blocks nested deeper than {MAX_NESTING}"),
+                kw.line,
+                kw.col,
+            ));
+        }
         self.expect(&TokenKind::LParen)?;
         let mut conds = RegConds::default();
         let mut positional_idx = 0usize;
@@ -318,7 +338,9 @@ impl Parser {
         }
         self.expect(&TokenKind::RParen)?;
         self.expect(&TokenKind::LBrace)?;
+        self.depth += 1;
         let body = self.primitive_list()?;
+        self.depth -= 1;
         self.expect(&TokenKind::RBrace)?;
         Ok(Case { conds, body, line: kw.line })
     }
@@ -471,6 +493,36 @@ program p(<a, 1, 1>) {
             panic!()
         };
         assert!(matches!(cases[0].body[0].kind, PrimitiveKind::Branch { .. }));
+    }
+
+    /// `depth` nested `BRANCH: case(…) {` blocks, one per line from line 2.
+    fn nested(depth: usize) -> String {
+        let open = "BRANCH: case(<sar, 0, 0xffffffff>) {\n".repeat(depth);
+        let close = "};\n".repeat(depth);
+        format!("program p(<a, 1, 1>) {{\n{open}DROP;\n{close}}}")
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let mut body = &parse(&nested(MAX_NESTING)).unwrap().programs[0].body;
+        let mut depth = 0;
+        while let PrimitiveKind::Branch { cases } = &body[0].kind {
+            body = &cases[0].body;
+            depth += 1;
+        }
+        assert_eq!(depth, MAX_NESTING);
+        // The first `case` past the limit sits on line limit + 2, column 9.
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            LangError::parse(
+                format!("case blocks nested deeper than {MAX_NESTING}"),
+                MAX_NESTING as u32 + 2,
+                9
+            )
+        );
+        // What used to abort the process is an ordinary error.
+        assert!(parse(&nested(20_000)).is_err());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! exactly one install batch and replay the identical run from the same
 //! seed. The plan lives inside [`ControlChannel`](crate::control::ControlChannel)
 //! and is consulted on the hot path only through two branch-on-empty
-//! checks, so a disarmed plan costs nothing measurable (the bench guard in
-//! `bench_controlplane` holds it to within noise).
+//! checks, so a disarmed plan costs nothing measurable.
 
 use crate::switch::ControlOp;
 use rand::prelude::*;

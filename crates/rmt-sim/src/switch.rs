@@ -128,9 +128,9 @@ pub struct TableRef {
 }
 
 /// Per-table lookup-structure statistics: which index serves the table
-/// (`exact` / `lpm` / `tss` / `scan`), common-mask partition and
-/// tuple-space mask-group counts, and megaflow result-cache effectiveness. Surfaced through the telemetry
-/// report's `tables` section (`status --json`).
+/// (`exact` / `lpm` / `tss` / `scan`) and its common-mask partition and
+/// tuple-space mask-group counts. Surfaced through the telemetry report's
+/// `tables` section (`status --json`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableIndexStats {
     /// `"ingress"` or `"egress"`.
@@ -159,13 +159,11 @@ pub struct TableIndexStats {
     pub hits: u64,
     /// Lookup misses.
     pub misses: u64,
-    /// Megaflow result cache armed.
-    pub cache: bool,
-    /// Valid memoized probes in the result cache.
-    pub cache_entries: u64,
-    /// Result-cache hits.
+    /// Reserved, always 0: the megaflow result cache is gone, but
+    /// `p4rp_bench` still reads this field for `table.cache_hit_ratio`.
+    /// Goes with that metric in a `benchmark` PR.
     pub cache_hits: u64,
-    /// Result-cache misses.
+    /// Reserved, always 0 (see `cache_hits`).
     pub cache_misses: u64,
 }
 
@@ -182,8 +180,6 @@ serde::impl_serde_struct!(TableIndexStats {
     tss_max_partition,
     hits,
     misses,
-    cache,
-    cache_entries,
     cache_hits,
     cache_misses,
 });
@@ -568,18 +564,6 @@ impl Switch {
         }
     }
 
-    /// Arm or drop the megaflow result cache on every table (see
-    /// [`Table::set_result_cache`]).
-    pub fn set_result_cache_all(&mut self, on: bool) {
-        for pipe in [&mut self.ingress, &mut self.egress] {
-            for stage in &mut pipe.stages {
-                for table in &mut stage.tables {
-                    table.set_result_cache(on);
-                }
-            }
-        }
-    }
-
     /// Lookup-structure statistics for every table, in the same
     /// deterministic order as [`Switch::table_refs`].
     pub fn table_index_stats(&self) -> Vec<TableIndexStats> {
@@ -600,10 +584,8 @@ impl Switch {
                         tss_max_partition: t.tss_max_partition() as u64,
                         hits: t.hits,
                         misses: t.misses,
-                        cache: t.result_cache_enabled(),
-                        cache_entries: t.result_cache_len() as u64,
-                        cache_hits: t.cache_hits,
-                        cache_misses: t.cache_misses,
+                        cache_hits: 0,
+                        cache_misses: 0,
                     });
                 }
             }

@@ -36,10 +36,6 @@
 //! The priority-ordered scan remains the semantic authority — force it with
 //! [`Table::set_indexed`]`(false)`; the indexes are pure accelerations of
 //! it.
-//!
-//! An optional megaflow-style result cache ([`Table::set_result_cache`])
-//! memoizes whole lookups under the union of all entry masks, invalidated
-//! wholesale by a table-generation stamp on any entry mutation.
 
 use crate::action::ActionDef;
 use crate::error::{SimError, SimResult};
@@ -187,8 +183,8 @@ impl StoredEntry {
 }
 
 /// Indexed keys wider than this fall back to the ordered scan: the exact
-/// index, the tuple-space groups, and the result cache all build their
-/// masked probe tuples in a fixed stack array of this size.
+/// index and the tuple-space groups build their masked probe tuples in a
+/// fixed stack array of this size.
 const MAX_INDEX_KEY_FIELDS: usize = 16;
 
 /// Up to this many candidates are scanned in rank order instead of hashed:
@@ -197,9 +193,6 @@ const MAX_INDEX_KEY_FIELDS: usize = 16;
 /// loaded switch) and one common-mask partition of a large one (a loaded
 /// RPB table holds up to 2 048 entries, one program a handful of them).
 const TSS_SCAN_CUTOFF: usize = 8;
-
-/// Memoized probes the result cache holds before a wholesale flush.
-const RESULT_CACHE_CAP: usize = 4096;
 
 /// The effective per-field mask of one match value: the set of key bits
 /// that decide the match. `Exact` is a full mask, `Ternary` carries its
@@ -231,14 +224,12 @@ fn eff_mask(mv: &MatchValue) -> EffMask {
     }
 }
 
-/// The effective mask as a plain word, a range field standing in as
-/// `range`: `u64::MAX` for union-mask accumulation (a range constrains the
-/// whole word, so the cache must key on all of it), 0 for AND-masks that
-/// build hash probes (a range has no maskable bits).
-fn mask_word(mv: &MatchValue, range: u64) -> u64 {
+/// The effective mask as an AND-mask for building hash probes: a range has
+/// no maskable bits and contributes 0.
+fn mask_word(mv: &MatchValue) -> u64 {
     match eff_mask(mv) {
         EffMask::Mask(m) => m,
-        EffMask::Range => range,
+        EffMask::Range => 0,
     }
 }
 
@@ -361,30 +352,12 @@ impl TssIndex {
     fn narrow(common: &mut [u64], entry: &TableEntry) -> bool {
         let mut narrowed = false;
         for (c, mv) in common.iter_mut().zip(&entry.matches) {
-            let m = mask_word(mv, 0);
+            let m = mask_word(mv);
             narrowed |= *c & !m != 0;
             *c &= m;
         }
         narrowed
     }
-}
-
-/// Megaflow-style result cache: memoizes [`Table::find_slot`] keyed by
-/// the probe masked with the union of every entry's effective mask. Any
-/// two probes equal under the union mask match exactly the same entry
-/// set, so they share one winner — one cache line covers a whole flow
-/// aggregate, OVS-megaflow style.
-#[derive(Debug, Clone)]
-struct ResultCache {
-    /// Per-field OR of every inserted entry's effective mask (`Range` ⇒
-    /// full word). Only ever widens between wholesale flushes — a
-    /// superset mask is always correct, merely less aggregating.
-    union_mask: Vec<u64>,
-    /// Masked probe tuple → the winning slot (`None` memoizes a miss).
-    map: FxHashMap<Box<[u64]>, Option<u32>>,
-    /// Table generation the map was filled at; a mismatch on lookup
-    /// flushes the whole map — the wholesale megaflow invalidation.
-    stamp: u64,
 }
 
 /// The per-prefix-length buckets of the single-field LPM index, sorted by
@@ -440,24 +413,14 @@ pub struct Table {
     by_handle: FxHashMap<EntryHandle, u32>,
     index: Index,
     /// When false, lookups take the ordered scan even if an index is
-    /// maintained — the measurement baseline for the indexed fast path.
-    /// Also bypasses the result cache: scan mode is the pure semantic
-    /// authority.
+    /// maintained — the scan is the semantic authority the indexes are
+    /// checked against.
     indexed: bool,
-    /// Optional megaflow-style result cache ([`Table::set_result_cache`]).
-    cache: Option<Box<ResultCache>>,
-    /// Mutation generation: bumped by every insert/delete/clear; stamps
-    /// (and thereby invalidates) the result cache.
-    generation: u64,
     next_seq: u64,
     /// Lookup counter for utilization statistics.
     pub hits: u64,
     /// Misses.
     pub misses: u64,
-    /// Result-cache hits (probe answered without running a lookup).
-    pub cache_hits: u64,
-    /// Result-cache misses (lookup ran, result memoized).
-    pub cache_misses: u64,
 }
 
 /// Outcome of a table lookup.
@@ -511,13 +474,9 @@ impl Table {
             by_handle: FxHashMap::default(),
             index,
             indexed: true,
-            cache: None,
-            generation: 0,
             next_seq: 0,
             hits: 0,
             misses: 0,
-            cache_hits: 0,
-            cache_misses: 0,
         }
     }
 
@@ -580,47 +539,6 @@ impl Table {
     /// lookup cost (0 unless the TSS index is active).
     pub fn tss_max_partition(&self) -> usize {
         self.tss_parts().map(|p| p.members.len()).max().unwrap_or(0)
-    }
-
-    /// Arm (`true`) or drop (`false`) the megaflow-style result cache.
-    /// Arming computes the union mask from the live entries. The cache is
-    /// bypassed whenever `set_indexed(false)` forces the authoritative
-    /// scan; keys wider than [`MAX_INDEX_KEY_FIELDS`] cannot build their
-    /// masked probe on the stack and the call is a no-op.
-    pub fn set_result_cache(&mut self, on: bool) {
-        if !on {
-            self.cache = None;
-            return;
-        }
-        if self.key.fields.len() > MAX_INDEX_KEY_FIELDS || self.cache.is_some() {
-            return;
-        }
-        let mut union_mask = vec![0u64; self.key.fields.len()];
-        for &slot in &self.order {
-            let entry = &self.slots[slot as usize].as_ref().expect("live slot").entry;
-            for (um, mv) in union_mask.iter_mut().zip(&entry.matches) {
-                *um |= mask_word(mv, u64::MAX);
-            }
-        }
-        self.cache = Some(Box::new(ResultCache {
-            union_mask,
-            map: FxHashMap::default(),
-            stamp: self.generation,
-        }));
-    }
-
-    /// Whether the megaflow result cache is armed.
-    pub fn result_cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Memoized probes currently valid in the result cache (0 when the
-    /// map is stale and pending its wholesale flush).
-    pub fn result_cache_len(&self) -> usize {
-        match &self.cache {
-            Some(c) if c.stamp == self.generation => c.map.len(),
-            _ => 0,
-        }
     }
 
     /// Number of elements.
@@ -761,7 +679,7 @@ impl Table {
             Some(gi) => gi,
             None => {
                 let id: Box<[EffMask]> = entry.matches.iter().map(eff_mask).collect();
-                let key_masks: Box<[u64]> = entry.matches.iter().map(|mv| mask_word(mv, 0)).collect();
+                let key_masks: Box<[u64]> = entry.matches.iter().map(mask_word).collect();
                 let range_fields = id.iter().filter(|em| matches!(em, EffMask::Range)).count();
                 let single_range = (range_fields == 1)
                     .then(|| id.iter().position(|em| matches!(em, EffMask::Range)))
@@ -1006,15 +924,6 @@ impl Table {
         if entry.action >= self.actions.len() {
             return Err(SimError::NoSuchAction { table: self.name.clone(), action: entry.action });
         }
-        // Any mutation invalidates the result cache (generation stamp);
-        // the union mask only ever widens between flushes, which is
-        // always correct — see [`ResultCache`].
-        self.generation += 1;
-        if let Some(cache) = self.cache.as_mut() {
-            for (um, mv) in cache.union_mask.iter_mut().zip(&entry.matches) {
-                *um |= mask_word(mv, u64::MAX);
-            }
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let stored = StoredEntry { handle, seq, entry };
@@ -1048,7 +957,6 @@ impl Table {
         let Some(slot) = self.by_handle.remove(&handle) else {
             return Err(SimError::NoSuchEntry(handle.0));
         };
-        self.generation += 1;
         // Ranks are unique, so the rank-sorted order finds the slot exactly.
         let rank = self.stored(slot).rank();
         let pos = self
@@ -1076,14 +984,6 @@ impl Table {
         self.order.clear();
         self.by_handle.clear();
         self.index = Self::fresh_index(&self.key);
-        self.generation += 1;
-        if let Some(cache) = self.cache.as_mut() {
-            // The only point the union mask may narrow again — the map is
-            // flushed with it.
-            cache.map.clear();
-            cache.union_mask.fill(0);
-            cache.stamp = self.generation;
-        }
     }
 
     /// The slot the indexed or scanned lookup selects, if any. Does not
@@ -1204,34 +1104,6 @@ impl Table {
         best
     }
 
-    /// [`Table::find_slot`] through the megaflow result cache: flush on a
-    /// stale generation stamp, then answer repeat masked probes from the
-    /// memo without touching the index or the scan.
-    fn cached_find_slot(&mut self, phv: &Phv) -> Option<u32> {
-        let n = self.key.fields.len();
-        let mut probe = [0u64; MAX_INDEX_KEY_FIELDS];
-        let cache = self.cache.as_mut().expect("cache armed");
-        if cache.stamp != self.generation {
-            cache.map.clear();
-            cache.stamp = self.generation;
-        }
-        for (i, (field, _)) in self.key.fields.iter().enumerate() {
-            probe[i] = phv.get(*field) & cache.union_mask[i];
-        }
-        if let Some(&memo) = cache.map.get(&probe[..n]) {
-            self.cache_hits += 1;
-            return memo;
-        }
-        let found = self.find_slot(phv);
-        self.cache_misses += 1;
-        let cache = self.cache.as_mut().expect("cache armed");
-        if cache.map.len() >= RESULT_CACHE_CAP {
-            cache.map.clear();
-        }
-        cache.map.insert(probe[..n].into(), found);
-        found
-    }
-
     /// Look up the PHV, returning plain indices into the table instead of
     /// borrows — the allocation-free dispatch interface. Bumps hit/miss
     /// counters exactly as [`Table::lookup`] does.
@@ -1239,16 +1111,7 @@ impl Table {
         // A table with no entry misses whatever the key: answer before any
         // index dispatch or key read. Emptiness is read from the live entry
         // list, so no control operation has anything to invalidate.
-        let found = if self.order.is_empty() {
-            None
-        // The memo probe (union-mask + hash) only pays for itself past the
-        // scan cutoff — below it the direct scan is already cheaper than a
-        // hash, so tiny dispatch tables skip the cache even when armed.
-        } else if self.indexed && self.cache.is_some() && self.order.len() > TSS_SCAN_CUTOFF {
-            self.cached_find_slot(phv)
-        } else {
-            self.find_slot(phv)
-        };
+        let found = if self.order.is_empty() { None } else { self.find_slot(phv) };
         match found {
             Some(slot) => {
                 self.hits += 1;
@@ -1930,63 +1793,5 @@ mod tests {
         assert_eq!(tbl.tss_partitions(), 12);
         phv.set(&ft, f[0], 5);
         assert_eq!(both_ways(&mut tbl, &phv, "refilled"), Some(vec![5, 0]));
-    }
-
-    #[test]
-    fn result_cache_memoizes_and_invalidates_on_mutation() {
-        let (ft, a, _) = setup();
-        let key = KeySpec::new(vec![(a, MatchKind::Ternary)]);
-        let mut tbl = Table::new("t", key, noop_actions(2), 32);
-        for i in 0..12u64 {
-            tbl.insert(
-                EntryHandle(i),
-                TableEntry {
-                    matches: vec![MatchValue::Ternary { value: i << 8, mask: 0xff00 }],
-                    priority: 0,
-                    action: 0,
-                    data: vec![i],
-                },
-            )
-            .unwrap();
-        }
-        tbl.set_result_cache(true);
-        assert!(tbl.result_cache_enabled());
-        let mut phv = Phv::new(&ft);
-        phv.set(&ft, a, 0x0305);
-        assert_eq!(tbl.lookup(&phv).unwrap().data, &[3]);
-        assert_eq!((tbl.cache_hits, tbl.cache_misses), (0, 1));
-        // Different noise bits, same masked probe: one megaflow line.
-        phv.set(&ft, a, 0x03ff);
-        assert_eq!(tbl.lookup(&phv).unwrap().data, &[3]);
-        assert_eq!((tbl.cache_hits, tbl.cache_misses), (1, 1));
-        assert_eq!(tbl.result_cache_len(), 1);
-        // A higher-priority shadow entry takes effect immediately: the
-        // generation stamp flushes the memo wholesale.
-        tbl.insert(
-            EntryHandle(99),
-            TableEntry {
-                matches: vec![MatchValue::Ternary { value: 0x0300, mask: 0xff00 }],
-                priority: 7,
-                action: 1,
-                data: vec![99],
-            },
-        )
-        .unwrap();
-        assert_eq!(tbl.result_cache_len(), 0);
-        assert_eq!(tbl.lookup(&phv).unwrap().data, &[99]);
-        tbl.delete(EntryHandle(99)).unwrap();
-        assert_eq!(tbl.lookup(&phv).unwrap().data, &[3]);
-        // Misses are memoized too.
-        phv.set(&ft, a, 0xdd05);
-        assert!(tbl.lookup(&phv).is_none());
-        let misses = tbl.cache_misses;
-        assert!(tbl.lookup(&phv).is_none());
-        assert_eq!(tbl.cache_misses, misses);
-        // Scan mode bypasses the cache entirely: the authority stays pure.
-        tbl.set_indexed(false);
-        let (h, m) = (tbl.cache_hits, tbl.cache_misses);
-        phv.set(&ft, a, 0x0305);
-        assert_eq!(tbl.lookup(&phv).unwrap().data, &[3]);
-        assert_eq!((tbl.cache_hits, tbl.cache_misses), (h, m));
     }
 }

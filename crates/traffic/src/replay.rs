@@ -120,31 +120,15 @@ impl Replay {
 
     /// Inject all packets with `t < until` through `inject`, folding the
     /// outcomes into bucket statistics. Returns the number processed.
+    ///
+    /// `inject` gets the packet's trace timestamp (the flight-recorder path
+    /// stamps trace events with it via `TraceBuffer::set_now`, so packet
+    /// journeys and control batches share one timeline), its ingress port
+    /// and bytes, and a replay-owned scratch outcome to fill in place (pair
+    /// it with `Switch::process_frame_into` / `Controller::inject_into`), so
+    /// the steady-state injection loop reuses one outcome's buffers
+    /// throughout.
     pub fn run_until(
-        &mut self,
-        until: Nanos,
-        mut inject: impl FnMut(u16, &[u8]) -> ProcessOutcome,
-    ) -> usize {
-        self.run_until_into(until, |port, frame, out| *out = inject(port, frame))
-    }
-
-    /// Allocation-free variant of [`Replay::run_until`]: `inject` fills a
-    /// replay-owned scratch outcome in place (pair it with
-    /// `Switch::process_frame_into` / `Controller::inject_into`), so the
-    /// steady-state injection loop reuses one outcome's buffers throughout.
-    pub fn run_until_into(
-        &mut self,
-        until: Nanos,
-        mut inject: impl FnMut(u16, &[u8], &mut ProcessOutcome),
-    ) -> usize {
-        self.run_until_into_at(until, |_, port, frame, out| inject(port, frame, out))
-    }
-
-    /// [`Replay::run_until_into`] with the packet's trace timestamp passed
-    /// through to `inject` — the flight-recorder path uses it to stamp
-    /// trace events with the replay clock (`TraceBuffer::set_now`) so
-    /// packet journeys and control batches share one timeline.
-    pub fn run_until_into_at(
         &mut self,
         until: Nanos,
         mut inject: impl FnMut(Nanos, u16, &[u8], &mut ProcessOutcome),
@@ -184,23 +168,10 @@ impl Replay {
         n
     }
 
-    /// Run the whole trace.
-    pub fn run_all(&mut self, mut inject: impl FnMut(u16, &[u8]) -> ProcessOutcome) {
-        self.run_all_into(|port, frame, out| *out = inject(port, frame));
-    }
-
-    /// Allocation-free variant of [`Replay::run_all`].
-    pub fn run_all_into(&mut self, inject: impl FnMut(u16, &[u8], &mut ProcessOutcome)) {
+    /// Run the whole trace (see [`Replay::run_until`] for `inject`).
+    pub fn run_all(&mut self, inject: impl FnMut(Nanos, u16, &[u8], &mut ProcessOutcome)) {
         let end = self.packets.last().map(|p| p.t + Nanos(1)).unwrap_or(Nanos::ZERO);
-        self.run_until_into(end, inject);
-        self.finish();
-    }
-
-    /// [`Replay::run_all_into`] with timestamps (see
-    /// [`Replay::run_until_into_at`]).
-    pub fn run_all_into_at(&mut self, inject: impl FnMut(Nanos, u16, &[u8], &mut ProcessOutcome)) {
-        let end = self.packets.last().map(|p| p.t + Nanos(1)).unwrap_or(Nanos::ZERO);
-        self.run_until_into_at(end, inject);
+        self.run_until(end, inject);
         self.finish();
     }
 
@@ -345,7 +316,7 @@ impl ParallelReplay {
                         r.epoch = w.switch().telemetry().map_or(0, |m| m.epoch);
                         let mut err = None;
                         let mut k = 0usize;
-                        r.run_all_into_at(|t, port, frame, out| {
+                        r.run_all(|t, port, frame, out| {
                             if err.is_none() {
                                 if let Some(tr) = w.switch_mut().trace_mut() {
                                     tr.set_now(t);
@@ -445,7 +416,7 @@ mod tests {
     #[test]
     fn buckets_aggregate_by_time() {
         let mut r = Replay::new(vec![pkt(10, 100), pkt(20, 100), pkt(60, 100), pkt(120, 100)]);
-        r.run_all(|_, _| fake_outcome(Some((1, 100)), false, false));
+        r.run_all(|_, _, _, out| *out = fake_outcome(Some((1, 100)), false, false));
         // Buckets: [0,50): 2 pkts; [50,100): 1; [100,150): 1.
         assert_eq!(r.stats.len(), 3);
         assert_eq!(r.stats[0].offered_pkts, 2);
@@ -458,10 +429,10 @@ mod tests {
     #[test]
     fn run_until_splits_at_event_boundaries() {
         let mut r = Replay::new(vec![pkt(10, 50), pkt(60, 50), pkt(90, 50)]);
-        let n = r.run_until(Nanos::from_millis(55), |_, _| fake_outcome(None, true, false));
+        let n = r.run_until(Nanos::from_millis(55), |_, _, _, out| *out = fake_outcome(None, true, false));
         assert_eq!(n, 1);
         assert!(!r.done());
-        let n = r.run_until(Nanos::from_millis(1000), |_, _| fake_outcome(None, true, false));
+        let n = r.run_until(Nanos::from_millis(1000), |_, _, _, out| *out = fake_outcome(None, true, false));
         assert_eq!(n, 2);
         assert!(r.done());
         r.finish();
@@ -472,19 +443,19 @@ mod tests {
     fn buckets_are_tagged_with_the_active_epoch() {
         let mut r = Replay::new(vec![pkt(10, 100), pkt(60, 100), pkt(120, 100)]);
         // Bucket [0,50) under epoch 0; "deploy" before 60 ms bumps to 1.
-        r.run_until(Nanos::from_millis(50), |_, _| fake_outcome(None, false, false));
+        r.run_until(Nanos::from_millis(50), |_, _, _, out| *out = fake_outcome(None, false, false));
         r.epoch = 1;
-        r.run_until(Nanos::from_millis(100), |_, _| fake_outcome(None, false, false));
+        r.run_until(Nanos::from_millis(100), |_, _, _, out| *out = fake_outcome(None, false, false));
         r.epoch = 2;
-        r.run_all(|_, _| fake_outcome(None, false, false));
+        r.run_all(|_, _, _, out| *out = fake_outcome(None, false, false));
         assert_eq!(r.stats.iter().map(|s| s.epoch).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]
-    fn timestamped_variant_passes_the_trace_clock() {
+    fn inject_sees_the_trace_clock() {
         let mut r = Replay::new(vec![pkt(10, 100), pkt(60, 100)]);
         let mut seen = Vec::new();
-        r.run_all_into_at(|t, _, _, out| {
+        r.run_all(|t, _, _, out| {
             seen.push(t);
             *out = fake_outcome(None, false, false);
         });
@@ -496,9 +467,9 @@ mod tests {
     fn imbalance_metric() {
         let mut r = Replay::new(vec![pkt(1, 10), pkt(2, 10), pkt(3, 10), pkt(4, 10)]);
         let mut flip = 0u16;
-        r.run_all(|_, _| {
+        r.run_all(|_, _, _, out| {
             flip += 1;
-            fake_outcome(Some((flip % 2, 100)), false, false)
+            *out = fake_outcome(Some((flip % 2, 100)), false, false);
         });
         assert_eq!(r.imbalance(0, 1), 0.0, "perfectly balanced");
         assert_eq!(r.imbalance(0, 9), 1.0, "all traffic on one port");

@@ -52,7 +52,7 @@ fn main() {
     println!("streaming {} packets; {} flows exceed the {THRESHOLD}-packet threshold", packets.len(), truth.len());
 
     let mut replay = Replay::new(packets);
-    replay.run_all(|port, frame| ctl.inject(port, frame).unwrap());
+    replay.run_all(|_, port, frame, out| ctl.inject_into(port, frame, out).unwrap());
 
     let score = f1_score(&replay.reported_flows, &truth);
     println!(

@@ -3,8 +3,8 @@
 //! switch while the main thread deploys and revokes programs every few
 //! hundred milliseconds of trace time. The RX rate never flinches.
 //!
-//! The switch is shared between the two threads behind a `parking_lot`
-//! mutex (packets and control operations interleave, each atomic — the
+//! The switch is shared between the two threads behind a mutex
+//! (packets and control operations interleave, each atomic — the
 //! consistency model of §4.3), and the replay thread streams its bucket
 //! statistics back over a crossbeam channel.
 //!
@@ -13,12 +13,11 @@
 //! ```
 
 use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
 use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
 use p4runpro::rmt_sim::clock::Nanos;
 use p4runpro::traffic::{synthesize, CampusParams, Replay};
 use p4runpro::Controller;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn main() {
     let mut ctl = Controller::with_defaults().unwrap();
@@ -46,8 +45,8 @@ fn main() {
         while !replay.done() {
             let next = replay.next_time().unwrap() + Nanos(1);
             {
-                let mut ctl = replay_ctl.lock();
-                replay.run_until(next, |port, frame| ctl.inject(port, frame).unwrap());
+                let mut ctl = replay_ctl.lock().unwrap();
+                replay.run_until(next, |_, port, frame, out| ctl.inject_into(port, frame, out).unwrap());
             }
             // Surface completed buckets as they fill.
             while let Some(s) = replay.stats.get(sent) {
@@ -69,7 +68,7 @@ fn main() {
             println!("t={t:5.2}s  rx={mbps:6.2} Mbps  (programs deployed so far: {churn})");
         }
         if received.is_multiple_of(40) {
-            let mut ctl = ctl.lock();
+            let mut ctl = ctl.lock().unwrap();
             if let Some(old) = deployed.take() {
                 ctl.revoke(&old).unwrap();
             }
@@ -88,7 +87,7 @@ fn main() {
     }
     replayer.join().unwrap();
 
-    let ctl = ctl.lock();
+    let ctl = ctl.lock().unwrap();
     println!(
         "\ndone: {} programs churned, {} still deployed, switch forwarded continuously",
         churn,

@@ -209,15 +209,15 @@ fn replay_traffic_interleaves_with_faulted_churn() {
 
     // Burst → deploy (absorbs the timeout via retry) → burst → faulted
     // deploy (rolls back) → burst → revoke → rest of the trace.
-    rp.run_until(Nanos::from_micros(500), |p, f| ctl.inject(p, f).unwrap());
+    rp.run_until(Nanos::from_micros(500), |_, p, f, out| ctl.inject_into(p, f, out).unwrap());
     ctl.deploy(&chaos::pool_source(2)).unwrap();
-    rp.run_until(Nanos::from_micros(1500), |p, f| ctl.inject(p, f).unwrap());
+    rp.run_until(Nanos::from_micros(1500), |_, p, f, out| ctl.inject_into(p, f, out).unwrap());
     ctl.set_fault_plan(FaultPlan::parse_spec("failop@2").unwrap());
     let err = ctl.deploy(CACHE).unwrap_err();
     assert!(matches!(err, CtlError::DeployFault { .. }), "got {err}");
-    rp.run_until(Nanos::from_micros(2500), |p, f| ctl.inject(p, f).unwrap());
+    rp.run_until(Nanos::from_micros(2500), |_, p, f, out| ctl.inject_into(p, f, out).unwrap());
     ctl.revoke("c2").unwrap();
-    rp.run_all(|p, f| ctl.inject(p, f).unwrap());
+    rp.run_all(|_, p, f, out| ctl.inject_into(p, f, out).unwrap());
 
     // Every sentinel packet forwarded across all five phases.
     let (tx, offered): (u64, u64) =

@@ -155,7 +155,7 @@ fn threaded_driver_matches_sequential_totals() {
     let mut ctl = Controller::with_defaults().unwrap();
     deploy_forwarders(&mut ctl, &mix);
     let mut seq = Replay::new(trace.clone());
-    seq.run_all_into(|port, frame, out| {
+    seq.run_all(|_, port, frame, out| {
         ctl.inject_into(port, frame, out).unwrap();
     });
     seq.finish();
@@ -255,15 +255,13 @@ fn churn_under_parallel_replay_keeps_snapshots_atomic() {
 }
 
 /// The algorithmic TCAM fast path is invisible to the data plane: with
-/// the tuple-space index and the megaflow result cache armed, every
-/// packet's fate under deploy/revoke churn — sequential or sharded across
-/// a 2-worker pool — is bit-identical to the sequential engine in forced
-/// scan mode (the semantic authority), and no invariant fires on any
-/// ring. Cache invalidation rides the table generation stamp, so worker
-/// snapshots adopted mid-churn can never serve a stale memo.
+/// the tuple-space index serving lookups, every packet's fate under
+/// deploy/revoke churn — sequential or sharded across a 2-worker pool —
+/// is bit-identical to the sequential engine in forced scan mode (the
+/// semantic authority), and no invariant fires on any ring.
 #[test]
-fn tss_and_result_cache_keep_fates_identical_under_churn() {
-    let run = |indexed: bool, cached: bool, workers: usize| -> Vec<Fate> {
+fn tss_keeps_fates_identical_under_churn() {
+    let run = |indexed: bool, workers: usize| -> Vec<Fate> {
         let mut ctl = Controller::with_defaults().unwrap();
         ctl.enable_trace(TraceConfig {
             capacity: 16384,
@@ -277,7 +275,6 @@ fn tss_and_result_cache_keep_fates_identical_under_churn() {
             ctl.enable_workers(workers);
         }
         ctl.set_indexed(indexed);
-        ctl.set_result_cache(cached);
 
         let mut fates = Vec::new();
         let mut record = |ctl: &mut Controller, frame: &[u8]| {
@@ -307,11 +304,11 @@ fn tss_and_result_cache_keep_fates_identical_under_churn() {
         fates
     };
 
-    let scan_authority = run(false, false, 0);
-    let tss_sequential = run(true, true, 0);
-    let tss_parallel = run(true, true, 2);
-    assert_eq!(tss_sequential, scan_authority, "sequential TSS+cache diverged from scan");
-    assert_eq!(tss_parallel, scan_authority, "2-worker TSS+cache diverged from scan");
+    let scan_authority = run(false, 0);
+    let tss_sequential = run(true, 0);
+    let tss_parallel = run(true, 2);
+    assert_eq!(tss_sequential, scan_authority, "sequential TSS diverged from scan");
+    assert_eq!(tss_parallel, scan_authority, "2-worker TSS diverged from scan");
 }
 
 /// Attribution merge survives idle shards: a single-destination mix

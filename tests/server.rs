@@ -435,3 +435,44 @@ fn over_long_request_line_is_refused_and_the_session_closed() {
     assert_eq!(stats.responses_err, 0, "{stats:?}");
     assert!(ctl.audit().unwrap().clean(), "audit dirty after drain");
 }
+
+/// A program source nested 20 000 `case` blocks deep (800 KB, under
+/// `MAX_LINE`) used to overflow the parser's stack and abort the process,
+/// taking every session with it. It is an ordinary positioned error now —
+/// through `Controller::deploy` and over the wire — and the session that
+/// sent it keeps working.
+#[test]
+fn deeply_nested_source_is_refused_and_the_session_survives() {
+    use p4runpro::p4rp_ctl::server::MAX_LINE;
+
+    let nested = |depth: usize| {
+        format!(
+            "program deep(<hdr.ipv4.dst, 10.9.9.1, 0xffffffff>) {{ {}DROP; {}}}",
+            "BRANCH: case(<sar, 0, 0xffffffff>) { ".repeat(depth),
+            "}; ".repeat(depth)
+        )
+    };
+    let source = nested(20_000);
+    assert!(source.len() > 800_000 && source.len() < MAX_LINE);
+
+    let mut direct = Controller::with_defaults().unwrap();
+    let err = direct.deploy(&source).unwrap_err().to_string();
+    assert!(err.contains("parse error at 1:") && err.contains("nested deeper than"), "{err}");
+    // The deepest source the parser lets through survives the later walks
+    // (check, lower) and is turned down by the compiler instead.
+    let err = direct.deploy(&nested(64)).unwrap_err().to_string();
+    assert!(err.starts_with("compile error:"), "{err}");
+
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let reply = c.deploy(&source).unwrap();
+    let doc = serde::json::parse(&reply).unwrap();
+    assert_eq!(get_str(&doc, "error"), "failed", "{reply}");
+    assert!(get_str(&doc, "detail").contains("nested deeper than"), "{reply}");
+    assert_ok(&serde::json::parse(&c.ping().unwrap()).unwrap(), "ping after the refused deploy");
+    assert_ok(&serde::json::parse(&c.deploy(&source_for(1)).unwrap()).unwrap(), "deploy");
+    assert_ok(&serde::json::parse(&c.shutdown().unwrap()).unwrap(), "shutdown");
+    let (stats, ctl) = server.join().unwrap();
+    assert_eq!((stats.responses_err, stats.parse_errors), (1, 0), "{stats:?}");
+    assert!(ctl.audit().unwrap().clean(), "audit dirty after drain");
+}

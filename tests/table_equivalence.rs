@@ -8,9 +8,8 @@
 //! pure accelerations of it. These properties rebuild that definition
 //! *independently* — a naive filter-then-minimize over a shadow entry
 //! list — and check the real table against it for random key specs,
-//! entries, priorities, churn, and probes, in four modes per probe:
-//! indexed, indexed with the megaflow result cache armed (both the miss
-//! that fills the memo and the hit that reads it back), and forced scan.
+//! entries, priorities, churn, and probes, two ways per probe: indexed
+//! and forced scan.
 //!
 //! The case count obeys `P4RP_PROPTEST_CASES` (CI's `tcam-equivalence`
 //! step sets it low for a fast smoke; the default is the full campaign).
@@ -263,9 +262,7 @@ fn check_equivalence(
     Ok(())
 }
 
-/// One probe, four ways: indexed, cache-armed miss, cache-armed hit
-/// (re-probe of the fresh memo), and forced scan — all against the
-/// reference model. Compares on (action name, data, hit): the reference
+/// One probe, indexed and forced scan, both against the reference model. Compares on (action name, data, hit): the reference
 /// stores the action index, the table hands back the ActionDef borrow.
 fn assert_modes_agree(
     tbl: &mut Table,
@@ -275,16 +272,10 @@ fn assert_modes_agree(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let expected = reference.lookup(field_ids, phv).map(|(a, d, h)| (format!("act{a}"), d, h));
     let indexed = tbl.lookup(phv).map(|r| (r.action.name.clone(), r.data.to_vec(), r.hit));
-    tbl.set_result_cache(true);
-    let cached_miss = tbl.lookup(phv).map(|r| (r.action.name.clone(), r.data.to_vec(), r.hit));
-    let cached_hit = tbl.lookup(phv).map(|r| (r.action.name.clone(), r.data.to_vec(), r.hit));
-    tbl.set_result_cache(false);
     tbl.set_indexed(false);
     let scanned = tbl.lookup(phv).map(|r| (r.action.name.clone(), r.data.to_vec(), r.hit));
     tbl.set_indexed(true);
     prop_assert_eq!(&indexed, &expected, "indexed vs reference");
-    prop_assert_eq!(&cached_miss, &expected, "cache-armed miss vs reference");
-    prop_assert_eq!(&cached_hit, &expected, "cache-armed hit vs reference");
     prop_assert_eq!(&scanned, &expected, "scan vs reference");
     Ok(())
 }
@@ -354,7 +345,7 @@ impl Mirror {
         }
     }
 
-    /// Probe with one value per key field, in all four modes.
+    /// Probe with one value per key field, indexed and scanned.
     fn probe(&mut self, vals: &[u64]) -> Result<(), proptest::test_runner::TestCaseError> {
         let mut phv = Phv::new(&self.ft);
         for (f, v) in self.field_ids.iter().zip(vals) {
@@ -623,7 +614,7 @@ proptest! {
     /// entries each in one RPB table, so the table is far past the scan
     /// cutoff while each common-mask partition stays at or near it. Every
     /// probe — a resident's own key with noise, or a program id nobody
-    /// owns — agrees in all four modes with the reference, through
+    /// owns — agrees indexed and scanned with the reference, through
     /// delete/reinsert churn.
     #[test]
     fn rpb_shaped_partitions_survive_churn(
@@ -793,8 +784,10 @@ fn colliding_partition_keys_share_a_partition_and_still_match_exactly() {
 /// them two-pass, so the RPB tables are past the scan cutoff and
 /// partitioned by program) decides every frame exactly as its
 /// scan-forced clone does — same emitted frames, reports, drops and pass
-/// counts, and the same hit/miss count on every table — both with all
-/// residents installed and after half of them were revoked.
+/// counts, and the same hit/miss count on every table — with all
+/// residents installed, after half of them were revoked, and once a
+/// resident filtering on another field has merged the init-block filter
+/// table into a single partition that only its mask groups keep fast.
 #[test]
 fn loaded_switch_matches_its_scan_forced_clone() {
     use p4runpro::netpkt::FiveTuple;
@@ -820,12 +813,12 @@ fn loaded_switch_matches_its_scan_forced_clone() {
     const RESIDENTS: usize = 72;
     const TWO_PASS_AT: usize = 5;
 
+    let family_of = |i: usize| if i == TWO_PASS_AT { Family::Hh } else { SINGLE_PASS[i % SINGLE_PASS.len()] };
     let mut ctl = Controller::with_defaults().unwrap();
     let mut names = Vec::new();
     for i in 0..RESIDENTS {
-        let family = if i == TWO_PASS_AT { Family::Hh } else { SINGLE_PASS[i % SINGLE_PASS.len()] };
-        ctl.deploy(&instance(family, i, WorkloadParams::default())).unwrap();
-        names.push(format!("{}_{i:05}", family.name()));
+        ctl.deploy(&instance(family_of(i), i, WorkloadParams::default())).unwrap();
+        names.push(format!("{}_{i:05}", family_of(i).name()));
     }
     let stats = ctl.switch().table_index_stats();
     assert!(
@@ -834,8 +827,9 @@ fn loaded_switch_matches_its_scan_forced_clone() {
     );
 
     // Residents' own addresses (instance `i` filters on 10.0.i.1) and a
-    // quarter strangers, TCP and UDP, ports varying per frame.
-    let frames: Vec<Vec<u8>> = (0..3000u64)
+    // quarter strangers, TCP and UDP, ports varying per frame; the last
+    // third sends every eighth frame to port 7777 as well.
+    let frames: Vec<Vec<u8>> = (0..4500u64)
         .map(|n| {
             let r = mix64(n);
             let host = if r.is_multiple_of(4) { 200 + (r >> 8) % 50 } else { (r >> 8) % RESIDENTS as u64 };
@@ -843,7 +837,7 @@ fn loaded_switch_matches_its_scan_forced_clone() {
                 src_addr: Ipv4Addr::new(10, 1, (r >> 16) as u8, 1 + (r >> 24) as u8 % 200),
                 dst_addr: Ipv4Addr::new(10, 0, host as u8, 1),
                 src_port: 1024 + (r >> 32) as u16 % 4096,
-                dst_port: 1 + (r >> 48) as u16 % 1023,
+                dst_port: if n >= 3000 && r & 0x70 == 0 { 7777 } else { 1 + (r >> 48) as u16 % 1023 },
                 protocol: if r & 2 == 0 { 6 } else { 17 },
             };
             frame_for(&tuple, 16 + (r >> 40) as usize % 200)
@@ -875,6 +869,22 @@ fn loaded_switch_matches_its_scan_forced_clone() {
     for name in names.iter().step_by(2) {
         ctl.revoke(name).unwrap();
     }
-    compare(&mut ctl, &frames[1500..], "half revoked");
+    compare(&mut ctl, &frames[1500..3000], "half revoked");
+
+    // Why the tuple-space groups stay: one resident filtering on another
+    // field (the paper's NetCache beside its L3 programs) leaves the
+    // init-block filters no common bit, so all 73 share one partition —
+    // two mask groups, not a 73-entry scan, answer it.
+    for i in (0..RESIDENTS).step_by(2) {
+        ctl.deploy(&instance(family_of(i), i, WorkloadParams::default())).unwrap();
+    }
+    ctl.deploy("program nc(<hdr.udp.dst_port, 7777, 0xffff>) { FORWARD(7); }").unwrap();
+    let stats = ctl.switch().table_index_stats();
+    let filter = stats.iter().find(|t| t.name == "init_filter").expect("init-block filter table");
+    assert_eq!(
+        (filter.entries, filter.tss_partitions, filter.tss_max_partition, filter.tss_groups),
+        (RESIDENTS as u64 + 1, 1, RESIDENTS as u64 + 1, 2)
+    );
+    compare(&mut ctl, &frames[3000..], "mixed-field filters");
     assert!(replayed_two_pass, "the two-pass resident never recirculated a frame");
 }

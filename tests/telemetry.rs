@@ -30,13 +30,13 @@ fn deploy_replay_revoke_counters_are_consistent() {
     let mut deployed: Vec<String> = Vec::new();
     let mut event_t = Nanos::from_millis(500);
     for (i, fam) in [Family::ALL[0], Family::ALL[3], Family::ALL[7]].iter().enumerate() {
-        replay.run_until(event_t, |port, frame| ctl.inject(port, frame).unwrap());
+        replay.run_until(event_t, |_, port, frame, out| ctl.inject_into(port, frame, out).unwrap());
         let src = instance(*fam, 1000 + i, WorkloadParams::default());
         deployed.push(ctl.deploy(&src).unwrap()[0].name.clone());
         replay.epoch = ctl.epoch();
         event_t += Nanos::from_millis(400);
     }
-    replay.run_all(|port, frame| ctl.inject(port, frame).unwrap());
+    replay.run_all(|_, port, frame, out| ctl.inject_into(port, frame, out).unwrap());
 
     for name in &deployed {
         ctl.revoke(name).unwrap();

@@ -103,17 +103,17 @@ fn deploy_under_replay_keeps_packets_in_one_epoch() {
 
     // Churn mid-replay, timestamps flowing into the recorder so packet
     // journeys and control batches land on one timeline.
-    replay.run_until_into_at(Nanos::from_millis(150), |t, port, frame, out| {
+    replay.run_until(Nanos::from_millis(150), |t, port, frame, out| {
         ctl.trace_mut().unwrap().set_now(t);
         ctl.inject_into(port, frame, out).unwrap();
     });
     ctl.deploy(TWO_PASS).unwrap();
-    replay.run_until_into_at(Nanos::from_millis(300), |t, port, frame, out| {
+    replay.run_until(Nanos::from_millis(300), |t, port, frame, out| {
         ctl.trace_mut().unwrap().set_now(t);
         ctl.inject_into(port, frame, out).unwrap();
     });
     ctl.revoke("twopass").unwrap();
-    replay.run_all_into_at(|t, port, frame, out| {
+    replay.run_all(|t, port, frame, out| {
         ctl.trace_mut().unwrap().set_now(t);
         ctl.inject_into(port, frame, out).unwrap();
     });
