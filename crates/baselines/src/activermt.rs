@@ -30,14 +30,11 @@ use std::time::{Duration, Instant};
 
 /// Stages available to active programs (the ActiveRMT prototype spans both
 /// gresses of its Tofino).
-pub const ACTIVE_STAGES: usize = 20;
+pub(crate) const ACTIVE_STAGES: usize = 20;
 /// Register-array buckets per stage (matched to the paper's comparison
 /// setup: "we enable ActiveRMT's least constraint allocation model with a
 /// memory size of 65,536").
-pub const STAGE_MEM: u32 = 65_536;
-/// The capsule header prepended to every packet (instruction stream +
-/// arguments) — ActiveRMT's per-packet overhead.
-pub const CAPSULE_BYTES: usize = 44;
+pub(crate) const STAGE_MEM: u32 = 65_536;
 
 /// A memory demand presented by one active program.
 #[derive(Debug, Clone, Copy)]
@@ -53,8 +50,6 @@ pub struct ActiveDemand {
 /// One installed program's placement.
 #[derive(Debug, Clone)]
 struct ActiveAlloc {
-    #[allow(dead_code)]
-    id: u64,
     /// `(stage, buckets)` spans.
     spans: Vec<(usize, u32)>,
     elastic: bool,
@@ -99,11 +94,6 @@ impl ActiveRmtAllocator {
             next_id: 1,
             granularity: granularity.max(1),
         }
-    }
-
-    /// Installed.
-    pub fn installed(&self) -> usize {
-        self.progs.len()
     }
 
     /// Memory utilization across all stages.
@@ -192,7 +182,7 @@ impl ActiveRmtAllocator {
                 for (s, len) in &spans {
                     self.free[*s] -= *len;
                 }
-                self.progs.push(ActiveAlloc { id, spans, elastic: demand.elastic });
+                self.progs.push(ActiveAlloc { spans, elastic: demand.elastic });
                 let update_delay = self.update_delay_model(demand, remapped);
                 return Some(ActiveReport {
                     id,

@@ -63,7 +63,6 @@ pub struct NativeCache {
     /// Switch.
     pub switch: Switch,
     table: TableRef,
-    kv: rmt_sim::switch::ArrayRef,
 }
 
 impl NativeCache {
@@ -137,13 +136,12 @@ impl NativeCache {
         let t_idx = stage.add_table(table);
         stage.add_array(RegArray::new("kv", 65_536));
         let table = TableRef { gress: Gress::Ingress, stage: 0, table: t_idx };
-        let kv = rmt_sim::switch::ArrayRef { gress: Gress::Ingress, stage: 0, array: 0 };
 
         let mut switch = Switch::assemble(SwitchConfig::default(), ft, parser, ingress, egress);
         switch.set_strip_on_emit(vec![f.rc_valid]);
         switch.provision()?;
 
-        let mut nc = NativeCache { switch, table, kv };
+        let mut nc = NativeCache { switch, table };
         for (key, bucket) in keys {
             nc.add_key(*key, *bucket)?;
         }
@@ -151,7 +149,7 @@ impl NativeCache {
     }
 
     /// Install the read + write entries of one key.
-    pub fn add_key(&mut self, key: u64, bucket: u32) -> SimResult<()> {
+    pub(crate) fn add_key(&mut self, key: u64, bucket: u32) -> SimResult<()> {
         let (k1, k2) = ((key >> 32), key & 0xffff_ffff);
         for (op, action) in [(0u64, 0usize), (1, 1)] {
             self.switch.apply_op(&ControlOp::InsertEntry {
@@ -169,11 +167,6 @@ impl NativeCache {
             })?;
         }
         Ok(())
-    }
-
-    /// Read bucket.
-    pub fn read_bucket(&self, bucket: u32) -> SimResult<u32> {
-        self.switch.array(self.kv)?.read(bucket)
     }
 }
 
@@ -630,7 +623,6 @@ mod tests {
         // Write.
         let out = nc.switch.process_frame(0, &cache_frame(CacheOp::Write, 0x8888, 777)).unwrap();
         assert!(out.dropped);
-        assert_eq!(nc.read_bucket(512).unwrap(), 777);
         // Read hit reflects with the value.
         let out = nc.switch.process_frame(5, &cache_frame(CacheOp::Read, 0x8888, 0)).unwrap();
         assert_eq!(out.emitted[0].0, 5);

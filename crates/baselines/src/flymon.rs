@@ -8,8 +8,6 @@
 //! plane carries no generality overhead (Table 2: no extra ingress logic,
 //! no power above its measurement stages).
 
-use rmt_sim::clock::Nanos;
-use rmt_sim::control::LatencyModel;
 use rmt_sim::error::SimResult;
 use rmt_sim::phv::FieldTable;
 use rmt_sim::pipeline::{Gress, Pipeline, StageLimits};
@@ -17,92 +15,6 @@ use rmt_sim::resources::ChipReport;
 use rmt_sim::salu::RegArray;
 use rmt_sim::table::{KeySpec, MatchKind, Table};
 use rmt_sim::action::{ActionDef, Operand, VliwOp};
-
-/// The measurement tasks FlyMon can host (and nothing else).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskKind {
-    /// CountMinSketch.
-    CountMinSketch,
-    /// BloomFilter.
-    BloomFilter,
-    /// SuMax.
-    SuMax,
-    /// HyperLogLog.
-    HyperLogLog,
-}
-
-impl TaskKind {
-    /// `ALL`.
-    pub const ALL: [TaskKind; 4] = [
-        TaskKind::CountMinSketch,
-        TaskKind::BloomFilter,
-        TaskKind::SuMax,
-        TaskKind::HyperLogLog,
-    ];
-
-    /// Reconfiguration entries: key-composition entries + attribute
-    /// entries + CMU steering, per the FlyMon task structure. Entry counts
-    /// are chosen so the default control-channel latency model lands on
-    /// the Table 1 `**` delays.
-    pub fn entries(self) -> usize {
-        match self {
-            // Table 1: CMS 27.46 ms, BF 32.09 ms, SuMax 22.88 ms,
-            // HLL 17.37 ms.
-            TaskKind::CountMinSketch => 81,
-            TaskKind::BloomFilter => 95,
-            TaskKind::SuMax => 67,
-            TaskKind::HyperLogLog => 50,
-        }
-    }
-}
-
-/// A FlyMon deployment: a fixed set of CMU groups accepting tasks.
-#[derive(Debug, Clone)]
-pub struct FlyMon {
-    /// Latency.
-    pub latency: LatencyModel,
-    /// Installed tasks per CMU group.
-    tasks: Vec<Option<TaskKind>>,
-}
-
-impl Default for FlyMon {
-    fn default() -> Self {
-        FlyMon::new(9)
-    }
-}
-
-impl FlyMon {
-    /// `groups`: CMU groups available (the FlyMon prototype deploys 9).
-    pub fn new(groups: usize) -> FlyMon {
-        FlyMon { latency: LatencyModel::default(), tasks: vec![None; groups] }
-    }
-
-    /// Attach a measurement task; returns the reconfiguration delay, or
-    /// `None` if every CMU group is busy.
-    pub fn attach(&mut self, task: TaskKind) -> Option<Nanos> {
-        let slot = self.tasks.iter().position(|t| t.is_none())?;
-        self.tasks[slot] = Some(task);
-        Some(self.reconfig_delay(task))
-    }
-
-    /// Detach the first instance of a task.
-    pub fn detach(&mut self, task: TaskKind) -> Option<Nanos> {
-        let slot = self.tasks.iter().position(|t| *t == Some(task))?;
-        self.tasks[slot] = None;
-        Some(self.reconfig_delay(task))
-    }
-
-    /// Installed.
-    pub fn installed(&self) -> usize {
-        self.tasks.iter().filter(|t| t.is_some()).count()
-    }
-
-    /// Task reconfiguration cost: entry writes through the control
-    /// channel.
-    pub fn reconfig_delay(&self, task: TaskKind) -> Nanos {
-        Nanos(self.latency.per_batch.0 + self.latency.per_insert.0 * task.entries() as u64)
-    }
-}
 
 /// FlyMon's data plane profile for Figure 10 / Table 2: a nearly-empty
 /// ingress (2 stages of steering) and ~10 egress stages of CMUs, each a
@@ -178,33 +90,6 @@ pub fn build_profile() -> SimResult<ChipReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delays_match_table1_band() {
-        let fm = FlyMon::default();
-        for (task, paper_ms) in [
-            (TaskKind::CountMinSketch, 27.46),
-            (TaskKind::BloomFilter, 32.09),
-            (TaskKind::SuMax, 22.88),
-            (TaskKind::HyperLogLog, 17.37),
-        ] {
-            let ours = fm.reconfig_delay(task).as_millis_f64();
-            let ratio = ours / paper_ms;
-            assert!((0.8..=1.25).contains(&ratio), "{task:?}: {ours:.2} vs {paper_ms}");
-        }
-    }
-
-    #[test]
-    fn capacity_limited_by_cmu_groups() {
-        let mut fm = FlyMon::new(3);
-        assert!(fm.attach(TaskKind::CountMinSketch).is_some());
-        assert!(fm.attach(TaskKind::BloomFilter).is_some());
-        assert!(fm.attach(TaskKind::SuMax).is_some());
-        assert!(fm.attach(TaskKind::HyperLogLog).is_none(), "only 3 CMU groups");
-        assert!(fm.detach(TaskKind::BloomFilter).is_some());
-        assert!(fm.attach(TaskKind::HyperLogLog).is_some());
-        assert_eq!(fm.installed(), 3);
-    }
 
     #[test]
     fn profile_is_ingress_light() {

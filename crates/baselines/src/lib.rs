@@ -3,15 +3,14 @@
 //! * [`activermt`] — ActiveRMT's memory-centric allocator (fair worst-fit
 //!   with elastic remapping), capsule update-delay model, and data plane
 //!   resource profile;
-//! * [`flymon`] — FlyMon's measurement-task framework (CMU groups, cheap
-//!   task reconfiguration, measurement-only scope) and profile;
+//! * [`flymon`] — FlyMon's data plane resource profile (CMU groups,
+//!   measurement-only scope);
 //! * [`conventional`] — the classic P4 workflow's deployment timeline and
 //!   native fixed-function equivalents of the case-study programs.
 
 pub mod activermt;
-pub mod conventional;
+mod conventional;
 pub mod flymon;
 
 pub use activermt::{ActiveDemand, ActiveReport, ActiveRmtAllocator};
 pub use conventional::{native_forwarder, ConventionalTiming, NativeCache, NativeHh, NativeLb};
-pub use flymon::{FlyMon, TaskKind};

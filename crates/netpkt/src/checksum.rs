@@ -4,7 +4,7 @@
 ///
 /// Returns the *unfinalized* 16-bit accumulator so callers can chain the
 /// pseudo-header and payload before finalizing.
-pub fn ones_complement_sum(mut acc: u32, data: &[u8]) -> u32 {
+pub(crate) fn ones_complement_sum(mut acc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
         acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
@@ -16,7 +16,7 @@ pub fn ones_complement_sum(mut acc: u32, data: &[u8]) -> u32 {
 }
 
 /// Fold the accumulator and take the ones' complement.
-pub fn finalize(mut acc: u32) -> u16 {
+pub(crate) fn finalize(mut acc: u32) -> u16 {
     while acc > 0xffff {
         acc = (acc & 0xffff) + (acc >> 16);
     }
@@ -26,16 +26,6 @@ pub fn finalize(mut acc: u32) -> u16 {
 /// One-shot checksum over a single buffer (used by the IPv4 header).
 pub fn checksum(data: &[u8]) -> u16 {
     finalize(ones_complement_sum(0, data))
-}
-
-/// The TCP/UDP pseudo-header contribution for IPv4.
-pub fn pseudo_header_sum(src: std::net::Ipv4Addr, dst: std::net::Ipv4Addr, protocol: u8, l4_len: u16) -> u32 {
-    let mut acc = 0u32;
-    acc = ones_complement_sum(acc, &src.octets());
-    acc = ones_complement_sum(acc, &dst.octets());
-    acc += u32::from(protocol);
-    acc += u32::from(l4_len);
-    acc
 }
 
 #[cfg(test)]

@@ -3,37 +3,18 @@
 use crate::{WireError, WireResult};
 
 /// Length of the Ethernet II header in bytes (no 802.1Q tags).
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 
 /// A MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Mac(pub [u8; 6]);
 
 impl Mac {
-    /// `BROADCAST`.
-    pub const BROADCAST: Mac = Mac([0xff; 6]);
-
     /// Build a locally-administered unicast MAC from a 32-bit host id; the
     /// traffic generator uses this to synthesize per-host addresses.
     pub fn from_host_id(id: u32) -> Mac {
         let b = id.to_be_bytes();
         Mac([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// Interpret the low 6 bytes as a big-endian integer, useful for storing
-    /// a MAC into a pair of PHV containers.
-    pub fn to_u64(self) -> u64 {
-        let mut v = 0u64;
-        for b in self.0 {
-            v = (v << 8) | u64::from(b);
-        }
-        v
-    }
-
-    /// From u64.
-    pub fn from_u64(v: u64) -> Mac {
-        let b = v.to_be_bytes();
-        Mac([b[2], b[3], b[4], b[5], b[6], b[7]])
     }
 }
 
@@ -86,7 +67,7 @@ pub struct EthernetFrame<'a> {
 
 impl<'a> EthernetFrame<'a> {
     /// Wrap a buffer, validating the minimum length.
-    pub fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
+    pub(crate) fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
         if buf.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -94,26 +75,26 @@ impl<'a> EthernetFrame<'a> {
     }
 
     /// Destination address.
-    pub fn dst(&self) -> Mac {
+    pub(crate) fn dst(&self) -> Mac {
         let mut m = [0u8; 6];
         m.copy_from_slice(&self.buf[0..6]);
         Mac(m)
     }
 
     /// Source address.
-    pub fn src(&self) -> Mac {
+    pub(crate) fn src(&self) -> Mac {
         let mut m = [0u8; 6];
         m.copy_from_slice(&self.buf[6..12]);
         Mac(m)
     }
 
     /// The EtherType field.
-    pub fn ethertype(&self) -> EtherType {
+    pub(crate) fn ethertype(&self) -> EtherType {
         u16::from_be_bytes([self.buf[12], self.buf[13]]).into()
     }
 
     /// The bytes following this header.
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         &self.buf[HEADER_LEN..]
     }
 }
@@ -140,7 +121,7 @@ impl EthernetRepr {
     }
 
     /// Emit the header followed by `payload`.
-    pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
+    pub(crate) fn emit(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&self.dst.0);
         out.extend_from_slice(&self.src.0);
@@ -155,12 +136,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mac_u64_roundtrip() {
-        let mac = Mac([0x02, 0x00, 0xab, 0xcd, 0xef, 0x01]);
-        assert_eq!(Mac::from_u64(mac.to_u64()), mac);
-    }
-
-    #[test]
     fn mac_from_host_id_is_unicast_local() {
         let mac = Mac::from_host_id(42);
         assert_eq!(mac.0[0] & 0x01, 0, "must be unicast");
@@ -170,7 +145,7 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let repr = EthernetRepr {
-            dst: Mac::BROADCAST,
+            dst: Mac([0xff; 6]),
             src: Mac::from_host_id(7),
             ethertype: EtherType::Ipv4,
         };

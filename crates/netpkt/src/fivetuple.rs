@@ -19,21 +19,6 @@ pub struct FiveTuple {
 }
 
 impl FiveTuple {
-    /// Serialize into the 13-byte layout the hardware hash units consume:
-    /// `src_addr . dst_addr . src_port . dst_port . protocol`, big-endian.
-    ///
-    /// This is the byte order the `HASH_5_TUPLE` primitive feeds to the CRC
-    /// engines, so the software and "hardware" hash of a flow agree.
-    pub fn to_hash_bytes(&self) -> [u8; 13] {
-        let mut out = [0u8; 13];
-        out[0..4].copy_from_slice(&self.src_addr.octets());
-        out[4..8].copy_from_slice(&self.dst_addr.octets());
-        out[8..10].copy_from_slice(&self.src_port.to_be_bytes());
-        out[10..12].copy_from_slice(&self.dst_port.to_be_bytes());
-        out[12] = self.protocol;
-        out
-    }
-
     /// The reverse-direction tuple (server→client leg of the same flow).
     pub fn reversed(&self) -> FiveTuple {
         FiveTuple {
@@ -68,14 +53,6 @@ mod tests {
             dst_port: 2000,
             protocol: 6,
         }
-    }
-
-    #[test]
-    fn hash_bytes_layout() {
-        let b = ft().to_hash_bytes();
-        assert_eq!(&b[0..4], &[10, 1, 2, 3]);
-        assert_eq!(&b[8..10], &1000u16.to_be_bytes());
-        assert_eq!(b[12], 6);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::{WireError, WireResult};
 use std::net::Ipv4Addr;
 
 /// Length of the option-free IPv4 header in bytes.
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// The IPv4 protocol field values this crate understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,43 +65,38 @@ impl<'a> Ipv4Packet<'a> {
     }
 
     /// IP version field.
-    pub fn version(&self) -> u8 {
+    pub(crate) fn version(&self) -> u8 {
         self.buf[0] >> 4
     }
 
     /// Header len.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         usize::from(self.buf[0] & 0x0f) * 4
     }
 
     /// Differentiated services codepoint.
-    pub fn dscp(&self) -> u8 {
+    pub(crate) fn dscp(&self) -> u8 {
         self.buf[1] >> 2
     }
 
     /// Explicit congestion notification bits.
-    pub fn ecn(&self) -> u8 {
+    pub(crate) fn ecn(&self) -> u8 {
         self.buf[1] & 0x03
     }
 
     /// Total len.
-    pub fn total_len(&self) -> usize {
+    pub(crate) fn total_len(&self) -> usize {
         usize::from(u16::from_be_bytes([self.buf[2], self.buf[3]]))
     }
 
     /// Time to live.
-    pub fn ttl(&self) -> u8 {
+    pub(crate) fn ttl(&self) -> u8 {
         self.buf[8]
     }
 
     /// The IP protocol field.
-    pub fn protocol(&self) -> IpProtocol {
+    pub(crate) fn protocol(&self) -> IpProtocol {
         self.buf[9].into()
-    }
-
-    /// Header checksum.
-    pub fn header_checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[10], self.buf[11]])
     }
 
     /// Verify the header checksum.
@@ -110,17 +105,17 @@ impl<'a> Ipv4Packet<'a> {
     }
 
     /// Source address.
-    pub fn src_addr(&self) -> Ipv4Addr {
+    pub(crate) fn src_addr(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[12], self.buf[13], self.buf[14], self.buf[15])
     }
 
     /// Destination address.
-    pub fn dst_addr(&self) -> Ipv4Addr {
+    pub(crate) fn dst_addr(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[16], self.buf[17], self.buf[18], self.buf[19])
     }
 
     /// The bytes following this header.
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         &self.buf[self.header_len()..self.total_len()]
     }
 }
@@ -156,7 +151,7 @@ impl Ipv4Repr {
     }
 
     /// Emit the header (with a valid checksum) followed by `payload`.
-    pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
+    pub(crate) fn emit(&self, payload: &[u8]) -> Vec<u8> {
         let total = HEADER_LEN + payload.len();
         let mut out = Vec::with_capacity(total);
         out.push(0x45);

@@ -17,7 +17,7 @@ use crate::{WireError, WireResult};
 pub const NETCACHE_PORT: u16 = 7777;
 
 /// Length of the cache header in bytes: 1 (op) + 8 (key) + 4 (value).
-pub const HEADER_LEN: usize = 13;
+pub(crate) const HEADER_LEN: usize = 13;
 
 /// Cache opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,7 +58,7 @@ pub struct NetCacheHeader<'a> {
 
 impl<'a> NetCacheHeader<'a> {
     /// Wrap a buffer after validating its length and structure.
-    pub fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
+    pub(crate) fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
         if buf.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -66,32 +66,22 @@ impl<'a> NetCacheHeader<'a> {
     }
 
     /// The opcode field.
-    pub fn op(&self) -> CacheOp {
+    pub(crate) fn op(&self) -> CacheOp {
         self.buf[0].into()
     }
 
     /// The 64-bit cache key.
-    pub fn key(&self) -> u64 {
+    pub(crate) fn key(&self) -> u64 {
         u64::from_be_bytes(self.buf[1..9].try_into().unwrap())
     }
 
-    /// High 32 bits of the key, as extracted into `sar` by the example.
-    pub fn key_hi(&self) -> u32 {
-        (self.key() >> 32) as u32
-    }
-
-    /// Low 32 bits of the key, as extracted into `mar` by the example.
-    pub fn key_lo(&self) -> u32 {
-        self.key() as u32
-    }
-
     /// The 32-bit cache value.
-    pub fn value(&self) -> u32 {
+    pub(crate) fn value(&self) -> u32 {
         u32::from_be_bytes(self.buf[9..13].try_into().unwrap())
     }
 
     /// The bytes following this header.
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         &self.buf[HEADER_LEN..]
     }
 }
@@ -138,16 +128,6 @@ mod tests {
         let bytes = repr.emit(0);
         let hdr = NetCacheHeader::new_checked(&bytes).unwrap();
         assert_eq!(NetCacheRepr::parse(&hdr), repr);
-    }
-
-    #[test]
-    fn key_split_matches_figure2() {
-        // Figure 2 extracts key[0:31] into sar and key[32:63] into mar.
-        let repr = NetCacheRepr { op: CacheOp::Read, key: 0xAAAA_BBBB_CCCC_DDDD, value: 0 };
-        let bytes = repr.emit(0);
-        let hdr = NetCacheHeader::new_checked(&bytes).unwrap();
-        assert_eq!(hdr.key_hi(), 0xAAAA_BBBB);
-        assert_eq!(hdr.key_lo(), 0xCCCC_DDDD);
     }
 
     #[test]

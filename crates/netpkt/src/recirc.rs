@@ -29,10 +29,6 @@ use crate::{WireError, WireResult};
 /// Length of the recirculation header in bytes.
 pub const RECIRC_HEADER_LEN: usize = 20;
 
-/// Flag bit: drop verdict already taken.
-pub const FLAG_DROP: u8 = 0x01;
-/// Flag bit: return (reflect) verdict already taken.
-pub const FLAG_RETURN: u8 = 0x02;
 /// Flag bit: report-to-CPU side effect already requested.
 pub const FLAG_REPORT: u8 = 0x04;
 
@@ -57,7 +53,7 @@ impl<'a> RecircHeader<'a> {
     }
 
     /// The branch id carried for the next pass.
-    pub fn branch_id(&self) -> u16 {
+    pub(crate) fn branch_id(&self) -> u16 {
         u16::from_be_bytes([self.buf[2], self.buf[3]])
     }
 
@@ -162,7 +158,7 @@ mod tests {
             sar: 7,
             mar: 512,
             recirc_id: 1,
-            flags: FLAG_RETURN | FLAG_REPORT,
+            flags: 0x02 | FLAG_REPORT,
             egress_spec: 32,
         };
         let bytes = repr.emit(&[0xde, 0xad]);
@@ -183,12 +179,5 @@ mod tests {
     #[test]
     fn short_buffer_rejected() {
         assert!(RecircHeader::new_checked(&[0; RECIRC_HEADER_LEN - 1]).is_err());
-    }
-
-    #[test]
-    fn flag_bits_distinct() {
-        assert_eq!(FLAG_DROP & FLAG_RETURN, 0);
-        assert_eq!(FLAG_RETURN & FLAG_REPORT, 0);
-        assert_eq!(FLAG_DROP & FLAG_REPORT, 0);
     }
 }

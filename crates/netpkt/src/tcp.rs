@@ -3,31 +3,23 @@
 use crate::{WireError, WireResult};
 
 /// Length of the option-free TCP header in bytes.
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// TCP flag bits, as stored in the low byte of offset 13.
 pub mod flags {
-    /// `FIN`.
-    pub const FIN: u8 = 0x01;
-    /// `SYN`.
-    pub const SYN: u8 = 0x02;
-    /// `RST`.
-    pub const RST: u8 = 0x04;
-    /// `PSH`.
-    pub const PSH: u8 = 0x08;
     /// `ACK`.
     pub const ACK: u8 = 0x10;
 }
 
 /// A read-only view of a TCP segment.
 #[derive(Debug)]
-pub struct TcpSegment<'a> {
+pub(crate) struct TcpSegment<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> TcpSegment<'a> {
     /// Wrap a buffer after validating its length and structure.
-    pub fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
+    pub(crate) fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
         if buf.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -43,42 +35,42 @@ impl<'a> TcpSegment<'a> {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[0], self.buf[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[2], self.buf[3]])
     }
 
     /// Sequence number.
-    pub fn seq(&self) -> u32 {
+    pub(crate) fn seq(&self) -> u32 {
         u32::from_be_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]])
     }
 
     /// Acknowledgment number.
-    pub fn ack(&self) -> u32 {
+    pub(crate) fn ack(&self) -> u32 {
         u32::from_be_bytes([self.buf[8], self.buf[9], self.buf[10], self.buf[11]])
     }
 
     /// Header length in bytes derived from the data-offset field.
-    pub fn data_offset(&self) -> usize {
+    pub(crate) fn data_offset(&self) -> usize {
         usize::from(self.buf[12] >> 4) * 4
     }
 
     /// Flag bits.
-    pub fn flags(&self) -> u8 {
+    pub(crate) fn flags(&self) -> u8 {
         self.buf[13]
     }
 
     /// Receive window.
-    pub fn window(&self) -> u16 {
+    pub(crate) fn window(&self) -> u16 {
         u16::from_be_bytes([self.buf[14], self.buf[15]])
     }
 
     /// The bytes following this header.
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         &self.buf[self.data_offset()..]
     }
 }
@@ -102,7 +94,7 @@ pub struct TcpRepr {
 
 impl TcpRepr {
     /// Extract the owned representation from a checked view.
-    pub fn parse(seg: &TcpSegment<'_>) -> WireResult<Self> {
+    pub(crate) fn parse(seg: &TcpSegment<'_>) -> WireResult<Self> {
         Ok(TcpRepr {
             src_port: seg.src_port(),
             dst_port: seg.dst_port(),
@@ -114,7 +106,7 @@ impl TcpRepr {
     }
 
     /// Serialize this header followed by the payload.
-    pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
+    pub(crate) fn emit(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
@@ -139,7 +131,7 @@ mod tests {
             dst_port: 51234,
             seq: 0x01020304,
             ack: 0x0a0b0c0d,
-            flags: flags::ACK | flags::PSH,
+            flags: flags::ACK | 0x08,
             window: 65535,
         }
     }
@@ -175,6 +167,6 @@ mod tests {
         let bytes = repr().emit(&[]);
         let seg = TcpSegment::new_checked(&bytes).unwrap();
         assert_ne!(seg.flags() & flags::ACK, 0);
-        assert_eq!(seg.flags() & flags::SYN, 0);
+        assert_eq!(seg.flags() & 0x02, 0);
     }
 }

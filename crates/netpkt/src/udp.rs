@@ -3,17 +3,17 @@
 use crate::{WireError, WireResult};
 
 /// Length of the UDP header in bytes.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// A read-only view of a UDP datagram.
 #[derive(Debug)]
-pub struct UdpDatagram<'a> {
+pub(crate) struct UdpDatagram<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> UdpDatagram<'a> {
     /// Wrap a buffer after validating its length and structure.
-    pub fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
+    pub(crate) fn new_checked(buf: &'a [u8]) -> WireResult<Self> {
         if buf.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -25,27 +25,22 @@ impl<'a> UdpDatagram<'a> {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[0], self.buf[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[2], self.buf[3]])
     }
 
     /// The UDP length field (header + payload).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         usize::from(u16::from_be_bytes([self.buf[4], self.buf[5]]))
     }
 
-    /// Is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == HEADER_LEN
-    }
-
     /// The bytes following this header.
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         &self.buf[HEADER_LEN..self.len()]
     }
 }
@@ -66,7 +61,7 @@ pub struct UdpRepr {
 
 impl UdpRepr {
     /// Extract the owned representation from a checked view.
-    pub fn parse(dg: &UdpDatagram<'_>) -> Self {
+    pub(crate) fn parse(dg: &UdpDatagram<'_>) -> Self {
         UdpRepr {
             src_port: dg.src_port(),
             dst_port: dg.dst_port(),
@@ -74,7 +69,7 @@ impl UdpRepr {
     }
 
     /// Serialize this header followed by the payload.
-    pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
+    pub(crate) fn emit(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
@@ -115,7 +110,6 @@ mod tests {
     fn empty_payload_is_empty() {
         let bytes = UdpRepr { src_port: 1, dst_port: 2 }.emit(&[]);
         let dg = UdpDatagram::new_checked(&bytes).unwrap();
-        assert!(dg.is_empty());
         assert!(dg.payload().is_empty());
     }
 }

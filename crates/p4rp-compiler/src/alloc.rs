@@ -66,10 +66,11 @@
 //! solve; one that runs into it is counted in
 //! [`Allocation::truncated_solves`] instead of passing silently.
 //!
-//! The clone-heavy solver without any of this survives as
-//! [`crate::alloc_reference`] (selected by [`AllocConfig::reference`]);
-//! the `alloc_equivalence` suite keeps the two in lockstep and checks
-//! that the windows contain every assignment the reference finds.
+//! The clone-heavy solver without any of this survives as a test oracle
+//! (`tests/support/alloc_reference.rs`, built on [`slot_requirements`]
+//! and the public model types only); the `alloc_equivalence` suite keeps
+//! the two in lockstep and checks that the windows contain every
+//! assignment the reference finds.
 
 use crate::errors::{CompileError, CompileResult};
 use crate::ir::{IrOp, ProgramIr};
@@ -174,11 +175,6 @@ pub struct AllocConfig {
     /// best-effort (§4.3); a search that exhausts the budget without a
     /// solution reports failure, like a Z3 timeout would.
     pub node_budget: u64,
-    /// Solve with the naive reference DFS (clone-heavy, no pruning beyond
-    /// the `x_L` bound) instead of the window-propagated fast solver. The
-    /// reference is the semantic authority the `alloc_equivalence`
-    /// proptest suite checks the fast solver against.
-    pub reference: bool,
 }
 
 impl Default for AllocConfig {
@@ -187,7 +183,6 @@ impl Default for AllocConfig {
             max_recirc: 1,
             objective: Objective::paper_default(),
             node_budget: 200_000,
-            reference: false,
         }
     }
 }
@@ -208,16 +203,6 @@ pub struct Allocation {
     /// Inner solves that reached `node_budget` and returned the best
     /// assignment found so far (0 = the result is exact).
     pub truncated_solves: u64,
-}
-
-/// Solve the allocation model for one program.
-pub fn allocate(
-    ir: &ProgramIr,
-    view: &AllocView,
-    cfg: &AllocConfig,
-) -> CompileResult<Allocation> {
-    let (reqs, pairs) = slot_requirements(ir);
-    allocate_slots(ir, &reqs, &pairs, view, cfg)
 }
 
 /// The windows `[lo_i, hi_i]` the solver searches, one per level, with
@@ -249,20 +234,17 @@ fn failed<T>(reason: String) -> CompileResult<T> {
     Err(CompileError::AllocationFailed { reason })
 }
 
-fn allocate_slots(
+/// Solve the allocation model for one program.
+pub fn allocate(
     ir: &ProgramIr,
-    reqs: &[SlotReq],
-    pairs: &[(usize, usize)],
     view: &AllocView,
     cfg: &AllocConfig,
 ) -> CompileResult<Allocation> {
+    let (reqs, pairs) = slot_requirements(ir);
+    let (reqs, pairs) = (&reqs[..], &pairs[..]);
     let max_index = LogicalRpb::max_index(cfg.max_recirc);
     let l = reqs.len();
     let dom = static_domains(ir, reqs, view, max_index)?;
-
-    if cfg.reference {
-        return crate::alloc_reference::solve(ir, reqs, pairs, view, cfg);
-    }
 
     // Intern: virtual memories become their index in `ir.memories` (lower
     // guarantees every accessed memory is declared there), and per-slot

@@ -54,20 +54,7 @@ impl ProgramImage {
     }
 }
 
-/// Generate the image of an allocated program.
-pub fn generate(
-    ir: &ProgramIr,
-    alloc: &Allocation,
-    offsets: &HashMap<String, (RpbId, u32)>,
-    prog_id: u16,
-    fields: &P4rpFields,
-    ft_universe: &rmt_sim::phv::FieldTable,
-) -> CompileResult<ProgramImage> {
-    let rpb_entries = body_entries(ir, alloc, offsets, prog_id, fields)?;
-    assemble(ir, alloc, offsets, prog_id, fields, ft_universe, rpb_entries)
-}
-
-/// The RPB-entry half of [`generate`] (everything the shape cache covers).
+/// The RPB-entry half of an image (everything the shape cache covers).
 fn body_entries(
     ir: &ProgramIr,
     alloc: &Allocation,
@@ -104,7 +91,7 @@ fn body_entries(
     Ok(rpb_entries)
 }
 
-/// The instance-specific half of [`generate`]: filter entry, memory
+/// The instance-specific half of an image: filter entry, memory
 /// regions, recirculation ids.
 fn assemble(
     ir: &ProgramIr,
@@ -204,8 +191,9 @@ impl EntryGenCache {
     }
 }
 
-/// [`generate`] through the shape cache: bit-identical output, amortized
-/// cost for repeated shapes.
+/// Generate the image of an allocated program through the shape cache:
+/// output bit-identical to generating from scratch, amortized cost for
+/// repeated shapes.
 pub fn generate_cached(
     cache: &mut EntryGenCache,
     ir: &ProgramIr,
@@ -332,6 +320,20 @@ mod tests {
     use p4rp_dataplane::{AtomicAction, RPB_MEM_SIZE, RPB_TABLE_SIZE};
     use p4rp_lang::parse;
 
+    /// The image generated from scratch, which [`generate_cached`]'s
+    /// patched templates must reproduce.
+    fn generate(
+        ir: &ProgramIr,
+        alloc: &Allocation,
+        offsets: &HashMap<String, (RpbId, u32)>,
+        prog_id: u16,
+        fields: &P4rpFields,
+        ft_universe: &rmt_sim::phv::FieldTable,
+    ) -> CompileResult<ProgramImage> {
+        let rpb_entries = body_entries(ir, alloc, offsets, prog_id, fields)?;
+        assemble(ir, alloc, offsets, prog_id, fields, ft_universe, rpb_entries)
+    }
+
     fn build_image(src: &str) -> (ProgramIr, Allocation, ProgramImage) {
         let (ft, _, fields) = p4rp_dataplane::fields::build().unwrap();
         let unit = parse(src).unwrap();
@@ -375,7 +377,8 @@ program lb(<hdr.ipv4.dst, 10.0.0.0, 0xffff0000>) {
     fn lb_image_shape() {
         let (ir, alloc, image) = build_image(LB);
         assert_eq!(image.prog_id, 7);
-        assert_eq!(image.rpb_entries.len(), ir.rpb_entry_count());
+        let entries = ir.levels.iter().flatten().filter(|p| p.op != IrOp::Nop).count();
+        assert_eq!(image.rpb_entries.len(), entries);
         // ipv4 filter requires the eth + ipv4 parse-path bits.
         assert_eq!(
             image.filter.required_bitmap,

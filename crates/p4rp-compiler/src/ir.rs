@@ -91,7 +91,7 @@ pub enum IrOp {
 
 impl IrOp {
     /// Is forwarding.
-    pub fn is_forwarding(&self) -> bool {
+    pub(crate) fn is_forwarding(&self) -> bool {
         matches!(
             self,
             IrOp::Forward { .. } | IrOp::Multicast { .. } | IrOp::Drop | IrOp::Return | IrOp::Report
@@ -99,7 +99,7 @@ impl IrOp {
     }
 
     /// Mem access.
-    pub fn mem_access(&self) -> Option<&str> {
+    pub(crate) fn mem_access(&self) -> Option<&str> {
         match self {
             IrOp::MemAccess { mem, .. } => Some(mem),
             _ => None,
@@ -148,16 +148,6 @@ impl ProgramIr {
     /// Memory size.
     pub fn memory_size(&self, name: &str) -> Option<u32> {
         self.memories.iter().find(|m| m.name == name).map(|m| m.size)
-    }
-
-    /// Count the table entries this program will install into RPBs
-    /// (everything except NOP padding).
-    pub fn rpb_entry_count(&self) -> usize {
-        self.levels
-            .iter()
-            .flat_map(|l| l.iter())
-            .filter(|p| p.op != IrOp::Nop)
-            .count()
     }
 }
 
@@ -909,7 +899,8 @@ program p(<f,1,1>) {
 "#;
         let ir = lower_src(src);
         let total: usize = ir.levels.iter().map(|l| l.len()).sum();
-        assert!(ir.rpb_entry_count() < total, "alignment NOPs must not cost entries");
+        let entries = ir.levels.iter().flatten().filter(|p| p.op != IrOp::Nop).count();
+        assert!(entries < total, "alignment NOPs must not cost entries");
     }
 
     #[test]

@@ -13,13 +13,11 @@
 //!    intermediate update state invisible to traffic.
 
 pub mod alloc;
-mod alloc_reference;
 pub mod consistency;
 pub mod entrygen;
 pub mod errors;
 pub mod ir;
 
-pub use alloc::{allocate, AllocConfig, AllocView, Allocation, Objective, SlotReq};
-pub use entrygen::{generate, generate_cached, EntryGenCache, ProgramImage};
-pub use errors::{CompileError, CompileResult};
+pub use alloc::allocate;
+pub use errors::CompileError;
 pub use ir::{lower, IrOp, MemDecl, PlacedOp, ProgramIr};

@@ -163,7 +163,7 @@ pub fn pool_source(i: usize) -> String {
 }
 
 /// The sentinel program's source.
-pub fn sentinel_source() -> String {
+pub(crate) fn sentinel_source() -> String {
     format!(
         "program sentinel(<hdr.ipv4.dst, {SENTINEL_DST}, 0xffffffff>) \
          {{ FORWARD({SENTINEL_PORT}); }}"
@@ -221,9 +221,9 @@ pub fn run(cfg: &ChaosConfig) -> CtlResult<ChaosOutcome> {
     ctl.deploy(&sentinel_source())?;
     // Fork the worker pool *after* the sentinel is resident: workers
     // inherit it in the fork, and every later deploy/revoke reaches them
-    // as one atomic snapshot delta. `inject_sharded` falls back to the
-    // sequential engine when no pool exists, so `workers: 1` replays the
-    // pre-parallel campaign bit-for-bit.
+    // as one atomic snapshot delta. `inject` runs on the sequential engine
+    // when no pool exists, so `workers: 1` replays the pre-parallel
+    // campaign bit-for-bit.
     // Watchdog campaigns also enable per-program attribution (before the
     // worker fork, so every worker inherits it): the drop-rate SLO then
     // evaluates the real merged TM counters and a breach event names the
@@ -311,7 +311,7 @@ pub fn run(cfg: &ChaosConfig) -> CtlResult<ChaosOutcome> {
                         let i = resident[rng.random_range(0..resident.len())];
                         (pool_dst(i), pool_port(i), false)
                     };
-                    let outcome = ctl.inject_sharded(0, &frame_to(dst))?;
+                    let outcome = ctl.inject(0, &frame_to(dst))?;
                     let hit = outcome.emitted.iter().any(|&(pt, _)| pt == port);
                     if !coherent {
                         continue;
@@ -369,14 +369,14 @@ pub fn run(cfg: &ChaosConfig) -> CtlResult<ChaosOutcome> {
     // Post-drain burst: the sentinel and every surviving program must
     // forward again.
     resident.retain(|i| ctl.program(&format!("c{i}")).is_some());
-    let outcome = ctl.inject_sharded(0, &frame_to(SENTINEL_DST))?;
+    let outcome = ctl.inject(0, &frame_to(SENTINEL_DST))?;
     if outcome.emitted.iter().any(|&(pt, _)| pt == SENTINEL_PORT) {
         out.sentinel_hits += 1;
     } else {
         out.sentinel_misses += 1;
     }
     for &i in &resident {
-        let outcome = ctl.inject_sharded(0, &frame_to(pool_dst(i)))?;
+        let outcome = ctl.inject(0, &frame_to(pool_dst(i)))?;
         if outcome.emitted.iter().any(|&(pt, _)| pt == pool_port(i)) {
             out.resident_hits += 1;
         } else {

@@ -379,11 +379,6 @@ impl Controller {
         self.channel.fault = plan;
     }
 
-    /// The armed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.channel.fault
-    }
-
     /// Faults fired over the controller's lifetime, across every plan
     /// ever armed.
     fn faults_fired_total(&self) -> u64 {
@@ -415,18 +410,6 @@ impl Controller {
     /// Alloc config.
     pub fn alloc_config(&self) -> &AllocConfig {
         &self.alloc_cfg
-    }
-
-    /// Set alloc config.
-    pub fn set_alloc_config(&mut self, cfg: AllocConfig) {
-        self.alloc_cfg = cfg;
-    }
-
-    /// Is the control channel in bulk mode? Off by default, so the
-    /// Table 1 / Figure 13 reproductions keep the paper-calibrated
-    /// per-entry RPC costs.
-    pub fn fast_path(&self) -> bool {
-        self.channel.model.bulk
     }
 
     /// Switch the control channel between per-entry RPCs (off) and one
@@ -479,7 +462,7 @@ impl Controller {
     }
 
     /// Is per-program attribution on?
-    pub fn attribution_enabled(&self) -> bool {
+    pub(crate) fn attribution_enabled(&self) -> bool {
         self.switch.telemetry().is_some_and(|m| m.is_attributing())
     }
 
@@ -496,7 +479,7 @@ impl Controller {
     /// Cut one series bucket at the channel clock's current instant.
     /// Replay drivers call this at tick boundaries; `bump_epoch` calls it
     /// on every lifecycle event. No-op when series collection is off.
-    pub fn tick_series(&mut self) {
+    pub(crate) fn tick_series(&mut self) {
         if self.series.is_none() {
             return;
         }
@@ -510,7 +493,7 @@ impl Controller {
     }
 
     /// The collected time series, if enabled.
-    pub fn series(&self) -> Option<&SeriesRing> {
+    pub(crate) fn series(&self) -> Option<&SeriesRing> {
         self.series.as_ref()
     }
 
@@ -521,12 +504,12 @@ impl Controller {
     }
 
     /// Disarm the watchdog, returning its final status.
-    pub fn disarm_watchdog(&mut self) -> Option<SloStatus> {
+    pub(crate) fn disarm_watchdog(&mut self) -> Option<SloStatus> {
         self.watchdog.take().map(|w| w.status())
     }
 
     /// Watchdog state, `None` when disarmed.
-    pub fn watchdog_status(&self) -> Option<SloStatus> {
+    pub(crate) fn watchdog_status(&self) -> Option<SloStatus> {
         self.watchdog.as_ref().map(Watchdog::status)
     }
 
@@ -539,7 +522,7 @@ impl Controller {
     /// verdicts, fault counters, the simulated write-latency histogram —
     /// so a chaos replay of the same seed produces bit-identical events
     /// (see `docs/CHAOS.md`).
-    pub fn slo_check(&mut self) -> u64 {
+    pub(crate) fn slo_check(&mut self) -> u64 {
         let Some(w) = self.watchdog.as_ref() else { return 0 };
         let t = w.thresholds.clone();
         // (latch index, kind, attributed program, observed, limit)
@@ -599,16 +582,10 @@ impl Controller {
         fresh
     }
 
-    /// Runtime-control server counters, `None` until a server has served
-    /// this controller.
-    pub fn server_stats(&self) -> Option<&ServerStats> {
-        self.server_stats.as_ref()
-    }
-
     /// Install/replace the runtime-control server counters (called by
     /// `server::serve` at every service tick so `status --json` reads
     /// fresh numbers even while the server is live).
-    pub fn set_server_stats(&mut self, stats: ServerStats) {
+    pub(crate) fn set_server_stats(&mut self, stats: ServerStats) {
         self.server_stats = Some(stats);
     }
 
@@ -1617,20 +1594,41 @@ impl Controller {
         Ok(self.switch.set_multicast_group(group, ports)?)
     }
 
-    /// Process one frame through the switch (traffic path).
+    /// Process one frame through the active engine (traffic path);
+    /// [`Controller::inject_into`] allocating a fresh outcome.
     pub fn inject(&mut self, port: u16, frame: &[u8]) -> CtlResult<ProcessOutcome> {
-        Ok(self.switch.process_frame(port, frame)?)
+        let mut out = ProcessOutcome::empty();
+        self.inject_into(port, frame, &mut out)?;
+        Ok(out)
     }
 
-    /// [`Controller::inject`] into a caller-owned outcome — the allocation-free
-    /// variant used by replay loops that reuse one outcome across packets.
+    /// Inject one frame through the active engine into a caller-owned
+    /// outcome (replay loops reuse one outcome across packets, so a warm
+    /// frame allocates nothing). With a worker pool
+    /// ([`Controller::enable_workers`]) the frame is sharded to its
+    /// flow's worker under a globally assigned packet id, so traces stay
+    /// worker-count-independent; without one the master switch processes it.
     pub fn inject_into(
         &mut self,
         port: u16,
         frame: &[u8],
         outcome: &mut ProcessOutcome,
     ) -> CtlResult<()> {
-        Ok(self.switch.process_frame_into(port, frame, outcome)?)
+        let Some(pool) = self.workers.as_mut() else {
+            return Ok(self.switch.process_frame_into(port, frame, outcome)?);
+        };
+        // The master's packet-id cursor stays the single id authority:
+        // advance it per injection so sequential and parallel runs hand
+        // out identical ids, whatever the interleaving of engines.
+        let id = self.switch.next_packet_id();
+        self.switch.set_next_packet_id(id + 1);
+        let now = self.channel.clock.now();
+        let shard = pool.shard_for(frame);
+        let w = pool.worker_mut(shard);
+        if let Some(t) = w.switch_mut().trace_mut() {
+            t.set_now(now);
+        }
+        Ok(w.inject_at(id, port, frame, outcome)?)
     }
 
     /// Turn on the sharded multi-worker data plane with `n` workers.
@@ -1638,11 +1636,12 @@ impl Controller {
     /// Enables snapshot publication on the control channel (so every
     /// subsequent deploy/revoke batch flows to workers as one atomic
     /// delta) and forks `n` worker switches from the master's current
-    /// state. Call *after* enabling telemetry/tracing so the workers
-    /// inherit recorders. With `n <= 1` this still routes injections
-    /// through one worker — use it only when you want the parallel
-    /// engine's code path; the default (`None`) costs the sequential
-    /// path one branch.
+    /// state; from here on [`Controller::inject`] / `inject_into` shard
+    /// every frame onto its flow's worker. Call *after* enabling
+    /// telemetry/tracing so the workers inherit recorders. With `n <= 1`
+    /// this still routes injections through one worker — use it only
+    /// when you want the parallel engine's code path; the default
+    /// (`None`) costs the sequential path one branch.
     pub fn enable_workers(&mut self, n: usize) -> &WorkerPool {
         let publisher = &*self.channel.enable_snapshots();
         self.workers = Some(WorkerPool::new(&self.switch, publisher, n));
@@ -1667,44 +1666,10 @@ impl Controller {
         self.workers.as_mut()
     }
 
-    /// Inject one frame through the active engine: with a worker pool,
-    /// the frame is sharded to its flow's worker under a globally
-    /// assigned packet id (so traces stay worker-count-independent);
-    /// without one, this is exactly [`Controller::inject_into`].
-    pub fn inject_sharded_into(
-        &mut self,
-        port: u16,
-        frame: &[u8],
-        outcome: &mut ProcessOutcome,
-    ) -> CtlResult<()> {
-        let Some(pool) = self.workers.as_mut() else {
-            return Ok(self.switch.process_frame_into(port, frame, outcome)?);
-        };
-        // The master's packet-id cursor stays the single id authority:
-        // advance it per injection so sequential and parallel runs hand
-        // out identical ids, whatever the interleaving of engines.
-        let id = self.switch.next_packet_id();
-        self.switch.set_next_packet_id(id + 1);
-        let now = self.channel.clock.now();
-        let shard = pool.shard_for(frame);
-        let w = pool.worker_mut(shard);
-        if let Some(t) = w.switch_mut().trace_mut() {
-            t.set_now(now);
-        }
-        Ok(w.inject_at(id, port, frame, outcome)?)
-    }
-
-    /// [`Controller::inject_sharded_into`] allocating a fresh outcome.
-    pub fn inject_sharded(&mut self, port: u16, frame: &[u8]) -> CtlResult<ProcessOutcome> {
-        let mut out = ProcessOutcome::empty();
-        self.inject_sharded_into(port, frame, &mut out)?;
-        Ok(out)
-    }
-
     /// Packet-side telemetry with every worker's counters folded in
     /// (master ∪ workers); identical to the master's recorder when the
     /// parallel engine is off. `None` when telemetry is disabled.
-    pub fn merged_dataplane(&self) -> Option<MetricsRecorder> {
+    pub(crate) fn merged_dataplane(&self) -> Option<MetricsRecorder> {
         let mut merged = self.switch.telemetry().cloned()?;
         if let Some(pool) = &self.workers {
             for w in pool.workers() {

@@ -15,10 +15,10 @@
 //!   over `deploy` / `revoke`, explicit backpressure; `docs/SERVER.md`).
 
 pub mod chaos;
-pub mod cli;
-pub mod controller;
-pub mod metrics;
-pub mod resman;
+mod cli;
+mod controller;
+mod metrics;
+mod resman;
 pub mod server;
 pub mod telemetry;
 
@@ -29,7 +29,6 @@ pub use controller::{
     RevokeReport,
 };
 pub use metrics::{http_response, parse_prometheus, render_prometheus, render_top, serve_once, Sample};
-pub use resman::ResourceManager;
 pub use server::{serve, Client, ServerConfig};
 pub use telemetry::{
     FaultStats, LifecycleSpan, ProgramUsage, ResourceGauges, SeriesPoint, SeriesRing, ServerStats,

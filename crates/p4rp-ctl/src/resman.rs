@@ -39,7 +39,7 @@ impl Default for ResourceManager {
 
 impl ResourceManager {
     /// Construct with defaults appropriate to the type.
-    pub fn new() -> ResourceManager {
+    pub(crate) fn new() -> ResourceManager {
         ResourceManager {
             free: vec![vec![(0, RPB_MEM_SIZE)]; NUM_RPBS],
             locked: vec![Vec::new(); NUM_RPBS],
@@ -74,7 +74,7 @@ impl ResourceManager {
     }
 
     /// First-fit contiguous allocation of `size` buckets in `rpb`.
-    pub fn grant_memory(&mut self, rpb: RpbId, size: u32) -> Option<u32> {
+    pub(crate) fn grant_memory(&mut self, rpb: RpbId, size: u32) -> Option<u32> {
         let spans = &mut self.free[Self::idx(rpb)];
         let pos = spans.iter().position(|(_, len)| *len >= size)?;
         let (off, len) = spans[pos];
@@ -88,12 +88,12 @@ impl ResourceManager {
     }
 
     /// Lock a region for reset: it is neither free nor usable.
-    pub fn lock_memory(&mut self, rpb: RpbId, offset: u32, size: u32) {
+    pub(crate) fn lock_memory(&mut self, rpb: RpbId, offset: u32, size: u32) {
         self.locked[Self::idx(rpb)].push((offset, size));
     }
 
     /// Reset finished: merge the region back into the free list.
-    pub fn unlock_memory(&mut self, rpb: RpbId, offset: u32, size: u32) {
+    pub(crate) fn unlock_memory(&mut self, rpb: RpbId, offset: u32, size: u32) {
         let locked = &mut self.locked[Self::idx(rpb)];
         if let Some(pos) = locked.iter().position(|&(o, s)| o == offset && s == size) {
             locked.remove(pos);
@@ -117,7 +117,7 @@ impl ResourceManager {
     }
 
     /// Charge `n` table entries to an RPB; `false` if it would overflow.
-    pub fn charge_entries(&mut self, rpb: RpbId, n: usize) -> bool {
+    pub(crate) fn charge_entries(&mut self, rpb: RpbId, n: usize) -> bool {
         let i = Self::idx(rpb);
         if self.te_used[i] + n > self.table_size {
             return false;
@@ -128,14 +128,14 @@ impl ResourceManager {
     }
 
     /// Refund entries.
-    pub fn refund_entries(&mut self, rpb: RpbId, n: usize) {
+    pub(crate) fn refund_entries(&mut self, rpb: RpbId, n: usize) {
         let i = Self::idx(rpb);
         self.te_used[i] = self.te_used[i].saturating_sub(n);
         self.view.te_free[i] = self.table_size - self.te_used[i];
     }
 
     /// Charge initialization-table filter entries.
-    pub fn charge_init(&mut self, n: usize) -> bool {
+    pub(crate) fn charge_init(&mut self, n: usize) -> bool {
         if self.init_used + n > INIT_TABLE_SIZE {
             return false;
         }
@@ -144,7 +144,7 @@ impl ResourceManager {
     }
 
     /// Refund init.
-    pub fn refund_init(&mut self, n: usize) {
+    pub(crate) fn refund_init(&mut self, n: usize) {
         self.init_used = self.init_used.saturating_sub(n);
     }
 
@@ -154,12 +154,12 @@ impl ResourceManager {
     }
 
     /// Filter entries currently installed in the recirculation block.
-    pub fn recirc_entries_used(&self) -> usize {
+    pub(crate) fn recirc_entries_used(&self) -> usize {
         self.recirc_used
     }
 
     /// Charge recirc.
-    pub fn charge_recirc(&mut self, n: usize) -> bool {
+    pub(crate) fn charge_recirc(&mut self, n: usize) -> bool {
         if self.recirc_used + n > RECIRC_TABLE_SIZE {
             return false;
         }
@@ -168,7 +168,7 @@ impl ResourceManager {
     }
 
     /// Refund recirc.
-    pub fn refund_recirc(&mut self, n: usize) {
+    pub(crate) fn refund_recirc(&mut self, n: usize) {
         self.recirc_used = self.recirc_used.saturating_sub(n);
     }
 
@@ -197,7 +197,7 @@ impl ResourceManager {
     }
 
     /// Per-RPB memory utilization (Figure 18 heatmap rows).
-    pub fn memory_utilization_per_rpb(&self) -> Vec<f64> {
+    pub(crate) fn memory_utilization_per_rpb(&self) -> Vec<f64> {
         (0..NUM_RPBS)
             .map(|i| {
                 let free: u64 = self.free[i].iter().map(|(_, l)| u64::from(*l)).sum();
@@ -208,18 +208,8 @@ impl ResourceManager {
     }
 
     /// Per-RPB entry utilization (Figure 19 heatmap rows).
-    pub fn entry_utilization_per_rpb(&self) -> Vec<f64> {
+    pub(crate) fn entry_utilization_per_rpb(&self) -> Vec<f64> {
         self.te_used.iter().map(|u| *u as f64 / self.table_size as f64).collect()
-    }
-
-    /// Entries used.
-    pub fn entries_used(&self, rpb: RpbId) -> usize {
-        self.te_used[Self::idx(rpb)]
-    }
-
-    /// Largest free contiguous region in an RPB.
-    pub fn largest_free(&self, rpb: RpbId) -> u32 {
-        self.free[Self::idx(rpb)].iter().map(|(_, l)| *l).max().unwrap_or(0)
     }
 }
 
@@ -280,7 +270,7 @@ mod tests {
         assert!(!rm.charge_entries(r, 1));
         rm.refund_entries(r, 10);
         assert!(rm.charge_entries(r, 10));
-        assert_eq!(rm.entries_used(r), RPB_TABLE_SIZE);
+        assert!(!rm.charge_entries(r, 1), "full again");
     }
 
     #[test]

@@ -494,7 +494,7 @@ impl Service<'_> {
 /// owns the calling thread (and the exclusive [`Controller`] borrow);
 /// accept and per-session threads live inside one `std::thread::scope`.
 /// Returns the final counters, which are also left on the controller
-/// ([`Controller::server_stats`]).
+/// (the `server` section of [`Controller::telemetry_report`]).
 pub fn serve(
     ctl: &mut Controller,
     listener: TcpListener,
@@ -566,16 +566,26 @@ fn accept_loop<'scope>(
                 // Request/reply lines are tiny; Nagle + delayed ACK
                 // would add ~40 ms per round trip.
                 let _ = stream.set_nodelay(true);
-                if shared.live_clients.load(Ordering::SeqCst) >= cfg.max_clients {
-                    let _ = tx.send(Command::ConnRefused);
-                    let mut stream = stream;
-                    let _ = stream.write_all(
-                        format!("{}\n", error_reply(0, "busy", "server full: max clients reached"))
+                // A session needs a second handle for its writer thread.
+                // A failed `dup` (descriptor exhaustion under a
+                // connect/close storm) is refused like a full server:
+                // nothing reachable from a socket may panic this scope.
+                let writer_stream = match stream.try_clone() {
+                    Ok(w) if shared.live_clients.load(Ordering::SeqCst) < cfg.max_clients => w,
+                    _ => {
+                        let _ = tx.send(Command::ConnRefused);
+                        let mut stream = stream;
+                        let _ = stream.write_all(
+                            format!(
+                                "{}\n",
+                                error_reply(0, "busy", "server full: max clients reached")
+                            )
                             .as_bytes(),
-                    );
-                    let _ = stream.shutdown(Shutdown::Both);
-                    continue;
-                }
+                        );
+                        let _ = stream.shutdown(Shutdown::Both);
+                        continue;
+                    }
+                };
                 let client = next_client;
                 next_client += 1;
                 shared.live_clients.fetch_add(1, Ordering::SeqCst);
@@ -584,7 +594,6 @@ fn accept_loop<'scope>(
                     shared.conns.lock().unwrap().push(clone);
                 }
                 let (reply_tx, reply_rx) = unbounded::<Reply>();
-                let writer_stream = stream.try_clone().expect("clone accepted stream");
                 s.spawn(move || writer_loop(writer_stream, reply_rx));
                 let tx = tx.clone();
                 s.spawn(move || {
@@ -645,6 +654,11 @@ fn session_loop(
     let mut lineno: u64 = 0;
     let mut first = true;
     let mut line = Vec::new();
+    // A malformed line is answered and counted; the session stays open.
+    let parse_error = |detail: String| {
+        let _ = reply_tx.send(Reply::line(error_reply(0, "parse", &detail)));
+        let _ = tx.send(Command::Rejected { client, request: 0, reason: RejectReason::Parse });
+    };
     loop {
         match read_bounded_line(&mut reader, &mut line) {
             Ok(0) | Err(_) => return,
@@ -662,7 +676,11 @@ fn session_loop(
             let _ = std::io::copy(&mut reader, &mut std::io::sink());
             return;
         }
-        let Ok(line) = std::str::from_utf8(&line) else { return };
+        let Ok(line) = std::str::from_utf8(&line) else {
+            first = false;
+            parse_error(format!("line {lineno}: request is not valid UTF-8"));
+            continue;
+        };
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if first {
             first = false;
@@ -687,12 +705,7 @@ fn session_loop(
         let (request, op) = match parse_request(trimmed, lineno) {
             Ok(parsed) => parsed,
             Err(detail) => {
-                let _ = reply_tx.send(Reply::line(error_reply(0, "parse", &detail)));
-                let _ = tx.send(Command::Rejected {
-                    client,
-                    request: 0,
-                    reason: RejectReason::Parse,
-                });
+                parse_error(detail);
                 continue;
             }
         };

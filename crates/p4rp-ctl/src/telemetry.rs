@@ -114,7 +114,7 @@ serde::impl_serde_struct!(LifecycleSpan {
 
 impl LifecycleSpan {
     /// One human-readable row (the `status --metrics` rendering).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut row = format!(
             "#{} {:<6} {:<12} id {:<3} epoch {:<3} +{} entries, -{} entries, \
              +{}/-{} buckets, alloc {:.2} ms, apply {:.2} ms, update {:.2} ms",
@@ -319,7 +319,7 @@ serde::impl_serde_struct!(ServerStats {
 impl ServerStats {
     /// Zeroed counters with the same latency-bucket shape as the control
     /// channel's write histogram.
-    pub fn new() -> ServerStats {
+    pub(crate) fn new() -> ServerStats {
         ServerStats {
             accepted: 0,
             rejected_max_clients: 0,
@@ -448,7 +448,7 @@ serde::impl_serde_struct!(SloThresholds {
 
 impl SloThresholds {
     /// True when at least one limit is set.
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.max_drop_ppm.is_some()
             || self.max_deploy_failures.is_some()
             || self.max_p99_write_ns.is_some()
@@ -545,7 +545,7 @@ serde::impl_serde_struct!(SeriesRing {
 
 impl SeriesRing {
     /// An empty ring retaining at most `capacity` points (min 1).
-    pub fn new(capacity: usize) -> SeriesRing {
+    pub(crate) fn new(capacity: usize) -> SeriesRing {
         SeriesRing {
             capacity: capacity.max(1) as u64,
             evicted: 0,
@@ -562,7 +562,7 @@ impl SeriesRing {
     /// cursor) and the current p99 write latency, evicting the oldest
     /// point if the ring is full. A cut with no traffic still records a
     /// point — gaps in the series are real idle windows.
-    pub fn sample(
+    pub(crate) fn sample(
         &mut self,
         t_ns: u64,
         epoch: u64,

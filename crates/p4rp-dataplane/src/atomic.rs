@@ -48,7 +48,7 @@ pub enum MemOpKind {
 
 impl MemOpKind {
     /// The SALU instruction implementing this primitive.
-    pub fn instr(self) -> SaluInstr {
+    pub(crate) fn instr(self) -> SaluInstr {
         match self {
             // MEMADD: mem += sar; sar = new mem.
             MemOpKind::Add => SaluInstr {
@@ -120,7 +120,7 @@ pub enum MemPair {
 
 impl MemPair {
     /// `ALL`.
-    pub const ALL: [MemPair; 4] = [MemPair::ReadWrite, MemPair::AddSub, MemPair::AndOr, MemPair::MaxOnly];
+    pub(crate) const ALL: [MemPair; 4] = [MemPair::ReadWrite, MemPair::AddSub, MemPair::AndOr, MemPair::MaxOnly];
 
     fn instrs(self) -> (SaluInstr, SaluInstr) {
         match self {
@@ -153,7 +153,7 @@ pub enum AluRROp {
 
 impl AluRROp {
     /// `ALL`.
-    pub const ALL: [AluRROp; 6] =
+    pub(crate) const ALL: [AluRROp; 6] =
         [AluRROp::Add, AluRROp::And, AluRROp::Or, AluRROp::Max, AluRROp::Min, AluRROp::Xor];
 
     fn func(self) -> AluFunc {
@@ -317,11 +317,6 @@ impl RpbOp {
     pub fn report() -> RpbOp {
         RpbOp { action: AtomicAction::Report, data: vec![] }
     }
-
-    /// Nop.
-    pub fn nop() -> RpbOp {
-        RpbOp { action: AtomicAction::Nop, data: vec![] }
-    }
 }
 
 /// The pre-installed action catalogue of one RPB: the ordered action list
@@ -335,23 +330,8 @@ pub struct Catalogue {
 
 impl Catalogue {
     /// Action id.
-    pub fn action_id(&self, a: AtomicAction) -> Option<usize> {
+    pub(crate) fn action_id(&self, a: AtomicAction) -> Option<usize> {
         self.index.get(&a).copied()
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// Whether there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Total VLIW micro-op slots the catalogue consumes in one stage.
-    pub fn vliw_slots(&self) -> usize {
-        self.actions.iter().map(|a| a.vliw_slots()).sum()
     }
 }
 
@@ -361,7 +341,7 @@ impl Catalogue {
 /// polynomial for memory addressing: the prototype wires a different CRC16
 /// to each stage (crc_16_buypass / mcrf4xx / aug_ccitt / dds_110, §6.4),
 /// which is what makes multi-row sketches' rows independent.
-pub fn build_catalogue(ft: &FieldTable, f: &P4rpFields, ingress: bool, mem_crc: CrcSpec) -> Catalogue {
+pub(crate) fn build_catalogue(ft: &FieldTable, f: &P4rpFields, ingress: bool, mem_crc: CrcSpec) -> Catalogue {
     let intr = ft.intrinsics();
     let mut actions: Vec<ActionDef> = Vec::new();
     let mut index = HashMap::new();
@@ -652,7 +632,7 @@ pub fn build_catalogue(ft: &FieldTable, f: &P4rpFields, ingress: bool, mem_crc: 
 }
 
 /// Build the recirculation-block action list: `[recirculate, nop]`.
-pub fn build_recirc_actions(ft: &FieldTable, f: &P4rpFields) -> (Vec<ActionDef>, usize) {
+pub(crate) fn build_recirc_actions(ft: &FieldTable, f: &P4rpFields) -> (Vec<ActionDef>, usize) {
     let intr = ft.intrinsics();
     let recirc = ActionDef {
         name: "recirculate".into(),
@@ -712,7 +692,7 @@ mod tests {
         assert!(ig.action_id(AtomicAction::Drop).is_some());
         assert!(eg.action_id(AtomicAction::Forward).is_none());
         assert!(eg.action_id(AtomicAction::Drop).is_none());
-        assert_eq!(ig.len(), eg.len() + 5, "forward/multicast/drop/return/report");
+        assert_eq!(ig.actions.len(), eg.actions.len() + 5, "forward/multicast/drop/return/report");
     }
 
     #[test]
@@ -756,7 +736,7 @@ mod tests {
         // operations". The catalogue must land close to (but within) the
         // per-stage budget.
         let (_, _, cat) = catalogue(true);
-        let slots = cat.vliw_slots();
+        let slots: usize = cat.actions.iter().map(ActionDef::vliw_slots).sum();
         let budget = rmt_sim::pipeline::StageLimits::default().vliw_slots;
         assert!(slots <= budget, "catalogue {slots} exceeds stage budget {budget}");
         assert!(

@@ -54,10 +54,6 @@ pub struct RpbEntrySpec {
 }
 
 impl RpbEntrySpec {
-    /// A plain (non-branch) entry: registers don't-care, priority 0.
-    pub fn plain(prog_id: u16, branch: (u16, u16), recirc_id: u8, op: RpbOp) -> RpbEntrySpec {
-        RpbEntrySpec { prog_id, branch, recirc_id, regs: RegConds::default(), priority: 0, op }
-    }
 }
 
 fn reg_match(c: Option<(u32, u32)>) -> MatchValue {
@@ -103,7 +99,7 @@ pub mod init {
     use super::*;
 
     /// Filterable fields of the unified init table, in key order.
-    pub fn key_fields(ft: &FieldTable, f: &P4rpFields) -> Vec<FieldId> {
+    pub(crate) fn key_fields(ft: &FieldTable, f: &P4rpFields) -> Vec<FieldId> {
         let intr = ft.intrinsics();
         vec![
             intr.ingress_port,
@@ -119,7 +115,7 @@ pub mod init {
     }
 
     /// Full key spec: `(parse_bitmap, rc_valid, fields…)`, all ternary.
-    pub fn key_spec(ft: &FieldTable, f: &P4rpFields) -> KeySpec {
+    pub(crate) fn key_spec(ft: &FieldTable, f: &P4rpFields) -> KeySpec {
         let mut fields = vec![
             (ft.intrinsics().parse_bitmap, MatchKind::Ternary),
             (f.rc_valid, MatchKind::Ternary),
@@ -232,11 +228,23 @@ mod tests {
     use crate::fields;
     use p4rp_lang::Reg;
 
+    /// A plain (non-branch) entry: registers don't-care, priority 0.
+    fn plain(op: RpbOp) -> RpbEntrySpec {
+        RpbEntrySpec {
+            prog_id: 7,
+            branch: (0, 0),
+            recirc_id: 0,
+            regs: RegConds::default(),
+            priority: 0,
+            op,
+        }
+    }
+
     #[test]
     fn rpb_entry_encodes_action_and_data() {
         let (ft, _, f) = fields::build().unwrap();
         let cat = build_catalogue(&ft, &f, true, rmt_sim::hash::CRC16_BUYPASS);
-        let spec = RpbEntrySpec::plain(7, (0, 0), 0, RpbOp::loadi(Reg::Mar, 512));
+        let spec = plain(RpbOp::loadi(Reg::Mar, 512));
         let e = encode_rpb_entry(&cat, &spec).unwrap();
         assert_eq!(e.matches.len(), 6);
         assert_eq!(e.data, vec![512]);
@@ -247,9 +255,9 @@ mod tests {
     fn egress_catalogue_rejects_forwarding() {
         let (ft, _, f) = fields::build().unwrap();
         let cat = build_catalogue(&ft, &f, false, rmt_sim::hash::CRC16_BUYPASS);
-        let spec = RpbEntrySpec::plain(7, (0, 0), 0, RpbOp::forward(3));
+        let spec = plain(RpbOp::forward(3));
         assert!(encode_rpb_entry(&cat, &spec).is_err());
-        let spec = RpbEntrySpec::plain(7, (0, 0), 0, RpbOp::mem(MemOpKind::Read));
+        let spec = plain(RpbOp::mem(MemOpKind::Read));
         assert!(encode_rpb_entry(&cat, &spec).is_ok());
     }
 

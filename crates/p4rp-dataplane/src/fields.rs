@@ -18,24 +18,24 @@ use rmt_sim::error::SimResult;
 use p4rp_lang::Reg;
 
 /// Parse-path bitmap bits, one per header type (§4.1.1).
-pub mod bitmap {
+pub(crate) mod bitmap {
     /// `ETH`.
-    pub const ETH: u8 = 0;
+    pub(crate) const ETH: u8 = 0;
     /// `IPV4`.
-    pub const IPV4: u8 = 1;
+    pub(crate) const IPV4: u8 = 1;
     /// `TCP`.
-    pub const TCP: u8 = 2;
+    pub(crate) const TCP: u8 = 2;
     /// `UDP`.
-    pub const UDP: u8 = 3;
+    pub(crate) const UDP: u8 = 3;
     /// `NC`.
-    pub const NC: u8 = 4;
+    pub(crate) const NC: u8 = 4;
     /// `RECIRC`.
-    pub const RECIRC: u8 = 5;
+    pub(crate) const RECIRC: u8 = 5;
 }
 
 /// The UDP destination port that selects the NetCache header in the fixed
 /// parser.
-pub const NC_UDP_PORT: u16 = netpkt::NETCACHE_PORT;
+pub(crate) const NC_UDP_PORT: u16 = netpkt::NETCACHE_PORT;
 
 /// All PHV field ids of the P4runpro data plane.
 #[derive(Debug, Clone)]
@@ -116,7 +116,7 @@ impl P4rpFields {
     }
 
     /// Reg.
-    pub fn reg(&self, r: Reg) -> FieldId {
+    pub(crate) fn reg(&self, r: Reg) -> FieldId {
         match r {
             Reg::Har => self.har,
             Reg::Sar => self.sar,

@@ -20,7 +20,7 @@ use rmt_sim::switch::{ArrayRef, TableRef};
 /// Ingress RPB count (`N` in the allocation model).
 pub const NUM_INGRESS_RPBS: usize = 10;
 /// Egress RPB count.
-pub const NUM_EGRESS_RPBS: usize = 12;
+pub(crate) const NUM_EGRESS_RPBS: usize = 12;
 /// Total physical RPBs (`M` in the allocation model).
 pub const NUM_RPBS: usize = NUM_INGRESS_RPBS + NUM_EGRESS_RPBS;
 
@@ -36,14 +36,14 @@ pub const INIT_TABLE_SIZE: usize = 8192;
 pub const RECIRC_TABLE_SIZE: usize = 8192;
 
 /// Ingress pipeline stage count (init + 10 RPBs + recirc).
-pub const INGRESS_STAGES: usize = 1 + NUM_INGRESS_RPBS + 1;
+pub(crate) const INGRESS_STAGES: usize = 1 + NUM_INGRESS_RPBS + 1;
 /// Egress pipeline stage count.
-pub const EGRESS_STAGES: usize = NUM_EGRESS_RPBS;
+pub(crate) const EGRESS_STAGES: usize = NUM_EGRESS_RPBS;
 
 /// Ingress stage index of the initialization block.
-pub const INIT_STAGE: usize = 0;
+pub(crate) const INIT_STAGE: usize = 0;
 /// Ingress stage index of the recirculation block.
-pub const RECIRC_STAGE: usize = INGRESS_STAGES - 1;
+pub(crate) const RECIRC_STAGE: usize = INGRESS_STAGES - 1;
 
 /// A physical RPB, numbered 1..=22 (1..=10 ingress, 11..=22 egress).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,7 +56,7 @@ impl RpbId {
     }
 
     /// Is valid.
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         (1..=NUM_RPBS as u8).contains(&self.0)
     }
 
@@ -66,7 +66,7 @@ impl RpbId {
     }
 
     /// The pipeline stage hosting this RPB.
-    pub fn stage(self) -> (Gress, usize) {
+    pub(crate) fn stage(self) -> (Gress, usize) {
         debug_assert!(self.is_valid());
         if self.is_ingress() {
             // RPB 1 lives in ingress stage 1 (stage 0 is the init block).
@@ -94,12 +94,6 @@ impl RpbId {
 pub struct LogicalRpb(pub u16);
 
 impl LogicalRpb {
-    /// Construct with defaults appropriate to the type.
-    pub fn new(pass: u8, rpb: RpbId) -> LogicalRpb {
-        debug_assert!(rpb.is_valid());
-        LogicalRpb(u16::from(pass) * NUM_RPBS as u16 + u16::from(rpb.0))
-    }
-
     /// From index.
     pub fn from_index(index: u16) -> LogicalRpb {
         LogicalRpb(index)
@@ -153,21 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn logical_rpb_roundtrip() {
+    fn logical_index_is_contiguous_and_pass_major() {
+        let mut index = 0;
         for pass in 0..=2u8 {
             for rpb in RpbId::all() {
-                let l = LogicalRpb::new(pass, rpb);
-                assert_eq!(l.pass(), pass);
-                assert_eq!(l.rpb(), rpb);
+                index += 1;
+                let l = LogicalRpb::from_index(index);
+                assert_eq!((l.pass(), l.rpb()), (pass, rpb), "index {index}");
             }
         }
-    }
-
-    #[test]
-    fn logical_index_contiguous() {
-        assert_eq!(LogicalRpb::new(0, RpbId(1)).0, 1);
-        assert_eq!(LogicalRpb::new(0, RpbId(22)).0, 22);
-        assert_eq!(LogicalRpb::new(1, RpbId(1)).0, 23);
         assert_eq!(LogicalRpb::max_index(1), 44);
         assert_eq!(LogicalRpb::max_index(0), 22);
     }

@@ -11,10 +11,10 @@
 //! every program deployment is entry/register traffic produced by the
 //! `p4rp-compiler` crate and applied by the `p4rp-ctl` control plane.
 
-pub mod atomic;
-pub mod encode;
+mod atomic;
+mod encode;
 pub mod fields;
-pub mod layout;
+mod layout;
 pub mod provision;
 
 pub use atomic::{AluRROp, AtomicAction, Catalogue, MemOpKind, MemPair, RpbOp};
@@ -22,6 +22,6 @@ pub use encode::{
     encode_filter_entry, encode_recirc_entry, encode_rpb_entry, init, recirc_key_spec,
     rpb_key_spec, FilterEntrySpec, RpbEntrySpec,
 };
-pub use fields::{P4rpFields, NC_UDP_PORT};
+pub use fields::P4rpFields;
 pub use layout::*;
 pub use provision::{provision, Dataplane};

@@ -42,7 +42,7 @@ impl Dataplane {
     }
 
     /// The CRC16 polynomial of an RPB's memory-addressing hash unit.
-    pub fn mem_crc(rpb: RpbId) -> rmt_sim::hash::CrcSpec {
+    pub(crate) fn mem_crc(rpb: RpbId) -> rmt_sim::hash::CrcSpec {
         rmt_sim::hash::HH_CRC_SET[(usize::from(rpb.0) - 1) % 4]
     }
 
@@ -166,7 +166,7 @@ mod tests {
     fn catalogue_selection_by_rpb() {
         let (_, dp) = provision(SwitchConfig::default()).unwrap();
         // Ingress catalogues are larger (forwarding ops present).
-        assert!(dp.catalogue(RpbId(3)).len() > dp.catalogue(RpbId(15)).len());
+        assert!(dp.catalogue(RpbId(3)).actions.len() > dp.catalogue(RpbId(15)).actions.len());
         // Adjacent RPBs use distinct memory-hash polynomials (§6.4).
         assert_ne!(Dataplane::mem_crc(RpbId(1)), Dataplane::mem_crc(RpbId(2)));
         assert_eq!(Dataplane::mem_crc(RpbId(1)), Dataplane::mem_crc(RpbId(5)));

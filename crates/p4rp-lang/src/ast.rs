@@ -29,7 +29,7 @@ impl Reg {
     }
 
     /// From name.
-    pub fn from_name(s: &str) -> Option<Reg> {
+    pub(crate) fn from_name(s: &str) -> Option<Reg> {
         match s {
             "har" => Some(Reg::Har),
             "sar" => Some(Reg::Sar),
@@ -101,7 +101,7 @@ pub struct RegConds {
 
 impl RegConds {
     /// Get.
-    pub fn get(&self, reg: Reg) -> Option<(u32, u32)> {
+    pub(crate) fn get(&self, reg: Reg) -> Option<(u32, u32)> {
         match reg {
             Reg::Har => self.har,
             Reg::Sar => self.sar,
@@ -110,7 +110,7 @@ impl RegConds {
     }
 
     /// Set.
-    pub fn set(&mut self, reg: Reg, value: u32, mask: u32) {
+    pub(crate) fn set(&mut self, reg: Reg, value: u32, mask: u32) {
         let slot = match reg {
             Reg::Har => &mut self.har,
             Reg::Sar => &mut self.sar,
@@ -267,38 +267,8 @@ pub struct Primitive {
 }
 
 impl PrimitiveKind {
-    /// Is this a pseudo primitive (translated by the compiler, Figure 14)?
-    pub fn is_pseudo(&self) -> bool {
-        matches!(
-            self,
-            PrimitiveKind::Move { .. }
-                | PrimitiveKind::Not { .. }
-                | PrimitiveKind::Sub { .. }
-                | PrimitiveKind::Equal { .. }
-                | PrimitiveKind::Sgt { .. }
-                | PrimitiveKind::Slt { .. }
-                | PrimitiveKind::AddI { .. }
-                | PrimitiveKind::AndI { .. }
-                | PrimitiveKind::XorI { .. }
-                | PrimitiveKind::SubI { .. }
-        )
-    }
-
-    /// Is this a forwarding primitive (only executable in ingress RPBs —
-    /// allocation constraint (4))?
-    pub fn is_forwarding(&self) -> bool {
-        matches!(
-            self,
-            PrimitiveKind::Forward { .. }
-                | PrimitiveKind::Multicast { .. }
-                | PrimitiveKind::Drop
-                | PrimitiveKind::Return
-                | PrimitiveKind::Report
-        )
-    }
-
     /// The virtual memory identifier this primitive operates on, if any.
-    pub fn memory(&self) -> Option<&str> {
+    pub(crate) fn memory(&self) -> Option<&str> {
         match self {
             PrimitiveKind::Hash5TupleMem { mem }
             | PrimitiveKind::HashMem { mem }
@@ -312,69 +282,11 @@ impl PrimitiveKind {
             _ => None,
         }
     }
-
-    /// Is this a memory-access primitive (reads or writes a bucket —
-    /// excludes the hash/address-setup primitives)?
-    pub fn is_memory_access(&self) -> bool {
-        matches!(
-            self,
-            PrimitiveKind::MemAdd { .. }
-                | PrimitiveKind::MemSub { .. }
-                | PrimitiveKind::MemAnd { .. }
-                | PrimitiveKind::MemOr { .. }
-                | PrimitiveKind::MemRead { .. }
-                | PrimitiveKind::MemWrite { .. }
-                | PrimitiveKind::MemMax { .. }
-        )
-    }
-
-    /// The surface name of the primitive (for diagnostics and printing).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PrimitiveKind::Extract { .. } => "EXTRACT",
-            PrimitiveKind::Modify { .. } => "MODIFY",
-            PrimitiveKind::Hash5Tuple => "HASH_5_TUPLE",
-            PrimitiveKind::Hash => "HASH",
-            PrimitiveKind::Hash5TupleMem { .. } => "HASH_5_TUPLE_MEM",
-            PrimitiveKind::HashMem { .. } => "HASH_MEM",
-            PrimitiveKind::Branch { .. } => "BRANCH",
-            PrimitiveKind::MemAdd { .. } => "MEMADD",
-            PrimitiveKind::MemSub { .. } => "MEMSUB",
-            PrimitiveKind::MemAnd { .. } => "MEMAND",
-            PrimitiveKind::MemOr { .. } => "MEMOR",
-            PrimitiveKind::MemRead { .. } => "MEMREAD",
-            PrimitiveKind::MemWrite { .. } => "MEMWRITE",
-            PrimitiveKind::MemMax { .. } => "MEMMAX",
-            PrimitiveKind::LoadI { .. } => "LOADI",
-            PrimitiveKind::Add { .. } => "ADD",
-            PrimitiveKind::And { .. } => "AND",
-            PrimitiveKind::Or { .. } => "OR",
-            PrimitiveKind::Max { .. } => "MAX",
-            PrimitiveKind::Min { .. } => "MIN",
-            PrimitiveKind::Xor { .. } => "XOR",
-            PrimitiveKind::Move { .. } => "MOVE",
-            PrimitiveKind::Not { .. } => "NOT",
-            PrimitiveKind::Sub { .. } => "SUB",
-            PrimitiveKind::Equal { .. } => "EQUAL",
-            PrimitiveKind::Sgt { .. } => "SGT",
-            PrimitiveKind::Slt { .. } => "SLT",
-            PrimitiveKind::AddI { .. } => "ADDI",
-            PrimitiveKind::AndI { .. } => "ANDI",
-            PrimitiveKind::XorI { .. } => "XORI",
-            PrimitiveKind::SubI { .. } => "SUBI",
-            PrimitiveKind::Forward { .. } => "FORWARD",
-            PrimitiveKind::Multicast { .. } => "MULTICAST",
-            PrimitiveKind::Drop => "DROP",
-            PrimitiveKind::Return => "RETURN",
-            PrimitiveKind::Report => "REPORT",
-            PrimitiveKind::Nop => "NOP",
-        }
-    }
 }
 
 impl ProgramDecl {
     /// Walk every primitive in the program (depth-first through branches).
-    pub fn visit_primitives<'a>(&'a self, f: &mut impl FnMut(&'a Primitive)) {
+    pub(crate) fn visit_primitives<'a>(&'a self, f: &mut impl FnMut(&'a Primitive)) {
         fn walk<'a>(prims: &'a [Primitive], f: &mut impl FnMut(&'a Primitive)) {
             for p in prims {
                 f(p);
@@ -415,13 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn classification_predicates() {
-        assert!(PrimitiveKind::Move { a: Reg::Har, b: Reg::Sar }.is_pseudo());
-        assert!(!PrimitiveKind::Add { a: Reg::Har, b: Reg::Sar }.is_pseudo());
-        assert!(PrimitiveKind::Drop.is_forwarding());
-        assert!(!PrimitiveKind::Hash.is_forwarding());
-        assert!(PrimitiveKind::MemRead { mem: "m".into() }.is_memory_access());
-        assert!(!PrimitiveKind::HashMem { mem: "m".into() }.is_memory_access());
+    fn hash_mem_names_its_memory() {
         assert_eq!(PrimitiveKind::HashMem { mem: "m".into() }.memory(), Some("m"));
     }
 
@@ -440,9 +346,9 @@ mod tests {
             body: vec![Primitive { kind: PrimitiveKind::Hash, line: 1 }, branch],
             line: 1,
         };
-        let mut names = Vec::new();
-        prog.visit_primitives(&mut |p| names.push(p.kind.name()));
-        assert_eq!(names, vec!["HASH", "BRANCH", "DROP"]);
+        let mut lines = Vec::new();
+        prog.visit_primitives(&mut |p| lines.push(p.line));
+        assert_eq!(lines, vec![1, 2, 3], "HASH, then BRANCH, then the DROP inside it");
     }
 
     #[test]

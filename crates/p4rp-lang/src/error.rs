@@ -29,7 +29,7 @@ pub enum Stage {
 
 impl LangError {
     /// Lex.
-    pub fn lex(message: impl Into<String>, line: u32, col: u32) -> LangError {
+    pub(crate) fn lex(message: impl Into<String>, line: u32, col: u32) -> LangError {
         LangError { stage: Stage::Lex, message: message.into(), line, col }
     }
 

@@ -9,7 +9,7 @@ use crate::error::LangError;
 use crate::token::{Token, TokenKind};
 
 /// Tokenize a P4runpro source string.
-pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LangError> {
     let mut tokens = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0usize;

@@ -14,16 +14,18 @@
 //! * [`pretty`] — canonical printer (round-trips through the parser);
 //! * [`loc`] — the Table 1 lines-of-code counting rules.
 
-pub mod ast;
-pub mod error;
-pub mod lexer;
-pub mod loc;
-pub mod parser;
-pub mod pretty;
-pub mod token;
-pub mod typecheck;
+mod ast;
+mod error;
+mod lexer;
+mod loc;
+mod parser;
+mod pretty;
+mod token;
+mod typecheck;
 
-pub use ast::{Annotation, Case, Filter, Primitive, PrimitiveKind, ProgramDecl, Reg, RegConds, SourceUnit};
+pub use ast::{
+    Annotation, Case, Filter, Primitive, PrimitiveKind, ProgramDecl, Reg, RegConds, SourceUnit,
+};
 pub use error::LangError;
 pub use loc::{count_loc, count_loc_excluding_elastic};
 pub use parser::parse;

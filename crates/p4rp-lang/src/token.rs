@@ -2,7 +2,7 @@
 
 /// A lexical token with its source position (1-based line/column).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Kind.
     pub kind: TokenKind,
     /// 1-based source line.
@@ -15,7 +15,7 @@ pub struct Token {
 /// level; the parser gives them meaning (matching how the paper's PLY-based
 /// scanner works).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// `program` keyword.
     KwProgram,
     /// `case` keyword.
@@ -52,7 +52,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// Short human-readable description for diagnostics.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::KwProgram => "`program`".into(),
             TokenKind::KwCase => "`case`".into(),

@@ -29,11 +29,11 @@ pub struct ProgramSpec {
 }
 
 /// Default filters used by the canonical instances.
-pub const FILTER_NC: &str = "<hdr.udp.dst_port, 7777, 0xffff>";
+pub(crate) const FILTER_NC: &str = "<hdr.udp.dst_port, 7777, 0xffff>";
 /// `FILTER_IP`.
-pub const FILTER_IP: &str = "<hdr.ipv4.dst, 10.0.0.0, 0xffff0000>";
+pub(crate) const FILTER_IP: &str = "<hdr.ipv4.dst, 10.0.0.0, 0xffff0000>";
 /// `FILTER_SRC`.
-pub const FILTER_SRC: &str = "<hdr.ipv4.src, 10.0.0.0, 0xffff0000>";
+pub(crate) const FILTER_SRC: &str = "<hdr.ipv4.src, 10.0.0.0, 0xffff0000>";
 
 /// Build the canonical instance of every Table 1 program.
 pub fn all() -> Vec<ProgramSpec> {

@@ -7,9 +7,9 @@
 //! * [`workloads`] — unique-instance generators for the §6.2 deployment
 //!   experiments (cache / lb / hh / nc / mix / all-mixed).
 
-pub mod catalog;
+mod catalog;
 pub mod sources;
 pub mod workloads;
 
-pub use catalog::{all as catalog_all, PriorSystem, ProgramSpec};
+pub use catalog::{all as catalog_all, PriorSystem};
 pub use workloads::{instance, instance_filter, Family, Workload, WorkloadParams};

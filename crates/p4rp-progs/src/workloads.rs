@@ -50,7 +50,7 @@ pub enum Family {
 
 impl Family {
     /// The three workload programs of §6.2.1 (cache / lb / hh).
-    pub const CORE: [Family; 3] = [Family::Cache, Family::Lb, Family::Hh];
+    pub(crate) const CORE: [Family; 3] = [Family::Cache, Family::Lb, Family::Hh];
 
     /// All 15 families (the "all-mixed" workload).
     pub const ALL: [Family; 15] = [
@@ -90,22 +90,6 @@ impl Family {
             Family::SuMax => "sumax",
             Family::Hll => "hll",
         }
-    }
-
-    /// Does this family use elastic case blocks?
-    pub fn has_elastic(self) -> bool {
-        matches!(
-            self,
-            Family::Cache | Family::Lb | Family::NetCache | Family::L2Fwd | Family::L3Route
-        )
-    }
-
-    /// Does this family request stateful memory?
-    pub fn has_memory(self) -> bool {
-        !matches!(
-            self,
-            Family::L2Fwd | Family::L3Route | Family::Tunnel | Family::Calculator | Family::Ecn
-        )
     }
 }
 

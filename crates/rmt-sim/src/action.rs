@@ -118,7 +118,7 @@ pub struct SaluCall {
 /// telemetry layer can count SALU activity without the SALU knowing about
 /// recorders.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActionEffects {
+pub(crate) struct ActionEffects {
     /// A SALU read-modify-write cycle ran (memory was read).
     pub salu_read: bool,
     /// The SALU cycle committed a memory write.
@@ -129,7 +129,7 @@ pub struct ActionEffects {
 /// parallel-issue write set and the hash input bytes. Owning one per stage
 /// keeps the match-action loop free of per-execution heap allocation.
 #[derive(Debug, Clone, Default)]
-pub struct ActionScratch {
+pub(crate) struct ActionScratch {
     writes: Vec<(FieldId, u64)>,
     hash_bytes: Vec<u8>,
 }
@@ -161,25 +161,9 @@ impl ActionDef {
             + usize::from(self.salu.is_some())
     }
 
-    /// Execute this action with parallel-issue semantics.
-    ///
-    /// All operands are read from the PHV as it was when the action started;
-    /// all destination writes are applied afterwards. If several slots write
-    /// the same destination the *last* listed wins (matching the simulator's
-    /// deterministic tie-break; real hardware forbids such programs).
-    pub fn execute(
-        &self,
-        table: &FieldTable,
-        phv: &mut Phv,
-        data: &[u64],
-        arrays: &mut [RegArray],
-    ) -> SimResult<ActionEffects> {
-        self.execute_scratch(table, phv, data, arrays, &mut ActionScratch::default())
-    }
-
     /// [`ActionDef::execute`] with caller-owned scratch buffers, so repeated
     /// executions (every table of every stage, every pass) allocate nothing.
-    pub fn execute_scratch(
+    pub(crate) fn execute_scratch(
         &self,
         table: &FieldTable,
         phv: &mut Phv,
@@ -267,6 +251,19 @@ impl ActionDef {
 mod tests {
     use super::*;
     use crate::salu::{SaluCond, SaluExpr, SaluOutput};
+
+    impl ActionDef {
+        /// One run with a scratch of its own.
+        fn execute(
+            &self,
+            table: &FieldTable,
+            phv: &mut Phv,
+            data: &[u64],
+            arrays: &mut [RegArray],
+        ) -> SimResult<ActionEffects> {
+            self.execute_scratch(table, phv, data, arrays, &mut ActionScratch::default())
+        }
+    }
 
     fn setup() -> (FieldTable, FieldId, FieldId, FieldId) {
         let mut t = FieldTable::new();

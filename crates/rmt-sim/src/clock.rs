@@ -38,7 +38,7 @@ impl Nanos {
     }
 
     /// As micros f64.
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
@@ -50,11 +50,6 @@ impl Nanos {
     /// As secs f64.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Saturating sub.
-    pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -100,7 +95,7 @@ pub struct SimClock {
 
 impl SimClock {
     /// Construct with defaults appropriate to the type.
-    pub fn new() -> SimClock {
+    pub(crate) fn new() -> SimClock {
         SimClock { now: Nanos::ZERO }
     }
 
@@ -113,13 +108,6 @@ impl SimClock {
     pub fn advance(&mut self, by: Nanos) {
         self.now += by;
     }
-
-    /// Advance to an absolute time; later-than-now only (no time travel).
-    pub fn advance_to(&mut self, t: Nanos) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
 }
 
 /// A link or port bandwidth. Stored as bits per second.
@@ -128,18 +116,13 @@ pub struct Bandwidth(pub f64);
 
 impl Bandwidth {
     /// From gbps.
-    pub fn from_gbps(g: f64) -> Bandwidth {
+    pub(crate) fn from_gbps(g: f64) -> Bandwidth {
         Bandwidth(g * 1e9)
     }
 
     /// From mbps.
     pub fn from_mbps(m: f64) -> Bandwidth {
         Bandwidth(m * 1e6)
-    }
-
-    /// As gbps.
-    pub fn as_gbps(self) -> f64 {
-        self.0 / 1e9
     }
 
     /// Time to serialize `bytes` onto this link.
@@ -162,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_is_monotonic() {
-        let mut c = SimClock::new();
-        c.advance(Nanos(100));
-        c.advance_to(Nanos(50)); // must not go backwards
-        assert_eq!(c.now(), Nanos(100));
-        c.advance_to(Nanos(500));
-        assert_eq!(c.now(), Nanos(500));
-    }
-
-    #[test]
     fn serialization_time() {
         // 1500 bytes at 100 Gbps = 120 ns.
         let t = Bandwidth::from_gbps(100.0).serialize(1500);
@@ -184,10 +157,5 @@ mod tests {
         assert_eq!(Nanos(12_000).to_string(), "12.000us");
         assert_eq!(Nanos(12_000_000).to_string(), "12.000ms");
         assert_eq!(Nanos(2_500_000_000).to_string(), "2.500s");
-    }
-
-    #[test]
-    fn saturating_sub_clamps() {
-        assert_eq!(Nanos(5).saturating_sub(Nanos(10)), Nanos::ZERO);
     }
 }

@@ -83,7 +83,7 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// Cost of one op under the channel's mode.
-    pub fn cost_of(&self, op: &ControlOp) -> Nanos {
+    pub(crate) fn cost_of(&self, op: &ControlOp) -> Nanos {
         let (insert, delete, reg_write, reg_read) = if self.bulk {
             let v = &self.vectored;
             (v.per_insert, v.per_delete, v.per_reg_write, v.per_reg_read)
@@ -105,7 +105,7 @@ impl LatencyModel {
 /// What a timed-out batch RPC costs before the channel gives up — the
 /// client-side deadline, charged to the simulated clock so retry/backoff
 /// shows up in update-delay telemetry.
-pub const BATCH_TIMEOUT_COST: Nanos = Nanos(100_000_000);
+pub(crate) const BATCH_TIMEOUT_COST: Nanos = Nanos(100_000_000);
 
 /// The outcome of a batch: the results of the *applied prefix*, the
 /// modeled latency, and the error that stopped the batch early (if any).
@@ -180,11 +180,6 @@ impl ControlChannel {
     /// [`subscribe`](SnapshotPublisher::subscribe) worker readers.
     pub fn enable_snapshots(&mut self) -> &mut SnapshotPublisher {
         self.publisher.get_or_insert_with(SnapshotPublisher::new)
-    }
-
-    /// The snapshot publisher, when enabled.
-    pub fn snapshots(&self) -> Option<&SnapshotPublisher> {
-        self.publisher.as_ref()
     }
 
     /// The latest published snapshot generation; 0 when publication is

@@ -33,7 +33,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable lower-case name, used by the spec syntax and trace render.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultKind::FailOp => "failop",
             FaultKind::BatchTimeout => "timeout",
@@ -58,22 +58,12 @@ pub enum OpKind {
 
 impl OpKind {
     /// Classify a control op.
-    pub fn of(op: &ControlOp) -> OpKind {
+    pub(crate) fn of(op: &ControlOp) -> OpKind {
         match op {
             ControlOp::InsertEntry { .. } => OpKind::Insert,
             ControlOp::DeleteEntry { .. } => OpKind::Delete,
             ControlOp::WriteReg { .. } | ControlOp::ResetRegRange { .. } => OpKind::RegWrite,
             ControlOp::ReadReg { .. } | ControlOp::ReadRegRange { .. } => OpKind::RegRead,
-        }
-    }
-
-    /// Stable lower-case name, used by the spec syntax.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OpKind::Insert => "insert",
-            OpKind::Delete => "delete",
-            OpKind::RegWrite => "regwrite",
-            OpKind::RegRead => "regread",
         }
     }
 }
@@ -185,31 +175,13 @@ impl FaultPlan {
         Ok(FaultPlan::new(triggers))
     }
 
-    /// Render back to the spec syntax (fired triggers included).
-    pub fn spec(&self) -> String {
-        let items: Vec<String> = self
-            .triggers
-            .iter()
-            .map(|t| match t.op_kind {
-                Some(o) => format!("{}:{}@{}", t.fault.name(), o.name(), t.at),
-                None => format!("{}@{}", t.fault.name(), t.at),
-            })
-            .collect();
-        items.join(",")
-    }
-
-    /// True when no trigger can ever fire again.
-    pub fn is_exhausted(&self) -> bool {
-        self.fired.iter().all(|f| *f)
-    }
-
     /// Armed triggers.
     pub fn triggers(&self) -> &[FaultTrigger] {
         &self.triggers
     }
 
     /// Global attempted-op counter.
-    pub fn ops_attempted(&self) -> u64 {
+    pub(crate) fn ops_attempted(&self) -> u64 {
         self.ops_attempted
     }
 
@@ -222,7 +194,7 @@ impl FaultPlan {
     /// first due batch-level trigger (timeout/drop) whose `at` falls
     /// inside this batch's op-index range `[ops_attempted,
     /// ops_attempted + len)`.
-    pub fn batch_fault(&mut self, len: usize) -> Option<FaultKind> {
+    pub(crate) fn batch_fault(&mut self, len: usize) -> Option<FaultKind> {
         if self.triggers.is_empty() {
             return None;
         }
@@ -249,7 +221,7 @@ impl FaultPlan {
     /// Consult the plan before applying one op; always advances the
     /// global counter. Fires the first due op-level trigger
     /// (failop/reset) matching the op's class.
-    pub fn op_fault(&mut self, op: &ControlOp) -> Option<FaultKind> {
+    pub(crate) fn op_fault(&mut self, op: &ControlOp) -> Option<FaultKind> {
         let idx = self.ops_attempted;
         self.ops_attempted += 1;
         if self.triggers.is_empty() {
@@ -317,7 +289,6 @@ mod tests {
         assert_eq!(plan.op_fault(&insert()), Some(FaultKind::FailOp));
         assert_eq!(plan.op_fault(&insert()), None, "one-shot");
         assert_eq!(plan.ops_attempted(), 4);
-        assert!(plan.is_exhausted());
     }
 
     #[test]
@@ -347,13 +318,19 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips() {
+    fn spec_parses_every_kind() {
         let plan =
             FaultPlan::parse_spec("failop@5, reset@12,timeout@0,drop:insert@20").unwrap();
-        assert_eq!(plan.triggers().len(), 4);
-        assert_eq!(plan.spec(), "failop@5,reset@12,timeout@0,drop:insert@20");
-        let back = FaultPlan::parse_spec(&plan.spec()).unwrap();
-        assert_eq!(back.triggers(), plan.triggers());
+        let trigger = |at, op_kind, fault| FaultTrigger { at, op_kind, fault };
+        assert_eq!(
+            plan.triggers(),
+            [
+                trigger(5, None, FaultKind::FailOp),
+                trigger(12, None, FaultKind::DeviceReset),
+                trigger(0, None, FaultKind::BatchTimeout),
+                trigger(20, Some(OpKind::Insert), FaultKind::ChannelDrop),
+            ]
+        );
     }
 
     #[test]

@@ -81,10 +81,10 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed through [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

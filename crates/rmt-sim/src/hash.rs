@@ -43,10 +43,6 @@ pub const CRC16_AUG_CCITT: CrcSpec =
 pub const CRC16_DDS_110: CrcSpec =
     CrcSpec { width: 16, poly: 0x8005, init: 0x800D, refin: false, refout: false, xorout: 0x0000 };
 
-/// CRC-16/CCITT-FALSE, the SDE default 16-bit hash.
-pub const CRC16_CCITT_FALSE: CrcSpec =
-    CrcSpec { width: 16, poly: 0x1021, init: 0xFFFF, refin: false, refout: false, xorout: 0x0000 };
-
 /// Standard CRC-32 (ISO-HDLC).
 pub const CRC32: CrcSpec = CrcSpec {
     width: 32,
@@ -177,16 +173,6 @@ impl CrcSpec {
     }
 }
 
-/// Accounting record for one hash invocation site in a provisioned pipeline,
-/// used by the resource report (hash-unit usage in Figure 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HashUse {
-    /// Galois-matrix output bits consumed.
-    pub output_bits: u8,
-    /// Total input bits fed to the unit.
-    pub input_bits: u16,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,11 +198,6 @@ mod tests {
     #[test]
     fn dds_110_check() {
         assert_eq!(CRC16_DDS_110.compute(CHECK), 0x9ECF);
-    }
-
-    #[test]
-    fn ccitt_false_check() {
-        assert_eq!(CRC16_CCITT_FALSE.compute(CHECK), 0x29B1);
     }
 
     #[test]
@@ -284,7 +265,6 @@ mod tests {
             CRC16_MCRF4XX,
             CRC16_AUG_CCITT,
             CRC16_DDS_110,
-            CRC16_CCITT_FALSE,
             CRC32,
         ] {
             for len in [0usize, 1, 4, 13, 64] {

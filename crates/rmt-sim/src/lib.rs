@@ -103,7 +103,7 @@ pub mod pipeline;
 pub mod power;
 pub mod resources;
 pub mod salu;
-pub mod snapshot;
+mod snapshot;
 pub mod switch;
 pub mod table;
 pub mod telemetry;
@@ -114,7 +114,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::action::{ActionDef, AluFunc, HashCall, HashInput, Operand, SaluCall, VliwOp};
     pub use crate::clock::{Bandwidth, Nanos, SimClock};
-    pub use crate::control::{BatchOutcome, ControlChannel, LatencyModel, VectoredModel};
+    pub use crate::control::{BatchOutcome, ControlChannel, LatencyModel};
     pub use crate::error::{SimError, SimResult};
     pub use crate::fault::{FaultKind, FaultPlan, FaultTrigger, OpKind};
     pub use crate::hash::CrcSpec;
@@ -125,9 +125,7 @@ pub mod prelude {
     pub use crate::power::{PowerEstimate, PowerModel};
     pub use crate::resources::ChipReport;
     pub use crate::salu::{RegArray, SaluCond, SaluExpr, SaluInstr, SaluOutput};
-    pub use crate::snapshot::{
-        AppliedOp, BatchDelta, SnapshotPublisher, SnapshotReader,
-    };
+    pub use crate::snapshot::SnapshotPublisher;
     pub use crate::switch::{
         ArrayRef, ControlOp, OpResult, PortCounters, ProcessOutcome, Switch, SwitchConfig,
         TableIndexStats, TableRef,
@@ -135,10 +133,7 @@ pub mod prelude {
     pub use crate::table::{
         EntryHandle, KeySpec, MatchKind, MatchValue, Table, TableEntry,
     };
-    pub use crate::telemetry::{
-        Counter, Histogram, MetricsRecorder, NopRecorder, Recorder, StageMetrics, TeeRecorder,
-        TmMetrics,
-    };
+    pub use crate::telemetry::{Counter, Histogram, MetricsRecorder, StageMetrics, TmMetrics};
     pub use crate::tm::{RecircModel, TmDecision, Verdict};
     pub use crate::trace::{
         LifecycleKind, PacketJourney, TraceBuffer, TraceConfig, TraceEvent, TraceEventKind,

@@ -22,7 +22,8 @@
 //!    pointer swap on the master side, adoption is off the master's
 //!    critical path entirely.
 //! 3. **Deterministic merge.** Per-worker telemetry merges through
-//!    [`MetricsRecorder::merge`] (commutative, additive) and per-worker
+//!    [`crate::telemetry::MetricsRecorder::merge`] (commutative,
+//!    additive) and per-worker
 //!    trace rings through [`merge_rings`] (global timestamp/packet-id
 //!    order, seqs renumbered, drops accounted exactly), so `status
 //!    --json`, packet journeys, and the Perfetto export are
@@ -33,8 +34,7 @@
 //! drives one worker per thread; tests drive workers directly.
 
 use crate::snapshot::{SnapshotPublisher, SnapshotReader};
-use crate::switch::{PortCounters, ProcessOutcome, Switch};
-use crate::telemetry::MetricsRecorder;
+use crate::switch::{ProcessOutcome, Switch};
 use crate::trace::{merge_rings, TraceBuffer};
 use std::hash::Hasher;
 
@@ -102,7 +102,7 @@ impl Worker {
     /// Adopt every control-plane delta published since the last poll.
     /// Costs one atomic load when nothing changed — the per-packet steady
     /// state. Returns how many deltas were adopted.
-    pub fn poll(&mut self) -> crate::error::SimResult<usize> {
+    pub(crate) fn poll(&mut self) -> crate::error::SimResult<usize> {
         let pending = self.reader.poll();
         for delta in &pending {
             self.switch.adopt_delta(delta)?;
@@ -124,16 +124,6 @@ impl Worker {
         self.switch.set_next_packet_id(packet_id);
         self.packets += 1;
         self.switch.process_frame_into(port, frame, outcome)
-    }
-
-    /// Worker index within its pool.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Packets injected so far.
-    pub fn packets(&self) -> u64 {
-        self.packets
     }
 
     /// The worker's switch.
@@ -187,14 +177,10 @@ impl WorkerPool {
         WorkerPool { workers }
     }
 
-    /// Number of workers.
+    /// Number of workers (never zero: `new` clamps to at least one).
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Never true — `new` clamps to at least one worker.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
     }
 
     /// Which worker owns this frame's flow.
@@ -232,17 +218,6 @@ impl WorkerPool {
         self.workers.iter().map(Worker::stats).collect()
     }
 
-    /// All workers' telemetry merged into one recorder (order-independent;
-    /// see [`MetricsRecorder::merge`]). `None` if telemetry is off.
-    pub fn merged_metrics(&self) -> Option<MetricsRecorder> {
-        let mut iter = self.workers.iter().filter_map(|w| w.switch.telemetry());
-        let mut merged = iter.next()?.clone();
-        for m in iter {
-            merged.merge(m);
-        }
-        Some(merged)
-    }
-
     /// All workers' trace rings (plus the master's, for control events)
     /// merged into one deterministically ordered ring. `None` if tracing
     /// is off.
@@ -251,38 +226,6 @@ impl WorkerPool {
         let rings =
             std::iter::once(master_ring).chain(self.workers.iter().filter_map(|w| w.switch.trace()));
         Some(merge_rings(rings, master_ring.config().clone()))
-    }
-
-    /// Per-port counters summed across workers, indexed by port.
-    pub fn merged_port_counters(&self) -> Vec<PortCounters> {
-        let ports = self
-            .workers
-            .iter()
-            .map(|w| w.switch.cfg.num_ports)
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![PortCounters::default(); usize::from(ports)];
-        for w in &self.workers {
-            for (port, acc) in out.iter_mut().enumerate() {
-                if let Ok(c) = w.switch.port_counters(port as u16) {
-                    acc.rx_pkts += c.rx_pkts;
-                    acc.rx_bytes += c.rx_bytes;
-                    acc.tx_pkts += c.tx_pkts;
-                    acc.tx_bytes += c.tx_bytes;
-                }
-            }
-        }
-        out
-    }
-
-    /// Total packets injected across workers.
-    pub fn total_packets(&self) -> u64 {
-        self.workers.iter().map(|w| w.packets).sum()
-    }
-
-    /// Total drops across workers.
-    pub fn total_drops(&self) -> u64 {
-        self.workers.iter().map(|w| w.switch.drops).sum()
     }
 }
 

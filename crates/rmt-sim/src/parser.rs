@@ -73,7 +73,7 @@ impl HeaderDef {
     /// Check that the declared fields tile the header exactly: no gaps, no
     /// overlaps, total width = `len_bytes * 8`. Required because the
     /// deparser reconstructs headers purely from the PHV.
-    pub fn validate_coverage(&self) -> SimResult<()> {
+    pub(crate) fn validate_coverage(&self) -> SimResult<()> {
         let mut covered = vec![false; self.len_bytes * 8];
         for hf in &self.fields {
             if hf.bits > 64 {
@@ -343,19 +343,9 @@ impl Parser {
         self.programs = self.headers.iter().map(compile).collect();
     }
 
-    /// Header def.
-    pub fn header_def(&self, id: HeaderTypeId) -> &HeaderDef {
-        &self.headers[id.0]
-    }
-
     /// Headers.
-    pub fn headers(&self) -> &[HeaderDef] {
+    pub(crate) fn headers(&self) -> &[HeaderDef] {
         &self.headers
-    }
-
-    /// Num header types.
-    pub fn num_header_types(&self) -> usize {
-        self.headers.len()
     }
 
     /// Check everything the per-frame code indexes with, so that a parser
@@ -1185,8 +1175,8 @@ mod tests {
             // presence bits, override source and values wider than the
             // header field included. The buffer arrives dirty.
             let mut phv = Phv::new(&table);
-            for (i, (id, _)) in table.iter().enumerate() {
-                phv.set(&table, id, values[i % values.len()]);
+            for i in 0..table.len() {
+                phv.set(&table, FieldId(i as u16), values[i % values.len()]);
             }
             let mut out = vec![0xA5; 7];
             p.deparse_into(&table, &phv, payload, &mut out);

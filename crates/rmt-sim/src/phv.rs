@@ -29,7 +29,7 @@ pub struct FieldSpec {
 
 impl FieldSpec {
     /// Mask.
-    pub fn mask(&self) -> u64 {
+    pub(crate) fn mask(&self) -> u64 {
         if self.bits >= 64 {
             u64::MAX
         } else {
@@ -150,18 +150,13 @@ impl FieldTable {
     }
 
     /// The width mask every write to `id` is truncated with.
-    pub fn mask(&self, id: FieldId) -> u64 {
+    pub(crate) fn mask(&self, id: FieldId) -> u64 {
         self.masks[id.0 as usize]
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.specs.len()
-    }
-
-    /// Whether there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
     }
 
     /// Intrinsics.
@@ -172,7 +167,7 @@ impl FieldTable {
     /// Total PHV container bits consumed, counting each field rounded up to
     /// its container size (8/16/32 bits, 32-bit pairs for wider fields) —
     /// the quantity the PHV row of Figure 10 reports.
-    pub fn container_bits(&self) -> usize {
+    pub(crate) fn container_bits(&self) -> usize {
         self.specs
             .iter()
             .map(|s| match s.bits {
@@ -182,11 +177,6 @@ impl FieldTable {
                 _ => 64,
             })
             .sum()
-    }
-
-    /// Iterate `(id, spec)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (FieldId, &FieldSpec)> {
-        self.specs.iter().enumerate().map(|(i, s)| (FieldId(i as u16), s))
     }
 }
 
@@ -288,7 +278,8 @@ mod tests {
         let mut t = FieldTable::new();
         t.register("meta.one", 1).unwrap();
         t.register("meta.wide", 64).unwrap();
-        for (id, spec) in t.iter() {
+        for id in (0..t.len() as u16).map(FieldId) {
+            let spec = t.spec(id);
             assert_eq!(t.mask(id), spec.mask(), "{}", spec.name);
         }
     }

@@ -88,7 +88,7 @@ pub struct Stage {
 
 impl Stage {
     /// Construct with defaults appropriate to the type.
-    pub fn new(gress: Gress, index: usize, limits: StageLimits) -> Stage {
+    pub(crate) fn new(gress: Gress, index: usize, limits: StageLimits) -> Stage {
         Stage {
             gress,
             index,
@@ -112,7 +112,7 @@ impl Stage {
     }
 
     /// Table.
-    pub fn table(&self, idx: usize) -> SimResult<&Table> {
+    pub(crate) fn table(&self, idx: usize) -> SimResult<&Table> {
         self.tables.get(idx).ok_or_else(|| SimError::NoSuchTable(format!(
             "{} stage {} table {idx}",
             self.gress, self.index
@@ -120,7 +120,7 @@ impl Stage {
     }
 
     /// Table mut.
-    pub fn table_mut(&mut self, idx: usize) -> SimResult<&mut Table> {
+    pub(crate) fn table_mut(&mut self, idx: usize) -> SimResult<&mut Table> {
         let (gress, index) = (self.gress, self.index);
         self.tables.get_mut(idx).ok_or_else(|| SimError::NoSuchTable(format!(
             "{gress} stage {index} table {idx}"
@@ -128,7 +128,7 @@ impl Stage {
     }
 
     /// Array.
-    pub fn array(&self, idx: usize) -> SimResult<&RegArray> {
+    pub(crate) fn array(&self, idx: usize) -> SimResult<&RegArray> {
         self.arrays.get(idx).ok_or_else(|| SimError::NoSuchRegArray(format!(
             "{} stage {} array {idx}",
             self.gress, self.index
@@ -136,7 +136,7 @@ impl Stage {
     }
 
     /// Array mut.
-    pub fn array_mut(&mut self, idx: usize) -> SimResult<&mut RegArray> {
+    pub(crate) fn array_mut(&mut self, idx: usize) -> SimResult<&mut RegArray> {
         let (gress, index) = (self.gress, self.index);
         self.arrays.get_mut(idx).ok_or_else(|| SimError::NoSuchRegArray(format!(
             "{gress} stage {index} array {idx}"
@@ -158,7 +158,7 @@ impl Stage {
     /// from the PHV before this stage's events fire — so events after the
     /// filter table's binding action land on the owning program's slot, and
     /// events before it land on slot 0 (see `telemetry::ProgramMetrics`).
-    pub fn run<R: Recorder + ?Sized>(
+    pub(crate) fn run<R: Recorder + ?Sized>(
         &mut self,
         ft: &FieldTable,
         phv: &mut Phv,
@@ -218,7 +218,7 @@ impl Pipeline {
     }
 
     /// Stage.
-    pub fn stage(&self, idx: usize) -> SimResult<&Stage> {
+    pub(crate) fn stage(&self, idx: usize) -> SimResult<&Stage> {
         self.stages.get(idx).ok_or_else(|| {
             SimError::Config(format!("{} has no stage {idx}", self.gress))
         })
@@ -239,7 +239,7 @@ impl Pipeline {
 
     /// [`Pipeline::process`], reporting per-stage events into `rec` and
     /// attributing them through `attr` (see [`Stage::run`]).
-    pub fn run<R: Recorder + ?Sized>(
+    pub(crate) fn run<R: Recorder + ?Sized>(
         &mut self,
         ft: &FieldTable,
         phv: &mut Phv,

@@ -12,11 +12,11 @@ use crate::table::Table;
 use crate::error::{SimError, SimResult};
 
 /// SRAM block geometry: 1024 rows × 128 bits.
-pub const SRAM_BLOCK_BITS: usize = 1024 * 128;
+pub(crate) const SRAM_BLOCK_BITS: usize = 1024 * 128;
 /// TCAM block geometry: 512 entries × 44 bits.
-pub const TCAM_BLOCK_ENTRIES: usize = 512;
+pub(crate) const TCAM_BLOCK_ENTRIES: usize = 512;
 /// `TCAM_BLOCK_WIDTH`.
-pub const TCAM_BLOCK_WIDTH: usize = 44;
+pub(crate) const TCAM_BLOCK_WIDTH: usize = 44;
 /// Match-overhead bits per SRAM exact-match entry (pointer + version).
 const SRAM_ENTRY_OVERHEAD: usize = 20;
 /// Action-data bits reserved per entry (two 64-bit immediates).
@@ -51,7 +51,7 @@ impl StageUsage {
 }
 
 /// Compute the cost of one table.
-pub fn table_usage(table: &Table, ft: &FieldTable) -> StageUsage {
+pub(crate) fn table_usage(table: &Table, ft: &FieldTable) -> StageUsage {
     let key_bits = table.key_bits(ft);
     let mut u = StageUsage { ltids: 1, ..Default::default() };
 
@@ -91,7 +91,7 @@ pub fn table_usage(table: &Table, ft: &FieldTable) -> StageUsage {
 }
 
 /// Compute the usage of one stage (tables + register arrays).
-pub fn stage_usage(stage: &Stage, ft: &FieldTable) -> StageUsage {
+pub(crate) fn stage_usage(stage: &Stage, ft: &FieldTable) -> StageUsage {
     let mut u = StageUsage::default();
     for t in &stage.tables {
         u.add(table_usage(t, ft));
@@ -106,7 +106,7 @@ pub fn stage_usage(stage: &Stage, ft: &FieldTable) -> StageUsage {
 }
 
 /// Validate a stage against its limits (provisioning-time check).
-pub fn check_stage(stage: &Stage, ft: &FieldTable) -> SimResult<StageUsage> {
+pub(crate) fn check_stage(stage: &Stage, ft: &FieldTable) -> SimResult<StageUsage> {
     let u = stage_usage(stage, ft);
     let l = stage.limits;
     let checks: [(&'static str, usize, usize); 6] = [
@@ -151,7 +151,7 @@ pub struct ChipReport {
 
 /// Total PHV container bits available (both gresses of a Tofino-class
 /// chip share ~4 Kb of containers per gress).
-pub const PHV_TOTAL_BITS: usize = 4096;
+pub(crate) const PHV_TOTAL_BITS: usize = 4096;
 
 impl ChipReport {
     /// Build the report for a provisioned ingress+egress pipeline pair.
@@ -209,10 +209,6 @@ impl ChipReport {
             Self::pct(self.totals.ltids, self.limits_total.ltids),
         ]
     }
-
-    /// Resource names matching [`Self::utilization_pct`].
-    pub const RESOURCE_NAMES: [&'static str; 7] =
-        ["PHV", "Hash", "SRAM", "TCAM", "VLIW", "SALU", "LTID"];
 }
 
 impl core::fmt::Display for ChipReport {

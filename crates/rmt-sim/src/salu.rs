@@ -39,7 +39,7 @@ impl RegArray {
     }
 
     /// Read.
-    pub fn read(&self, addr: u32) -> SimResult<u32> {
+    pub(crate) fn read(&self, addr: u32) -> SimResult<u32> {
         self.data.get(addr as usize).copied().ok_or_else(|| SimError::AddrOutOfRange {
             array: self.name.clone(),
             addr,
@@ -48,7 +48,7 @@ impl RegArray {
     }
 
     /// Write.
-    pub fn write(&mut self, addr: u32, value: u32) -> SimResult<()> {
+    pub(crate) fn write(&mut self, addr: u32, value: u32) -> SimResult<()> {
         let size = self.size();
         match self.data.get_mut(addr as usize) {
             Some(slot) => {
@@ -62,7 +62,7 @@ impl RegArray {
 
     /// Zero a contiguous range — the control-plane memory reset used during
     /// program termination (Figure 6, step 4).
-    pub fn reset_range(&mut self, start: u32, len: u32) -> SimResult<()> {
+    pub(crate) fn reset_range(&mut self, start: u32, len: u32) -> SimResult<()> {
         let end = start
             .checked_add(len)
             .filter(|&e| e <= self.size())
@@ -75,7 +75,7 @@ impl RegArray {
     }
 
     /// Snapshot a range (control-plane monitoring path).
-    pub fn read_range(&self, start: u32, len: u32) -> SimResult<Vec<u32>> {
+    pub(crate) fn read_range(&self, start: u32, len: u32) -> SimResult<Vec<u32>> {
         let end = start
             .checked_add(len)
             .filter(|&e| e <= self.size())
@@ -105,7 +105,7 @@ pub enum SaluCond {
 
 impl SaluCond {
     /// Eval.
-    pub fn eval(self, mem: u32, op: u32) -> bool {
+    pub(crate) fn eval(self, mem: u32, op: u32) -> bool {
         match self {
             SaluCond::Always => true,
             SaluCond::OpGtMem => op > mem,
@@ -149,7 +149,7 @@ pub enum SaluExpr {
 
 impl SaluExpr {
     /// Eval.
-    pub fn eval(self, mem: u32, op: u32) -> u32 {
+    pub(crate) fn eval(self, mem: u32, op: u32) -> u32 {
         match self {
             SaluExpr::Mem => mem,
             SaluExpr::Op => op,
@@ -213,7 +213,7 @@ impl SaluInstr {
     };
 
     /// Execute against a bucket: returns `(new_mem, output)`.
-    pub fn execute(&self, mem: u32, op: u32) -> (u32, Option<u32>) {
+    pub(crate) fn execute(&self, mem: u32, op: u32) -> (u32, Option<u32>) {
         let taken = self.cond.eval(mem, op);
         let update = if taken { self.update_true } else { self.update_false };
         let new_mem = update.map(|e| e.eval(mem, op)).unwrap_or(mem);

@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// handle-compatible with later deletes; reads are omitted (they do not
 /// change device state).
 #[derive(Debug, Clone)]
-pub enum AppliedOp {
+pub(crate) enum AppliedOp {
     /// An entry landed under the master-assigned handle.
     Insert {
         /// Table.
@@ -83,7 +83,7 @@ pub enum AppliedOp {
 /// Everything one channel batch changed on the device, published
 /// atomically.
 #[derive(Debug, Clone)]
-pub struct BatchDelta {
+pub(crate) struct BatchDelta {
     /// Publication generation, 1-based and contiguous.
     pub generation: u64,
     /// Telemetry epoch active when the batch applied (the controller
@@ -123,18 +123,18 @@ impl Drop for Node {
 /// The published history, as seen through the RCU cell: the newest delta
 /// with the chain of its predecessors hanging off it.
 #[derive(Debug, Clone, Default)]
-pub struct DeltaLog {
+pub(crate) struct DeltaLog {
     head: Option<Arc<Node>>,
 }
 
 impl DeltaLog {
     /// The latest published generation (0 = nothing published).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.head.as_ref().map_or(0, |n| n.delta.generation)
     }
 
     /// Deltas newer than `after`, oldest first.
-    pub fn since(&self, after: u64) -> Vec<Arc<BatchDelta>> {
+    pub(crate) fn since(&self, after: u64) -> Vec<Arc<BatchDelta>> {
         let mut missed = Vec::new();
         let mut cursor = self.head.as_deref();
         while let Some(node) = cursor {
@@ -164,14 +164,14 @@ impl Default for SnapshotPublisher {
 
 impl SnapshotPublisher {
     /// A publisher at generation 0 (nothing published).
-    pub fn new() -> SnapshotPublisher {
+    pub(crate) fn new() -> SnapshotPublisher {
         SnapshotPublisher { cell: Arc::new(RcuCell::default()), head: None }
     }
 
     /// Publish one batch's applied operations; the whole delta becomes
     /// visible to every reader in a single generation bump. Returns the
     /// new generation.
-    pub fn publish(&mut self, epoch: u64, ops: Vec<AppliedOp>) -> u64 {
+    pub(crate) fn publish(&mut self, epoch: u64, ops: Vec<AppliedOp>) -> u64 {
         let generation = self.head.as_ref().map_or(0, |n| n.delta.generation) + 1;
         let delta = Arc::new(BatchDelta { generation, epoch, ops });
         self.head = Some(Arc::new(Node { delta, prev: self.head.take() }));
@@ -179,14 +179,14 @@ impl SnapshotPublisher {
     }
 
     /// The latest published generation.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.cell.generation()
     }
 
     /// Subscribe a reader positioned at the *current* generation: it will
     /// observe only deltas published after this call. Fork worker switches
     /// from the master at the same moment so nothing is missed or doubled.
-    pub fn subscribe(&self) -> SnapshotReader {
+    pub(crate) fn subscribe(&self) -> SnapshotReader {
         let reader = RcuReader::new(Arc::clone(&self.cell));
         let applied = reader.current().generation();
         SnapshotReader { reader, applied }
@@ -195,7 +195,7 @@ impl SnapshotPublisher {
 
 /// A worker's cursor into the published delta stream.
 #[derive(Debug)]
-pub struct SnapshotReader {
+pub(crate) struct SnapshotReader {
     reader: RcuReader<DeltaLog>,
     applied: u64,
 }
@@ -204,7 +204,7 @@ impl SnapshotReader {
     /// Deltas published since the last poll, oldest first. Costs one
     /// atomic load (and allocates nothing) when the answer is "none" —
     /// cheap enough to call per packet.
-    pub fn poll(&mut self) -> Vec<Arc<BatchDelta>> {
+    pub(crate) fn poll(&mut self) -> Vec<Arc<BatchDelta>> {
         self.reader.refresh();
         let log = self.reader.current();
         if log.generation() == self.applied {
@@ -216,7 +216,7 @@ impl SnapshotReader {
     }
 
     /// The generation this reader has consumed up to.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.applied
     }
 }

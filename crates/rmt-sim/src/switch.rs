@@ -346,11 +346,6 @@ impl Switch {
         }
     }
 
-    /// The configured attribution field, if any.
-    pub fn attribution_field(&self) -> Option<FieldId> {
-        self.attr_field
-    }
-
     /// Disarm attribution without touching telemetry: the recorder keeps
     /// its accumulated per-program slots (a future
     /// [`Switch::set_attribution_field`] resumes into them), but new
@@ -488,27 +483,12 @@ impl Switch {
         &self.parser
     }
 
-    /// Chip report.
-    pub fn chip_report(&self) -> ChipReport {
-        ChipReport::build(&self.ft, &self.ingress, &self.egress)
-    }
-
     /// Port counters.
     pub fn port_counters(&self, port: u16) -> SimResult<PortCounters> {
         self.counters
             .get(usize::from(port))
             .copied()
             .ok_or(SimError::NoSuchPort(port))
-    }
-
-    /// Reset counters.
-    pub fn reset_counters(&mut self) {
-        for c in &mut self.counters {
-            *c = PortCounters::default();
-        }
-        self.cpu_counters = PortCounters::default();
-        self.drops = 0;
-        self.recirc_passes = 0;
     }
 
     /// Device generation (bumped by [`Switch::reset_device`]).
@@ -521,7 +501,7 @@ impl Switch {
     /// pipeline configuration (parser, table/array shapes) survives — this
     /// models a device reboot that reloads the P4 binary but loses all
     /// runtime state. Entry handles are *not* reused afterwards.
-    pub fn reset_device(&mut self) {
+    pub(crate) fn reset_device(&mut self) {
         for pipe in [&mut self.ingress, &mut self.egress] {
             for stage in &mut pipe.stages {
                 for table in &mut stage.tables {
@@ -678,7 +658,7 @@ impl Switch {
     /// from operations that already succeeded on an identically shaped
     /// master device, so failures here indicate a diverged clone and are
     /// surfaced rather than skipped.
-    pub fn adopt_delta(&mut self, delta: &crate::snapshot::BatchDelta) -> SimResult<()> {
+    pub(crate) fn adopt_delta(&mut self, delta: &crate::snapshot::BatchDelta) -> SimResult<()> {
         use crate::snapshot::AppliedOp;
         for op in &delta.ops {
             match op {
@@ -733,7 +713,7 @@ impl Switch {
     /// when enabled on the master — a fresh telemetry recorder and a fresh
     /// trace ring (same configuration, same epoch/clock position), so
     /// per-worker observations start at zero and merge cleanly.
-    pub fn fork_worker(&self) -> Switch {
+    pub(crate) fn fork_worker(&self) -> Switch {
         let mut w = self.clone();
         w.counters = vec![PortCounters::default(); w.counters.len()];
         w.cpu_counters = PortCounters::default();
@@ -1137,8 +1117,6 @@ mod tests {
         assert_eq!(sw.port_counters(2).unwrap().rx_pkts, 1);
         assert_eq!(sw.port_counters(2).unwrap().rx_bytes, 4);
         assert_eq!(sw.port_counters(5).unwrap().tx_pkts, 1);
-        sw.reset_counters();
-        assert_eq!(sw.port_counters(2).unwrap().rx_pkts, 0);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl KeySpec {
     }
 
     /// Whether any field requires TCAM (ternary or range).
-    pub fn needs_tcam(&self) -> bool {
+    pub(crate) fn needs_tcam(&self) -> bool {
         self.fields
             .iter()
             .any(|(_, k)| matches!(k, MatchKind::Ternary | MatchKind::Lpm | MatchKind::Range))
@@ -436,7 +436,7 @@ pub struct LookupResult<'a> {
 
 /// Where a [`Table::lookup_slot`] hit found its action data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataSrc {
+pub(crate) enum DataSrc {
     /// The matched entry's immediate data.
     Entry(u32),
     /// The default action's data.
@@ -448,7 +448,7 @@ pub enum DataSrc {
 /// cloning either (the zero-allocation dispatch path in
 /// [`crate::pipeline::Stage::run`]).
 #[derive(Debug, Clone, Copy)]
-pub struct SlotLookup {
+pub(crate) struct SlotLookup {
     /// Index into [`Table::actions`].
     pub action: usize,
     /// Where the action data lives.
@@ -500,7 +500,7 @@ impl Table {
 
     /// Whether lookups currently take an index fast path (an index exists
     /// and is enabled).
-    pub fn is_indexed(&self) -> bool {
+    pub(crate) fn is_indexed(&self) -> bool {
         self.indexed && !matches!(self.index, Index::Scan)
     }
 
@@ -541,19 +541,10 @@ impl Table {
         self.tss_parts().map(|p| p.members.len()).max().unwrap_or(0)
     }
 
-    /// Number of elements.
+    /// Number of installed entries.
+    #[allow(clippy::len_without_is_empty)] // no caller asks "is it empty?"
     pub fn len(&self) -> usize {
         self.order.len()
-    }
-
-    /// Whether there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Free entries.
-    pub fn free_entries(&self) -> usize {
-        self.capacity - self.order.len()
     }
 
     fn stored(&self, slot: u32) -> &StoredEntry {
@@ -978,7 +969,7 @@ impl Table {
     /// Drop every entry at once (a device reset, not per-entry deletes).
     /// The index is rebuilt empty from the key spec, recovering from any
     /// degradation the wiped entries caused.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.free_slots.clear();
         self.order.clear();
@@ -1107,7 +1098,7 @@ impl Table {
     /// Look up the PHV, returning plain indices into the table instead of
     /// borrows — the allocation-free dispatch interface. Bumps hit/miss
     /// counters exactly as [`Table::lookup`] does.
-    pub fn lookup_slot(&mut self, phv: &Phv) -> Option<SlotLookup> {
+    pub(crate) fn lookup_slot(&mut self, phv: &Phv) -> Option<SlotLookup> {
         // A table with no entry misses whatever the key: answer before any
         // index dispatch or key read. Emptiness is read from the live entry
         // list, so no control operation has anything to invalidate.
@@ -1131,7 +1122,7 @@ impl Table {
     }
 
     /// The action data a [`SlotLookup`] refers to.
-    pub fn data_of(&self, src: DataSrc) -> &[u64] {
+    pub(crate) fn data_of(&self, src: DataSrc) -> &[u64] {
         match src {
             DataSrc::Entry(slot) => &self.stored(slot).entry.data,
             DataSrc::Default => self
@@ -1163,7 +1154,7 @@ impl Table {
     }
 
     /// Total key width in bits, used for TCAM/SRAM block accounting.
-    pub fn key_bits(&self, field_table: &crate::phv::FieldTable) -> usize {
+    pub(crate) fn key_bits(&self, field_table: &crate::phv::FieldTable) -> usize {
         self.key.fields.iter().map(|(f, _)| usize::from(field_table.spec(*f).bits)).sum()
     }
 }
@@ -1347,7 +1338,7 @@ mod tests {
         assert!(tbl.lookup(&phv).is_some());
         tbl.delete(EntryHandle(1)).unwrap();
         assert!(tbl.lookup(&phv).is_none());
-        assert_eq!(tbl.free_entries(), 2);
+        assert_eq!(tbl.len(), 0);
         assert!(matches!(tbl.delete(EntryHandle(1)), Err(SimError::NoSuchEntry(1))));
     }
 

@@ -32,11 +32,8 @@ use crate::tm::Verdict;
 pub struct Counter(u64);
 
 impl Counter {
-    /// Zero.
-    pub const ZERO: Counter = Counter(0);
-
     /// Increment by one.
-    pub fn incr(&mut self) {
+    pub(crate) fn incr(&mut self) {
         self.0 += 1;
     }
 
@@ -51,13 +48,8 @@ impl Counter {
     }
 
     /// Fold another counter in (snapshot aggregation).
-    pub fn merge(&mut self, other: Counter) {
+    pub(crate) fn merge(&mut self, other: Counter) {
         self.0 += other.0;
-    }
-
-    /// Difference against an earlier snapshot of the same counter.
-    pub fn delta_since(self, earlier: Counter) -> u64 {
-        self.0.saturating_sub(earlier.0)
     }
 }
 
@@ -94,7 +86,7 @@ serde::impl_serde_struct!(Histogram { bounds, counts, count, sum, min, max });
 
 impl Histogram {
     /// Build with explicit ascending bucket edges.
-    pub fn new(bounds: Vec<u64>) -> Histogram {
+    pub(crate) fn new(bounds: Vec<u64>) -> Histogram {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "edges must ascend");
         let counts = vec![0; bounds.len() + 1];
         Histogram { bounds, counts, count: 0, sum: 0, min: u64::MAX, max: 0 }
@@ -140,11 +132,6 @@ impl Histogram {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
-    /// Smallest sample, `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest sample, `None` when empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
@@ -177,18 +164,6 @@ impl Histogram {
         }
         Some(self.max)
     }
-
-    /// Fold another histogram with identical edges in.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram edges differ");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Match/action/SALU counters of one physical stage.
@@ -210,7 +185,7 @@ serde::impl_serde_struct!(StageMetrics { hits, misses, actions, salu_reads, salu
 
 impl StageMetrics {
     /// Fold another stage's counters in.
-    pub fn merge(&mut self, other: &StageMetrics) {
+    pub(crate) fn merge(&mut self, other: &StageMetrics) {
         self.hits.merge(other.hits);
         self.misses.merge(other.misses);
         self.actions.merge(other.actions);
@@ -246,16 +221,8 @@ serde::impl_serde_struct!(TmMetrics {
 });
 
 impl TmMetrics {
-    /// Everything the TM enqueued somewhere (drops excluded).
-    pub fn enqueued(&self) -> u64 {
-        self.forwarded.get()
-            + self.returned.get()
-            + self.recirculated.get()
-            + self.multicast.get()
-    }
-
     /// Fold another TM's counters in.
-    pub fn merge(&mut self, other: &TmMetrics) {
+    pub(crate) fn merge(&mut self, other: &TmMetrics) {
         self.forwarded.merge(other.forwarded);
         self.returned.merge(other.returned);
         self.dropped.merge(other.dropped);
@@ -269,7 +236,7 @@ impl TmMetrics {
 ///
 /// Every method has an empty default body: implementors override only
 /// what they store, and the [`NopRecorder`] overrides nothing.
-pub trait Recorder {
+pub(crate) trait Recorder {
     /// The program context for subsequent per-stage events: the owning
     /// program id read out of the PHV (`p4rp.prog_id`, bound by the
     /// filter table's `set_prog`). 0 means "no program bound yet" — the
@@ -333,7 +300,7 @@ pub trait Recorder {
 
 /// The recorder used when telemetry is disabled: stores nothing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NopRecorder;
+pub(crate) struct NopRecorder;
 
 impl Recorder for NopRecorder {}
 
@@ -343,7 +310,7 @@ impl Recorder for NopRecorder {}
 /// when both are enabled. Built per pass on the stack; when at most one
 /// sink is active the switch passes that sink directly and this type never
 /// materializes.
-pub struct TeeRecorder<'a> {
+pub(crate) struct TeeRecorder<'a> {
     /// First sink.
     pub a: &'a mut dyn Recorder,
     /// Second sink.
@@ -430,7 +397,7 @@ impl PipelineMetrics {
 
     /// Fold another pipeline's counters in, stage by stage (growing to the
     /// longer of the two).
-    pub fn merge(&mut self, other: &PipelineMetrics) {
+    pub(crate) fn merge(&mut self, other: &PipelineMetrics) {
         for (idx, s) in other.stages.iter().enumerate() {
             self.stage_mut(idx).merge(s);
         }
@@ -486,7 +453,7 @@ impl ProgramMetrics {
     }
 
     /// Fold another program slot's counters in.
-    pub fn merge(&mut self, other: &ProgramMetrics) {
+    pub(crate) fn merge(&mut self, other: &ProgramMetrics) {
         self.packets.merge(other.packets);
         self.forwarded.merge(other.forwarded);
         self.drops.merge(other.drops);
@@ -539,12 +506,6 @@ impl MetricsRecorder {
     /// Fresh, epoch 0.
     pub fn new() -> MetricsRecorder {
         MetricsRecorder::default()
-    }
-
-    /// Format a parse bitmap the way [`MetricsRecorder::parser_paths`]
-    /// keys it.
-    pub fn path_key(bitmap: u16) -> String {
-        format!("{bitmap:#06x}")
     }
 
     fn gress_mut(&mut self, gress: Gress) -> &mut PipelineMetrics {
@@ -663,7 +624,19 @@ impl Recorder for MetricsRecorder {
     }
 
     fn parser_path(&mut self, bitmap: u16) {
-        *self.parser_paths.entry(Self::path_key(bitmap)).or_insert(0) += 1;
+        // The `{bitmap:#06x}` key, formatted on the stack: only a path
+        // never seen before allocates, so a warm frame allocates nothing.
+        let mut key = *b"0x0000";
+        for (i, digit) in key[2..].iter_mut().enumerate() {
+            *digit = b"0123456789abcdef"[usize::from(bitmap >> (12 - 4 * i)) & 0xf];
+        }
+        let key = std::str::from_utf8(&key).expect("ASCII hex digits");
+        match self.parser_paths.get_mut(key) {
+            Some(n) => *n += 1,
+            None => {
+                self.parser_paths.insert(key.to_string(), 1);
+            }
+        }
     }
 
     fn tm_decision(&mut self, verdict: Verdict, report_copy: bool) {
@@ -701,15 +674,13 @@ mod tests {
 
     #[test]
     fn counter_arithmetic() {
-        let mut c = Counter::ZERO;
+        let mut c = Counter::default();
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
         let snap = c;
         c.add(8);
-        assert_eq!(c.delta_since(snap), 8);
-        assert_eq!(snap.delta_since(c), 0, "reversed delta saturates");
-        let mut m = Counter::ZERO;
+        let mut m = Counter::default();
         m.merge(c);
         m.merge(snap);
         assert_eq!(m.get(), 92);
@@ -724,7 +695,6 @@ mod tests {
         assert_eq!(h.bucket_counts(), &[2, 2, 1, 1]);
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 5 + 10 + 11 + 100 + 101 + 5000);
-        assert_eq!(h.min(), Some(5));
         assert_eq!(h.max(), Some(5000));
         let mean = h.mean().unwrap();
         assert!((mean - (5227.0 / 6.0)).abs() < 1e-9);
@@ -747,27 +717,6 @@ mod tests {
         let mut o = Histogram::new(vec![10]);
         o.observe(99);
         assert_eq!(o.quantile(1.0), Some(99));
-    }
-
-    #[test]
-    fn histogram_merge_requires_same_edges() {
-        let mut a = Histogram::exponential(10, 4, 4);
-        let mut b = Histogram::exponential(10, 4, 4);
-        a.observe(12);
-        b.observe(700);
-        b.observe(3);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(3));
-        assert_eq!(a.max(), Some(700));
-        assert_eq!(a.sum(), 715);
-    }
-
-    #[test]
-    #[should_panic(expected = "edges differ")]
-    fn histogram_merge_mismatch_panics() {
-        let mut a = Histogram::new(vec![1, 2]);
-        a.merge(&Histogram::new(vec![1, 3]));
     }
 
     #[test]
@@ -803,7 +752,7 @@ mod tests {
         assert_eq!(r.tm.forwarded.get(), 1);
         assert_eq!(r.tm.dropped.get(), 1);
         assert_eq!(r.tm.reports.get(), 1);
-        assert_eq!(r.tm.enqueued(), 2);
+        assert_eq!(r.tm.recirculated.get(), 1);
     }
 
     #[test]

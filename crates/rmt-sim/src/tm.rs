@@ -108,13 +108,13 @@ impl Default for RecircModel {
 
 impl RecircModel {
     /// Net wire overhead per recirculation pass, bytes.
-    pub fn wire_overhead(&self) -> usize {
+    pub(crate) fn wire_overhead(&self) -> usize {
         self.header_len.saturating_sub(self.fcs_reuse)
     }
 
     /// Maximum external throughput without loss for packets of `pkt_size`
     /// bytes making `iterations` recirculation passes.
-    pub fn max_lossless_throughput(&self, pkt_size: usize, iterations: u8) -> Bandwidth {
+    pub(crate) fn max_lossless_throughput(&self, pkt_size: usize, iterations: u8) -> Bandwidth {
         if iterations == 0 {
             return self.port;
         }
@@ -132,7 +132,7 @@ impl RecircModel {
     }
 
     /// Added one-way latency for `iterations` passes.
-    pub fn added_latency(&self, pkt_size: usize, iterations: u8) -> Nanos {
+    pub(crate) fn added_latency(&self, pkt_size: usize, iterations: u8) -> Nanos {
         let per_pass = self.per_pass_fixed
             + self.per_pass_rate.serialize(pkt_size + self.wire_overhead());
         Nanos(per_pass.0 * u64::from(iterations))

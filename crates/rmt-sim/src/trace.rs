@@ -48,10 +48,10 @@ use crate::tm::Verdict;
 /// Default ring capacity: enough for the experiment-scale deploy → replay
 /// → revoke scenarios to complete with zero drops (~40 events per packet
 /// through the provisioned P4runpro pipeline).
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
 
 /// How many trailing events a post-mortem dump renders by default.
-pub const DEFAULT_POSTMORTEM_LAST: usize = 256;
+pub(crate) const DEFAULT_POSTMORTEM_LAST: usize = 256;
 
 /// What happened, without its stamp. Every variant is `Copy` and carries
 /// no heap payload, so a ring slot is one fixed-size write.
@@ -320,7 +320,7 @@ pub enum RequestOp {
 
 impl RequestOp {
     /// Short stable name (dump rows, Chrome trace `name`, protocol verb).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RequestOp::Deploy => "deploy",
             RequestOp::Revoke => "revoke",
@@ -377,7 +377,7 @@ pub enum SloKind {
 
 impl SloKind {
     /// Short stable name (render rows, Prometheus labels).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SloKind::DropRate => "drop_rate",
             SloKind::DeployFailure => "deploy_failure",
@@ -406,7 +406,7 @@ impl core::fmt::Display for LifecycleKind {
 
 impl TraceEventKind {
     /// The packet id this event belongs to, `None` for control-side events.
-    pub fn packet(&self) -> Option<u64> {
+    pub(crate) fn packet(&self) -> Option<u64> {
         match *self {
             TraceEventKind::PacketStart { packet, .. }
             | TraceEventKind::PacketFlow { packet, .. }
@@ -661,7 +661,7 @@ impl core::fmt::Display for Violation {
 /// 4. **`seq-regression`** — sequence numbers are strictly increasing
 ///    (structural; fires only if the ring is corrupted).
 #[derive(Debug, Clone, Default)]
-pub struct InvariantChecker {
+pub(crate) struct InvariantChecker {
     in_batch: Option<u64>,
     last_epoch: u64,
     last_seq: Option<u64>,
@@ -669,12 +669,12 @@ pub struct InvariantChecker {
 
 impl InvariantChecker {
     /// Fresh checker.
-    pub fn new() -> InvariantChecker {
+    pub(crate) fn new() -> InvariantChecker {
         InvariantChecker::default()
     }
 
     /// Observe one event; `Some` means the invariant broke at this event.
-    pub fn observe(&mut self, ev: &TraceEvent) -> Option<Violation> {
+    pub(crate) fn observe(&mut self, ev: &TraceEvent) -> Option<Violation> {
         if let Some(last) = self.last_seq {
             if ev.seq <= last {
                 return Some(Violation {
@@ -760,7 +760,7 @@ impl Default for TraceBuffer {
 
 impl TraceBuffer {
     /// Preallocate a ring with the given configuration.
-    pub fn new(cfg: TraceConfig) -> TraceBuffer {
+    pub(crate) fn new(cfg: TraceConfig) -> TraceBuffer {
         let capacity = cfg.capacity.max(1);
         TraceBuffer {
             slots: Vec::with_capacity(capacity),
@@ -779,12 +779,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Preallocate a ring of `capacity` events with default post-mortem
-    /// settings.
-    pub fn with_capacity(capacity: usize) -> TraceBuffer {
-        TraceBuffer::new(TraceConfig { capacity, ..TraceConfig::default() })
-    }
-
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
         self.cfg.capacity
@@ -792,7 +786,7 @@ impl TraceBuffer {
 
     /// The ring's configuration (used to fork per-worker rings with the
     /// master's settings).
-    pub fn config(&self) -> &TraceConfig {
+    pub(crate) fn config(&self) -> &TraceConfig {
         &self.cfg
     }
 
@@ -802,18 +796,14 @@ impl TraceBuffer {
     }
 
     /// Events lost to wraparound.
-    pub fn dropped_events(&self) -> u64 {
+    pub(crate) fn dropped_events(&self) -> u64 {
         self.dropped
     }
 
     /// Events currently retained.
+    #[allow(clippy::len_without_is_empty)] // no caller asks "is it empty?"
     pub fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// No events retained.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Advance the trace clock (the control channel syncs its simulated
@@ -823,7 +813,7 @@ impl TraceBuffer {
     }
 
     /// Current trace clock.
-    pub fn now(&self) -> Nanos {
+    pub(crate) fn now(&self) -> Nanos {
         Nanos(self.now_ns)
     }
 
@@ -861,7 +851,7 @@ impl TraceBuffer {
     /// Append one event to the ring, running the invariant checker. A
     /// violation triggers the post-mortem dump (once per violation, capped
     /// at 16 retained violations).
-    pub fn record(&mut self, kind: TraceEventKind) {
+    pub(crate) fn record(&mut self, kind: TraceEventKind) {
         let ev = TraceEvent { seq: self.next_seq, t_ns: self.now_ns, epoch: self.epoch, kind };
         self.next_seq += 1;
         if let Some(v) = self.checker.observe(&ev) {
@@ -881,7 +871,7 @@ impl TraceBuffer {
     /// worker rings were each checked live, and a merged interleaving
     /// legitimately nests packets inside control batches that ran
     /// concurrently on other threads.
-    pub fn absorb(&mut self, ev: TraceEvent) {
+    pub(crate) fn absorb(&mut self, ev: TraceEvent) {
         let ev = TraceEvent { seq: self.next_seq, ..ev };
         self.next_seq += 1;
         self.push(ev);
@@ -889,7 +879,7 @@ impl TraceBuffer {
 
     /// Fold `n` pre-merge drops into this ring's exact drop count (events
     /// a source ring lost to wraparound before the merge saw them).
-    pub fn add_dropped(&mut self, n: u64) {
+    pub(crate) fn add_dropped(&mut self, n: u64) {
         self.dropped += n;
     }
 
@@ -912,7 +902,7 @@ impl TraceBuffer {
     }
 
     /// The last `n` retained events, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
+    pub(crate) fn tail(&self, n: usize) -> Vec<TraceEvent> {
         let skip = self.slots.len().saturating_sub(n);
         self.events().skip(skip).copied().collect()
     }
@@ -934,7 +924,7 @@ impl TraceBuffer {
 
     /// One applied control operation (reads are not traced — they cannot
     /// affect packet-visible state).
-    pub fn control_op(&mut self, op: &ControlOp, result: &OpResult) {
+    pub(crate) fn control_op(&mut self, op: &ControlOp, result: &OpResult) {
         match (op, result) {
             (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) => {
                 self.record(TraceEventKind::EntryInsert {
@@ -985,7 +975,7 @@ impl TraceBuffer {
     }
 
     /// The fault plan fired a trigger on the control channel.
-    pub fn fault_injected(&mut self, fault: crate::fault::FaultKind, at_op: u64) {
+    pub(crate) fn fault_injected(&mut self, fault: crate::fault::FaultKind, at_op: u64) {
         self.record(TraceEventKind::FaultInjected { fault, at_op });
     }
 
@@ -1034,7 +1024,7 @@ impl TraceBuffer {
     /// Render the last `postmortem_last` events plus the reason into a
     /// `postmortem-<seq>.txt` artifact under the configured directory.
     /// Returns the path when a file was written.
-    pub fn dump_postmortem(&mut self, reason: &str) -> Option<String> {
+    pub(crate) fn dump_postmortem(&mut self, reason: &str) -> Option<String> {
         let dir = self.cfg.postmortem_dir.clone()?;
         let text = self.render_postmortem(reason);
         let path = format!("{dir}/postmortem-{}.txt", self.next_seq);
@@ -1047,7 +1037,7 @@ impl TraceBuffer {
 
     /// The post-mortem text (also used when the artifact directory is
     /// disabled).
-    pub fn render_postmortem(&self, reason: &str) -> String {
+    pub(crate) fn render_postmortem(&self, reason: &str) -> String {
         let mut out = String::new();
         out.push_str(&format!("post-mortem: {reason}\n"));
         let s = self.stats();
@@ -1129,7 +1119,7 @@ impl crate::telemetry::Recorder for TraceBuffer {
 /// The online [`InvariantChecker`] is deliberately *not* re-run on the
 /// merged stream (see [`TraceBuffer::absorb`]); consult each source
 /// ring's [`TraceBuffer::violations`] instead.
-pub fn merge_rings<'a>(
+pub(crate) fn merge_rings<'a>(
     rings: impl IntoIterator<Item = &'a TraceBuffer>,
     cfg: TraceConfig,
 ) -> TraceBuffer {
@@ -1495,7 +1485,7 @@ const PACKET_PID: u64 = 2;
 /// churn and epoch bumps as instants. Packet journeys land on a second
 /// process track (`pid 2`) with one thread row per packet id, every hook
 /// event an instant carrying its payload in `args`.
-pub fn chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> serde::Value {
+pub(crate) fn chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> serde::Value {
     let mut out: Vec<serde::Value> = vec![
         chrome_event(
             "process_name",
@@ -1842,7 +1832,7 @@ mod tests {
 
     #[test]
     fn journey_reconstruction_matches_recorded_hooks() {
-        let mut t = TraceBuffer::with_capacity(64);
+        let mut t = TraceBuffer::new(TraceConfig { capacity: 64, ..TraceConfig::default() });
         pkt_events(&mut t, 7);
         // A second packet that recirculates once and drops.
         t.packet_begin(8, 0, 80);
@@ -1929,7 +1919,7 @@ mod tests {
 
     #[test]
     fn filters_select_tables_and_flows() {
-        let mut t = TraceBuffer::with_capacity(128);
+        let mut t = TraceBuffer::new(TraceConfig { capacity: 128, ..TraceConfig::default() });
         t.packet_begin(1, 0, 64);
         t.packet_flow(1, 0x0a000001, 0x0a000002, 1000, 7777, 17);
         t.pass_begin(1, 1);
@@ -1973,7 +1963,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_shapes_tracks_and_roundtrips() {
-        let mut t = TraceBuffer::with_capacity(128);
+        let mut t = TraceBuffer::new(TraceConfig { capacity: 128, ..TraceConfig::default() });
         let b = t.batch_begin(1);
         t.record(TraceEventKind::EntryInsert {
             gress: Gress::Ingress,

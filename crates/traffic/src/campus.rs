@@ -13,7 +13,7 @@
 
 use crate::gen::{make_flows, zipf_weights, frame_for, netcache_frame, Flow, FlowSampler};
 use crate::replay::TimedPacket;
-use netpkt::{CacheOp, FiveTuple};
+use netpkt::CacheOp;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rmt_sim::clock::{Bandwidth, Nanos};
@@ -69,16 +69,6 @@ pub struct CampusTrace {
 }
 
 impl CampusTrace {
-    /// Flows whose packet count exceeds `threshold` — the heavy-hitter
-    /// ground truth of Figure 13(d).
-    pub fn heavy_hitters(&self, threshold: u64) -> Vec<FiveTuple> {
-        self.flows
-            .iter()
-            .zip(&self.flow_counts)
-            .filter(|(_, &c)| c > threshold)
-            .map(|(f, _)| f.tuple)
-            .collect()
-    }
 }
 
 /// Synthesize the campus trace.
@@ -204,9 +194,9 @@ mod tests {
         let p = CampusParams { duration: Nanos::from_secs(2), ..small_params() };
         let trace = synthesize(&p);
         let total: u64 = trace.flow_counts.iter().sum();
-        let hh = trace.heavy_hitters(total / 200);
-        assert!(!hh.is_empty(), "a Zipf trace has heavy flows");
-        assert!(hh.len() < trace.flows.len() / 10, "but not too many");
+        let heavy = trace.flow_counts.iter().filter(|&&c| c > total / 200).count();
+        assert!(heavy > 0, "a Zipf trace has heavy flows");
+        assert!(heavy < trace.flows.len() / 10, "but not too many");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   event-interleaved control (the §6.4 methodology);
 //! * [`analysis`] — F1 score, imbalance, and smoothing helpers.
 
-pub mod analysis;
-pub mod campus;
+mod analysis;
+mod campus;
 pub mod gen;
 pub mod replay;
 

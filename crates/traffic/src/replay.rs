@@ -93,7 +93,7 @@ impl Replay {
     }
 
     /// With bucket.
-    pub fn with_bucket(packets: Vec<TimedPacket>, bucket: Nanos) -> Replay {
+    pub(crate) fn with_bucket(packets: Vec<TimedPacket>, bucket: Nanos) -> Replay {
         Replay {
             packets,
             idx: 0,
@@ -193,18 +193,6 @@ impl Replay {
             self.rotate_bucket();
         }
     }
-
-    /// Load-imbalance rate between two ports (Figure 13(c)):
-    /// `|rx1 − rx2| / (rx1 + rx2)`.
-    pub fn imbalance(&self, port_a: u16, port_b: u16) -> f64 {
-        let a = *self.port_tx_bytes.get(&port_a).unwrap_or(&0) as f64;
-        let b = *self.port_tx_bytes.get(&port_b).unwrap_or(&0) as f64;
-        if a + b == 0.0 {
-            0.0
-        } else {
-            (a - b).abs() / (a + b)
-        }
-    }
 }
 
 /// What a sharded multi-worker replay produced, merged back into the
@@ -257,7 +245,7 @@ impl ParallelReplay {
     }
 
     /// With an explicit bucket width.
-    pub fn with_bucket(packets: Vec<TimedPacket>, workers: usize, bucket: Nanos) -> ParallelReplay {
+    pub(crate) fn with_bucket(packets: Vec<TimedPacket>, workers: usize, bucket: Nanos) -> ParallelReplay {
         let n = workers.max(1);
         let mut shards: Vec<Vec<TimedPacket>> = (0..n).map(|_| Vec::new()).collect();
         let mut ids: Vec<Vec<u64>> = (0..n).map(|_| Vec::new()).collect();
@@ -464,15 +452,14 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_metric() {
+    fn emitted_bytes_are_counted_per_port() {
         let mut r = Replay::new(vec![pkt(1, 10), pkt(2, 10), pkt(3, 10), pkt(4, 10)]);
         let mut flip = 0u16;
         r.run_all(|_, _, _, out| {
             flip += 1;
             *out = fake_outcome(Some((flip % 2, 100)), false, false);
         });
-        assert_eq!(r.imbalance(0, 1), 0.0, "perfectly balanced");
-        assert_eq!(r.imbalance(0, 9), 1.0, "all traffic on one port");
+        assert_eq!(r.port_tx_bytes, [(0, 200), (1, 200)].into_iter().collect());
     }
 
     #[test]

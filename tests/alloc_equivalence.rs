@@ -1,9 +1,10 @@
 //! The fast allocator against the reference: the window-propagated
 //! solver in `p4rp_compiler::alloc` must be observationally equivalent to
-//! the naive DFS preserved in `alloc_reference` — same feasibility verdict
-//! and the same (exact) objective on every program and plane state — plus
-//! a regression test that back-to-back deploys competing for the same
-//! RPB never double-book memory or table entries.
+//! the naive DFS kept beside this suite (`support/alloc_reference.rs`) —
+//! same feasibility verdict and the same (exact) objective on every
+//! program and plane state — plus a regression test that back-to-back
+//! deploys competing for the same RPB never double-book memory or table
+//! entries.
 //!
 //! The reference is the §4.3 model written out directly, with no pruning
 //! beyond the `x_L` bound; the fast solver searches only inside propagated
@@ -24,6 +25,9 @@ use p4runpro::p4rp_lang::parse;
 use p4runpro::p4rp_ctl::Controller;
 use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
 use p4runpro::rmt_sim::trace::TraceConfig;
+
+#[path = "support/alloc_reference.rs"]
+mod alloc_reference;
 
 fn ir_of(src: &str) -> ProgramIr {
     let unit = parse(src).unwrap();
@@ -175,10 +179,9 @@ proptest! {
         // Completeness makes exact equality the correct assertion: a case
         // where the reference exhausts even this budget is discarded.
         let fast_cfg = AllocConfig { objective, node_budget: 20_000_000, ..AllocConfig::default() };
-        let ref_cfg = AllocConfig { reference: true, ..fast_cfg };
 
         let fast = allocate(&ir, &view, &fast_cfg);
-        let reference = allocate(&ir, &view, &ref_cfg);
+        let reference = alloc_reference::solve(&ir, &view, &fast_cfg);
         if let Ok(f) = &fast {
             let valid = check_assignment(&ir, &view, 44, &f.x);
             prop_assert!(valid.is_ok(), "fast solver broke the model: {}", valid.unwrap_err());

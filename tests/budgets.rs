@@ -1,0 +1,139 @@
+//! Count-based budgets: gates that hold on any host because they count
+//! instead of timing (ROADMAP item 8).
+//!
+//! * the public surface of the nine library crates, by the census regex
+//!   `^\s*pub ((const |unsafe |async )?(fn|struct|enum|trait|const|type|static|use|mod) )`
+//!   — a ratchet: a PR that exports something new raises a number here on
+//!   purpose or not at all;
+//! * solver nodes for the paper's three deep programs on an empty plane
+//!   (`p4rp_bench`'s `compiler.alloc_nodes`), exactly;
+//! * heap allocations of one warm deploy of each `deploy_shallow` family
+//!   and of its revoke (`p4rp_bench`'s `ctl.allocs_per_deploy` counts the
+//!   deploy), as upper bounds.
+//!
+//! The counting allocator is `tests/zero_alloc.rs`'s
+//! (`support/counting_alloc.rs`): this binary's own, counting per thread.
+
+use p4runpro::p4rp_compiler::alloc::{allocate, AllocConfig, AllocView};
+use p4runpro::p4rp_compiler::ir::{lower, MemDecl};
+use p4runpro::p4rp_dataplane::{RPB_MEM_SIZE, RPB_TABLE_SIZE};
+use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
+use p4runpro::{parse, Controller};
+use std::path::Path;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, Counting};
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Does `line` declare a `pub` item, by the census regex?
+fn is_pub_item(line: &str) -> bool {
+    const KINDS: [&str; 9] = [
+        "fn ", "struct ", "enum ", "trait ", "const ", "type ", "static ", "use ", "mod ",
+    ];
+    let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+        return false;
+    };
+    ["", "const ", "unsafe ", "async "]
+        .iter()
+        .filter_map(|qualifier| rest.strip_prefix(qualifier))
+        .any(|rest| KINDS.iter().any(|kind| rest.starts_with(kind)))
+}
+
+fn pub_items_under(dir: &Path) -> usize {
+    let mut n = 0;
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            n += pub_items_under(&path);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            n += std::fs::read_to_string(&path)
+                .unwrap()
+                .lines()
+                .filter(|l| is_pub_item(l))
+                .count();
+        }
+    }
+    n
+}
+
+#[test]
+fn public_surface_stays_within_its_budget() {
+    // What PR 22 reached (1 056 in total before it).
+    let budgets = [
+        ("netpkt", 55),
+        ("rmt-sim", 316),
+        ("p4rp-lang", 29),
+        ("p4rp-dataplane", 67),
+        ("p4rp-compiler", 36),
+        ("p4rp-ctl", 121),
+        ("baselines", 22),
+        ("traffic", 38),
+        ("p4rp-progs", 31),
+    ];
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for (name, budget) in budgets {
+        let found = pub_items_under(&crates.join(name).join("src"));
+        assert!(
+            found <= budget,
+            "{name} exports {found} `pub` items, its budget is {budget}: \
+             lower the budget or justify the new export"
+        );
+    }
+}
+
+fn family(name: &str) -> Family {
+    *Family::ALL.iter().find(|f| f.name() == name).unwrap()
+}
+
+#[test]
+fn deep_programs_cost_a_fixed_number_of_solver_nodes() {
+    let view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
+    for (name, nodes) in [("hh", 161), ("nc", 92), ("fw", 88)] {
+        let unit = parse(&instance(family(name), 60_000, WorkloadParams::default())).unwrap();
+        let mems: Vec<MemDecl> = unit
+            .annotations
+            .iter()
+            .map(|a| MemDecl {
+                name: a.name.clone(),
+                size: a.size as u32,
+            })
+            .collect();
+        let ir = lower(&unit.programs[0], &mems).unwrap();
+        let a = allocate(&ir, &view, &AllocConfig::default()).unwrap();
+        assert_eq!(
+            a.nodes_explored, nodes,
+            "compiler.alloc_nodes of {name} on an empty plane"
+        );
+    }
+}
+
+#[test]
+fn warm_shallow_deploys_and_revokes_stay_within_their_allocation_budgets() {
+    // `deploy_shallow`'s seven families, one warm cycle each.
+    let shallow = ["l2", "l3", "tun", "cms", "bf", "sumax", "hll"];
+    let mut ctl = Controller::with_defaults().unwrap();
+    let (mut deploys, mut revokes) = (0, 0);
+    for name in shallow {
+        // The first cycle of a shape fills the entry-template cache.
+        let warm_up = ctl
+            .deploy(&instance(family(name), 0, WorkloadParams::default()))
+            .unwrap();
+        ctl.revoke(&warm_up[0].name).unwrap();
+
+        let source = instance(family(name), 1, WorkloadParams::default());
+        let before = allocations();
+        let deployed = ctl.deploy(&source).unwrap();
+        let after_deploy = allocations();
+        ctl.revoke(&deployed[0].name).unwrap();
+        deploys += after_deploy - before;
+        revokes += allocations() - after_deploy;
+    }
+    assert!(
+        deploys <= 4279,
+        "ctl.allocs_per_deploy: {deploys} allocations in seven deploys"
+    );
+    assert!(revokes <= 112, "{revokes} allocations in their revokes");
+}

@@ -55,7 +55,7 @@ fn run_attributed(seed: u64, flows: usize, packets: usize, workers: usize) -> Te
     }
     for i in 0..packets {
         let frame = frame_for(&mix[i % mix.len()].tuple, 64);
-        ctl.inject_sharded(0, &frame).unwrap();
+        ctl.inject(0, &frame).unwrap();
     }
     ctl.telemetry_report()
 }

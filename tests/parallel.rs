@@ -67,7 +67,7 @@ fn run_engine(seed: u64, flows: usize, packets: usize, workers: usize) -> Vec<Fa
     (0..packets)
         .map(|i| {
             let frame = frame_for(&mix[i % mix.len()].tuple, 64);
-            let out = ctl.inject_sharded(0, &frame).unwrap();
+            let out = ctl.inject(0, &frame).unwrap();
             (out.emitted, out.reports, out.dropped, out.passes)
         })
         .collect()
@@ -205,7 +205,7 @@ fn churn_under_parallel_replay_keeps_snapshots_atomic() {
 
     for step in 0..24usize {
         for _ in 0..4 {
-            let out = ctl.inject_sharded(0, &sentinel).unwrap();
+            let out = ctl.inject(0, &sentinel).unwrap();
             assert!(
                 out.emitted.iter().any(|&(p, _)| p == SENTINEL_PORT),
                 "sentinel misforwarded at step {step}"
@@ -220,7 +220,7 @@ fn churn_under_parallel_replay_keeps_snapshots_atomic() {
         .unwrap();
         // The deploy batch must be wholly visible to whichever worker
         // owns this flow — its very next packet forwards.
-        let out = ctl.inject_sharded(0, &frame_to(dst)).unwrap();
+        let out = ctl.inject(0, &frame_to(dst)).unwrap();
         assert!(
             out.emitted.iter().any(|&(p, _)| p == port),
             "fresh deploy churn{step} not visible to its worker"
@@ -233,7 +233,7 @@ fn churn_under_parallel_replay_keeps_snapshots_atomic() {
             ctl.revoke(&format!("churn{old}")).unwrap();
             // And the revoke batch too — the old program is gone, not
             // half-matched.
-            let out = ctl.inject_sharded(0, &frame_to(old_dst)).unwrap();
+            let out = ctl.inject(0, &frame_to(old_dst)).unwrap();
             assert!(
                 !out.emitted.iter().any(|&(p, _)| p == old_port),
                 "revoked churn{old} still forwarding"
@@ -278,7 +278,7 @@ fn tss_keeps_fates_identical_under_churn() {
 
         let mut fates = Vec::new();
         let mut record = |ctl: &mut Controller, frame: &[u8]| {
-            let out = ctl.inject_sharded(0, frame).unwrap();
+            let out = ctl.inject(0, frame).unwrap();
             fates.push((out.emitted, out.reports, out.dropped, out.passes));
         };
         for step in 0..16usize {
@@ -330,7 +330,7 @@ fn attribution_merge_is_exact_with_zero_packet_workers() {
         // 4 workers at least three recorders stay at zero packets.
         let sentinel = frame_to(SENTINEL_DST);
         for _ in 0..40 {
-            ctl.inject_sharded(0, &sentinel).unwrap();
+            ctl.inject(0, &sentinel).unwrap();
         }
 
         let report = ctl.telemetry_report();
@@ -406,7 +406,7 @@ fn merged_trace_is_monotonic_with_exact_drop_accounting() {
     let mix = make_flows(7, 24, 0.5);
     for i in 0..600 {
         let frame = frame_for(&mix[i % mix.len()].tuple, 64);
-        ctl.inject_sharded(0, &frame).unwrap();
+        ctl.inject(0, &frame).unwrap();
     }
 
     let mut source_retained = 0u64;

@@ -407,6 +407,36 @@ fn malformed_requests_get_line_numbered_errors() {
     assert_eq!(stats.responses_ok, 2, "{stats:?}");
 }
 
+/// A request line that is not valid UTF-8 is a parse error like any
+/// other malformed line — answered with its line number, counted, and
+/// the session stays open — not a silently dropped connection.
+#[test]
+fn invalid_utf8_request_is_answered_and_the_session_survives() {
+    use std::io::{BufRead, BufReader};
+
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let mut replies = BufReader::new(raw.try_clone().unwrap());
+    let mut exchange = |request: &[u8]| {
+        raw.write_all(request).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        serde::json::parse(reply.trim()).unwrap_or_else(|e| panic!("{e}: {reply:?}"))
+    };
+
+    let doc = exchange(b"{\"id\": 1, \"op\": \"ping\", \"x\": \"\xff\xfe\"}\n");
+    assert_eq!(get_str(&doc, "error"), "parse", "{doc:?}");
+    assert_eq!(get_str(&doc, "detail"), "line 1: request is not valid UTF-8", "{doc:?}");
+    assert_eq!(get_u64(&doc, "id"), 0, "{doc:?}");
+
+    assert_ok(&exchange(b"{\"id\": 2, \"op\": \"ping\"}\n"), "ping after invalid bytes");
+    assert_ok(&exchange(b"{\"id\": 3, \"op\": \"shutdown\"}\n"), "shutdown");
+    let (stats, ctl) = server.join().unwrap();
+    assert_eq!(stats.parse_errors, 1, "{stats:?}");
+    assert_eq!(stats.responses_ok, 2, "{stats:?}");
+    assert!(ctl.audit().unwrap().clean(), "audit dirty after drain");
+}
+
 /// A client that streams bytes without ever sending a newline gets a
 /// `parse` error naming the limit and an end-of-stream, not an
 /// ever-growing server buffer; the server keeps serving other sessions.

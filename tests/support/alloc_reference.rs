@@ -2,28 +2,26 @@
 //! first written, with `String`-keyed maps cloned per DFS node and no
 //! pruning beyond the `x_L` bound.
 //!
-//! [`crate::alloc`] now solves the same model inside propagated per-level
-//! windows, with interned memory ids, a suffix-capacity prune and
-//! free-slot dominance. This module is kept as the semantic authority: the
-//! `alloc_equivalence` proptest suite checks the fast solver against it
-//! (same feasibility verdict, no-worse `x_L`). Select it with
-//! [`crate::alloc::AllocConfig::reference`].
+//! `p4rp_compiler::alloc` solves the same model inside propagated
+//! per-level windows, with interned memory ids, a suffix-capacity prune
+//! and free-slot dominance. This module is the semantic authority the
+//! `alloc_equivalence` suite checks it against (same feasibility verdict,
+//! equal objective). It is test code: it shares only the model's input
+//! and output types with the solver it judges — no prechecks, no
+//! domains — so an infeasible program is found infeasible by search.
 
-use crate::alloc::{AllocConfig, AllocView, Allocation, Objective, SlotReq};
-use crate::errors::{CompileError, CompileResult};
-use crate::ir::ProgramIr;
-use p4rp_dataplane::{LogicalRpb, RpbId, NUM_RPBS};
+use p4runpro::p4rp_compiler::alloc::{
+    slot_requirements, AllocConfig, AllocView, Allocation, Objective, SlotReq,
+};
+use p4runpro::p4rp_compiler::errors::{CompileError, CompileResult};
+use p4runpro::p4rp_compiler::ir::ProgramIr;
+use p4runpro::p4rp_dataplane::{LogicalRpb, RpbId, NUM_RPBS};
 use std::collections::HashMap;
 
-/// Solve with the reference DFS. Prechecks have already run in
-/// `alloc::allocate_slots`; this mirrors the solver half only.
-pub(crate) fn solve(
-    ir: &ProgramIr,
-    reqs: &[SlotReq],
-    pairs: &[(usize, usize)],
-    view: &AllocView,
-    cfg: &AllocConfig,
-) -> CompileResult<Allocation> {
+/// Solve with the reference DFS.
+pub fn solve(ir: &ProgramIr, view: &AllocView, cfg: &AllocConfig) -> CompileResult<Allocation> {
+    let (reqs, pairs) = slot_requirements(ir);
+    let (reqs, pairs) = (&reqs[..], &pairs[..]);
     let max_index = LogicalRpb::max_index(cfg.max_recirc);
     let l = reqs.len();
 

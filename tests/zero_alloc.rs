@@ -7,58 +7,20 @@
 //! zero heap allocations, whatever its fate. A reintroduced `Vec` per frame
 //! fails here rather than as a per-layer benchmark figure nobody gates.
 //!
-//! The counting allocator is this test binary's own (integration tests are
-//! separate binaries), and it counts per thread, so the cases can run in
-//! parallel without seeing each other.
+//! The counting allocator (`support/counting_alloc.rs`) is this test
+//! binary's own and counts per thread, so the cases can run in parallel
+//! without seeing each other.
 
 use netpkt::CacheOp;
 use p4runpro::p4rp_progs::sources;
 use p4runpro::rmt_sim::switch::ProcessOutcome;
+use p4runpro::rmt_sim::trace::TraceConfig;
 use p4runpro::traffic::{frame_for, make_flows, netcache_frame};
 use p4runpro::Controller;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocations and reallocations made by this thread. `const`-initialised
-    /// and without a destructor, so touching it never allocates itself.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // A thread being torn down has no counter left; nothing measures there.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -83,9 +45,9 @@ fn allocations_per_1000_frames(
         }
     };
     inject(WARM_UP);
-    let before = ALLOCS.with(Cell::get);
+    let before = allocations();
     inject(MEASURED);
-    ALLOCS.with(Cell::get) - before
+    allocations() - before
 }
 
 #[test]
@@ -105,10 +67,9 @@ fn wildcard_forward_of_minimum_size_frames() {
     assert_eq!(n, 0);
 }
 
-#[test]
-fn netcache_hit_mix() {
+/// The NetCache hit mix through `ctl`, which the caller has set up.
+fn netcache_hit_mix_allocations(mut ctl: Controller) -> u64 {
     const KEY: u32 = 0x4242;
-    let mut ctl = Controller::with_defaults().unwrap();
     ctl.deploy(&sources::cache(
         "cache",
         "<hdr.udp.dst_port, 7777, 0xffff>",
@@ -125,10 +86,27 @@ fn netcache_hit_mix() {
             netcache_frame(&f.tuple, CacheOp::Read, u64::from(key), 0)
         })
         .collect();
-    let n = allocations_per_1000_frames(&mut ctl, &frames, |out| {
+    allocations_per_1000_frames(&mut ctl, &frames, |out| {
         assert_eq!((out.passes, out.emitted.len(), out.dropped), (1, 1, false));
-    });
-    assert_eq!(n, 0);
+    })
+}
+
+#[test]
+fn netcache_hit_mix() {
+    assert_eq!(netcache_hit_mix_allocations(Controller::with_defaults().unwrap()), 0);
+}
+
+/// The same frames with every recorder on — telemetry, per-program
+/// attribution and the trace ring: counters are bumped in place, the parser
+/// path key is looked up without being built on the heap, and the ring's
+/// slots were allocated when it was enabled.
+#[test]
+fn netcache_hit_mix_observed() {
+    let mut ctl = Controller::with_defaults().unwrap();
+    ctl.enable_telemetry();
+    ctl.enable_attribution();
+    ctl.enable_trace(TraceConfig { postmortem_dir: None, ..TraceConfig::default() });
+    assert_eq!(netcache_hit_mix_allocations(ctl), 0);
 }
 
 #[test]
