@@ -1692,3 +1692,6 @@ impl Controller {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

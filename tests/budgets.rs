@@ -9,7 +9,9 @@
 //!   (`p4rp_bench`'s `compiler.alloc_nodes`), exactly;
 //! * heap allocations of one warm deploy of each `deploy_shallow` family
 //!   and of its revoke (`p4rp_bench`'s `ctl.allocs_per_deploy` counts the
-//!   deploy), as upper bounds.
+//!   deploy), as upper bounds;
+//! * RPCs, control ops, trace events and lifecycle spans of one warm deploy
+//!   and one revoke of `cache`, in each channel mode, exactly.
 //!
 //! The counting allocator is `tests/zero_alloc.rs`'s
 //! (`support/counting_alloc.rs`): this binary's own, counting per thread.
@@ -18,6 +20,7 @@ use p4runpro::p4rp_compiler::alloc::{allocate, AllocConfig, AllocView};
 use p4runpro::p4rp_compiler::ir::{lower, MemDecl};
 use p4runpro::p4rp_dataplane::{RPB_MEM_SIZE, RPB_TABLE_SIZE};
 use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
+use p4runpro::rmt_sim::trace::TraceConfig;
 use p4runpro::{parse, Controller};
 use std::path::Path;
 
@@ -136,4 +139,50 @@ fn warm_shallow_deploys_and_revokes_stay_within_their_allocation_budgets() {
         "ctl.allocs_per_deploy: {deploys} allocations in seven deploys"
     );
     assert!(revokes <= 112, "{revokes} allocations in their revokes");
+}
+
+/// `[RPCs, control ops, trace events, spans]` of whatever `ctl` recorded
+/// from trace event `seq` and lifecycle span `span` on.
+fn lifecycle_counts(ctl: &Controller, seq: u64, span: u64) -> [usize; 4] {
+    let names: Vec<&str> = ctl
+        .trace()
+        .unwrap()
+        .events()
+        .filter(|e| e.seq >= seq)
+        .map(|e| e.kind.name())
+        .collect();
+    let count = |wanted: &[&str]| names.iter().filter(|n| wanted.contains(n)).count();
+    [
+        count(&["batch_begin"]),
+        count(&["entry_insert", "entry_delete", "reg_write"]),
+        names.len(),
+        ctl.lifecycle_spans().filter(|s| s.seq >= span).count(),
+    ]
+}
+
+#[test]
+fn a_cache_deploy_and_revoke_cost_a_fixed_number_of_rpcs_ops_events_and_spans() {
+    // (bulk channel, deploy, revoke): per-entry mode sends one RPC per
+    // batch of the plan (body + filter; filter + body + memory reset), bulk
+    // mode one per plan. `cache` writes 17 entries and owns one memory; the
+    // other events are the epoch bump, each RPC's begin / end pair and the
+    // closing lifecycle event.
+    let budgets =
+        [(false, [2, 17, 23, 1], [3, 18, 26, 1]), (true, [1, 17, 21, 1], [1, 18, 22, 1])];
+    for (bulk, deploy, revoke) in budgets {
+        let mut ctl = Controller::with_defaults().unwrap();
+        ctl.set_fast_path(bulk);
+        ctl.enable_trace(TraceConfig { postmortem_dir: None, ..TraceConfig::default() });
+        let warm_up = ctl.deploy(&instance(family("cache"), 0, WorkloadParams::default())).unwrap();
+        ctl.revoke(&warm_up[0].name).unwrap();
+
+        let (seq, span) = (ctl.trace().unwrap().recorded(), 2);
+        let deployed = ctl.deploy(&instance(family("cache"), 1, WorkloadParams::default())).unwrap();
+        assert_eq!(lifecycle_counts(&ctl, seq, span), deploy, "deploy, bulk={bulk}");
+        assert_eq!(deployed[0].entries_installed, deploy[1], "control.ops_per_deploy");
+
+        let (seq, span) = (ctl.trace().unwrap().recorded(), 3);
+        ctl.revoke(&deployed[0].name).unwrap();
+        assert_eq!(lifecycle_counts(&ctl, seq, span), revoke, "revoke, bulk={bulk}");
+    }
 }

@@ -14,6 +14,7 @@ use p4runpro::rmt_sim::clock::Nanos;
 use p4runpro::rmt_sim::fault::{FaultKind, FaultPlan, FaultTrigger, OpKind};
 use p4runpro::rmt_sim::trace::{chrome_trace_json, TraceConfig};
 use p4runpro::traffic::replay::{Replay, TimedPacket};
+use p4runpro::p4rp_ctl::telemetry::ResourceGauges;
 use p4runpro::{ChaosConfig, Controller, CtlError};
 use proptest::prelude::*;
 
@@ -304,5 +305,209 @@ proptest! {
         prop_assert_eq!(out.invariant_violations, 0, "seed {}: invariants fired", seed);
         prop_assert!(out.converged, "seed {}: drain did not converge: {:?}", seed, &out);
         prop_assert!(out.final_audit.clean(), "seed {}: final audit dirty: {:?}", seed, &out.final_audit);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Nothing-moved gates. On a deterministic simulator an identical event
+// stream for an identical seed is the equivalence proof, so a rewrite of the
+// controller's lifecycle code is pinned by values recorded before it (PR 23:
+// all of these passed on the commit before the lifecycle engine went in).
+// ---------------------------------------------------------------------------
+
+/// One 80-step campaign under ten random faults over the first 150 ops.
+/// The plan seed is `seed + 37`: the smallest offset at which campaigns
+/// 1-4 all ran to the end when the values were recorded (see
+/// `dense_campaign_outlives_a_reconcile_that_retires_a_wedged_program`).
+fn pinned_campaign(seed: u64, workers: usize) -> (u64, [u64; 5]) {
+    let cfg = ChaosConfig {
+        seed,
+        steps: 80,
+        faults: FaultPlan::random(seed + 37, 10, 150),
+        workers,
+        ..ChaosConfig::default()
+    };
+    let out = chaos::run(&cfg).unwrap();
+    assert!(out.converged && out.final_audit.clean(), "seed {seed}: {out:?}");
+    let f = &out.fault_stats;
+    let counters =
+        [f.deploy_faults, f.revoke_faults, f.rollbacks, f.rollback_ops, f.reconciles];
+    (out.trace_fingerprint, counters)
+}
+
+#[test]
+fn chaos_fingerprints_are_pinned() {
+    // (seed, fingerprint with 1 worker, with 2 workers, [deploy faults,
+    // revoke faults, rollbacks, rollback ops, reconciles]): between them
+    // the four campaigns roll back, wedge, retry and reconcile.
+    let pinned = [
+        (1, 0x4a3a8134dc02e742, 0xaed2a75ba62e1eea, [3, 0, 2, 3, 1]),
+        (2, 0xc66baafba0a5eab0, 0x4fd74ad1245a6641, [2, 3, 4, 12, 1]),
+        (3, 0xc7b606e1ad35daff, 0x43a2819e60f5b4f3, [4, 2, 5, 4, 1]),
+        (4, 0x567d7a5560f8c7fe, 0xc4d54ce99b146327, [2, 0, 2, 3, 0]),
+    ];
+    for (seed, sequential, two_workers, counters) in pinned {
+        assert_eq!(pinned_campaign(seed, 1), (sequential, counters), "seed {seed}, 1 worker");
+        assert_eq!(pinned_campaign(seed, 2), (two_workers, counters), "seed {seed}, 2 workers");
+    }
+}
+
+/// Names of the control events recorded from `seq` on, runs of one name
+/// folded to `name*n`.
+fn control_names(ctl: &Controller, seq: u64) -> String {
+    let mut runs: Vec<(&str, usize)> = Vec::new();
+    for ev in ctl.trace().unwrap().events().filter(|e| e.seq >= seq) {
+        match runs.last_mut() {
+            Some((name, n)) if *name == ev.kind.name() => *n += 1,
+            _ => runs.push((ev.kind.name(), 1)),
+        }
+    }
+    let fold = |(name, n): &(&str, usize)| {
+        if *n == 1 {
+            (*name).to_string()
+        } else {
+            format!("{name}*{n}")
+        }
+    };
+    runs.iter().map(fold).collect::<Vec<_>>().join(" ")
+}
+
+/// The control-event sequence of every lifecycle path, per channel mode:
+/// what is recorded, and in which order, is part of the engine's contract
+/// (the invariant checker and `p4rp trace` both read it).
+#[test]
+fn lifecycle_event_sequences_are_golden() {
+    // [per-entry, bulk]
+    const DEPLOY: [&str; 2] = [
+        "epoch_bump batch_begin entry_insert*4 batch_end batch_begin entry_insert batch_end \
+         lifecycle",
+        "epoch_bump batch_begin entry_insert*5 batch_end lifecycle",
+    ];
+    const REVOKE: [&str; 2] = [
+        "epoch_bump batch_begin entry_delete batch_end batch_begin entry_delete*4 batch_end \
+         batch_begin reg_write batch_end lifecycle",
+        "epoch_bump batch_begin entry_delete*5 reg_write batch_end lifecycle",
+    ];
+    // The faulted batch is the first RPC in both modes, and undo, parked
+    // cleanup and their retries always travel as one batch.
+    const ROLLBACK: &str = "epoch_bump batch_begin entry_insert fault_injected batch_end \
+                            epoch_bump rollback_begin batch_begin entry_delete batch_end \
+                            rollback_end";
+    const WEDGED: &str = "epoch_bump batch_begin entry_insert*2 fault_injected batch_end \
+                          epoch_bump rollback_begin batch_begin fault_injected batch_end \
+                          rollback_end";
+    const RETRIED: &str = "epoch_bump rollback_begin batch_begin entry_delete*2 reg_write \
+                           batch_end rollback_end lifecycle";
+    const RESET: &str = "epoch_bump batch_begin fault_injected batch_end";
+    const RECONCILE: [&str; 2] = [
+        "epoch_bump reconcile_begin batch_begin entry_insert*4 batch_end batch_begin \
+         entry_insert batch_end reconcile_end",
+        "epoch_bump reconcile_begin batch_begin entry_insert*5 batch_end reconcile_end",
+    ];
+
+    for bulk in [false, true] {
+        let mode = usize::from(bulk);
+        let fresh = |faults: &str| {
+            let mut ctl = traced_controller();
+            ctl.set_fast_path(bulk);
+            ctl.set_fault_plan(FaultPlan::parse_spec(faults).unwrap());
+            ctl
+        };
+        let mark = |ctl: &Controller| ctl.trace().unwrap().recorded();
+
+        let mut ctl = fresh("");
+        ctl.deploy(CACHE).unwrap();
+        assert_eq!(control_names(&ctl, 0), DEPLOY[mode], "clean deploy, bulk={bulk}");
+        let from = mark(&ctl);
+        ctl.revoke("cache").unwrap();
+        assert_eq!(control_names(&ctl, from), REVOKE[mode], "clean revoke, bulk={bulk}");
+
+        // FailOp on the second body entry: the one applied op is undone.
+        let mut ctl = fresh("failop@1");
+        assert!(matches!(ctl.deploy(CACHE), Err(CtlError::DeployFault { .. })));
+        assert_eq!(control_names(&ctl, 0), ROLLBACK, "rollback, bulk={bulk}");
+
+        // Double fault: the rollback's first delete fails too, the program
+        // wedges, and a retried `revoke` finishes the parked cleanup.
+        let mut ctl = fresh("failop@2,failop:delete@0");
+        assert!(matches!(ctl.deploy(CACHE), Err(CtlError::Wedged { .. })));
+        assert_eq!(control_names(&ctl, 0), WEDGED, "double fault, bulk={bulk}");
+        let from = mark(&ctl);
+        ctl.revoke("cache").unwrap();
+        assert_eq!(control_names(&ctl, from), RETRIED, "retried revoke, bulk={bulk}");
+        assert!(ctl.audit().unwrap().clean());
+
+        // A device reset under a second deploy wipes the resident one;
+        // `reconcile` puts it back, body first.
+        let mut ctl = fresh("");
+        ctl.deploy(CACHE).unwrap();
+        let from = mark(&ctl);
+        ctl.set_fault_plan(FaultPlan::parse_spec("reset@0").unwrap());
+        assert!(matches!(ctl.deploy(SENTINEL), Err(CtlError::DeployFault { .. })));
+        assert_eq!(control_names(&ctl, from), RESET, "device reset, bulk={bulk}");
+        let from = mark(&ctl);
+        ctl.reconcile().unwrap();
+        assert_eq!(control_names(&ctl, from), RECONCILE[mode], "reconcile, bulk={bulk}");
+        assert!(ctl.audit().unwrap().clean());
+    }
+}
+
+/// A deploy that fails after it was granted something gives all of it
+/// back: the gauges read as before and the next deploy is handed the same
+/// program id. (A full init table, a full recirculation block and a
+/// refused grant need a pre-charged `ResourceManager`: `p4rp-ctl`'s
+/// `controller::tests`.)
+#[test]
+fn failed_deploys_leave_the_resource_manager_where_they_found_it() {
+    let gauges = |ctl: &Controller| ResourceGauges::collect(ctl.resources());
+
+    // A memory no RPB has room for: whole-RPB memories until one is refused.
+    let mut ctl = Controller::with_defaults().unwrap();
+    let hog = |i: usize| {
+        format!(
+            "@ m{i} 65536\nprogram hog{i}(<hdr.ipv4.dst, 10.2.{i}.1, 0xffffffff>) \
+             {{ LOADI(mar, 1); MEMREAD(m{i}); FORWARD(3); }}"
+        )
+    };
+    let mut granted = 0;
+    let refused = loop {
+        let before = gauges(&ctl);
+        match ctl.deploy(&hog(granted)) {
+            Ok(_) => granted += 1,
+            Err(e) => break (before, e),
+        }
+        assert!(granted <= 22, "22 RPBs cannot hold {granted} whole-RPB memories");
+    };
+    assert!(matches!(refused.1, CtlError::Compile(_)), "got {}", refused.1);
+    assert_eq!(gauges(&ctl), refused.0);
+    assert_eq!(ctl.deploy(SENTINEL).unwrap()[0].prog_id as usize, granted + 1);
+
+    // A fault of every kind at every op index of the install and of the
+    // rollback it triggers.
+    for kind in
+        [FaultKind::FailOp, FaultKind::BatchTimeout, FaultKind::ChannelDrop, FaultKind::DeviceReset]
+    {
+        for at in 0..8u64 {
+            let mut ctl = traced_controller();
+            ctl.deploy(SENTINEL).unwrap();
+            let before = gauges(&ctl);
+            ctl.set_fault_plan(FaultPlan::new(vec![
+                FaultTrigger { at, op_kind: None, fault: kind },
+                FaultTrigger { at: at + 2, op_kind: None, fault: kind },
+            ]));
+            let deployed = ctl.deploy(CACHE);
+            assert!(drain(&mut ctl, 8), "{kind:?}@{at}: drain did not converge");
+            ctl.set_fault_plan(FaultPlan::none());
+            let prog_id = match deployed {
+                Ok(reports) => reports[0].prog_id,
+                Err(_) => {
+                    assert_eq!(gauges(&ctl), before, "{kind:?}@{at}: resources leaked");
+                    ctl.deploy(CACHE).unwrap()[0].prog_id
+                }
+            };
+            assert_eq!(prog_id, 2, "{kind:?}@{at}: the failed deploy kept its program id");
+            ctl.revoke("cache").unwrap();
+            assert_eq!(gauges(&ctl), before, "{kind:?}@{at}: revoke after recovery");
+        }
     }
 }
