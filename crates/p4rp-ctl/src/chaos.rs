@@ -329,6 +329,8 @@ pub fn run(cfg: &ChaosConfig) -> CtlResult<ChaosOutcome> {
                 if ctl.needs_reconcile() {
                     out.reconcile_passes += 1;
                     let _ = ctl.reconcile();
+                    // A reconcile pass retires wedged programs.
+                    stuck.retain(|i| ctl.wedged_programs().any(|n| *n == format!("c{i}")));
                 }
             }
         }

@@ -35,8 +35,6 @@
 //!                              (docs/METRICS.md)
 //! metrics export [path|-]      Prometheus text exposition to a file or
 //!                              stdout
-//! metrics serve <addr>         answer one /metrics scrape on a loopback
-//!                              TCP listener (blocks until the scrape)
 //! watchdog arm [--drop-ppm <n>] [--deploy-faults <n>] [--p99-ns <n>]
 //!                              arm SLO thresholds; breaches emit
 //!                              SloViolation trace events
@@ -469,9 +467,9 @@ impl Cli {
         out
     }
 
-    /// `metrics export [path|-]` / `metrics serve <addr>`.
+    /// `metrics export [path|-]`.
     fn metrics_cmd(&mut self, rest: &str) -> String {
-        const USAGE: &str = "usage: metrics export [path|-] | metrics serve <addr>";
+        const USAGE: &str = "usage: metrics export [path|-]";
         let parts: Vec<&str> = rest.split_whitespace().collect();
         match parts.first().copied() {
             Some("export") => {
@@ -492,27 +490,6 @@ impl Cli {
                             Err(e) => format!("error writing {path}: {e}"),
                         }
                     }
-                }
-            }
-            Some("serve") => {
-                let Some(addr) = parts.get(1) else {
-                    return USAGE.to_string();
-                };
-                let listener = match std::net::TcpListener::bind(addr) {
-                    Ok(l) => l,
-                    Err(e) => return format!("error binding {addr}: {e}"),
-                };
-                let local = listener
-                    .local_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| addr.to_string());
-                let body = crate::metrics::render_prometheus(&self.ctl.telemetry_report());
-                match crate::metrics::serve_once(&listener, &body) {
-                    Ok(()) => format!(
-                        "served one scrape ({} line(s)) on http://{local}/metrics",
-                        body.lines().count()
-                    ),
-                    Err(e) => format!("error serving on {local}: {e}"),
                 }
             }
             _ => USAGE.to_string(),
@@ -907,7 +884,7 @@ fn parse_ipv4(s: &str) -> Option<u32> {
     Some(u32::from_be_bytes(octets))
 }
 
-const HELP: &str = "commands: deploy <src> | deploy-many <file...> | revoke <name> | revoke-many <name...> | update <name> <src> | programs | status [--metrics|--json] | mem <prog> <mem> | memwrite <prog> <mem> <addr> <val> | trace <on [cap]|off|status|dump|journeys|export [path]> | replay [--packets <n>] [--flows <n>] [--workers <n>] [--seed <n>] | top [--once] | metrics <export [path|-]|serve <addr>> | watchdog <arm [--drop-ppm <n>] [--deploy-faults <n>] [--p99-ns <n>]|status|disarm> | series <on [cap]|status> | chaos run [--seed <n>] [--faults <spec>] [--steps <n>] [--programs <n>] [--workers <n>] [--slo-drop-ppm <n>] [--slo-deploy-faults <n>] [--slo-p99-ns <n>] | serve <addr> [--max-clients <n>] [--queue <n>] [--rate <r>] [--timeout-ns <n>] | client <addr> <op> [...] | help";
+const HELP: &str = "commands: deploy <src> | deploy-many <file...> | revoke <name> | revoke-many <name...> | update <name> <src> | programs | status [--metrics|--json] | mem <prog> <mem> | memwrite <prog> <mem> <addr> <val> | trace <on [cap]|off|status|dump|journeys|export [path]> | replay [--packets <n>] [--flows <n>] [--workers <n>] [--seed <n>] | top [--once] | metrics export [path|-] | watchdog <arm [--drop-ppm <n>] [--deploy-faults <n>] [--p99-ns <n>]|status|disarm> | series <on [cap]|status> | chaos run [--seed <n>] [--faults <spec>] [--steps <n>] [--programs <n>] [--workers <n>] [--slo-drop-ppm <n>] [--slo-deploy-faults <n>] [--slo-p99-ns <n>] | serve <addr> [--max-clients <n>] [--queue <n>] [--rate <r>] [--timeout-ns <n>] | client <addr> <op> [...] | help";
 
 #[cfg(test)]
 mod tests {
@@ -1287,7 +1264,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, body);
         assert!(cli.exec("metrics").starts_with("usage:"));
-        assert!(cli.exec("metrics serve").starts_with("usage:"));
+        assert!(cli.exec("metrics serve 127.0.0.1:0").starts_with("usage:"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

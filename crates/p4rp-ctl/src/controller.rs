@@ -16,11 +16,11 @@ use crate::telemetry::{
     ServerStats, SloStatus, SloThresholds, TelemetryReport, SCHEMA_VERSION, SPAN_HISTORY,
 };
 use p4rp_compiler::alloc::{allocate, AllocConfig, Allocation};
-use p4rp_compiler::consistency::{plan_install, plan_remove, InstalledHandles};
+use p4rp_compiler::consistency::{plan_install, plan_remove, Batch, InstalledHandles};
 use p4rp_compiler::entrygen::{generate_cached, EntryGenCache, ProgramImage};
 use p4rp_compiler::ir::{lower, MemDecl, ProgramIr};
 use p4rp_compiler::CompileError;
-use p4rp_dataplane::{provision, Dataplane, RpbId, RPB_MEM_SIZE};
+use p4rp_dataplane::{provision, Dataplane, RpbId, NUM_RPBS, RPB_MEM_SIZE};
 use p4rp_lang::{check, parse, CheckContext};
 use rmt_sim::clock::Nanos;
 use rmt_sim::control::{BatchOutcome, ControlChannel, LatencyModel};
@@ -28,10 +28,10 @@ use rmt_sim::error::SimError;
 use rmt_sim::fault::FaultPlan;
 use rmt_sim::parallel::WorkerPool;
 use rmt_sim::switch::{ControlOp, OpResult, ProcessOutcome, Switch, SwitchConfig, TableRef};
-use rmt_sim::table::{EntryHandle, TableEntry};
+use rmt_sim::table::EntryHandle;
 use rmt_sim::telemetry::{MetricsRecorder, ProgramMetrics};
 use rmt_sim::trace::{LifecycleKind, SloKind, TraceBuffer, TraceConfig, TraceStats};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How many times a transient channel fault (timeout, drop) is retried
@@ -168,6 +168,9 @@ struct WedgedProgram {
     pending_ops: Vec<ControlOp>,
 }
 
+/// Installed entries, as [`InstalledHandles`] records them.
+type Handles = Vec<(TableRef, EntryHandle)>;
+
 /// What [`Controller::ship`] did with an ordered plan of control batches.
 #[derive(Default)]
 struct Shipped {
@@ -175,28 +178,84 @@ struct Shipped {
     ops: Vec<ControlOp>,
     /// Results of the applied prefix of `ops`.
     results: Vec<OpResult>,
-    /// Modeled latency of every RPC sent, summed.
-    cost: Nanos,
     /// The fault that stopped the plan, if any.
     error: Option<SimError>,
-    retries: u64,
 }
 
 impl Shipped {
-    /// Entry deletions that landed.
-    fn deleted(&self) -> u64 {
-        self.results.iter().filter(|r| matches!(r, OpResult::Deleted)).count() as u64
+    /// `handles` (`[body, filters]`) plus those of the entry insertions
+    /// that landed, split at plan op index `boundary`.
+    fn inserted(&self, boundary: usize, mut handles: [Handles; 2]) -> [Handles; 2] {
+        for (k, (op, res)) in self.ops.iter().zip(&self.results).enumerate() {
+            if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
+                handles[usize::from(k >= boundary)].push((*table, *h));
+            }
+        }
+        handles
     }
 
-    /// The ops a fault kept from landing.
-    fn remaining(&self) -> Vec<ControlOp> {
-        self.ops[self.results.len()..].to_vec()
+    /// The ops a fault kept from landing, with the fault — `None` when the
+    /// plan finished, or when a device reset finished it by wiping.
+    fn unfinished(mut self) -> Option<(Vec<ControlOp>, SimError)> {
+        match self.error {
+            None | Some(SimError::DeviceReset { .. }) => None,
+            Some(f) => Some((self.ops.split_off(self.results.len()), f)),
+        }
     }
 }
 
-/// One device-resident entry in an audit/reconcile snapshot: its handle,
-/// its content, and whether a resident program has claimed it.
-type DevicePoolEntry = (EntryHandle, TableEntry, bool);
+/// Whatever a program has been granted so far, given back through
+/// [`Controller::release`]: a deploy being staged fills one in grant by
+/// grant ([`Controller::grant`]), a resident or wedged program's is
+/// re-derived from its image.
+#[derive(Default)]
+struct Claim {
+    /// Granted memory regions: `(rpb, offset, size)`.
+    regions: Vec<(RpbId, u32, u32)>,
+    prog_id: Option<u16>,
+    /// Initialization-table entries charged.
+    init: usize,
+    /// Recirculation-block entries charged.
+    recirc: usize,
+    /// Table entries charged per RPB (`RpbId(i + 1)` at index `i`).
+    entries: [usize; NUM_RPBS],
+}
+
+impl Claim {
+    /// Everything a fully staged program holds.
+    fn of(image: &ProgramImage) -> Claim {
+        let mut claim = Claim {
+            regions: image.mem_regions.iter().map(|r| (r.rpb, r.offset, r.size)).collect(),
+            prog_id: Some(image.prog_id),
+            init: 1,
+            recirc: image.recirc_ids.len(),
+            entries: [0; NUM_RPBS],
+        };
+        for (rpb, _) in &image.rpb_entries {
+            claim.entries[usize::from(rpb.0) - 1] += 1;
+        }
+        claim
+    }
+}
+
+/// The register writes that zero a program's memory regions.
+fn reset_ops(image: &ProgramImage) -> impl Iterator<Item = ControlOp> + '_ {
+    image.mem_regions.iter().map(|r| ControlOp::ResetRegRange {
+        array: r.rpb.array_ref(),
+        start: r.offset,
+        len: r.size,
+    })
+}
+
+/// One installed program's re-derived install plan matched by content
+/// against the device, per section (`[body, filters]`): the handles of the
+/// entries found, and the inserts of those that are not there.
+#[derive(Default)]
+struct Matched {
+    name: String,
+    keep: [Handles; 2],
+    missing: [Vec<ControlOp>; 2],
+}
 
 /// What `audit` reports: the device's entry population compared, by
 /// content, against what the resource manager says should be installed.
@@ -559,7 +618,6 @@ impl Controller {
             let observed = self.channel.write_latency.quantile(0.99).unwrap_or(0);
             checks.push((2, SloKind::P99Latency, 0, observed, limit));
         }
-        let now = self.channel.clock.now();
         let w = self.watchdog.as_mut().expect("armed above");
         let mut emit: Vec<(SloKind, u16, u64, u64)> = Vec::new();
         for (idx, kind, prog, observed, limit) in checks {
@@ -572,12 +630,11 @@ impl Controller {
         }
         let fresh = emit.len() as u64;
         if !emit.is_empty() {
-            if let Some(tr) = self.switch.trace_mut() {
-                tr.set_now(now);
+            self.traced(|tr| {
                 for (kind, prog, observed, limit) in emit {
                     tr.slo_violation(kind, prog, observed, limit);
                 }
-            }
+            });
         }
         fresh
     }
@@ -598,11 +655,9 @@ impl Controller {
     /// current epoch and the control channel's simulated clock.
     pub fn enable_trace(&mut self, cfg: TraceConfig) -> &mut TraceBuffer {
         let epoch = self.epoch;
-        let now = self.channel.clock.now();
-        let t = self.switch.enable_trace(cfg);
-        t.set_epoch(epoch);
-        t.set_now(now);
-        t
+        self.switch.enable_trace(cfg);
+        self.traced(|t| t.set_epoch(epoch));
+        self.switch.trace_mut().expect("just enabled")
     }
 
     /// Turn the flight recorder off, returning the final ring.
@@ -631,18 +686,6 @@ impl Controller {
         &self,
     ) -> impl DoubleEndedIterator<Item = &LifecycleSpan> + ExactSizeIterator {
         self.spans.iter()
-    }
-
-    /// Record a span under the next `seq`, evicting the oldest one once
-    /// the history is full (a controller lives through unboundedly many
-    /// deploys; totals live in the epoch and the channel counters).
-    fn push_span(&mut self, span: LifecycleSpan) {
-        debug_assert_eq!(span.seq, self.span_seq);
-        self.span_seq += 1;
-        if self.spans.len() == SPAN_HISTORY {
-            self.spans.pop_front();
-        }
-        self.spans.push_back(span);
     }
 
     /// Snapshot the full telemetry report: spans + gauges + control-channel
@@ -744,6 +787,17 @@ impl Controller {
         rows
     }
 
+    /// Run `f` on the flight recorder, if one is on, stamped with the
+    /// control channel's simulated clock: every control-side trace event
+    /// is recorded through here.
+    pub(crate) fn traced(&mut self, f: impl FnOnce(&mut TraceBuffer)) {
+        let now = self.channel.clock.now();
+        if let Some(t) = self.switch.trace_mut() {
+            t.set_now(now);
+            f(t);
+        }
+    }
+
     /// A lifecycle event is about to mutate the data plane: open a new
     /// epoch so packet-side series split at this boundary.
     fn bump_epoch(&mut self) -> u64 {
@@ -755,11 +809,7 @@ impl Controller {
         // The bump lands in the trace *outside* any batch (the install /
         // remove batches follow it), which is exactly what the
         // epoch-splits-batch invariant demands.
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.note_epoch(epoch);
-        }
+        self.traced(|t| t.note_epoch(epoch));
         // Every lifecycle boundary cuts a time-series bucket and runs an
         // SLO check — both no-ops when the feature is off.
         self.tick_series();
@@ -767,16 +817,62 @@ impl Controller {
         epoch
     }
 
-    fn take_prog_id(&mut self) -> CtlResult<u16> {
-        if let Some(id) = self.free_ids.pop() {
-            return Ok(id);
+    /// The bracket every data-plane-mutating event runs inside. It opens a
+    /// new epoch and snapshots the fault counter and the wall clock;
+    /// `event` hands its plans to [`Controller::ship`], which adds what
+    /// they did to the event's one record; on the way out the closing
+    /// trace event is emitted and the caller's `report` derived from the
+    /// record. `Some(kind)` is a program's deploy or revoke: a `lifecycle`
+    /// event on success, and the record is kept as a span named after the
+    /// kind, or `kind-fault` if the event failed. `None` is a reconcile
+    /// pass: `reconcile_begin` / `reconcile_end` frame it, no span is kept.
+    fn bracket<R>(
+        &mut self,
+        kind: Option<LifecycleKind>,
+        program: &str,
+        prog_id: u16,
+        event: impl FnOnce(&mut Controller, &mut LifecycleSpan) -> CtlResult<()>,
+        report: impl FnOnce(&LifecycleSpan) -> R,
+    ) -> CtlResult<R> {
+        let faults_before = self.faults_fired_total();
+        let generation = self.switch.generation();
+        let epoch = self.bump_epoch();
+        if kind.is_none() {
+            self.traced(|t| t.reconcile_begin(generation));
         }
-        if self.next_prog_id == u16::MAX {
-            return Err(CtlError::Compile(CompileError::ProgramIdsExhausted));
+        let mut span = LifecycleSpan {
+            seq: self.span_seq,
+            kind: kind.map(|k| k.to_string()).unwrap_or_default(),
+            program: program.to_string(),
+            prog_id: u64::from(prog_id),
+            epoch,
+            ..LifecycleSpan::default()
+        };
+        let t_chan = Instant::now();
+        let outcome = event(self, &mut span);
+        span.channel_wall_ns = t_chan.elapsed().as_nanos() as u64;
+        span.faults = self.faults_fired_total() - faults_before;
+        let outcome = outcome.map(|()| report(&span));
+        let Some(kind) = kind else {
+            let (reinstalled, deleted) = (span.entries_written as u32, span.entries_revoked as u32);
+            self.traced(|t| t.reconcile_end(reinstalled, deleted));
+            return outcome;
+        };
+        if outcome.is_ok() {
+            let update_delay = Nanos(span.update_delay_ns);
+            self.traced(|t| t.lifecycle(kind, prog_id, epoch, update_delay));
+        } else {
+            span.kind.push_str("-fault");
         }
-        let id = self.next_prog_id;
-        self.next_prog_id += 1;
-        Ok(id)
+        // File the span under the next `seq`, evicting the oldest one once
+        // the history is full (a controller lives through unboundedly many
+        // deploys; totals live in the epoch and the channel counters).
+        self.span_seq += 1;
+        if self.spans.len() == SPAN_HISTORY {
+            self.spans.pop_front();
+        }
+        self.spans.push_back(span);
+        outcome
     }
 
     /// Apply one batch through the channel, absorbing transient faults
@@ -812,7 +908,15 @@ impl Controller {
     /// both modes, so Figure 6's body-then-filter (and filter-then-body)
     /// sequencing holds whichever way the plan travels. A plan of no
     /// batches sends nothing; an empty batch is still an RPC.
-    fn ship(&mut self, plan: impl IntoIterator<Item = Vec<ControlOp>>) -> Shipped {
+    ///
+    /// What the plan did is added to `span`, the record of the bracketed
+    /// event it belongs to. A device reset wipes every program, not only
+    /// that event's, so it is flagged for [`Controller::reconcile`] here.
+    fn ship(
+        &mut self,
+        span: &mut LifecycleSpan,
+        plan: impl IntoIterator<Item = Vec<ControlOp>>,
+    ) -> Shipped {
         let mut rpcs: Vec<Vec<ControlOp>> = plan.into_iter().collect();
         if self.channel.model.bulk && rpcs.len() > 1 {
             rpcs = vec![rpcs.into_iter().flatten().collect()];
@@ -822,74 +926,60 @@ impl Controller {
             if sent.error.is_none() {
                 let (out, retries) = self.apply_with_retry(&rpc);
                 sent.results.extend(out.results);
-                sent.cost += out.cost;
                 sent.error = out.error;
-                sent.retries += retries;
+                span.update_delay_ns += out.cost.0;
+                span.retries += retries;
             }
             sent.ops.extend(rpc);
         }
+        for res in &sent.results {
+            match res {
+                OpResult::Inserted(_) => span.entries_written += 1,
+                OpResult::Deleted => span.entries_revoked += 1,
+                _ => {}
+            }
+        }
+        self.needs_reconcile |= matches!(sent.error, Some(SimError::DeviceReset { .. }));
         sent
     }
 
-    /// Return every resource a program image holds: its memory regions,
-    /// entry budgets, init/recirc charges, and its program id.
-    fn refund_program(&mut self, image: &ProgramImage) {
-        for r in &image.mem_regions {
-            self.resman.unlock_memory(r.rpb, r.offset, r.size);
-        }
-        let mut per_rpb: HashMap<RpbId, usize> = HashMap::new();
-        for (rpb, _) in &image.rpb_entries {
-            *per_rpb.entry(*rpb).or_insert(0) += 1;
-        }
-        for (rpb, n) in per_rpb {
-            self.resman.refund_entries(rpb, n);
-        }
-        self.resman.refund_init(1);
-        self.resman.refund_recirc(image.recirc_ids.len());
-        self.free_ids.push(image.prog_id);
+    /// The one unwind: ship `cleanup` — the undo of a faulted install's
+    /// applied prefix, or a wedged program's parked ops, one batch either
+    /// way — between `rollback_begin` and `rollback_end`. Returns the
+    /// leftover ops and the second fault if the cleanup itself faulted
+    /// (short of a device reset, which finishes the job by wiping).
+    fn unwind(
+        &mut self,
+        span: &mut LifecycleSpan,
+        prog_id: u16,
+        cleanup: impl IntoIterator<Item = Vec<ControlOp>>,
+    ) -> Option<(Vec<ControlOp>, SimError)> {
+        self.traced(|t| t.rollback_begin(prog_id));
+        let sent = self.ship(span, cleanup);
+        let undone = sent.results.len() as u64;
+        span.rollback_ops += undone;
+        self.fault_stats.rollback_ops += undone;
+        let left = sent.unfinished();
+        self.fault_stats.rollbacks += u64::from(left.is_none());
+        self.traced(|t| t.rollback_end(prog_id, undone as u32, left.is_none()));
+        left
     }
 
-    /// Undo the applied prefix of a faulted install with its own
-    /// epoch-guarded batch. Returns how many undo ops landed, plus the
-    /// leftover ops and the second fault if the rollback itself faulted
-    /// (short of a device reset, which finishes the job by wiping).
-    fn rollback(
-        &mut self,
-        prog_id: u16,
-        undo: Vec<ControlOp>,
-    ) -> (u64, Option<(Vec<ControlOp>, SimError)>) {
-        if undo.is_empty() {
-            self.fault_stats.rollbacks += 1;
-            return (0, None);
+    /// Give back everything `claim` holds: the one path resources return
+    /// by, whether a deploy failed, a revoke finished or a wedged program
+    /// was retired.
+    fn release(&mut self, claim: Claim) {
+        for (rpb, offset, size) in claim.regions {
+            self.resman.unlock_memory(rpb, offset, size);
         }
-        self.bump_epoch();
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.rollback_begin(prog_id);
+        for (rpb, n) in (1..).map(RpbId).zip(claim.entries) {
+            self.resman.refund_entries(rpb, n);
         }
-        let mut sent = self.ship([undo]);
-        let undone = sent.results.len() as u64;
-        self.fault_stats.rollback_ops += undone;
-        let double = match sent.error.take() {
-            None => None,
-            Some(SimError::DeviceReset { .. }) => {
-                // The wipe took the rest of the prefix with it.
-                self.needs_reconcile = true;
-                None
-            }
-            Some(f) => Some((sent.remaining(), f)),
-        };
-        let complete = double.is_none();
-        if complete {
-            self.fault_stats.rollbacks += 1;
+        self.resman.refund_init(claim.init);
+        self.resman.refund_recirc(claim.recirc);
+        if let Some(id) = claim.prog_id {
+            self.free_ids.push(id);
         }
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.rollback_end(prog_id, undone as u32, complete);
-        }
-        (undone, double)
     }
 
     /// The front half of a deploy — parse, check, lower — with the
@@ -927,6 +1017,74 @@ impl Controller {
         self.install(irs, parse_wall)
     }
 
+    fn take_prog_id(&mut self) -> CtlResult<u16> {
+        if let Some(id) = self.free_ids.pop() {
+            return Ok(id);
+        }
+        if self.next_prog_id == u16::MAX {
+            return Err(CtlError::Compile(CompileError::ProgramIdsExhausted));
+        }
+        let id = self.next_prog_id;
+        self.next_prog_id += 1;
+        Ok(id)
+    }
+
+    /// Grant `ir` what its allocation asks for — physical memory where the
+    /// solver placed each vmem, a program id, and (for the entries the
+    /// shape cache generates) the init / recirculation / RPB budgets — and
+    /// plan the install. Each grant is written into `claim` the moment it
+    /// is made, so whichever step fails, the caller releases exactly that.
+    fn grant(
+        &mut self,
+        claim: &mut Claim,
+        ir: &ProgramIr,
+        allocation: &Allocation,
+    ) -> CtlResult<(ProgramImage, Vec<Batch>)> {
+        let mut offsets: HashMap<String, (RpbId, u32)> = HashMap::new();
+        for m in &ir.memories {
+            let rpb = allocation.mem_rpb[&m.name];
+            let Some(off) = self.resman.grant_memory(rpb, m.size) else {
+                let reason = format!("memory grant for `{}` failed", m.name);
+                return Err(CompileError::AllocationFailed { reason }.into());
+            };
+            claim.regions.push((rpb, off, m.size));
+            offsets.insert(m.name.clone(), (rpb, off));
+        }
+        let prog_id = self.take_prog_id()?;
+        claim.prog_id = Some(prog_id);
+        let image = generate_cached(
+            &mut self.entry_cache,
+            ir,
+            allocation,
+            &offsets,
+            prog_id,
+            &self.dp.fields,
+            self.switch.field_table(),
+        )?;
+
+        // Charge entry budgets: initialization paths, the recirculation
+        // block, and RPBs (validated by the solver).
+        let full = || {
+            CompileError::InitTableFull { path: "initialization/recirculation block".into() }
+        };
+        if !self.resman.charge_init(1) {
+            return Err(full().into());
+        }
+        claim.init = 1;
+        if !self.resman.charge_recirc(image.recirc_ids.len()) {
+            return Err(full().into());
+        }
+        claim.recirc = image.recirc_ids.len();
+        for (rpb, _) in &image.rpb_entries {
+            // Solver-validated; charge unconditionally.
+            let ok = self.resman.charge_entries(*rpb, 1);
+            debug_assert!(ok, "solver and resource manager disagree");
+            claim.entries[usize::from(rpb.0) - 1] += 1;
+        }
+        let plan = plan_install(&image, &self.dp, self.switch.field_table())?;
+        Ok((image, plan))
+    }
+
     /// Commit one lowered program to the data plane: allocate against the
     /// live resource view (Figure 7 timing), grant memory, generate entries
     /// (through the shape cache), charge budgets, and install via the
@@ -939,414 +1097,182 @@ impl Controller {
         let allocation = allocate(&ir, self.resman.alloc_view(), &self.alloc_cfg)?;
         let alloc_wall = t_alloc.elapsed();
 
-        // Grant physical memory where the solver placed each vmem.
-        let mut offsets: HashMap<String, (RpbId, u32)> = HashMap::new();
-        let mut granted: Vec<(RpbId, u32, u32)> = Vec::new();
-        for m in &ir.memories {
-            let rpb = allocation.mem_rpb[&m.name];
-            match self.resman.grant_memory(rpb, m.size) {
-                Some(off) => {
-                    offsets.insert(m.name.clone(), (rpb, off));
-                    granted.push((rpb, off, m.size));
-                }
-                None => {
-                    for (r, o, s) in granted {
-                        self.resman.unlock_memory(r, o, s);
-                    }
-                    return Err(CtlError::Compile(CompileError::AllocationFailed {
-                        reason: format!("memory grant for `{}` failed", m.name),
-                    }));
-                }
-            }
-        }
-
-        let prog_id = self.take_prog_id()?;
-        let image = match generate_cached(
-            &mut self.entry_cache,
-            &ir,
-            &allocation,
-            &offsets,
-            prog_id,
-            &self.dp.fields,
-            self.switch.field_table(),
-        ) {
-            Ok(i) => i,
-            Err(e) => {
-                for (r, o, s) in granted {
-                    self.resman.unlock_memory(r, o, s);
-                }
-                self.free_ids.push(prog_id);
-                return Err(e.into());
-            }
-        };
-
-        // Charge entry budgets: RPBs (validated by the solver),
-        // initialization paths, and the recirculation block.
-        let mut per_rpb: HashMap<RpbId, usize> = HashMap::new();
-        for (rpb, _) in &image.rpb_entries {
-            *per_rpb.entry(*rpb).or_insert(0) += 1;
-        }
-        let init_ok = self.resman.charge_init(1);
-        if !init_ok || !self.resman.charge_recirc(image.recirc_ids.len()) {
-            if init_ok {
-                self.resman.refund_init(1);
-            }
-            for (r, o, s) in granted {
-                self.resman.unlock_memory(r, o, s);
-            }
-            self.free_ids.push(prog_id);
-            return Err(CtlError::Compile(CompileError::InitTableFull {
-                path: "initialization/recirculation block".into(),
-            }));
-        }
-        for (rpb, n) in &per_rpb {
-            // Solver-validated; charge unconditionally.
-            let ok = self.resman.charge_entries(*rpb, *n);
-            debug_assert!(ok, "solver and resource manager disagree");
-        }
+        // Whatever a failed staging was granted goes straight back; a staged
+        // program's claim is re-derived from its image from here on.
+        let mut claim = Claim::default();
+        let staged = self.grant(&mut claim, &ir, &allocation);
+        let (image, plan) = staged.inspect_err(|_| self.release(claim))?;
+        let (prog_id, depth, passes) = (image.prog_id, ir.depth(), image.passes);
 
         // Consistent install: program components first, filters last.
-        // The install mutates the data plane, so it opens a new
-        // telemetry epoch before the first batch lands.
-        let memory_claimed: u64 = ir.memories.iter().map(|m| u64::from(m.size)).sum();
-        let faults_before = self.faults_fired_total();
-        let epoch = self.bump_epoch();
-        let batches = plan_install(&image, &self.dp, self.switch.field_table())?;
-        let boundary = batches[0].ops.len();
-        let t_chan = Instant::now();
-        let sent = self.ship(batches.into_iter().map(|b| b.ops));
-        let update_delay = sent.cost;
-        let mut handles = InstalledHandles {
-            mem_regions: image.mem_regions.clone(),
-            ..Default::default()
-        };
-        for (k, (op, res)) in sent.ops.iter().zip(&sent.results).enumerate() {
-            if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
-                let rec = if k < boundary {
-                    &mut handles.body_handles
-                } else {
-                    &mut handles.filter_handles
-                };
-                rec.push((*table, *h));
-            }
-        }
-        let entries_written = (handles.body_handles.len() + handles.filter_handles.len()) as u64;
-        let channel_wall = t_chan.elapsed();
-
-        if let Some(fault) = sent.error {
+        let install = |ctl: &mut Controller, span: &mut LifecycleSpan| {
+            span.parse_wall_ns = parse_wall.as_nanos() as u64;
+            span.solver_wall_ns = alloc_wall.as_nanos() as u64;
+            span.solver_nodes = allocation.nodes_explored;
+            span.solver_truncated = allocation.truncated_solves;
+            let boundary = plan[0].ops.len();
+            let sent = ctl.ship(span, plan.into_iter().map(|b| b.ops));
+            let [body_handles, filter_handles] = sent.inserted(boundary, Default::default());
+            let Some(fault) = sent.error else {
+                span.memory_claimed = ir.memories.iter().map(|m| u64::from(m.size)).sum();
+                let mem_regions = image.mem_regions.clone();
+                let handles = InstalledHandles { filter_handles, body_handles, mem_regions };
+                let installed = InstalledProgram { image, handles, allocation };
+                ctl.programs.insert(ir.name.clone(), installed);
+                return Ok(());
+            };
             // Mid-install fault. The filter activation is always the last
             // op of the plan, so the half-installed program was never
             // packet-visible; undoing the applied prefix (filters first,
             // then body in reverse) restores the device exactly, and a
             // device reset has already wiped it wholesale.
-            self.fault_stats.deploy_faults += 1;
-            let mut rollback_ops = 0u64;
-            let mut parked: Option<SimError> = None;
-            if matches!(fault, SimError::DeviceReset { .. }) {
-                self.needs_reconcile = true;
+            ctl.fault_stats.deploy_faults += 1;
+            let undo: Vec<ControlOp> = filter_handles
+                .iter()
+                .rev()
+                .chain(body_handles.iter().rev())
+                .map(|&(table, handle)| ControlOp::DeleteEntry { table, handle })
+                .collect();
+            let parked = if matches!(fault, SimError::DeviceReset { .. }) {
+                None
+            } else if undo.is_empty() {
+                ctl.fault_stats.rollbacks += 1;
+                None
             } else {
-                let mut undo: Vec<ControlOp> =
-                    Vec::with_capacity(handles.filter_handles.len() + handles.body_handles.len());
-                for &(table, handle) in handles.filter_handles.iter().rev() {
-                    undo.push(ControlOp::DeleteEntry { table, handle });
-                }
-                for &(table, handle) in handles.body_handles.iter().rev() {
-                    undo.push(ControlOp::DeleteEntry { table, handle });
-                }
-                let (undone, double) = self.rollback(prog_id, undo);
-                rollback_ops = undone;
-                if let Some((mut pending, second)) = double {
-                    // Double fault: park the leftovers. The regions were
-                    // zero at grant time, but a partially active filter
-                    // could see traffic before the retry lands — reset
-                    // them as part of the parked cleanup.
-                    for r in &image.mem_regions {
-                        pending.push(ControlOp::ResetRegRange {
-                            array: r.rpb.array_ref(),
-                            start: r.offset,
-                            len: r.size,
-                        });
-                    }
-                    self.wedged.insert(
-                        ir.name.clone(),
-                        WedgedProgram { image: image.clone(), pending_ops: pending },
-                    );
-                    parked = Some(second);
-                }
-            }
-            if parked.is_none() {
-                self.refund_program(&image);
-            }
-            self.push_span(LifecycleSpan {
-                seq: self.span_seq,
-                kind: "deploy-fault".into(),
-                program: ir.name.clone(),
-                prog_id: u64::from(prog_id),
-                epoch,
-                parse_wall_ns: parse_wall.as_nanos() as u64,
-                solver_wall_ns: alloc_wall.as_nanos() as u64,
-                solver_nodes: allocation.nodes_explored,
-                solver_truncated: allocation.truncated_solves,
-                channel_wall_ns: channel_wall.as_nanos() as u64,
-                entries_written,
-                entries_revoked: rollback_ops,
-                memory_claimed: 0,
-                memory_released: 0,
-                update_delay_ns: update_delay.0,
-                faults: self.faults_fired_total() - faults_before,
-                retries: sent.retries,
-                rollback_ops,
-            });
-            return Err(match parked {
-                Some(second) => CtlError::Wedged { program: ir.name, fault: second },
-                None => CtlError::DeployFault { program: ir.name, fault },
-            });
-        }
-
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.lifecycle(LifecycleKind::Deploy, prog_id, epoch, update_delay);
-        }
-
-        self.push_span(LifecycleSpan {
-            seq: self.span_seq,
-            kind: "deploy".into(),
-            program: ir.name.clone(),
-            prog_id: u64::from(prog_id),
-            epoch,
-            parse_wall_ns: parse_wall.as_nanos() as u64,
-            solver_wall_ns: alloc_wall.as_nanos() as u64,
-            solver_nodes: allocation.nodes_explored,
-            solver_truncated: allocation.truncated_solves,
-            channel_wall_ns: channel_wall.as_nanos() as u64,
-            entries_written,
-            entries_revoked: 0,
-            memory_claimed,
-            memory_released: 0,
-            update_delay_ns: update_delay.0,
-            faults: self.faults_fired_total() - faults_before,
-            retries: sent.retries,
-            rollback_ops: 0,
-        });
-
-        let report = DeployReport {
-            name: ir.name.clone(),
+                // The undo mutates the data plane again: its own epoch.
+                ctl.bump_epoch();
+                ctl.unwind(span, prog_id, [undo])
+            };
+            let program = ir.name.clone();
+            let Some((mut pending_ops, fault)) = parked else {
+                ctl.release(Claim::of(&image));
+                return Err(CtlError::DeployFault { program, fault });
+            };
+            // Double fault: park the leftovers, resources stay charged. The
+            // regions were zero at grant time, but a partially active
+            // filter could see traffic before the retry lands — reset them
+            // as part of the parked cleanup.
+            pending_ops.extend(reset_ops(&image));
+            ctl.wedged.insert(ir.name.clone(), WedgedProgram { image, pending_ops });
+            Err(CtlError::Wedged { program, fault })
+        };
+        self.bracket(Some(LifecycleKind::Deploy), &ir.name, prog_id, install, |span| DeployReport {
+            name: span.program.clone(),
             prog_id,
             parse_wall,
             alloc_wall,
-            alloc_nodes: allocation.nodes_explored,
-            truncated_solves: allocation.truncated_solves,
-            channel_wall,
-            update_delay,
-            entries_installed: image.entry_count(),
-            depth: ir.depth(),
-            passes: image.passes,
-        };
-        self.programs.insert(ir.name, InstalledProgram { image, handles, allocation });
-        Ok(report)
+            alloc_nodes: span.solver_nodes,
+            truncated_solves: span.solver_truncated,
+            channel_wall: Duration::from_nanos(span.channel_wall_ns),
+            update_delay: Nanos(span.update_delay_ns),
+            entries_installed: span.entries_written as usize,
+            depth,
+            passes,
+        })
     }
 
     /// Revoke a deployed program (Figure 6 left half): filters first, then
     /// components, then lock + reset + release its memory.
+    ///
+    /// Revoking a wedged program retries its parked cleanup instead.
+    /// Idempotent: every call re-applies whatever is still pending (deletes
+    /// whose handles a device reset already wiped are satisfied trivially
+    /// and dropped); once the device is clean the program's resources are
+    /// refunded and the name becomes free again. The two retirements
+    /// differ only in where the pending ops come from.
     pub fn revoke(&mut self, name: &str) -> CtlResult<RevokeReport> {
-        if self.wedged.contains_key(name) {
-            return self.finish_wedged(name);
-        }
-        let installed = self
-            .programs
-            .remove(name)
-            .ok_or_else(|| CtlError::NoSuchProgram(name.to_string()))?;
+        let parked = self.wedged.remove(name);
+        let wedged = parked.is_some();
+        let (image, plan): (_, Vec<Vec<ControlOp>>) = if let Some(w) = parked {
+            let live = |op: &ControlOp| match op {
+                ControlOp::DeleteEntry { table, handle } => {
+                    self.switch.table(*table).is_ok_and(|t| t.contains(*handle))
+                }
+                _ => true,
+            };
+            (w.image, vec![w.pending_ops.into_iter().filter(live).collect()])
+        } else {
+            let installed = self
+                .programs
+                .remove(name)
+                .ok_or_else(|| CtlError::NoSuchProgram(name.to_string()))?;
+            // Lock regions before the reset batch touches them.
+            for r in &installed.handles.mem_regions {
+                self.resman.lock_memory(r.rpb, r.offset, r.size);
+            }
+            // Filter deletions lead the plan, so the program stops matching
+            // before any component disappears.
+            let plan = plan_remove(&installed.handles).into_iter().map(|b| b.ops).collect();
+            (installed.image, plan)
+        };
+        let prog_id = image.prog_id;
 
-        // Lock regions before the reset batch touches them.
-        for r in &installed.handles.mem_regions {
-            self.resman.lock_memory(r.rpb, r.offset, r.size);
-        }
-
-        // The remove batches mutate the data plane: new telemetry epoch.
-        let faults_before = self.faults_fired_total();
-        let epoch = self.bump_epoch();
-        // Filter deletions lead the plan, so the program stops matching
-        // before any component disappears.
-        let t_chan = Instant::now();
-        let mut sent = self.ship(plan_remove(&installed.handles).into_iter().map(|b| b.ops));
-        let channel_wall = t_chan.elapsed();
-        let update_delay = sent.cost;
-        let entries_revoked = sent.deleted();
-
-        if let Some(f) = sent.error.take() {
-            self.fault_stats.revoke_faults += 1;
-            if matches!(f, SimError::DeviceReset { .. }) {
-                // Forward recovery: the wipe finished the removal (it also
-                // zeroed the locked regions), so fall through to the
-                // refunds. Other programs diverged, though.
-                self.needs_reconcile = true;
+        let retire = |ctl: &mut Controller, span: &mut LifecycleSpan| {
+            let left = if wedged {
+                ctl.unwind(span, prog_id, plan)
             } else {
+                let sent = ctl.ship(span, plan);
+                ctl.fault_stats.revoke_faults += u64::from(sent.error.is_some());
+                sent.unfinished()
+            };
+            if let Some((pending_ops, fault)) = left {
                 // Park the rest of the plan: the program's resources stay
                 // charged (regions stay locked) until a retried revoke or
                 // a reconcile retires it.
-                let prog_id = installed.image.prog_id;
-                self.wedged.insert(
-                    name.to_string(),
-                    WedgedProgram { image: installed.image, pending_ops: sent.remaining() },
-                );
-                self.push_span(LifecycleSpan {
-                    seq: self.span_seq,
-                    kind: "revoke-fault".into(),
-                    program: name.to_string(),
-                    prog_id: u64::from(prog_id),
-                    epoch,
-                    parse_wall_ns: 0,
-                    solver_wall_ns: 0,
-                    solver_nodes: 0,
-                    solver_truncated: 0,
-                    channel_wall_ns: channel_wall.as_nanos() as u64,
-                    entries_written: 0,
-                    entries_revoked,
-                    memory_claimed: 0,
-                    memory_released: 0,
-                    update_delay_ns: update_delay.0,
-                    faults: self.faults_fired_total() - faults_before,
-                    retries: sent.retries,
-                    rollback_ops: 0,
-                });
-                return Err(CtlError::Wedged { program: name.to_string(), fault: f });
+                ctl.wedged.insert(name.to_string(), WedgedProgram { image, pending_ops });
+                return Err(CtlError::Wedged { program: name.to_string(), fault });
             }
-        }
-
-        self.refund_program(&installed.image);
-
-        let memory_released: u64 = installed
-            .handles
-            .mem_regions
-            .iter()
-            .map(|r| u64::from(r.size))
-            .sum();
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.lifecycle(LifecycleKind::Revoke, installed.image.prog_id, epoch, update_delay);
-        }
-        self.push_span(LifecycleSpan {
-            seq: self.span_seq,
-            kind: "revoke".into(),
-            program: name.to_string(),
-            prog_id: u64::from(installed.image.prog_id),
-            epoch,
-            parse_wall_ns: 0,
-            solver_wall_ns: 0,
-            solver_nodes: 0,
-            solver_truncated: 0,
-            channel_wall_ns: channel_wall.as_nanos() as u64,
-            entries_written: 0,
-            entries_revoked,
-            memory_claimed: 0,
-            memory_released,
-            update_delay_ns: update_delay.0,
-            faults: self.faults_fired_total() - faults_before,
-            retries: sent.retries,
-            rollback_ops: 0,
-        });
-
-        Ok(RevokeReport { name: name.to_string(), update_delay })
-    }
-
-    /// Retry a wedged program's parked cleanup. Idempotent: every call
-    /// re-applies whatever is still pending (deletes whose handles a
-    /// device reset already wiped are satisfied trivially and dropped);
-    /// once the device is clean the program's resources are refunded and
-    /// the name becomes free again.
-    fn finish_wedged(&mut self, name: &str) -> CtlResult<RevokeReport> {
-        let w = self.wedged.remove(name).expect("caller checked the wedged map");
-        let pending: Vec<ControlOp> = w
-            .pending_ops
-            .into_iter()
-            .filter(|op| match op {
-                ControlOp::DeleteEntry { table, handle } => self
-                    .switch
-                    .table(*table)
-                    .map(|t| t.contains(*handle))
-                    .unwrap_or(false),
-                _ => true,
-            })
-            .collect();
-        let faults_before = self.faults_fired_total();
-        let epoch = self.bump_epoch();
-        let prog_id = w.image.prog_id;
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.rollback_begin(prog_id);
-        }
-        let t_chan = Instant::now();
-        let mut sent = self.ship([pending]);
-        let update_delay = sent.cost;
-        let undone = sent.results.len() as u64;
-        self.fault_stats.rollback_ops += undone;
-        let complete = match &sent.error {
-            None => true,
-            Some(SimError::DeviceReset { .. }) => {
-                self.needs_reconcile = true;
-                true
-            }
-            Some(_) => false,
+            // Done — or a device reset finished the removal and zeroed the
+            // locked regions: forward recovery, on to the refunds.
+            span.memory_released = image.mem_regions.iter().map(|r| u64::from(r.size)).sum();
+            ctl.release(Claim::of(&image));
+            Ok(())
         };
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.rollback_end(prog_id, undone as u32, complete);
-        }
-        if !complete {
-            let f = sent.error.take().expect("incomplete cleanup carries its fault");
-            self.wedged.insert(
-                name.to_string(),
-                WedgedProgram { image: w.image, pending_ops: sent.remaining() },
-            );
-            return Err(CtlError::Wedged { program: name.to_string(), fault: f });
-        }
-        self.fault_stats.rollbacks += 1;
-        self.refund_program(&w.image);
-        let channel_wall = t_chan.elapsed();
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.lifecycle(LifecycleKind::Revoke, prog_id, epoch, update_delay);
-        }
-        self.push_span(LifecycleSpan {
-            seq: self.span_seq,
-            kind: "revoke".into(),
-            program: name.to_string(),
-            prog_id: u64::from(prog_id),
-            epoch,
-            parse_wall_ns: 0,
-            solver_wall_ns: 0,
-            solver_nodes: 0,
-            solver_truncated: 0,
-            channel_wall_ns: channel_wall.as_nanos() as u64,
-            entries_written: 0,
-            entries_revoked: sent.deleted(),
-            memory_claimed: 0,
-            memory_released: w.image.mem_regions.iter().map(|r| u64::from(r.size)).sum(),
-            update_delay_ns: update_delay.0,
-            faults: self.faults_fired_total() - faults_before,
-            retries: sent.retries,
-            rollback_ops: undone,
-        });
-        Ok(RevokeReport { name: name.to_string(), update_delay })
+        self.bracket(Some(LifecycleKind::Revoke), name, prog_id, retire, |span| RevokeReport {
+            name: span.program.clone(),
+            update_delay: Nanos(span.update_delay_ns),
+        })
     }
 
-    /// Snapshot the device's per-table entry population, with claim marks
-    /// for the content-matching passes.
-    fn device_pool(&self) -> CtlResult<HashMap<TableRef, Vec<DevicePoolEntry>>> {
-        let mut pool = HashMap::new();
-        for tref in self.switch.table_refs() {
-            let t = self.switch.table(tref)?;
-            let v: Vec<_> = t.iter_entries().map(|(h, e)| (h, e.clone(), false)).collect();
-            if !v.is_empty() {
-                pool.insert(tref, v);
+    /// The one content match: every installed program's re-derived install
+    /// plan (programs in name order) against the entries actually on the
+    /// device. Returns the per-program matches and, in device order, the
+    /// deletion of every entry no program claimed. [`Controller::audit`]
+    /// counts the result, [`Controller::reconcile`] repairs from it.
+    fn match_device(&self) -> CtlResult<(Vec<Matched>, Vec<ControlOp>)> {
+        // Device entries a program has claimed (handles are switch-unique).
+        let mut claimed: HashSet<EntryHandle> = HashSet::new();
+        let mut names: Vec<&String> = self.programs.keys().collect();
+        names.sort();
+        let mut matched = Vec::with_capacity(names.len());
+        for name in names {
+            let image = &self.programs[name].image;
+            let sections = plan_install(image, &self.dp, self.switch.field_table())?;
+            let mut m = Matched { name: name.clone(), ..Matched::default() };
+            for (sec, batch) in sections.into_iter().enumerate() {
+                for op in batch.ops {
+                    let ControlOp::InsertEntry { table, entry } = &op else { continue };
+                    let mut on_device = self.switch.table(*table)?.iter_entries();
+                    match on_device.find(|(h, e)| *e == entry && !claimed.contains(h)) {
+                        Some((handle, _)) => {
+                            claimed.insert(handle);
+                            m.keep[sec].push((*table, handle));
+                        }
+                        None => m.missing[sec].push(op),
+                    }
+                }
+            }
+            matched.push(m);
+        }
+        let mut unclaimed: Vec<ControlOp> = Vec::new();
+        for table in self.switch.table_refs() {
+            for (handle, _) in self.switch.table(table)?.iter_entries() {
+                if !claimed.contains(&handle) {
+                    unclaimed.push(ControlOp::DeleteEntry { table, handle });
+                }
             }
         }
-        Ok(pool)
+        Ok((matched, unclaimed))
     }
 
     /// Audit the device against the resource manager's view: re-derive
@@ -1354,42 +1280,17 @@ impl Controller {
     /// the entries actually on the device. Read-only; `reconcile()` is
     /// the mutating counterpart.
     pub fn audit(&self) -> CtlResult<AuditReport> {
-        let mut pool = self.device_pool()?;
-        let mut rep = AuditReport { wedged: self.wedged.len(), ..Default::default() };
-        let mut names: Vec<&String> = self.programs.keys().collect();
-        names.sort();
-        for name in names {
-            let p = &self.programs[name];
-            let batches = plan_install(&p.image, &self.dp, self.switch.field_table())?;
-            for batch in &batches {
-                for op in &batch.ops {
-                    if let ControlOp::InsertEntry { table, entry } = op {
-                        rep.expected += 1;
-                        let found = pool
-                            .get_mut(table)
-                            .and_then(|v| v.iter_mut().find(|(_, e, c)| !*c && e == entry));
-                        match found {
-                            Some(slot) => {
-                                slot.2 = true;
-                                rep.present += 1;
-                            }
-                            None => rep.missing += 1,
-                        }
-                    }
-                }
-            }
-        }
-        rep.unexpected =
-            pool.values().flat_map(|v| v.iter()).filter(|(_, _, c)| !*c).count();
-        Ok(rep)
-    }
-
-    fn trace_reconcile_end(&mut self, reinstalled: u32, deleted: u32) {
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.reconcile_end(reinstalled, deleted);
-        }
+        let (matched, unclaimed) = self.match_device()?;
+        let sum = |f: fn(&Matched) -> usize| matched.iter().map(f).sum::<usize>();
+        let present = sum(|m| m.keep[0].len() + m.keep[1].len());
+        let missing = sum(|m| m.missing[0].len() + m.missing[1].len());
+        Ok(AuditReport {
+            expected: present + missing,
+            present,
+            missing,
+            unexpected: unclaimed.len(),
+            wedged: self.wedged.len(),
+        })
     }
 
     /// Repair the device after a reset (or any other divergence): retire
@@ -1405,125 +1306,57 @@ impl Controller {
     /// progress is kept and recorded), so callers loop until
     /// [`Controller::audit`] reports clean.
     pub fn reconcile(&mut self) -> CtlResult<ReconcileReport> {
-        let generation = self.switch.generation();
-        self.bump_epoch();
-        let now = self.channel.clock.now();
-        if let Some(t) = self.switch.trace_mut() {
-            t.set_now(now);
-            t.reconcile_begin(generation);
-        }
-        let mut rep = ReconcileReport::default();
-
-        // Retire wedged programs: refund now, sweep their leftover entries
-        // as "unexpected" below, and reset their regions in the gc batch.
-        let mut wedge_resets: Vec<ControlOp> = Vec::new();
-        let mut wnames: Vec<String> = self.wedged.keys().cloned().collect();
-        wnames.sort();
-        for n in &wnames {
-            let w = self.wedged.remove(n).expect("key was just listed");
-            for r in &w.image.mem_regions {
-                wedge_resets.push(ControlOp::ResetRegRange {
-                    array: r.rpb.array_ref(),
-                    start: r.offset,
-                    len: r.size,
-                });
+        let mut wedged_cleared = 0;
+        let repair = |ctl: &mut Controller, span: &mut LifecycleSpan| {
+            // Retire wedged programs: refund now, sweep their leftover
+            // entries as unclaimed below, and reset their regions in the
+            // gc batch.
+            let mut wedge_resets: Vec<ControlOp> = Vec::new();
+            let mut wnames: Vec<String> = ctl.wedged.keys().cloned().collect();
+            wnames.sort();
+            for n in &wnames {
+                let w = ctl.wedged.remove(n).expect("key was just listed");
+                wedge_resets.extend(reset_ops(&w.image));
+                ctl.release(Claim::of(&w.image));
+                wedged_cleared += 1;
             }
-            self.refund_program(&w.image);
-            rep.wedged_cleared += 1;
-        }
 
-        // Content-match the device against every installed program's
-        // re-derived plan, splitting each into kept handles and missing ops.
-        struct Repair {
-            name: String,
-            keep: [Vec<(TableRef, EntryHandle)>; 2],
-            missing: [Vec<ControlOp>; 2],
-        }
-        let mut pool = self.device_pool()?;
-        let mut names: Vec<String> = self.programs.keys().cloned().collect();
-        names.sort();
-        let mut repairs: Vec<Repair> = Vec::new();
-        for name in &names {
-            let p = &self.programs[name];
-            let batches = plan_install(&p.image, &self.dp, self.switch.field_table())?;
-            let mut rp = Repair {
-                name: name.clone(),
-                keep: [Vec::new(), Vec::new()],
-                missing: [Vec::new(), Vec::new()],
-            };
-            for (sec, batch) in batches.iter().enumerate().take(2) {
-                for op in &batch.ops {
-                    if let ControlOp::InsertEntry { table, entry } = op {
-                        let found = pool
-                            .get_mut(table)
-                            .and_then(|v| v.iter_mut().find(|(_, e, c)| !*c && e == entry));
-                        match found {
-                            Some(slot) => {
-                                slot.2 = true;
-                                rp.keep[sec].push((*table, slot.0));
-                            }
-                            None => rp.missing[sec].push(op.clone()),
-                        }
-                    }
+            // Garbage-collect unclaimed entries (deterministic device
+            // order) plus the retired wedged programs' register regions.
+            let (matched, mut gc) = ctl.match_device()?;
+            gc.extend(wedge_resets);
+            if !gc.is_empty() {
+                if let Some(f) = ctl.ship(span, [gc]).error {
+                    // Partial sweep; the next pass finds the rest again.
+                    return Err(CtlError::Sim(f));
                 }
             }
-            repairs.push(rp);
-        }
 
-        // Garbage-collect unclaimed entries (deterministic device order)
-        // plus the retired wedged programs' register regions.
-        let mut gc: Vec<ControlOp> = Vec::new();
-        for tref in self.switch.table_refs() {
-            if let Some(v) = pool.get(&tref) {
-                for (h, _, claimed) in v {
-                    if !claimed {
-                        gc.push(ControlOp::DeleteEntry { table: tref, handle: *h });
-                    }
+            // Repair each surviving program and rebuild its handle record
+            // from the claims plus the fresh inserts.
+            for m in matched {
+                let boundary = m.missing[0].len();
+                // A section with nothing missing costs no RPC.
+                let sent = ctl.ship(span, m.missing.into_iter().filter(|b| !b.is_empty()));
+                let p = ctl.programs.get_mut(&m.name).expect("program is installed");
+                [p.handles.body_handles, p.handles.filter_handles] = sent.inserted(boundary, m.keep);
+                if let Some(f) = sent.error {
+                    // Partially repaired: what landed is recorded, so the
+                    // next pass claims it by content and continues from there.
+                    return Err(CtlError::Sim(f));
                 }
             }
-        }
-        gc.extend(wedge_resets);
-        if !gc.is_empty() {
-            let sent = self.ship([gc]);
-            rep.update_delay += sent.cost;
-            rep.deleted += sent.deleted() as usize;
-            if let Some(f) = sent.error {
-                // Partial sweep; the next pass finds the rest again.
-                self.trace_reconcile_end(rep.reinstalled as u32, rep.deleted as u32);
-                return Err(CtlError::Sim(f));
-            }
-        }
-
-        // Repair each surviving program and rebuild its handle record
-        // from the claims plus the fresh inserts.
-        for rp in repairs {
-            let boundary = rp.missing[0].len();
-            let mut keep = rp.keep;
-            // A section with nothing missing costs no RPC.
-            let sent = self.ship(rp.missing.into_iter().filter(|b| !b.is_empty()));
-            rep.update_delay += sent.cost;
-            for (k, (op, res)) in sent.ops.iter().zip(&sent.results).enumerate() {
-                if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
-                    rep.reinstalled += 1;
-                    keep[usize::from(k >= boundary)].push((*table, *h));
-                }
-            }
-            let [body, filters] = keep;
-            let p = self.programs.get_mut(&rp.name).expect("program is installed");
-            p.handles.body_handles = body;
-            p.handles.filter_handles = filters;
-            if let Some(f) = sent.error {
-                // Partially repaired: what landed is recorded, so the next
-                // pass claims it by content and continues from there.
-                self.trace_reconcile_end(rep.reinstalled as u32, rep.deleted as u32);
-                return Err(CtlError::Sim(f));
-            }
-        }
-
-        self.needs_reconcile = false;
-        self.fault_stats.reconciles += 1;
-        self.trace_reconcile_end(rep.reinstalled as u32, rep.deleted as u32);
-        Ok(rep)
+            ctl.needs_reconcile = false;
+            ctl.fault_stats.reconciles += 1;
+            Ok(())
+        };
+        let rep = self.bracket(None, "", 0, repair, |span| ReconcileReport {
+            reinstalled: span.entries_written as usize,
+            deleted: span.entries_revoked as usize,
+            wedged_cleared: 0,
+            update_delay: Nanos(span.update_delay_ns),
+        })?;
+        Ok(ReconcileReport { wedged_cleared, ..rep })
     }
 
     /// Incremental update of a running program (§7 "Incremental Update"):

@@ -11,8 +11,8 @@
 //!   [`TelemetryReport`] joining control-side and packet-side series
 //!   (rendered by `status --metrics`, documented in `docs/TELEMETRY.md`);
 //! * [`server`] — the persistent multi-client runtime-control server
-//!   (line-framed JSON over TCP, coalescing requests into service ticks
-//!   over `deploy` / `revoke`, explicit backpressure; `docs/SERVER.md`).
+//!   (line-framed JSON over TCP, requests executed in arrival order over
+//!   `deploy` / `revoke`, explicit backpressure; `docs/SERVER.md`).
 
 pub mod chaos;
 mod cli;
@@ -28,7 +28,7 @@ pub use controller::{
     AuditReport, Controller, CtlError, CtlResult, DeployReport, InstalledProgram, ReconcileReport,
     RevokeReport,
 };
-pub use metrics::{http_response, parse_prometheus, render_prometheus, render_top, serve_once, Sample};
+pub use metrics::{http_response, parse_prometheus, render_prometheus, render_top, Sample};
 pub use server::{serve, Client, ServerConfig};
 pub use telemetry::{
     FaultStats, LifecycleSpan, ProgramUsage, ResourceGauges, SeriesPoint, SeriesRing, ServerStats,

@@ -1,5 +1,5 @@
-//! Prometheus-style metrics export, the `p4rp top` ranking view, and a
-//! minimal loopback `/metrics` endpoint.
+//! Prometheus-style metrics export, the `p4rp top` ranking view, and the
+//! routing of the server's `/metrics` endpoint.
 //!
 //! [`render_prometheus`] flattens a [`TelemetryReport`] into the
 //! Prometheus text exposition format (version 0.0.4): `# HELP` / `# TYPE`
@@ -9,17 +9,13 @@
 //! strict parser — CI uses it to assert every exported line is
 //! well-formed and that counter values survive a round trip.
 //!
-//! [`serve_once`] answers exactly one HTTP request on an already-bound
-//! `std::net::TcpListener` — enough for `p4rp metrics serve` to expose
-//! the live report to a scraper on loopback without pulling in an HTTP
-//! stack. Routing (405 for non-GET, 404 off `/metrics`) lives in
-//! [`http_response`], shared with the persistent `server` module; the
-//! always-on multi-client endpoint is `p4rp serve` (`docs/SERVER.md`).
+//! [`http_response`] routes one HTTP request head (405 for non-GET, 404
+//! off `/metrics`) for the persistent `server` module, which answers
+//! scrapers on the port of `p4rp serve` (`docs/SERVER.md`) without
+//! pulling in an HTTP stack.
 
 use crate::telemetry::TelemetryReport;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::TcpListener;
 
 /// One parsed exposition sample: metric name, label pairs (sorted as
 /// written), and the value.
@@ -408,8 +404,8 @@ pub fn render_top(report: &TelemetryReport) -> String {
 /// * any other path → `404 Not Found`,
 /// * anything that isn't an HTTP request line → `400 Bad Request`.
 ///
-/// Used by both [`serve_once`] and the persistent `server` module, which
-/// answers scrapers on the same port as the line-framed JSON protocol.
+/// Used by the persistent `server` module, which answers scrapers on the
+/// same port as the line-framed JSON protocol.
 pub fn http_response(request_head: &str, body: &str) -> (u16, String) {
     let request_line = request_head.lines().next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -435,23 +431,6 @@ pub fn http_response(request_head: &str, body: &str) -> (u16, String) {
         return respond(404, "Not Found", "", "text/plain", "not found; scrape /metrics\n");
     }
     respond(200, "OK", "", "text/plain; version=0.0.4", body)
-}
-
-/// Answer exactly one HTTP request on an already-bound listener with the
-/// given body as `text/plain; version=0.0.4` (routing — 405 for non-GET,
-/// 404 off `/metrics` — per [`http_response`]). Blocks until a client
-/// connects. The caller binds (so it can report the ephemeral port) and
-/// decides whether to loop.
-pub fn serve_once(listener: &TcpListener, body: &str) -> std::io::Result<()> {
-    let (mut stream, _) = listener.accept()?;
-    // Drain the request line + headers; a scraper always sends a small
-    // GET so one read is enough for our purposes.
-    let mut buf = [0u8; 4096];
-    let n = stream.read(&mut buf)?;
-    let head = String::from_utf8_lossy(&buf[..n]);
-    let (_, response) = http_response(&head, body);
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -665,43 +644,5 @@ mod tests {
         assert!(top.contains("IN BREACH: drop_rate"), "{top}");
         r.programs.clear();
         assert!(render_top(&r).contains("enable attribution"));
-    }
-
-    #[test]
-    fn serve_once_answers_one_http_get() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            use std::io::{Read, Write};
-            let mut s = std::net::TcpStream::connect(addr).expect("connect");
-            s.write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-            let mut resp = String::new();
-            s.read_to_string(&mut resp).unwrap();
-            resp
-        });
-        serve_once(&listener, "p4rp_epoch 3\n").expect("serve");
-        let resp = handle.join().expect("client thread");
-        assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
-        assert!(resp.contains("text/plain; version=0.0.4"), "{resp}");
-        let body = resp.split("\r\n\r\n").nth(1).unwrap();
-        assert!(parse_prometheus(body).is_ok(), "{body}");
-    }
-
-    #[test]
-    fn serve_once_refuses_posts_on_the_wire() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            use std::io::{Read, Write};
-            let mut s = std::net::TcpStream::connect(addr).expect("connect");
-            s.write_all(b"POST /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-            let mut resp = String::new();
-            s.read_to_string(&mut resp).unwrap();
-            resp
-        });
-        serve_once(&listener, "p4rp_epoch 3\n").expect("serve");
-        let resp = handle.join().expect("client thread");
-        assert!(resp.starts_with("HTTP/1.1 405"), "{resp}");
-        assert!(!resp.contains("p4rp_epoch"), "{resp}");
     }
 }

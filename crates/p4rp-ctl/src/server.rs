@@ -1,6 +1,6 @@
 //! The persistent runtime-control server: a multi-client, line-framed
-//! JSON protocol over `std::net::TcpListener`, coalescing concurrent
-//! deploy/revoke requests into service ticks.
+//! JSON protocol over `std::net::TcpListener`, serving concurrent
+//! sessions from one queue, a tick at a time.
 //!
 //! The paper's control plane is an always-on service taking runtime
 //! program deployments from many operators at once. This module is that
@@ -8,10 +8,11 @@
 //! *session* (reader + writer thread pair), every request line becomes a
 //! command on a single service queue, and the service loop — the only
 //! code that touches the [`Controller`] — drains the queue one *tick* at
-//! a time: the tick's deploys run first, then its revokes, each through
-//! [`Controller::deploy`] / [`Controller::revoke`] in arrival order. A
-//! reply therefore depends on the commit order and the controller's
-//! channel mode, never on what shared its tick. Per-entry atomicity and
+//! a time, executing every request in arrival order through
+//! [`Controller::deploy`] / [`Controller::revoke`]. A reply therefore
+//! depends on the commit order and the controller's channel mode, never
+//! on what shared its tick, and a session that pipelines `revoke x` then
+//! `deploy x` gets them executed in that order. Per-entry atomicity and
 //! epoch-before-batch consistency are untouched: the server sits wholly
 //! in front of the controller, it never reaches around it.
 //!
@@ -198,11 +199,6 @@ fn parse_request(line: &str, lineno: u64) -> Result<(u64, Op), String> {
     Ok((id, op))
 }
 
-/// A request admitted past admission control, waiting in a tick batch:
-/// `(request id, submit ns, client id, op, reply lane, in-flight
-/// window)`.
-type Admitted = (u64, u64, u32, Op, Sender<Reply>, Arc<AtomicUsize>);
-
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -256,15 +252,9 @@ impl Service<'_> {
         self.ctl.channel().clock.now().0
     }
 
-    fn trace_rejected(&mut self, client: u32, request: u64, reason: RejectReason) {
-        let now = self.ctl.channel().clock.now();
-        if let Some(tr) = self.ctl.trace_mut() {
-            tr.set_now(now);
-            tr.request_rejected(client, request, reason);
-        }
-    }
-
-    fn count_rejection(&mut self, reason: RejectReason) {
+    /// Count a refusal and leave it in the flight recorder.
+    fn reject(&mut self, client: u32, request: u64, reason: RejectReason) {
+        self.ctl.traced(|tr| tr.request_rejected(client, request, reason));
         match reason {
             RejectReason::Busy => self.stats.rejected_busy += 1,
             RejectReason::RateLimited => self.stats.rejected_rate_limited += 1,
@@ -294,22 +284,16 @@ impl Service<'_> {
         }
     }
 
-    /// Execute one service tick over everything that was queued.
-    ///
-    /// Admission (timeout, rate limit) runs per request in arrival
-    /// order; admitted deploys then execute in arrival order, admitted
-    /// revokes after them, and everything else after those. Replies
-    /// restate the request id, so clients correlate however the tick
-    /// reordered.
+    /// Execute one service tick over everything that was queued, in
+    /// arrival order: each request passes admission (timeout, rate
+    /// limit) at its dispatch and, once admitted, executes before the
+    /// next one is looked at.
     fn tick(&mut self, batch: Vec<Command>) {
-        let mut deploys: Vec<Admitted> = Vec::new();
-        let mut revokes: Vec<Admitted> = Vec::new();
-        let mut others: Vec<Admitted> = Vec::new();
+        let mut executed = false;
         for cmd in batch {
             match cmd {
                 Command::Rejected { client, request, reason } => {
-                    self.count_rejection(reason);
-                    self.trace_rejected(client, request, reason);
+                    self.reject(client, request, reason);
                 }
                 Command::ConnRefused => self.stats.rejected_max_clients += 1,
                 Command::Http { head, reply } => {
@@ -345,48 +329,26 @@ impl Service<'_> {
                             }
                         }
                     }
-                    if let Some(reason) = reject {
-                        self.count_rejection(reason);
-                        self.trace_rejected(client, request, reason);
-                        let _ = reply.send(Reply::line(error_reply(
-                            request,
-                            reason.name(),
-                            &format!("request {request} rejected: {}", reason.name()),
-                        )));
-                        inflight.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    let lane = match op {
-                        Op::Deploy { .. } => &mut deploys,
-                        Op::Revoke { .. } => &mut revokes,
-                        _ => &mut others,
+                    let text = if let Some(reason) = reject {
+                        self.reject(client, request, reason);
+                        let detail = format!("request {request} rejected: {}", reason.name());
+                        error_reply(request, reason.name(), &detail)
+                    } else {
+                        executed = true;
+                        let kind = op.kind();
+                        self.stats.batched_deploys += u64::from(kind == RequestOp::Deploy);
+                        self.stats.batched_revokes += u64::from(kind == RequestOp::Revoke);
+                        self.ctl.traced(|tr| tr.request_begin(client, request, kind));
+                        let (text, ok) = self.execute(request, op);
+                        self.finish(client, request, kind, ok, submit_ns);
+                        text
                     };
-                    lane.push((request, submit_ns, client, op, reply, inflight));
+                    let _ = reply.send(Reply::line(text));
+                    inflight.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
-
-        // Deploys first: a revoke in the same tick naming a program the
-        // tick also deploys sees it resident, mirroring arrival causality
-        // for the common deploy→revoke sequence.
-        self.stats.batched_deploys += deploys.len() as u64;
-        self.stats.batched_revokes += revokes.len() as u64;
-        let work: Vec<Admitted> = deploys.into_iter().chain(revokes).chain(others).collect();
-        if !work.is_empty() {
-            self.stats.batches += 1;
-        }
-        for (request, submit_ns, client, op, reply, inflight) in work {
-            let kind = op.kind();
-            let now = self.ctl.channel().clock.now();
-            if let Some(tr) = self.ctl.trace_mut() {
-                tr.set_now(now);
-                tr.request_begin(client, request, kind);
-            }
-            let (text, ok) = self.execute(request, op);
-            self.finish(client, request, kind, ok, submit_ns);
-            let _ = reply.send(Reply::line(text));
-            inflight.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.stats.batches += u64::from(executed);
 
         // Publish fresh counters so `status --json` / scrapes read the
         // live server even mid-session.
@@ -394,18 +356,14 @@ impl Service<'_> {
     }
 
     fn finish(&mut self, client: u32, request: u64, op: RequestOp, ok: bool, submit_ns: u64) {
-        let now = self.ctl.channel().clock.now();
-        let dur_ns = now.0.saturating_sub(submit_ns);
+        let dur_ns = self.now_ns().saturating_sub(submit_ns);
         if ok {
             self.stats.responses_ok += 1;
         } else {
             self.stats.responses_err += 1;
         }
         self.stats.request_latency.observe(dur_ns);
-        if let Some(tr) = self.ctl.trace_mut() {
-            tr.set_now(now);
-            tr.request_end(client, request, op, ok, dur_ns);
-        }
+        self.ctl.traced(|tr| tr.request_end(client, request, op, ok, dur_ns));
     }
 
     /// Execute one admitted request, returning its reply line and
@@ -466,6 +424,7 @@ impl Service<'_> {
                     ("recorded", Value::U64(t.recorded)),
                     ("dropped", Value::U64(t.dropped)),
                     ("retained", Value::U64(t.retained)),
+                    ("capacity", Value::U64(t.capacity)),
                     ("violations", Value::U64(t.violations)),
                 ]))
             }

@@ -46,7 +46,7 @@ pub const SPAN_HISTORY: usize = 4096;
 /// A `deploy` span carries the compile-side timings and what it wrote; a
 /// `revoke` span carries what it removed. `update` is revoke + deploy and
 /// therefore emits two spans. All durations are nanoseconds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LifecycleSpan {
     /// Monotonic span index within this controller (spans recorded
     /// before this one, evicted ones included).

@@ -352,6 +352,22 @@ fn chaos_fingerprints_are_pinned() {
     }
 }
 
+/// A repair tick's `reconcile` retires wedged programs; the campaign's own
+/// list of them used to go stale, and a later retry of such a program
+/// ended the run with `NoSuchProgram` — about one dense campaign in two.
+#[test]
+fn dense_campaign_outlives_a_reconcile_that_retires_a_wedged_program() {
+    let cfg = ChaosConfig {
+        seed: 3,
+        steps: 80,
+        faults: FaultPlan::random(3, 10, 150),
+        ..ChaosConfig::default()
+    };
+    let out = chaos::run(&cfg).expect("the campaign runs to the end");
+    assert!(out.converged && out.final_audit.clean(), "{out:?}");
+    assert_eq!((out.sentinel_misses, out.resident_misses, out.invariant_violations), (0, 0, 0));
+}
+
 /// Names of the control events recorded from `seq` on, runs of one name
 /// folded to `name*n`.
 fn control_names(ctl: &Controller, seq: u64) -> String {

@@ -104,7 +104,7 @@ fn source_for(i: usize) -> String {
 /// responses must reproduce a direct controller bit-for-bit, and the
 /// drained server must audit clean with a silent invariant checker.
 ///
-/// Tick coalescing is varied on purpose — four clients released together
+/// Tick composition is varied on purpose — four clients released together
 /// (ticks of up to four) and the same four strictly one after another
 /// (ticks of one) — in both channel modes: a reply depends on the commit
 /// order and the controller's channel mode, never on what shared its tick.
@@ -354,6 +354,7 @@ fn server_smoke_deploy_scrape_drain() {
     let t = serde::json::parse(&c.trace().unwrap()).unwrap();
     assert_ok(&t, "trace");
     assert!(get_u64(&t, "recorded") > 0, "{t:?}");
+    assert_eq!(get_u64(&t, "capacity"), TraceConfig::default().capacity as u64, "{t:?}");
     assert_ok(&serde::json::parse(&c.shutdown().unwrap()).unwrap(), "shutdown");
 
     let (stats, ctl) = server.join().unwrap();
@@ -372,6 +373,47 @@ fn server_smoke_deploy_scrape_drain() {
     let kinds: Vec<&str> = trace.events().map(|e| e.kind.name()).collect();
     assert!(kinds.contains(&"request_begin"), "no request_begin in trace");
     assert!(kinds.contains(&"request_end"), "no request_end in trace");
+}
+
+/// Requests one session pipelines are executed in the order it sent them,
+/// whatever tick they land in: `revoke x` then `deploy x` ends with `x`
+/// resident. (Ticks used to run their deploys before their revokes: the
+/// second deploy failed as a duplicate and the revoke then removed `x`.)
+#[test]
+fn pipelined_revoke_then_deploy_keeps_session_order() {
+    use std::io::{BufRead, BufReader};
+
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let deploy = |id: u64, source: &str| {
+        let source = serde::json::to_string(&Value::Str(source.to_string()));
+        format!("{{\"id\": {id}, \"op\": \"deploy\", \"source\": {source}}}\n")
+    };
+    // The larger program keeps the service busy while the two requests
+    // behind it queue up for one tick.
+    let larger = "@ big 1024\nprogram larger(<hdr.ipv4.dst, 10.7.7.7, 0xffffffff>) \
+                  { LOADI(mar, 3); MEMREAD(big); MEMADD(big); FORWARD(2); }";
+    let mut pipelined = deploy(1, &source_for(0));
+    pipelined += &deploy(2, larger);
+    pipelined += "{\"id\": 3, \"op\": \"revoke\", \"name\": \"c0\"}\n";
+    pipelined += &deploy(4, &source_for(0));
+    raw.write_all(pipelined.as_bytes()).unwrap();
+
+    let mut replies = BufReader::new(raw.try_clone().unwrap());
+    for id in 1..=4 {
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        let doc = serde::json::parse(reply.trim()).unwrap_or_else(|e| panic!("{e}: {reply:?}"));
+        assert_eq!(get_u64(&doc, "id"), id, "replies follow request order: {reply}");
+        assert_ok(&doc, "pipelined request");
+    }
+    raw.write_all(b"{\"id\": 5, \"op\": \"shutdown\"}\n").unwrap();
+    let (stats, ctl) = server.join().unwrap();
+    assert!(ctl.program("c0").is_some(), "`c0` must end up resident");
+    assert!(ctl.program("larger").is_some());
+    assert_eq!((stats.batched_deploys, stats.batched_revokes), (3, 1), "{stats:?}");
+    assert_eq!(stats.responses_err, 0, "{stats:?}");
+    assert!(ctl.audit().unwrap().clean(), "audit dirty after drain");
 }
 
 /// Malformed requests draw line-numbered parse errors and never wedge
