@@ -310,7 +310,7 @@ impl Cli {
                     return "tracing off".to_string();
                 };
                 let json = chrome_trace_json(t.events());
-                let n = t.len();
+                let n = t.stats().retained;
                 if let Some(dir) = std::path::Path::new(path).parent() {
                     if !dir.as_os_str().is_empty() {
                         let _ = std::fs::create_dir_all(dir);

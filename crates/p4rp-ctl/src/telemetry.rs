@@ -766,12 +766,9 @@ impl TelemetryReport {
                     dp.tm.recirculated.get(),
                     dp.tm.reports.get()
                 ));
-                if !dp.parser_paths.is_empty() {
-                    let paths: Vec<String> = dp
-                        .parser_paths
-                        .iter()
-                        .map(|(k, v)| format!("{k}×{v}"))
-                        .collect();
+                let paths: Vec<String> =
+                    dp.parser_paths.into_iter().map(|(k, v)| format!("{k:#06x}×{v}")).collect();
+                if !paths.is_empty() {
                     out.push_str(&format!("parser paths: {}\n", paths.join(" ")));
                 }
             }

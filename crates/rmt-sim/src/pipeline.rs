@@ -150,15 +150,15 @@ impl Stage {
 
     /// [`Stage::execute`], reporting lookup/action/SALU events into `rec`.
     /// Generic over the recorder so that with [`NopRecorder`] every hook
-    /// compiles away; `&mut dyn Recorder` is the one other instantiation
-    /// the switch uses.
+    /// compiles away; the switch's one other instantiation is the concrete
+    /// `telemetry::FanOut`, whose hooks inline into this loop.
     ///
     /// Per-program attribution: when `attr` names the PHV field carrying
     /// the owning program id, the recorder's program context is refreshed
     /// from the PHV before this stage's events fire — so events after the
     /// filter table's binding action land on the owning program's slot, and
     /// events before it land on slot 0 (see `telemetry::ProgramMetrics`).
-    pub(crate) fn run<R: Recorder + ?Sized>(
+    pub(crate) fn run<R: Recorder>(
         &mut self,
         ft: &FieldTable,
         phv: &mut Phv,
@@ -239,7 +239,7 @@ impl Pipeline {
 
     /// [`Pipeline::process`], reporting per-stage events into `rec` and
     /// attributing them through `attr` (see [`Stage::run`]).
-    pub(crate) fn run<R: Recorder + ?Sized>(
+    pub(crate) fn run<R: Recorder>(
         &mut self,
         ft: &FieldTable,
         phv: &mut Phv,

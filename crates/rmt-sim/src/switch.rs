@@ -17,7 +17,7 @@ use crate::pipeline::{Gress, Pipeline};
 use crate::resources::{check_stage, ChipReport};
 use crate::salu::RegArray;
 use crate::table::{EntryHandle, Table, TableEntry};
-use crate::telemetry::{MetricsRecorder, NopRecorder, Recorder, TeeRecorder};
+use crate::telemetry::{FanOut, MetricsRecorder, NopRecorder, Recorder};
 use crate::tm::{decide, Verdict};
 use crate::trace::{frame_five_tuple, TraceBuffer, TraceConfig, TraceStats};
 
@@ -760,41 +760,28 @@ impl Switch {
     ) -> SimResult<()> {
         // The recorder is picked once per frame. Nothing listening is the
         // common case and gets the walk instantiated over `NopRecorder`,
-        // where every hook compiles away; anything else shares the one
-        // `dyn Recorder` instantiation.
+        // where every hook compiles away; anything else gets the one
+        // `FanOut` instantiation, which borrows the enabled sinks in place.
         if self.telemetry.is_none() && self.trace.is_none() {
-            return self.run_frame(port, frame, outcome, &mut NopRecorder, None, None);
+            return self.run_frame(port, frame, outcome, |_, _| NopRecorder, None, None);
         }
-        // The sinks leave the switch for the duration of the frame, so the
-        // walk can borrow them and the rest of the switch at once; they are
-        // back in place before the result is looked at.
-        let mut telemetry = self.telemetry.take();
-        let mut trace = self.trace.take();
         // Per-program attribution: resolve the PHV field to thread through
         // the pipelines once per frame. `None` (attribution off, or
         // telemetry off) keeps every stage on the plain path.
-        let attr = match &telemetry {
+        let attr = match &self.telemetry {
             Some(m) if m.is_attributing() => self.attr_field,
             _ => None,
         };
         // Five-tuple extraction is trace-only work.
-        let flow = if trace.is_some() { frame_five_tuple(frame) } else { None };
-        let mut nop = NopRecorder;
-        let mut tee;
-        // The tee fans the same hooks to both metrics and the flight
-        // recorder when both are on.
-        let rec: &mut dyn Recorder = match (&mut telemetry, &mut trace) {
-            (Some(m), Some(t)) => {
-                tee = TeeRecorder { a: m, b: t.as_mut() };
-                &mut tee
-            }
-            (Some(m), None) => m,
-            (None, Some(t)) => t.as_mut(),
-            (None, None) => &mut nop,
-        };
-        let r = self.run_frame(port, frame, outcome, rec, attr, flow);
-        self.telemetry = telemetry;
-        self.trace = trace;
+        let flow = if self.trace.is_some() { frame_five_tuple(frame) } else { None };
+        let r = self.run_frame(
+            port,
+            frame,
+            outcome,
+            |metrics, trace| FanOut { metrics: metrics.as_mut(), trace: trace.as_deref_mut() },
+            attr,
+            flow,
+        );
         if let Err(e) = &r {
             if let Some(t) = self.trace.as_deref_mut() {
                 t.dump_postmortem(&format!("process_frame error: {e}"));
@@ -803,37 +790,64 @@ impl Switch {
         r
     }
 
-    fn run_frame<R: Recorder + ?Sized>(
-        &mut self,
+    /// One frame through the switch, reporting into the recorder `sinks`
+    /// builds from the switch's own telemetry and trace slots — which the
+    /// walk borrows alongside the rest of the switch, in place.
+    fn run_frame<'s, R: Recorder>(
+        &'s mut self,
         port: u16,
         frame: &[u8],
         outcome: &mut ProcessOutcome,
-        rec: &mut R,
+        sinks: impl FnOnce(&'s mut Option<MetricsRecorder>, &'s mut Option<Box<TraceBuffer>>) -> R,
         attr: Option<FieldId>,
         flow: Option<(u32, u32, u16, u16, u8)>,
     ) -> SimResult<()> {
-        if !self.provisioned {
+        let Switch {
+            cfg,
+            ft,
+            parser,
+            ingress,
+            egress,
+            strip_on_emit,
+            mcast_groups,
+            provisioned,
+            counters,
+            cpu_counters,
+            drops,
+            recirc_passes,
+            telemetry,
+            trace,
+            next_packet_id,
+            scratch_phv,
+            scratch_frame,
+            scratch_next,
+            scratch_strip,
+            ..
+        } = self;
+        if !*provisioned {
             return Err(SimError::Config("switch not provisioned".into()));
         }
-        if usize::from(port) >= self.counters.len() {
+        if usize::from(port) >= counters.len() {
             return Err(SimError::NoSuchPort(port));
         }
-        self.counters[usize::from(port)].rx_pkts += 1;
-        self.counters[usize::from(port)].rx_bytes += frame.len() as u64;
+        counters[usize::from(port)].rx_pkts += 1;
+        counters[usize::from(port)].rx_bytes += frame.len() as u64;
         outcome.clear();
-        let packet = self.next_packet_id;
-        self.next_packet_id += 1;
+        let packet = *next_packet_id;
+        *next_packet_id += 1;
+        let rec = &mut sinks(telemetry, trace);
+        let (ft, cfg) = (&*ft, &*cfg);
 
-        let intr = self.ft.intrinsics();
+        let intr = ft.intrinsics();
         let external_port = port;
         // Borrow-check the scratch pool as locals for the duration of the
         // frame; an early `?` return forfeits the buffers' capacity (they
         // re-grow on the next frame), never their correctness.
-        let mut rebuilt = std::mem::take(&mut self.scratch_frame);
-        let mut next = std::mem::take(&mut self.scratch_next);
-        let mut stripped = std::mem::take(&mut self.scratch_strip);
-        let mut phv = std::mem::take(&mut self.scratch_phv);
-        let mut from_recirc = self.cfg.recirc_ingress_ports.contains(&port);
+        let mut rebuilt = std::mem::take(scratch_frame);
+        let mut next = std::mem::take(scratch_next);
+        let mut stripped = std::mem::take(scratch_strip);
+        let mut phv = std::mem::take(scratch_phv);
+        let mut from_recirc = cfg.recirc_ingress_ports.contains(&port);
         let mut ingress_port = port;
         let mut passes: u8 = 0;
 
@@ -847,22 +861,22 @@ impl Switch {
             // The first pass reads the caller's bytes where they are; only a
             // recirculating packet is ever copied, by being rebuilt.
             let current: &[u8] = if passes == 1 { frame } else { &rebuilt };
-            phv.reset_for(&self.ft);
-            let parse = match self.parser.parse(&self.ft, current, &mut phv, from_recirc) {
+            phv.reset_for(ft);
+            let parse = match parser.parse(ft, current, &mut phv, from_recirc) {
                 Ok(p) => p,
                 Err(SimError::ParserReject) => {
-                    self.drops += 1;
+                    *drops += 1;
                     outcome.dropped = true;
                     break;
                 }
                 Err(e) => return Err(e),
             };
             let payload = &current[parse.payload_offset..];
-            phv.set(&self.ft, intr.ingress_port, u64::from(ingress_port));
+            phv.set(ft, intr.ingress_port, u64::from(ingress_port));
 
             rec.parser_path(parse.bitmap);
-            self.ingress.run(&self.ft, &mut phv, rec, attr)?;
-            let decision = decide(&self.ft, &phv);
+            ingress.run(ft, &mut phv, rec, attr)?;
+            let decision = decide(ft, &phv);
             // Re-sync the program context before the TM verdict: the
             // filter table's binding action ran *after* the last stage-top
             // context refresh, so this is where a fresh binding first
@@ -878,17 +892,17 @@ impl Switch {
                 // internal-only headers stripped; the packet itself keeps
                 // them until its own emission.
                 stripped.clear();
-                for f in &self.strip_on_emit {
+                for f in strip_on_emit.iter() {
                     stripped.push(phv.get(*f));
-                    phv.set(&self.ft, *f, 0);
+                    phv.set(ft, *f, 0);
                 }
                 let mut bytes = outcome.buffer();
-                self.parser.deparse_into(&self.ft, &phv, payload, &mut bytes);
-                for (f, v) in self.strip_on_emit.iter().zip(&stripped) {
-                    phv.set(&self.ft, *f, *v);
+                parser.deparse_into(ft, &phv, payload, &mut bytes);
+                for (f, v) in strip_on_emit.iter().zip(&stripped) {
+                    phv.set(ft, *f, *v);
                 }
-                self.cpu_counters.tx_pkts += 1;
-                self.cpu_counters.tx_bytes += bytes.len() as u64;
+                cpu_counters.tx_pkts += 1;
+                cpu_counters.tx_bytes += bytes.len() as u64;
                 outcome.reports.push(bytes);
             }
 
@@ -898,26 +912,26 @@ impl Switch {
                     // packet still traverses the egress pipeline so that
                     // egress-RPB state updates (e.g. the cache-write
                     // MEMWRITE before a DROP verdict) take effect.
-                    self.egress.run(&self.ft, &mut phv, rec, attr)?;
-                    self.drops += 1;
+                    egress.run(ft, &mut phv, rec, attr)?;
+                    *drops += 1;
                     outcome.dropped = true;
                     break;
                 }
                 Verdict::Recirculate => {
-                    if passes > self.cfg.max_recirc {
-                        self.drops += 1;
+                    if passes > cfg.max_recirc {
+                        *drops += 1;
                         outcome.dropped = true;
                         break;
                     }
-                    self.egress.run(&self.ft, &mut phv, rec, attr)?;
-                    self.recirc_passes += 1;
+                    egress.run(ft, &mut phv, rec, attr)?;
+                    *recirc_passes += 1;
                     // Multi-switch chain: hand the state-headered frame to
                     // the next switch over the wire (the header is *not*
                     // stripped on this port).
-                    if let Some(wire) = self.cfg.recirc_wire_port {
+                    if let Some(wire) = cfg.recirc_wire_port {
                         let mut bytes = outcome.buffer();
-                        self.parser.deparse_into(&self.ft, &phv, payload, &mut bytes);
-                        if let Some(c) = self.counters.get_mut(usize::from(wire)) {
+                        parser.deparse_into(ft, &phv, payload, &mut bytes);
+                        if let Some(c) = counters.get_mut(usize::from(wire)) {
                             c.tx_pkts += 1;
                             c.tx_bytes += bytes.len() as u64;
                         }
@@ -926,22 +940,22 @@ impl Switch {
                     }
                     // Rebuild the frame for the next pass into the spare
                     // buffer and swap — no allocation per recirculation.
-                    self.parser.deparse_into(&self.ft, &phv, payload, &mut next);
+                    parser.deparse_into(ft, &phv, payload, &mut next);
                     std::mem::swap(&mut rebuilt, &mut next);
                     from_recirc = true;
-                    ingress_port = self.cfg.recirc_port;
+                    ingress_port = cfg.recirc_port;
                 }
                 Verdict::Return | Verdict::Forward(_) | Verdict::Multicast(_) => {
                     // Each replica traverses egress independently (the PRE
                     // clones before the egress pipeline; with identical
                     // egress state the results coincide, so one egress pass
                     // is processed and the frame replicated).
-                    self.egress.run(&self.ft, &mut phv, rec, attr)?;
-                    for f in &self.strip_on_emit {
-                        phv.set(&self.ft, *f, 0);
+                    egress.run(ft, &mut phv, rec, attr)?;
+                    for f in strip_on_emit.iter() {
+                        phv.set(ft, *f, 0);
                     }
                     let mut bytes = outcome.buffer();
-                    self.parser.deparse_into(&self.ft, &phv, payload, &mut bytes);
+                    parser.deparse_into(ft, &phv, payload, &mut bytes);
                     let single;
                     let out_ports: &[u16] = match decision.verdict {
                         Verdict::Return => {
@@ -953,19 +967,19 @@ impl Switch {
                             &single
                         }
                         Verdict::Multicast(g) => {
-                            self.mcast_groups.get(&g).map(Vec::as_slice).unwrap_or(&[])
+                            mcast_groups.get(&g).map(Vec::as_slice).unwrap_or(&[])
                         }
                         _ => unreachable!(),
                     };
                     for &out_port in out_ports {
-                        if let Some(c) = self.counters.get_mut(usize::from(out_port)) {
+                        if let Some(c) = counters.get_mut(usize::from(out_port)) {
                             c.tx_pkts += 1;
                             c.tx_bytes += bytes.len() as u64;
                         }
                     }
                     match out_ports.split_last() {
                         None => {
-                            self.drops += 1;
+                            *drops += 1;
                             outcome.dropped = true;
                             outcome.spare.push(bytes);
                         }
@@ -989,10 +1003,10 @@ impl Switch {
         // The outcome takes the working PHV; its previous one becomes the
         // next frame's scratch, which every pass resets before use.
         std::mem::swap(&mut outcome.phv, &mut phv);
-        self.scratch_frame = rebuilt;
-        self.scratch_next = next;
-        self.scratch_strip = stripped;
-        self.scratch_phv = phv;
+        *scratch_frame = rebuilt;
+        *scratch_next = next;
+        *scratch_strip = stripped;
+        *scratch_phv = phv;
         Ok(())
     }
 }

@@ -4,11 +4,10 @@
 //! The design splits *instrumentation points* from *storage*:
 //!
 //! * [`Recorder`] is the hook trait. Every method has a no-op default
-//!   body, and the simulator's hot paths call it through a `&mut dyn
-//!   Recorder` that is the shared [`NopRecorder`] unless telemetry was
-//!   explicitly enabled — disabled telemetry costs one virtual call to an
-//!   empty body per event, which is below measurement noise next to a
-//!   table lookup (see `bench/benches/dataplane.rs`).
+//!   body. The frame walk is generic over it and instantiated twice: over
+//!   [`NopRecorder`] when no recorder is on, where every hook compiles
+//!   away, and over [`FanOut`] when telemetry, attribution or the trace
+//!   ring is on, where every hook inlines.
 //! * [`MetricsRecorder`] is the storage implementation: per-stage
 //!   match/miss/action counters, SALU read-modify-write counts, the
 //!   parser-path histogram keyed by parse bitmap, traffic-manager verdict
@@ -304,69 +303,125 @@ pub(crate) struct NopRecorder;
 
 impl Recorder for NopRecorder {}
 
-/// Fans every hook out to two recorders — how the switch feeds the
-/// aggregate [`MetricsRecorder`] and the flight recorder
-/// ([`crate::trace::TraceBuffer`]) from one `&mut dyn Recorder` borrow
-/// when both are enabled. Built per pass on the stack; when at most one
-/// sink is active the switch passes that sink directly and this type never
-/// materializes.
-pub(crate) struct TeeRecorder<'a> {
-    /// First sink.
-    pub a: &'a mut dyn Recorder,
-    /// Second sink.
-    pub b: &'a mut dyn Recorder,
+/// The recorder an observed frame runs over: the aggregate
+/// [`MetricsRecorder`] and the flight recorder
+/// ([`crate::trace::TraceBuffer`]), each when enabled, borrowed in place
+/// from the switch for the duration of one frame. A concrete type, so the
+/// stage walk instantiated over it is monomorphic and every hook below
+/// inlines into it. The two sinks never see each other: each hook is
+/// forwarded to both unchanged.
+pub(crate) struct FanOut<'a> {
+    /// The aggregate counters, when telemetry is on.
+    pub(crate) metrics: Option<&'a mut MetricsRecorder>,
+    /// The flight recorder, when tracing is on.
+    pub(crate) trace: Option<&'a mut crate::trace::TraceBuffer>,
 }
 
-impl Recorder for TeeRecorder<'_> {
+impl Recorder for FanOut<'_> {
+    #[inline(always)]
     fn prog_ctx(&mut self, prog: u16) {
-        self.a.prog_ctx(prog);
-        self.b.prog_ctx(prog);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.prog_ctx(prog);
+        }
     }
 
+    #[inline(always)]
     fn table_lookup(&mut self, gress: Gress, stage: usize, hit: bool) {
-        self.a.table_lookup(gress, stage, hit);
-        self.b.table_lookup(gress, stage, hit);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.table_lookup(gress, stage, hit);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.table_lookup(gress, stage, hit);
+        }
     }
 
+    #[inline(always)]
     fn action_executed(&mut self, gress: Gress, stage: usize) {
-        self.a.action_executed(gress, stage);
-        self.b.action_executed(gress, stage);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.action_executed(gress, stage);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.action_executed(gress, stage);
+        }
     }
 
+    #[inline(always)]
     fn salu_rmw(&mut self, gress: Gress, stage: usize, wrote: bool) {
-        self.a.salu_rmw(gress, stage, wrote);
-        self.b.salu_rmw(gress, stage, wrote);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.salu_rmw(gress, stage, wrote);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.salu_rmw(gress, stage, wrote);
+        }
     }
 
+    #[inline(always)]
     fn parser_path(&mut self, bitmap: u16) {
-        self.a.parser_path(bitmap);
-        self.b.parser_path(bitmap);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.parser_path(bitmap);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.parser_path(bitmap);
+        }
     }
 
+    #[inline(always)]
     fn tm_decision(&mut self, verdict: Verdict, report_copy: bool) {
-        self.a.tm_decision(verdict, report_copy);
-        self.b.tm_decision(verdict, report_copy);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.tm_decision(verdict, report_copy);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.tm_decision(verdict, report_copy);
+        }
     }
 
+    #[inline(always)]
     fn packet_begin(&mut self, packet: u64, port: u16, len: u32) {
-        self.a.packet_begin(packet, port, len);
-        self.b.packet_begin(packet, port, len);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.packet_begin(packet, port, len);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.packet_begin(packet, port, len);
+        }
     }
 
+    #[inline(always)]
     fn packet_flow(&mut self, packet: u64, src: u32, dst: u32, sport: u16, dport: u16, proto: u8) {
-        self.a.packet_flow(packet, src, dst, sport, dport, proto);
-        self.b.packet_flow(packet, src, dst, sport, dport, proto);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.packet_flow(packet, src, dst, sport, dport, proto);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.packet_flow(packet, src, dst, sport, dport, proto);
+        }
     }
 
+    #[inline(always)]
     fn pass_begin(&mut self, packet: u64, pass: u8) {
-        self.a.pass_begin(packet, pass);
-        self.b.pass_begin(packet, pass);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.pass_begin(packet, pass);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.pass_begin(packet, pass);
+        }
     }
 
+    #[inline(always)]
     fn packet_end(&mut self, packet: u64, passes: u8, dropped: bool) {
-        self.a.packet_end(packet, passes, dropped);
-        self.b.packet_end(packet, passes, dropped);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.packet_end(packet, passes, dropped);
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.packet_end(packet, passes, dropped);
+        }
     }
+}
+
+/// Extend `v` with default entries so that `idx` is in range: the cold
+/// first-touch step of an indexed counter, kept out of the hooks' bodies.
+#[cold]
+#[inline(never)]
+fn grow<T: Clone + Default>(v: &mut Vec<T>, idx: usize) {
+    v.resize(idx + 1, T::default());
 }
 
 /// Per-gress stage metric vectors, grown on demand.
@@ -379,9 +434,12 @@ pub struct PipelineMetrics {
 serde::impl_serde_struct!(PipelineMetrics { stages });
 
 impl PipelineMetrics {
+    /// Stage `idx`'s counters: an indexed access, plus a growth step the
+    /// first time a stage is touched.
+    #[inline(always)]
     fn stage_mut(&mut self, idx: usize) -> &mut StageMetrics {
         if idx >= self.stages.len() {
-            self.stages.resize(idx + 1, StageMetrics::default());
+            grow(&mut self.stages, idx);
         }
         &mut self.stages[idx]
     }
@@ -463,6 +521,71 @@ impl ProgramMetrics {
     }
 }
 
+/// Packets per accepted parser path, keyed by parse bitmap: a short list
+/// kept sorted by bitmap, so counting a pass is a scan of the few paths a
+/// parser has, with no key built. It serializes as the JSON object
+/// `{"0x%04x": packets}`, keys in ascending order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ParserPaths(Vec<(u16, u64)>);
+
+impl ParserPaths {
+    /// Count one packet on path `bitmap`; only a path never seen before
+    /// allocates.
+    #[inline]
+    fn bump(&mut self, bitmap: u16) {
+        match self.0.iter_mut().find(|(b, _)| *b == bitmap) {
+            Some((_, n)) => *n += 1,
+            None => self.add(bitmap, 1),
+        }
+    }
+
+    #[cold]
+    fn add(&mut self, bitmap: u16, n: u64) {
+        match self.0.binary_search_by_key(&bitmap, |&(b, _)| b) {
+            Ok(i) => self.0[i].1 += n,
+            Err(i) => self.0.insert(i, (bitmap, n)),
+        }
+    }
+
+    fn merge(&mut self, other: &ParserPaths) {
+        for &(bitmap, n) in &other.0 {
+            self.add(bitmap, n);
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a ParserPaths {
+    type Item = (u16, u64);
+    type IntoIter = std::iter::Copied<std::slice::Iter<'a, (u16, u64)>>;
+
+    /// `(bitmap, packets)` in ascending bitmap order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().copied()
+    }
+}
+
+impl serde::Serialize for ParserPaths {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(
+            self.0.iter().map(|&(b, n)| (format!("{b:#06x}"), serde::Value::U64(n))).collect(),
+        )
+    }
+}
+
+impl serde::Deserialize for ParserPaths {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut paths = ParserPaths::default();
+        for (key, n) in BTreeMap::<String, u64>::from_value(v)? {
+            let bitmap = key
+                .strip_prefix("0x")
+                .and_then(|hex| u16::from_str_radix(hex, 16).ok())
+                .ok_or_else(|| serde::Error::expected("a parse bitmap key like \"0x0003\""))?;
+            paths.add(bitmap, n);
+        }
+        Ok(paths)
+    }
+}
+
 /// The storing [`Recorder`]: everything the data plane reports, plus the
 /// control plane's current epoch label.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -475,9 +598,9 @@ pub struct MetricsRecorder {
     pub ingress: PipelineMetrics,
     /// Egress stage counters.
     pub egress: PipelineMetrics,
-    /// Packets per accepted parser path, keyed by the parse bitmap
-    /// formatted as `0x%04x`.
-    pub parser_paths: BTreeMap<String, u64>,
+    /// Packets per accepted parser path (serialized keyed by the parse
+    /// bitmap formatted as `0x%04x`).
+    pub parser_paths: ParserPaths,
     /// Traffic-manager counters.
     pub tm: TmMetrics,
     /// Per-program attribution slots, indexed by program id (`None` =
@@ -530,19 +653,32 @@ impl MetricsRecorder {
 
     /// The attribution slot for program `prog`, growing the vector on
     /// demand. `None` when attribution is disabled.
+    #[inline(always)]
     pub fn prog_metrics_mut(&mut self, prog: u64) -> Option<&mut ProgramMetrics> {
         let pp = self.per_prog.as_mut()?;
         let idx = prog as usize;
         if idx >= pp.len() {
-            pp.resize(idx + 1, ProgramMetrics::default());
+            grow(pp, idx);
         }
         Some(&mut pp[idx])
     }
 
     /// The attribution slot for the packet currently in flight.
+    #[inline(always)]
     fn cur_slot(&mut self) -> Option<&mut ProgramMetrics> {
         let prog = self.cur_prog;
         self.prog_metrics_mut(prog)
+    }
+
+    /// Apply `bump` to stage `stage` of `gress`: the global counters, and
+    /// the current packet's attribution slot when attribution is on. Both
+    /// are indexed increments; only a first touch grows a vector.
+    #[inline(always)]
+    fn stage_event(&mut self, gress: Gress, stage: usize, bump: impl Fn(&mut StageMetrics)) {
+        bump(self.gress_mut(gress).stage_mut(stage));
+        if let Some(p) = self.cur_slot() {
+            bump(p.gress_mut(gress).stage_mut(stage));
+        }
     }
 
     /// Fold another recorder's counters in — the deterministic aggregation
@@ -557,9 +693,7 @@ impl MetricsRecorder {
         self.epoch = self.epoch.max(other.epoch);
         self.ingress.merge(&other.ingress);
         self.egress.merge(&other.egress);
-        for (k, v) in &other.parser_paths {
-            *self.parser_paths.entry(k.clone()).or_insert(0) += v;
-        }
+        self.parser_paths.merge(&other.parser_paths);
         self.tm.merge(&other.tm);
         if let Some(theirs) = &other.per_prog {
             let pp = self.per_prog.get_or_insert_with(Vec::new);
@@ -575,70 +709,49 @@ impl MetricsRecorder {
 }
 
 impl Recorder for MetricsRecorder {
+    #[inline]
     fn prog_ctx(&mut self, prog: u16) {
         self.cur_prog = u64::from(prog);
     }
 
+    #[inline]
     fn packet_begin(&mut self, _packet: u64, _port: u16, _len: u32) {
         // A fresh frame starts unbound; the filter table re-binds it.
         self.cur_prog = 0;
     }
 
+    #[inline]
     fn table_lookup(&mut self, gress: Gress, stage: usize, hit: bool) {
-        let s = self.gress_mut(gress).stage_mut(stage);
-        if hit {
-            s.hits.incr();
-        } else {
-            s.misses.incr();
-        }
-        if let Some(p) = self.cur_slot() {
-            let s = p.gress_mut(gress).stage_mut(stage);
+        self.stage_event(gress, stage, |s| {
             if hit {
                 s.hits.incr();
             } else {
                 s.misses.incr();
             }
-        }
+        });
     }
 
+    #[inline]
     fn action_executed(&mut self, gress: Gress, stage: usize) {
-        self.gress_mut(gress).stage_mut(stage).actions.incr();
-        if let Some(p) = self.cur_slot() {
-            p.gress_mut(gress).stage_mut(stage).actions.incr();
-        }
+        self.stage_event(gress, stage, |s| s.actions.incr());
     }
 
+    #[inline]
     fn salu_rmw(&mut self, gress: Gress, stage: usize, wrote: bool) {
-        let s = self.gress_mut(gress).stage_mut(stage);
-        s.salu_reads.incr();
-        if wrote {
-            s.salu_writes.incr();
-        }
-        if let Some(p) = self.cur_slot() {
-            let s = p.gress_mut(gress).stage_mut(stage);
+        self.stage_event(gress, stage, |s| {
             s.salu_reads.incr();
             if wrote {
                 s.salu_writes.incr();
             }
-        }
+        });
     }
 
+    #[inline]
     fn parser_path(&mut self, bitmap: u16) {
-        // The `{bitmap:#06x}` key, formatted on the stack: only a path
-        // never seen before allocates, so a warm frame allocates nothing.
-        let mut key = *b"0x0000";
-        for (i, digit) in key[2..].iter_mut().enumerate() {
-            *digit = b"0123456789abcdef"[usize::from(bitmap >> (12 - 4 * i)) & 0xf];
-        }
-        let key = std::str::from_utf8(&key).expect("ASCII hex digits");
-        match self.parser_paths.get_mut(key) {
-            Some(n) => *n += 1,
-            None => {
-                self.parser_paths.insert(key.to_string(), 1);
-            }
-        }
+        self.parser_paths.bump(bitmap);
     }
 
+    #[inline]
     fn tm_decision(&mut self, verdict: Verdict, report_copy: bool) {
         match verdict {
             Verdict::Forward(_) => self.tm.forwarded.incr(),
@@ -661,6 +774,7 @@ impl Recorder for MetricsRecorder {
         }
     }
 
+    #[inline]
     fn packet_end(&mut self, _packet: u64, _passes: u8, _dropped: bool) {
         if let Some(p) = self.cur_slot() {
             p.packets.incr();
@@ -747,8 +861,7 @@ mod tests {
         assert_eq!((ig.salu_reads.get(), ig.salu_writes.get()), (2, 1));
         assert_eq!(r.ingress.stages[0], StageMetrics::default(), "untouched stage stays zero");
         assert_eq!(r.egress.stages[0].misses.get(), 1);
-        assert_eq!(r.parser_paths.get("0x0003"), Some(&2));
-        assert_eq!(r.parser_paths.get("0x0001"), Some(&1));
+        assert_eq!(r.parser_paths.0, vec![(0x0001, 1), (0x0003, 2)], "sorted by bitmap");
         assert_eq!(r.tm.forwarded.get(), 1);
         assert_eq!(r.tm.dropped.get(), 1);
         assert_eq!(r.tm.reports.get(), 1);
@@ -779,7 +892,7 @@ mod tests {
         let s = &ab.ingress.stages[1];
         assert_eq!((s.hits.get(), s.misses.get()), (1, 1));
         assert_eq!(ab.egress.stages[3].hits.get(), 1);
-        assert_eq!(ab.parser_paths.get("0x0003"), Some(&2));
+        assert_eq!(ab.parser_paths.0, vec![(0x0001, 1), (0x0003, 2)]);
         assert_eq!(ab.tm.forwarded.get(), 1);
         assert_eq!(ab.tm.dropped.get(), 1);
         assert_eq!(ab.tm.reports.get(), 1);

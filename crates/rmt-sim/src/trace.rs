@@ -15,15 +15,21 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **Disabled tracing costs nothing.** The data path reports through the
-//!   same `&mut dyn Recorder` it already uses; with tracing off that is
-//!   the shared no-op recorder — one virtual call to an empty body, the
-//!   budget PR 2's fast path was measured under.
-//! * **Steady state allocates nothing.** [`TraceBuffer`] is a ring of
-//!   preallocated fixed-size [`TraceEvent`] slots (`Copy`, no heap
-//!   payloads). Wraparound overwrites the oldest slot and counts it in
-//!   [`TraceBuffer::dropped_events`], so drop accounting is exact and the
-//!   sequence numbers of retained events stay contiguous.
+//! * **Disabled tracing costs nothing.** A switch with no recorder on runs
+//!   its frames over [`crate::telemetry::NopRecorder`], where every hook
+//!   compiles away. With tracing on, the frame walk is instantiated over
+//!   the concrete [`crate::telemetry::FanOut`] recorder, so the hooks
+//!   below inline into the stage loop.
+//! * **Recording is a few register stores.** [`TraceBuffer`] is a ring of
+//!   preallocated 40-byte integer slots: the clock, the epoch and three
+//!   words of kind payload (see "Slot layout" below). The hot packet hooks
+//!   build those words in registers; no [`TraceEvent`] is built on the
+//!   record path. The sequence number is implied by ring position, and
+//!   [`TraceBuffer::events`] decodes slots back into [`TraceEvent`]s.
+//! * **Steady state allocates nothing.** Wraparound overwrites the oldest
+//!   slot and counts it in [`TraceBuffer::dropped_events`], so drop
+//!   accounting is exact and the sequence numbers of retained events stay
+//!   contiguous.
 //! * **Violations are caught live.** An [`InvariantChecker`] observes
 //!   every event as it is recorded and promotes the offline assertions of
 //!   `tests/consistency.rs` — no packet interleaves with a control batch's
@@ -565,6 +571,315 @@ impl TraceEvent {
     }
 }
 
+// ---- slot layout -------------------------------------------------------
+//
+// A ring slot is `t_ns`, `epoch` and three payload words `[head, a, b]`.
+// `head` carries the kind tag in its low byte and the kind's narrow fields
+// above it; `a` and `b` carry the wide ones:
+//
+// | kind            | head: field @ first bit                          | a                    | b             |
+// |-----------------|--------------------------------------------------|----------------------|---------------|
+// | packet_start    | port @8, len @24                                 | packet               |               |
+// | packet_flow     | proto @8, sport @16, dport @32                   | packet               | src, dst @32  |
+// | pass_begin      | pass @8                                          | packet               |               |
+// | parser_path     | pass @8, bitmap @16                              | packet               |               |
+// | table_lookup    | gress @8, stage @16, hit @32                     | packet               |               |
+// | action          | gress @8, stage @16                              | packet               |               |
+// | salu_rmw        | gress @8, stage @16, wrote @32                   | packet               |               |
+// | tm_verdict      | pass @8, verdict code @16, its port @19, report @35 | packet            |               |
+// | packet_end      | passes @8, dropped @16                           | packet               |               |
+// | batch_begin/end | ops @8                                           | batch                | cost_ns (end) |
+// | entry_*         | gress @8, stage @16, table @32                   | handle               |               |
+// | reg_write       | gress @8, stage @16, array @32                   | addr                 |               |
+// | epoch_bump      |                                                  | epoch                |               |
+// | lifecycle       | kind @8, prog @16                                | epoch                | dur_ns        |
+// | fault_injected  | fault @8                                         | at_op                |               |
+// | rollback_*      | complete @8, prog @16, ops @32                   |                      |               |
+// | reconcile_begin |                                                  | generation           |               |
+// | reconcile_end   |                                                  | reinstalled, deleted @32 |           |
+// | slo_violation   | slo @8, prog @16                                 | observed             | threshold     |
+// | request_*       | op or reason @8, ok @16, client @32              | request              | dur_ns (end)  |
+//
+// Packet-side tags come first, so "is this a packet event" is one compare.
+
+const PACKET_START: u64 = 0;
+const PACKET_FLOW: u64 = 1;
+const PASS_BEGIN: u64 = 2;
+const PARSER_PATH: u64 = 3;
+const TABLE_LOOKUP: u64 = 4;
+const ACTION: u64 = 5;
+const SALU_RMW: u64 = 6;
+const TM_VERDICT: u64 = 7;
+const PACKET_END: u64 = 8;
+const BATCH_BEGIN: u64 = 9;
+const BATCH_END: u64 = 10;
+const ENTRY_INSERT: u64 = 11;
+const ENTRY_DELETE: u64 = 12;
+const REG_WRITE: u64 = 13;
+const EPOCH_BUMP: u64 = 14;
+const LIFECYCLE: u64 = 15;
+const FAULT_INJECTED: u64 = 16;
+const ROLLBACK_BEGIN: u64 = 17;
+const ROLLBACK_END: u64 = 18;
+const RECONCILE_BEGIN: u64 = 19;
+const RECONCILE_END: u64 = 20;
+const SLO_VIOLATION: u64 = 21;
+const REQUEST_BEGIN: u64 = 22;
+const REQUEST_END: u64 = 23;
+const REQUEST_REJECTED: u64 = 24;
+
+// Field-less enums are stored as their declaration index (`as u64`) and
+// decoded through these tables, in declaration order.
+const GRESSES: [Gress; 2] = [Gress::Ingress, Gress::Egress];
+const LIFECYCLES: [LifecycleKind; 2] = [LifecycleKind::Deploy, LifecycleKind::Revoke];
+const FAULTS: [crate::fault::FaultKind; 4] = {
+    use crate::fault::FaultKind::*;
+    [FailOp, BatchTimeout, ChannelDrop, DeviceReset]
+};
+const SLOS: [SloKind; 3] = [SloKind::DropRate, SloKind::DeployFailure, SloKind::P99Latency];
+const REQUEST_OPS: [RequestOp; 7] = {
+    use RequestOp::*;
+    [Deploy, Revoke, Status, Metrics, Trace, Ping, Shutdown]
+};
+const REJECTS: [RejectReason; 5] = {
+    use RejectReason::*;
+    [Busy, RateLimited, Timeout, Draining, Parse]
+};
+
+/// One ring slot: the stamp without its sequence number, plus the kind's
+/// three payload words. Written field by field from registers.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    t_ns: u64,
+    epoch: u64,
+    head: u64,
+    a: u64,
+    b: u64,
+}
+
+/// The `head` word of the per-stage packet kinds.
+#[inline(always)]
+fn stage_head(tag: u64, gress: Gress, stage: u16, flag: bool) -> u64 {
+    tag | (gress as u64) << 8 | u64::from(stage) << 16 | u64::from(flag) << 32
+}
+
+/// The `head` word of a `tm_verdict`.
+#[inline(always)]
+fn verdict_head(pass: u8, verdict: Verdict, report: bool) -> u64 {
+    let verdict = match verdict {
+        Verdict::Forward(port) => u64::from(port) << 3,
+        Verdict::Return => 1,
+        Verdict::Drop => 2,
+        Verdict::Recirculate => 3,
+        Verdict::Multicast(group) => 4 | u64::from(group) << 3,
+    };
+    TM_VERDICT | u64::from(pass) << 8 | verdict << 16 | u64::from(report) << 35
+}
+
+/// The `head` word of a `packet_start`.
+#[inline(always)]
+fn start_head(port: u16, len: u32) -> u64 {
+    PACKET_START | u64::from(port) << 8 | u64::from(len) << 24
+}
+
+/// The `head` and `b` words of a `packet_flow`.
+#[inline(always)]
+fn flow_words(src: u32, dst: u32, sport: u16, dport: u16, proto: u8) -> (u64, u64) {
+    let head = PACKET_FLOW | u64::from(proto) << 8 | u64::from(sport) << 16 | u64::from(dport) << 32;
+    (head, u64::from(src) | u64::from(dst) << 32)
+}
+
+/// The `head` word of a `parser_path`.
+#[inline(always)]
+fn parser_head(pass: u8, bitmap: u16) -> u64 {
+    PARSER_PATH | u64::from(pass) << 8 | u64::from(bitmap) << 16
+}
+
+/// The `head` word of a `packet_end`.
+#[inline(always)]
+fn end_head(passes: u8, dropped: bool) -> u64 {
+    PACKET_END | u64::from(passes) << 8 | u64::from(dropped) << 16
+}
+
+/// The `head` word of the request kinds.
+#[inline(always)]
+fn request_head(tag: u64, code: u64, ok: bool, client: u32) -> u64 {
+    tag | code << 8 | u64::from(ok) << 16 | u64::from(client) << 32
+}
+
+impl TraceEventKind {
+    /// The three payload words of this kind. The packet hooks of
+    /// [`TraceBuffer`] build the same words directly, through the same
+    /// helpers, without this match.
+    fn encode(&self) -> [u64; 3] {
+        use TraceEventKind as K;
+        match *self {
+            K::PacketStart { packet, port, len } => [start_head(port, len), packet, 0],
+            K::PacketFlow { packet, src, dst, sport, dport, proto } => {
+                let (head, b) = flow_words(src, dst, sport, dport, proto);
+                [head, packet, b]
+            }
+            K::PassBegin { packet, pass } => [PASS_BEGIN | u64::from(pass) << 8, packet, 0],
+            K::ParserPath { packet, pass, bitmap } => [parser_head(pass, bitmap), packet, 0],
+            K::TableLookup { packet, gress, stage, hit } => {
+                [stage_head(TABLE_LOOKUP, gress, stage, hit), packet, 0]
+            }
+            K::ActionExecuted { packet, gress, stage } => {
+                [stage_head(ACTION, gress, stage, false), packet, 0]
+            }
+            K::SaluRmw { packet, gress, stage, wrote } => {
+                [stage_head(SALU_RMW, gress, stage, wrote), packet, 0]
+            }
+            K::TmVerdict { packet, pass, verdict, report } => {
+                [verdict_head(pass, verdict, report), packet, 0]
+            }
+            K::PacketEnd { packet, passes, dropped } => [end_head(passes, dropped), packet, 0],
+            K::BatchBegin { batch, ops } => [BATCH_BEGIN | u64::from(ops) << 8, batch, 0],
+            K::BatchEnd { batch, ops, cost_ns } => {
+                [BATCH_END | u64::from(ops) << 8, batch, cost_ns]
+            }
+            K::EntryInsert { gress, stage, table, handle } => {
+                [stage_head(ENTRY_INSERT, gress, stage, false) | u64::from(table) << 32, handle, 0]
+            }
+            K::EntryDelete { gress, stage, table, handle } => {
+                [stage_head(ENTRY_DELETE, gress, stage, false) | u64::from(table) << 32, handle, 0]
+            }
+            K::RegWrite { gress, stage, array, addr } => [
+                stage_head(REG_WRITE, gress, stage, false) | u64::from(array) << 32,
+                u64::from(addr),
+                0,
+            ],
+            K::EpochBump { epoch } => [EPOCH_BUMP, epoch, 0],
+            K::Lifecycle { kind, prog_id, epoch, dur_ns } => {
+                [LIFECYCLE | (kind as u64) << 8 | u64::from(prog_id) << 16, epoch, dur_ns]
+            }
+            K::FaultInjected { fault, at_op } => [FAULT_INJECTED | (fault as u64) << 8, at_op, 0],
+            K::RollbackBegin { prog_id } => [ROLLBACK_BEGIN | u64::from(prog_id) << 16, 0, 0],
+            K::RollbackEnd { prog_id, ops, complete } => [
+                ROLLBACK_END
+                    | u64::from(complete) << 8
+                    | u64::from(prog_id) << 16
+                    | u64::from(ops) << 32,
+                0,
+                0,
+            ],
+            K::ReconcileBegin { generation } => [RECONCILE_BEGIN, generation, 0],
+            K::ReconcileEnd { reinstalled, deleted } => {
+                [RECONCILE_END, u64::from(reinstalled) | u64::from(deleted) << 32, 0]
+            }
+            K::SloViolation { slo, prog_id, observed, threshold } => {
+                [SLO_VIOLATION | (slo as u64) << 8 | u64::from(prog_id) << 16, observed, threshold]
+            }
+            K::RequestBegin { client, request, op } => {
+                [request_head(REQUEST_BEGIN, op as u64, false, client), request, 0]
+            }
+            K::RequestEnd { client, request, op, ok, dur_ns } => {
+                [request_head(REQUEST_END, op as u64, ok, client), request, dur_ns]
+            }
+            K::RequestRejected { client, request, reason } => {
+                [request_head(REQUEST_REJECTED, reason as u64, false, client), request, 0]
+            }
+        }
+    }
+
+    /// The kind three payload words encode; the inverse of
+    /// [`TraceEventKind::encode`].
+    fn decode([head, a, b]: [u64; 3]) -> TraceEventKind {
+        use TraceEventKind as K;
+        // Narrow fields are cut out of `head` by their width.
+        let u8_at = |shift: u32| (head >> shift) as u8;
+        let u16_at = |shift: u32| (head >> shift) as u16;
+        let u32_at = |shift: u32| (head >> shift) as u32;
+        let bit = |shift: u32| head >> shift & 1 == 1;
+        let gress = GRESSES[usize::from(u8_at(8) & 1)];
+        let code = usize::from(u8_at(8));
+        match head & 0xff {
+            PACKET_START => K::PacketStart { packet: a, port: u16_at(8), len: u32_at(24) },
+            PACKET_FLOW => K::PacketFlow {
+                packet: a,
+                src: b as u32,
+                dst: (b >> 32) as u32,
+                sport: u16_at(16),
+                dport: u16_at(32),
+                proto: u8_at(8),
+            },
+            PASS_BEGIN => K::PassBegin { packet: a, pass: u8_at(8) },
+            PARSER_PATH => K::ParserPath { packet: a, pass: u8_at(8), bitmap: u16_at(16) },
+            TABLE_LOOKUP => K::TableLookup { packet: a, gress, stage: u16_at(16), hit: bit(32) },
+            ACTION => K::ActionExecuted { packet: a, gress, stage: u16_at(16) },
+            SALU_RMW => K::SaluRmw { packet: a, gress, stage: u16_at(16), wrote: bit(32) },
+            TM_VERDICT => {
+                let arg = u16_at(19);
+                let verdict = match head >> 16 & 0b111 {
+                    0 => Verdict::Forward(arg),
+                    1 => Verdict::Return,
+                    2 => Verdict::Drop,
+                    3 => Verdict::Recirculate,
+                    _ => Verdict::Multicast(arg),
+                };
+                K::TmVerdict { packet: a, pass: u8_at(8), verdict, report: bit(35) }
+            }
+            PACKET_END => K::PacketEnd { packet: a, passes: u8_at(8), dropped: bit(16) },
+            BATCH_BEGIN => K::BatchBegin { batch: a, ops: u32_at(8) },
+            BATCH_END => K::BatchEnd { batch: a, ops: u32_at(8), cost_ns: b },
+            ENTRY_INSERT => {
+                K::EntryInsert { gress, stage: u16_at(16), table: u16_at(32), handle: a }
+            }
+            ENTRY_DELETE => {
+                K::EntryDelete { gress, stage: u16_at(16), table: u16_at(32), handle: a }
+            }
+            REG_WRITE => {
+                K::RegWrite { gress, stage: u16_at(16), array: u16_at(32), addr: a as u32 }
+            }
+            EPOCH_BUMP => K::EpochBump { epoch: a },
+            LIFECYCLE => K::Lifecycle {
+                kind: LIFECYCLES[code],
+                prog_id: u16_at(16),
+                epoch: a,
+                dur_ns: b,
+            },
+            FAULT_INJECTED => K::FaultInjected { fault: FAULTS[code], at_op: a },
+            ROLLBACK_BEGIN => K::RollbackBegin { prog_id: u16_at(16) },
+            ROLLBACK_END => {
+                K::RollbackEnd { prog_id: u16_at(16), ops: u32_at(32), complete: bit(8) }
+            }
+            RECONCILE_BEGIN => K::ReconcileBegin { generation: a },
+            RECONCILE_END => K::ReconcileEnd { reinstalled: a as u32, deleted: (a >> 32) as u32 },
+            SLO_VIOLATION => K::SloViolation {
+                slo: SLOS[code],
+                prog_id: u16_at(16),
+                observed: a,
+                threshold: b,
+            },
+            REQUEST_BEGIN => {
+                K::RequestBegin { client: u32_at(32), request: a, op: REQUEST_OPS[code] }
+            }
+            REQUEST_END => K::RequestEnd {
+                client: u32_at(32),
+                request: a,
+                op: REQUEST_OPS[code],
+                ok: bit(16),
+                dur_ns: b,
+            },
+            REQUEST_REJECTED => {
+                K::RequestRejected { client: u32_at(32), request: a, reason: REJECTS[code] }
+            }
+            tag => unreachable!("trace slot with unknown tag {tag}"),
+        }
+    }
+}
+
+impl Slot {
+    fn event(&self, seq: u64) -> TraceEvent {
+        TraceEvent {
+            seq,
+            t_ns: self.t_ns,
+            epoch: self.epoch,
+            kind: TraceEventKind::decode([self.head, self.a, self.b]),
+        }
+    }
+}
+
 /// Flight-recorder statistics, reported by `status --json` so drop
 /// accounting is visible without a dump.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -730,13 +1045,16 @@ impl InvariantChecker {
     }
 }
 
-/// The flight recorder: a fixed-capacity ring of [`TraceEvent`] slots with
-/// exact drop accounting, the current packet/pass context for the
+/// The flight recorder: a fixed-capacity ring of fixed-width event slots
+/// with exact drop accounting, the current packet/pass context for the
 /// [`crate::telemetry::Recorder`] hooks, and the inline
 /// [`InvariantChecker`].
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
-    slots: Vec<TraceEvent>,
+    /// Retained slots; once full, `head` is the oldest. The sequence number
+    /// of a slot is implied: the newest is `next_seq - 1`, and retained
+    /// sequence numbers are contiguous.
+    slots: Vec<Slot>,
     head: usize,
     next_seq: u64,
     dropped: u64,
@@ -800,12 +1118,6 @@ impl TraceBuffer {
         self.dropped
     }
 
-    /// Events currently retained.
-    #[allow(clippy::len_without_is_empty)] // no caller asks "is it empty?"
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Advance the trace clock (the control channel syncs its simulated
     /// clock here; replay harnesses stamp packet timestamps).
     pub fn set_now(&mut self, t: Nanos) {
@@ -854,15 +1166,30 @@ impl TraceBuffer {
     pub(crate) fn record(&mut self, kind: TraceEventKind) {
         let ev = TraceEvent { seq: self.next_seq, t_ns: self.now_ns, epoch: self.epoch, kind };
         self.next_seq += 1;
-        if let Some(v) = self.checker.observe(&ev) {
-            self.push(ev);
+        let violation = self.checker.observe(&ev);
+        let [head, a, b] = kind.encode();
+        self.push(head, a, b);
+        if let Some(v) = violation {
             if self.violations.len() < 16 {
                 self.violations.push(v.clone());
                 self.dump_postmortem(&format!("invariant violation: {v}"));
             }
-            return;
         }
-        self.push(ev);
+    }
+
+    /// [`TraceBuffer::record`] for a packet-side event already encoded as
+    /// its payload words. While no control batch is open the checker's only
+    /// effect on a packet event is advancing its sequence watermark, so
+    /// that is all this does; inside a batch the event takes the checked
+    /// path, which fires `packet-during-batch`.
+    #[inline(always)]
+    fn record_packet(&mut self, head: u64, a: u64, b: u64) {
+        if self.checker.in_batch.is_some() {
+            return self.record(TraceEventKind::decode([head, a, b]));
+        }
+        self.checker.last_seq = Some(self.next_seq);
+        self.next_seq += 1;
+        self.push(head, a, b);
     }
 
     /// Append an already-stamped event (its `t_ns`/`epoch` preserved, its
@@ -872,9 +1199,9 @@ impl TraceBuffer {
     /// legitimately nests packets inside control batches that ran
     /// concurrently on other threads.
     pub(crate) fn absorb(&mut self, ev: TraceEvent) {
-        let ev = TraceEvent { seq: self.next_seq, ..ev };
         self.next_seq += 1;
-        self.push(ev);
+        let [head, a, b] = ev.kind.encode();
+        self.push_slot(Slot { t_ns: ev.t_ns, epoch: ev.epoch, head, a, b });
     }
 
     /// Fold `n` pre-merge drops into this ring's exact drop count (events
@@ -883,28 +1210,40 @@ impl TraceBuffer {
         self.dropped += n;
     }
 
-    fn push(&mut self, ev: TraceEvent) {
+    /// Store one event stamped with the current clock and epoch.
+    #[inline(always)]
+    fn push(&mut self, head: u64, a: u64, b: u64) {
+        self.push_slot(Slot { t_ns: self.now_ns, epoch: self.epoch, head, a, b });
+    }
+
+    #[inline(always)]
+    fn push_slot(&mut self, slot: Slot) {
         if self.slots.len() < self.cfg.capacity {
-            self.slots.push(ev);
+            self.slots.push(slot);
         } else {
             // Wraparound: the oldest retained event is evicted — exact
             // drop accounting, no allocation.
-            self.slots[self.head] = ev;
-            self.head = (self.head + 1) % self.cfg.capacity;
+            self.slots[self.head] = slot;
+            self.head += 1;
+            if self.head == self.slots.len() {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }
 
-    /// Retained events, oldest first (causal order).
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + Clone {
+    /// Retained events, oldest first (causal order), decoded from their
+    /// slots.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + Clone + '_ {
         let (older, newer) = self.slots.split_at(self.head);
-        newer.iter().chain(older.iter())
+        let oldest = self.next_seq - self.slots.len() as u64;
+        newer.iter().chain(older).zip(oldest..).map(|(slot, seq)| slot.event(seq))
     }
 
     /// The last `n` retained events, oldest first.
     pub(crate) fn tail(&self, n: usize) -> Vec<TraceEvent> {
         let skip = self.slots.len().saturating_sub(n);
-        self.events().skip(skip).copied().collect()
+        self.events().skip(skip).collect()
     }
 
     // ---- control-side hooks -------------------------------------------
@@ -1057,50 +1396,62 @@ impl TraceBuffer {
     }
 }
 
+/// The packet hooks build their slot words in place (the same helpers
+/// [`TraceEventKind::encode`] uses), so no [`TraceEventKind`] exists on
+/// the record path.
 impl crate::telemetry::Recorder for TraceBuffer {
+    #[inline]
     fn table_lookup(&mut self, gress: Gress, stage: usize, hit: bool) {
-        let packet = self.cur_packet;
-        self.record(TraceEventKind::TableLookup { packet, gress, stage: stage as u16, hit });
+        let head = stage_head(TABLE_LOOKUP, gress, stage as u16, hit);
+        self.record_packet(head, self.cur_packet, 0);
     }
 
+    #[inline]
     fn action_executed(&mut self, gress: Gress, stage: usize) {
-        let packet = self.cur_packet;
-        self.record(TraceEventKind::ActionExecuted { packet, gress, stage: stage as u16 });
+        let head = stage_head(ACTION, gress, stage as u16, false);
+        self.record_packet(head, self.cur_packet, 0);
     }
 
+    #[inline]
     fn salu_rmw(&mut self, gress: Gress, stage: usize, wrote: bool) {
-        let packet = self.cur_packet;
-        self.record(TraceEventKind::SaluRmw { packet, gress, stage: stage as u16, wrote });
+        let head = stage_head(SALU_RMW, gress, stage as u16, wrote);
+        self.record_packet(head, self.cur_packet, 0);
     }
 
+    #[inline]
     fn parser_path(&mut self, bitmap: u16) {
-        let (packet, pass) = (self.cur_packet, self.cur_pass);
-        self.record(TraceEventKind::ParserPath { packet, pass, bitmap });
+        self.record_packet(parser_head(self.cur_pass, bitmap), self.cur_packet, 0);
     }
 
+    #[inline]
     fn tm_decision(&mut self, verdict: Verdict, report_copy: bool) {
-        let (packet, pass) = (self.cur_packet, self.cur_pass);
-        self.record(TraceEventKind::TmVerdict { packet, pass, verdict, report: report_copy });
+        let head = verdict_head(self.cur_pass, verdict, report_copy);
+        self.record_packet(head, self.cur_packet, 0);
     }
 
+    #[inline]
     fn packet_begin(&mut self, packet: u64, port: u16, len: u32) {
         self.cur_packet = packet;
         self.cur_pass = 0;
-        self.record(TraceEventKind::PacketStart { packet, port, len });
+        self.record_packet(start_head(port, len), packet, 0);
     }
 
+    #[inline]
     fn packet_flow(&mut self, packet: u64, src: u32, dst: u32, sport: u16, dport: u16, proto: u8) {
-        self.record(TraceEventKind::PacketFlow { packet, src, dst, sport, dport, proto });
+        let (head, b) = flow_words(src, dst, sport, dport, proto);
+        self.record_packet(head, packet, b);
     }
 
+    #[inline]
     fn pass_begin(&mut self, packet: u64, pass: u8) {
         self.cur_packet = packet;
         self.cur_pass = pass;
-        self.record(TraceEventKind::PassBegin { packet, pass });
+        self.record_packet(PASS_BEGIN | u64::from(pass) << 8, packet, 0);
     }
 
+    #[inline]
     fn packet_end(&mut self, packet: u64, passes: u8, dropped: bool) {
-        self.record(TraceEventKind::PacketEnd { packet, passes, dropped });
+        self.record_packet(end_head(passes, dropped), packet, 0);
     }
 }
 
@@ -1131,7 +1482,7 @@ pub(crate) fn merge_rings<'a>(
         dropped += r.dropped_events();
         now = now.max(r.now().0);
         epoch = epoch.max(r.epoch());
-        all.extend(r.events().copied());
+        all.extend(r.events());
     }
     all.sort_by_key(|ev| {
         let packet = ev.kind.packet();
@@ -1292,10 +1643,7 @@ impl PacketJourney {
 
 /// Reconstruct one packet's journey from a causally ordered event slice.
 /// Returns `None` when no event of that packet is retained.
-pub fn journey<'a>(
-    events: impl IntoIterator<Item = &'a TraceEvent>,
-    packet: u64,
-) -> Option<PacketJourney> {
+pub fn journey(events: impl IntoIterator<Item = TraceEvent>, packet: u64) -> Option<PacketJourney> {
     let mut j = PacketJourney {
         packet,
         port: None,
@@ -1401,8 +1749,8 @@ pub enum TraceFilter {
 /// events oldest first. Flow filters resolve the matching packet ids from
 /// the stream's `PacketFlow` events first, then keep every event of those
 /// packets.
-pub fn filter_events<'a>(
-    events: impl IntoIterator<Item = &'a TraceEvent> + Clone,
+pub fn filter_events(
+    events: impl IntoIterator<Item = TraceEvent> + Clone,
     filter: TraceFilter,
 ) -> Vec<TraceEvent> {
     let flow_packets: std::collections::HashSet<u64> = match filter {
@@ -1440,7 +1788,6 @@ pub fn filter_events<'a>(
                 ev.kind.packet().is_some_and(|p| flow_packets.contains(&p))
             }
         })
-        .copied()
         .collect()
 }
 
@@ -1485,7 +1832,7 @@ const PACKET_PID: u64 = 2;
 /// churn and epoch bumps as instants. Packet journeys land on a second
 /// process track (`pid 2`) with one thread row per packet id, every hook
 /// event an instant carrying its payload in `args`.
-pub(crate) fn chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> serde::Value {
+pub(crate) fn chrome_trace(events: impl IntoIterator<Item = TraceEvent>) -> serde::Value {
     let mut out: Vec<serde::Value> = vec![
         chrome_event(
             "process_name",
@@ -1775,14 +2122,12 @@ pub(crate) fn chrome_trace<'a>(events: impl IntoIterator<Item = &'a TraceEvent>)
 }
 
 /// [`chrome_trace`] rendered to a pretty-printed JSON string.
-pub fn chrome_trace_json<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
+pub fn chrome_trace_json(events: impl IntoIterator<Item = TraceEvent>) -> String {
     serde::json::to_string_pretty(&chrome_trace(events))
 }
 
 /// Group every retained journey by packet id, oldest packet first.
-pub fn journeys<'a>(
-    events: impl IntoIterator<Item = &'a TraceEvent> + Clone,
-) -> Vec<PacketJourney> {
+pub fn journeys(events: impl IntoIterator<Item = TraceEvent> + Clone) -> Vec<PacketJourney> {
     let mut ids: Vec<u64> = Vec::new();
     let mut seen = BTreeMap::new();
     for ev in events.clone() {
@@ -1822,7 +2167,7 @@ mod tests {
         }
         assert_eq!(t.recorded(), 30);
         assert_eq!(t.dropped_events(), 22);
-        assert_eq!(t.len(), 8);
+        assert_eq!(t.stats().retained, 8);
         let seqs: Vec<u64> = t.events().map(|e| e.seq).collect();
         assert_eq!(seqs, (22..30).collect::<Vec<_>>(), "last 8, contiguous, oldest first");
         let s = t.stats();
@@ -1958,7 +2303,7 @@ mod tests {
         let ctl = filter_events(t.events(), TraceFilter::Control);
         assert_eq!(ctl.len(), 1);
         let pkts = filter_events(t.events(), TraceFilter::Packets);
-        assert_eq!(pkts.len(), t.len() - 1);
+        assert_eq!(pkts.len(), t.events().count() - 1);
     }
 
     #[test]
@@ -1980,7 +2325,7 @@ mod tests {
         let doc = serde::json::parse(&text).unwrap();
         let evs = doc.get("traceEvents").unwrap().as_array().unwrap();
         // 2 metadata + all events except the folded BatchBegin.
-        assert_eq!(evs.len(), 2 + t.len() - 1);
+        assert_eq!(evs.len(), 2 + t.events().count() - 1);
         let phases: Vec<&str> = evs
             .iter()
             .filter_map(|e| match e.get("ph") {
@@ -1997,6 +2342,210 @@ mod tests {
             .find(|e| matches!(e.get("name"), Some(serde::Value::Str(s)) if s == "batch"))
             .unwrap();
         assert_eq!(batch.get("dur"), Some(&serde::Value::F64(930.0)));
+    }
+
+    /// Position of `k` among the kinds. Exhaustive on purpose: a new
+    /// variant fails to compile here until it is added to the list below,
+    /// next to the encoding [`TraceEventKind::encode`] cannot omit either.
+    fn variant_index(k: &TraceEventKind) -> usize {
+        use TraceEventKind as K;
+        match k {
+            K::PacketStart { .. } => 0,
+            K::PacketFlow { .. } => 1,
+            K::PassBegin { .. } => 2,
+            K::ParserPath { .. } => 3,
+            K::TableLookup { .. } => 4,
+            K::ActionExecuted { .. } => 5,
+            K::SaluRmw { .. } => 6,
+            K::TmVerdict { .. } => 7,
+            K::PacketEnd { .. } => 8,
+            K::BatchBegin { .. } => 9,
+            K::BatchEnd { .. } => 10,
+            K::EntryInsert { .. } => 11,
+            K::EntryDelete { .. } => 12,
+            K::RegWrite { .. } => 13,
+            K::EpochBump { .. } => 14,
+            K::Lifecycle { .. } => 15,
+            K::FaultInjected { .. } => 16,
+            K::RollbackBegin { .. } => 17,
+            K::RollbackEnd { .. } => 18,
+            K::ReconcileBegin { .. } => 19,
+            K::ReconcileEnd { .. } => 20,
+            K::SloViolation { .. } => 21,
+            K::RequestBegin { .. } => 22,
+            K::RequestEnd { .. } => 23,
+            K::RequestRejected { .. } => 24,
+        }
+    }
+
+    /// Every kind, each field at zero and at the top of its width, and
+    /// every value of every field-less enum a kind carries.
+    fn every_kind() -> Vec<TraceEventKind> {
+        use TraceEventKind as K;
+        let mut kinds = Vec::new();
+        for (w64, w32, w16, w8, flag) in [(0, 0, 0, 0, false), (u64::MAX, u32::MAX, u16::MAX, u8::MAX, true)] {
+            for gress in GRESSES {
+                kinds.extend([
+                    K::TableLookup { packet: w64, gress, stage: w16, hit: flag },
+                    K::ActionExecuted { packet: w64, gress, stage: w16 },
+                    K::SaluRmw { packet: w64, gress, stage: w16, wrote: flag },
+                    K::EntryInsert { gress, stage: w16, table: w16, handle: w64 },
+                    K::EntryDelete { gress, stage: w16, table: w16, handle: w64 },
+                    K::RegWrite { gress, stage: w16, array: w16, addr: w32 },
+                ]);
+            }
+            let verdicts = [
+                Verdict::Forward(w16),
+                Verdict::Return,
+                Verdict::Drop,
+                Verdict::Recirculate,
+                Verdict::Multicast(w16),
+            ];
+            for verdict in verdicts {
+                kinds.push(K::TmVerdict { packet: w64, pass: w8, verdict, report: flag });
+            }
+            kinds.extend([
+                K::PacketStart { packet: w64, port: w16, len: w32 },
+                K::PacketFlow { packet: w64, src: w32, dst: w32, sport: w16, dport: w16, proto: w8 },
+                K::PassBegin { packet: w64, pass: w8 },
+                K::ParserPath { packet: w64, pass: w8, bitmap: w16 },
+                K::PacketEnd { packet: w64, passes: w8, dropped: flag },
+                K::BatchBegin { batch: w64, ops: w32 },
+                K::BatchEnd { batch: w64, ops: w32, cost_ns: w64 },
+                K::EpochBump { epoch: w64 },
+                K::RollbackBegin { prog_id: w16 },
+                K::RollbackEnd { prog_id: w16, ops: w32, complete: flag },
+                K::ReconcileBegin { generation: w64 },
+                K::ReconcileEnd { reinstalled: w32, deleted: w32 },
+            ]);
+            for kind in LIFECYCLES {
+                kinds.push(K::Lifecycle { kind, prog_id: w16, epoch: w64, dur_ns: w64 });
+            }
+            for fault in FAULTS {
+                kinds.push(K::FaultInjected { fault, at_op: w64 });
+            }
+            for slo in SLOS {
+                kinds.push(K::SloViolation { slo, prog_id: w16, observed: w64, threshold: w64 });
+            }
+            for op in REQUEST_OPS {
+                kinds.push(K::RequestBegin { client: w32, request: w64, op });
+                kinds.push(K::RequestEnd { client: w32, request: w64, op, ok: flag, dur_ns: w64 });
+            }
+            for reason in REJECTS {
+                kinds.push(K::RequestRejected { client: w32, request: w64, reason });
+            }
+        }
+        kinds
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_slot() {
+        let mut covered = [false; 25];
+        for kind in every_kind() {
+            covered[variant_index(&kind)] = true;
+            assert_eq!(TraceEventKind::decode(kind.encode()), kind);
+        }
+        assert!(covered.iter().all(|&c| c), "every variant sampled: {covered:?}");
+    }
+
+    #[test]
+    fn packet_hooks_build_the_slots_encode_would() {
+        use TraceEventKind as K;
+        let mut t = TraceBuffer::new(TraceConfig { capacity: 64, ..TraceConfig::default() });
+        t.packet_begin(9, 3, 1500);
+        t.packet_flow(9, 0x0a000001, 0xc0a80002, 1234, 7777, 17);
+        t.pass_begin(9, 2);
+        t.parser_path(0xbeef);
+        t.table_lookup(Gress::Egress, 11, true);
+        t.action_executed(Gress::Egress, 11);
+        t.salu_rmw(Gress::Ingress, 4, true);
+        t.tm_decision(Verdict::Multicast(300), true);
+        t.packet_end(9, 2, true);
+        let kinds: Vec<TraceEventKind> = t.events().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                K::PacketStart { packet: 9, port: 3, len: 1500 },
+                K::PacketFlow { packet: 9, src: 0x0a000001, dst: 0xc0a80002, sport: 1234, dport: 7777, proto: 17 },
+                K::PassBegin { packet: 9, pass: 2 },
+                K::ParserPath { packet: 9, pass: 2, bitmap: 0xbeef },
+                K::TableLookup { packet: 9, gress: Gress::Egress, stage: 11, hit: true },
+                K::ActionExecuted { packet: 9, gress: Gress::Egress, stage: 11 },
+                K::SaluRmw { packet: 9, gress: Gress::Ingress, stage: 4, wrote: true },
+                K::TmVerdict { packet: 9, pass: 2, verdict: Verdict::Multicast(300), report: true },
+                K::PacketEnd { packet: 9, passes: 2, dropped: true },
+            ]
+        );
+    }
+
+    #[test]
+    fn small_rings_wrap_with_exact_accounting_and_stamps() {
+        for capacity in [1, 2, 7] {
+            let mut t = TraceBuffer::new(TraceConfig {
+                capacity,
+                postmortem_dir: None,
+                ..TraceConfig::default()
+            });
+            // What was recorded, in order, as the ring should decode it.
+            let mut expected: Vec<TraceEvent> = Vec::new();
+            let stamp = |t: &TraceBuffer, kind| TraceEvent {
+                seq: t.recorded() - 1,
+                t_ns: t.now().0,
+                epoch: t.epoch(),
+                kind,
+            };
+            for i in 0..20u64 {
+                // The clock moves mid-ring, and the epoch changes halfway.
+                t.set_now(Nanos(1_000 * i));
+                if i == 10 {
+                    t.note_epoch(3);
+                    expected.push(TraceEvent { epoch: 0, ..stamp(&t, TraceEventKind::EpochBump { epoch: 3 }) });
+                }
+                t.table_lookup(Gress::Ingress, i as usize, i % 2 == 0);
+                let kind = TraceEventKind::TableLookup {
+                    packet: 0,
+                    gress: Gress::Ingress,
+                    stage: i as u16,
+                    hit: i % 2 == 0,
+                };
+                expected.push(stamp(&t, kind));
+            }
+            let s = t.stats();
+            assert_eq!(s.recorded, expected.len() as u64, "capacity {capacity}");
+            assert_eq!(s.recorded, s.retained + s.dropped, "capacity {capacity}");
+            assert_eq!(s.retained, capacity as u64, "capacity {capacity}");
+            let kept: Vec<TraceEvent> = t.events().collect();
+            let seqs: Vec<u64> = kept.iter().map(|e| e.seq).collect();
+            assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "contiguous: {seqs:?}");
+            assert_eq!(kept, expected[expected.len() - capacity..], "capacity {capacity}");
+            assert_eq!(t.tail(1), expected[expected.len() - 1..]);
+        }
+    }
+
+    #[test]
+    fn packet_events_inside_a_batch_each_fire_the_checker() {
+        let mut t = TraceBuffer::new(TraceConfig {
+            capacity: 64,
+            postmortem_dir: None,
+            ..TraceConfig::default()
+        });
+        pkt_events(&mut t, 1);
+        assert!(t.violations().is_empty(), "no batch open: the fast path only");
+        let b = t.batch_begin(1); // seq 7
+        pkt_events(&mut t, 2); // seqs 8..=14
+        t.batch_end(b, 1, Nanos::ZERO);
+        pkt_events(&mut t, 3);
+        let seqs: Vec<u64> = t.violations().iter().map(|v| v.seq).collect();
+        assert_eq!(seqs, (8..=14).collect::<Vec<_>>(), "one violation per packet event");
+        assert!(t.violations().iter().all(|v| v.rule == "packet-during-batch"));
+        assert_eq!(
+            t.violations()[0].detail,
+            "packet 2 event `packet_start` inside batch 0"
+        );
+        // The events themselves are recorded unchanged on either path.
+        let seqs: Vec<u64> = t.events().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..t.recorded()).collect::<Vec<_>>());
+        assert_eq!(t.events().filter(|e| e.kind.packet() == Some(2)).count(), 7);
     }
 
     #[test]

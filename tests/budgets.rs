@@ -11,7 +11,10 @@
 //!   and of its revoke (`p4rp_bench`'s `ctl.allocs_per_deploy` counts the
 //!   deploy), as upper bounds;
 //! * RPCs, control ops, trace events and lifecycle spans of one warm deploy
-//!   and one revoke of `cache`, in each channel mode, exactly.
+//!   and one revoke of `cache`, in each channel mode, exactly;
+//! * trace events of 1 000 warm NetCache-mix frames with telemetry,
+//!   attribution and the ring on (`p4rp_bench`'s `trace.events_per_frame`),
+//!   exactly, and the ring's bytes per event of capacity, as a ceiling.
 //!
 //! The counting allocator is `tests/zero_alloc.rs`'s
 //! (`support/counting_alloc.rs`): this binary's own, counting per thread.
@@ -21,12 +24,13 @@ use p4runpro::p4rp_compiler::ir::{lower, MemDecl};
 use p4runpro::p4rp_dataplane::{RPB_MEM_SIZE, RPB_TABLE_SIZE};
 use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
 use p4runpro::rmt_sim::trace::TraceConfig;
+use p4runpro::traffic::{make_flows, netcache_frame};
 use p4runpro::{parse, Controller};
 use std::path::Path;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{allocations, Counting};
+use counting_alloc::{allocations, bytes_allocated, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -185,4 +189,57 @@ fn a_cache_deploy_and_revoke_cost_a_fixed_number_of_rpcs_ops_events_and_spans() 
         ctl.revoke(&deployed[0].name).unwrap();
         assert_eq!(lifecycle_counts(&ctl, seq, span), revoke, "revoke, bulk={bulk}");
     }
+}
+
+/// Trace events of 1 000 warm frames of `tests/zero_alloc.rs`'s NetCache
+/// hit mix (nine reads of the resident key to one of another), with every
+/// recorder on: the count behind `p4rp_bench`'s `trace.events_per_frame`.
+/// Every event, its order and its content is part of the flight recorder's
+/// contract, so this moves only when a hook is added or removed on purpose.
+///
+/// And the ring's bytes per event of capacity: one slot, 40 bytes. A ratchet
+/// — it may only go down.
+#[test]
+fn observed_netcache_frames_record_a_fixed_number_of_trace_events_into_40_byte_slots() {
+    const CAPACITY: u64 = 4096;
+    const KEY: u32 = 0x4242;
+    let mut ctl = Controller::with_defaults().unwrap();
+    ctl.enable_attribution();
+    let before = bytes_allocated();
+    ctl.enable_trace(TraceConfig {
+        capacity: CAPACITY as usize,
+        postmortem_dir: None,
+        ..TraceConfig::default()
+    });
+    let ring_bytes = bytes_allocated() - before;
+    // The ring is allocated whole when tracing is enabled; the rest of what
+    // `enable_trace` allocates is the ring's header, well under `CAPACITY`
+    // bytes.
+    assert!(ring_bytes / CAPACITY <= 40, "{ring_bytes} bytes for {CAPACITY} events");
+
+    ctl.deploy(&p4runpro::p4rp_progs::sources::cache(
+        "cache",
+        "<hdr.udp.dst_port, 7777, 0xffff>",
+        1024,
+        &[(KEY, 512)],
+    ))
+    .unwrap();
+    let frames: Vec<Vec<u8>> = make_flows(1, 20, 0.0)
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let key = if i % 10 == 9 { KEY + 1 + i as u32 } else { KEY };
+            netcache_frame(&f.tuple, netpkt::CacheOp::Read, u64::from(key), 0)
+        })
+        .collect();
+    let inject = |ctl: &mut Controller, n: usize| {
+        for i in 0..n {
+            ctl.inject((i % 4) as u16, &frames[i % frames.len()]).unwrap();
+        }
+    };
+    inject(&mut ctl, 64);
+    let before = ctl.trace().unwrap().recorded();
+    inject(&mut ctl, 1000);
+    let events = ctl.trace().unwrap().recorded() - before;
+    assert_eq!(events, 40_400, "trace events of 1 000 observed frames");
 }

@@ -302,3 +302,86 @@ fn disable_returns_ring_and_reenable_is_fresh() {
     assert_eq!(j.len(), 1);
     assert!(j[0].packet >= 1, "packet ids stay globally unique across windows");
 }
+
+/// The recorders are independent: the flight recorder's stream is the same
+/// with telemetry and attribution on as with them off, the telemetry and
+/// attribution counters are the same with the ring on as with it off, and
+/// no recorder changes a packet's fate — one seeded stream over a loaded
+/// switch with a recirculating program, a REPORT-ing program, a forwarder
+/// and unmatched traffic, replayed under each combination and on a
+/// recorder-free clone of the switch.
+#[test]
+fn recorders_do_not_see_each_other() {
+    const REPORTING: &str =
+        "program rep(<hdr.ipv4.dst, 10.0.0.2, 0xffffffff>) { REPORT; FORWARD(2); }";
+    const FORWARDING: &str = "program fwd(<hdr.ipv4.dst, 10.0.0.3, 0xffffffff>) { FORWARD(1); }";
+    let loaded = |telemetry: bool, trace: bool| {
+        let mut ctl = Controller::with_defaults().unwrap();
+        if trace {
+            ctl.enable_trace(TraceConfig { postmortem_dir: None, ..TraceConfig::default() });
+        }
+        if telemetry {
+            ctl.enable_attribution();
+        }
+        for program in [TWO_PASS, REPORTING, FORWARDING] {
+            ctl.deploy(program).unwrap();
+        }
+        ctl
+    };
+    // A seeded stream over the three programs' destinations plus one no
+    // program owns.
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let frames: Vec<(u16, Vec<u8>)> = (0..600)
+        .map(|_| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 16;
+            let dst = Ipv4Addr::new(10, 0, 0, 1 + (r % 4) as u8);
+            let proto = if r & 0x100 == 0 { 6 } else { 17 };
+            let t = tuple(dst, 1 + (r >> 9) as u16 % 64, 80, proto);
+            ((r >> 24) as u16 % 4, frame_for(&t, (r >> 32) as usize % 48))
+        })
+        .collect();
+    type Fate = (Vec<(u16, Vec<u8>)>, Vec<Vec<u8>>, bool, u8);
+    let replay = |ctl: &mut Controller| -> Vec<Fate> {
+        frames
+            .iter()
+            .map(|(port, frame)| {
+                let out = ctl.inject(*port, frame).unwrap();
+                (out.emitted.clone(), out.reports.clone(), out.dropped, out.passes)
+            })
+            .collect()
+    };
+
+    let mut all = loaded(true, true);
+    let mut bare = all.switch().clone();
+    bare.disable_telemetry();
+    bare.disable_trace();
+    bare.clear_attribution_field();
+    let mut ring_only = loaded(false, true);
+    let mut counters_only = loaded(true, false);
+
+    let fates = replay(&mut all);
+    assert_eq!(replay(&mut ring_only), fates);
+    assert_eq!(replay(&mut counters_only), fates);
+    let bare_fates: Vec<Fate> = frames
+        .iter()
+        .map(|(port, frame)| {
+            let out = bare.process_frame(*port, frame).unwrap();
+            (out.emitted, out.reports, out.dropped, out.passes)
+        })
+        .collect();
+    assert_eq!(bare_fates, fates, "a recorder changed a fate");
+    assert!(fates.iter().any(|f| f.3 == 2), "the stream recirculates");
+    assert!(fates.iter().any(|f| !f.1.is_empty()), "the stream reports");
+    assert!(fates.iter().any(|f| f.2), "the stream drops");
+
+    let stream = |ctl: &Controller| ctl.trace().unwrap().events().collect::<Vec<_>>();
+    assert_eq!(stream(&all), stream(&ring_only), "telemetry moved the trace stream");
+    assert_eq!(all.trace_stats(), ring_only.trace_stats());
+    assert!(all.trace().unwrap().violations().is_empty());
+
+    let counters = all.switch().telemetry().unwrap();
+    assert_eq!(Some(counters), counters_only.switch().telemetry(), "the ring moved the counters");
+    let slots = counters.per_prog.as_ref().unwrap();
+    assert!(slots.len() > 3, "three programs plus the unattributed slot");
+}
