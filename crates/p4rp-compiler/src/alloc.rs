@@ -66,6 +66,10 @@
 //! solve; one that runs into it is counted in
 //! [`Allocation::truncated_solves`] instead of passing silently.
 //!
+//! The winning assignment's first-fit placement comes back as concrete
+//! regions ([`Allocation::regions`]): the only placement decision, which the
+//! resource manager commits as it is.
+//!
 //! The clone-heavy solver without any of this survives as a test oracle
 //! (`tests/support/alloc_reference.rs`, built on [`slot_requirements`]
 //! and the public model types only); the `alloc_equivalence` suite keeps
@@ -129,8 +133,9 @@ pub fn slot_requirements(ir: &ProgramIr) -> (Vec<SlotReq>, Vec<(usize, usize)>) 
 pub struct AllocView {
     /// Free table entries per physical RPB (index 0 = RPB 1).
     pub te_free: Vec<usize>,
-    /// Sizes of the free contiguous memory partitions per physical RPB.
-    pub mem_free: Vec<Vec<u32>>,
+    /// Free memory per physical RPB: address-ordered `(offset, len)` spans,
+    /// the free-partition list of §3.1.
+    pub mem_free: Vec<Vec<(u32, u32)>>,
 }
 
 impl AllocView {
@@ -138,7 +143,7 @@ impl AllocView {
     pub fn unconstrained(table_size: usize, mem_size: u32) -> AllocView {
         AllocView {
             te_free: vec![table_size; NUM_RPBS],
-            mem_free: vec![vec![mem_size]; NUM_RPBS],
+            mem_free: vec![vec![(0, mem_size)]; NUM_RPBS],
         }
     }
 }
@@ -192,8 +197,9 @@ impl Default for AllocConfig {
 pub struct Allocation {
     /// Logical RPB index per level (1-based, length `L`).
     pub x: Vec<u16>,
-    /// Physical placement of each virtual memory.
-    pub mem_rpb: HashMap<String, RpbId>,
+    /// The region `(rpb, offset, size)` of each of `ir.memories`, in that
+    /// order: where the search's first fit put it.
+    pub regions: Vec<(RpbId, u32, u32)>,
     /// Pipeline passes the program needs (1 = no recirculation).
     pub passes: u8,
     /// Objective value.
@@ -298,7 +304,7 @@ pub fn allocate(
         te_free: view.te_free.clone(),
         te_used: vec![0; NUM_RPBS],
         free_total: view.te_free.iter().sum(),
-        mem_free: view.mem_free.clone(),
+        mem_free: view.mem_free.iter().map(|s| s.iter().map(|&(_, len)| len).collect()).collect(),
         mem_placed: vec![None; sizes.len()],
         nodes: 0,
         deadline: 0,
@@ -368,8 +374,7 @@ pub fn allocate(
     match best {
         None => failed(format!("no feasible placement for {l} levels")),
         Some((x, objective_value)) => {
-            // Recompute memory placement for the winning assignment.
-            let mem_rpb = placement_for(reqs, &x);
+            let regions = solver.placement(&x, view);
             let passes = x
                 .iter()
                 .map(|&xi| LogicalRpb::from_index(xi).pass())
@@ -378,7 +383,7 @@ pub fn allocate(
                 + 1;
             Ok(Allocation {
                 x,
-                mem_rpb,
+                regions,
                 passes,
                 objective_value,
                 nodes_explored: solver.nodes,
@@ -386,18 +391,6 @@ pub fn allocate(
             })
         }
     }
-}
-
-/// Reconstruct the vmem → RPB mapping implied by an assignment.
-pub(crate) fn placement_for(reqs: &[SlotReq], x: &[u16]) -> HashMap<String, RpbId> {
-    let mut out = HashMap::new();
-    for (slot, req) in reqs.iter().enumerate() {
-        let rpb = LogicalRpb::from_index(x[slot]).rpb();
-        for vmem in &req.mems {
-            out.entry(vmem.clone()).or_insert(rpb);
-        }
-    }
-    out
 }
 
 /// `M`: logical indices per pass.
@@ -439,7 +432,9 @@ fn static_domains(
                 .filter(|&r| {
                     (!req.is_forwarding || RpbId(r as u8 + 1).is_ingress())
                         && view.te_free[r] >= entries
-                        && req.mems.iter().all(|m| view.mem_free[r].iter().any(|&p| p >= size(m)))
+                        && req.mems.iter().all(|m| {
+                            view.mem_free[r].iter().any(|&(_, len)| len >= size(m))
+                        })
                 })
                 .fold(0u32, |dom, r| dom | 1 << r);
             if dom != 0 {
@@ -661,6 +656,30 @@ struct Solver<'a> {
 }
 
 impl Solver<'_> {
+    /// The regions assignment `x` takes, one per memory: [`Solver::try_place`]'s
+    /// first fit replayed, once the search has restored the span lengths.
+    /// Level by level, each memory at its first access is carved from the
+    /// front of the first span of its RPB that still holds it.
+    fn placement(&mut self, x: &[u16], view: &AllocView) -> Vec<(RpbId, u32, u32)> {
+        // Size 0 marks a memory not placed yet (declared sizes are not 0).
+        let mut regions = vec![(RpbId(0), 0, 0); self.sizes.len()];
+        for (req, &xi) in self.reqs.iter().zip(x) {
+            let rpb = LogicalRpb::from_index(xi).rpb();
+            let r = usize::from(rpb.0) - 1;
+            for &m in &req.mems {
+                let (m, size) = (usize::from(m), self.sizes[usize::from(m)]);
+                if regions[m].2 == 0 {
+                    let free = &mut self.mem_free[r];
+                    let part = free.iter().position(|&p| p >= size).expect("the search placed it");
+                    let (start, len) = view.mem_free[r][part];
+                    regions[m] = (rpb, start + len - free[part], size);
+                    free[part] -= size;
+                }
+            }
+        }
+        regions
+    }
+
     /// Open the windows for `x_1 = pin` (or `x_1` free); see [`Model::open`].
     fn pin(&mut self, pin: Option<u16>) -> Option<u16> {
         self.pinned = pin.is_some();
@@ -908,7 +927,7 @@ program cache(<hdr.udp.dst_port, 7777, 0xffff>) {
                 assert!(LogicalRpb::from_index(alloc.x[slot]).is_ingress());
             }
         }
-        assert!(alloc.mem_rpb.contains_key("mem1"));
+        assert_eq!(alloc.regions.len(), 1, "mem1 is placed");
     }
 
     #[test]
@@ -985,7 +1004,7 @@ program p(<f,1,1>) {
         let ir = ir_of(CACHE);
         let mut view = full_view();
         for parts in &mut view.mem_free {
-            *parts = vec![512]; // less than the requested 1024 everywhere
+            *parts = vec![(0, 512)]; // less than the requested 1024 everywhere
         }
         assert_eq!(
             rejection(&ir, &view, AllocConfig::default()),
@@ -1163,7 +1182,37 @@ program p(<f,1,1>) {
         let ir = ir_of(src);
         let alloc = allocate(&ir, &full_view(), &AllocConfig::default()).unwrap();
         assert_eq!(alloc.passes, 1);
-        assert_eq!(alloc.mem_rpb.len(), 2);
-        assert_ne!(alloc.mem_rpb["a"], alloc.mem_rpb["b"], "sequential accesses → distinct RPBs");
+        assert_eq!(alloc.regions.len(), 2);
+        assert_ne!(
+            alloc.regions[0].0, alloc.regions[1].0,
+            "sequential accesses → distinct RPBs"
+        );
+    }
+
+    #[test]
+    fn regions_replay_the_first_fit_in_name_order() {
+        // Both memories are first accessed at one level; `z_small` is
+        // declared first, `a_big` is placed first. Every RPB is free at
+        // [0, 128) and [136, 200).
+        let ir = ir_of(
+            "@ a_big 128\n@ z_small 64\nprogram sib(<f,1,1>) { LOADI(mar, 0); BRANCH: \
+             case(<har, 0, 0xffffffff>) { MEMREAD(z_small); } \
+             case(<har, 1, 0xffffffff>) { MEMREAD(a_big); }; FORWARD(1); }",
+        );
+        let mut view = full_view();
+        for spans in &mut view.mem_free {
+            *spans = vec![(0, 128), (136, 64)];
+        }
+        let alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
+        let names: Vec<&str> = ir.memories.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["z_small", "a_big"]);
+        let [(z_rpb, z_off, 64), (a_rpb, 0, 128)] = alloc.regions[..] else {
+            panic!("{:?}", alloc.regions);
+        };
+        assert_eq!(
+            (z_rpb, z_off),
+            (a_rpb, 136),
+            "one level, one RPB, first fit in name order"
+        );
     }
 }

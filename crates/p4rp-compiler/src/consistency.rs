@@ -15,7 +15,7 @@
 //!   reallocation until the reset completes (the resource manager enforces
 //!   the lock).
 
-use crate::entrygen::{MemRegion, ProgramImage};
+use crate::entrygen::ProgramImage;
 use p4rp_dataplane::{encode_filter_entry, encode_recirc_entry, encode_rpb_entry, Dataplane};
 use crate::errors::{CompileError, CompileResult};
 use rmt_sim::switch::{ControlOp, TableRef};
@@ -61,12 +61,10 @@ pub struct InstalledHandles {
     pub filter_handles: Vec<(TableRef, EntryHandle)>,
     /// Body handles.
     pub body_handles: Vec<(TableRef, EntryHandle)>,
-    /// Mem regions.
-    pub mem_regions: Vec<MemRegion>,
 }
 
-/// Plan the removal batches (Figure 6 left half).
-pub fn plan_remove(h: &InstalledHandles) -> Vec<Batch> {
+/// Plan the removal batches of an installed image (Figure 6 left half).
+pub fn plan_remove(image: &ProgramImage, h: &InstalledHandles) -> Vec<Batch> {
     let filter_ops = h
         .filter_handles
         .iter()
@@ -77,7 +75,7 @@ pub fn plan_remove(h: &InstalledHandles) -> Vec<Batch> {
         .iter()
         .map(|(table, handle)| ControlOp::DeleteEntry { table: *table, handle: *handle })
         .collect();
-    let reset_ops = h
+    let reset_ops = image
         .mem_regions
         .iter()
         .map(|r| ControlOp::ResetRegRange {
@@ -96,21 +94,35 @@ pub fn plan_remove(h: &InstalledHandles) -> Vec<Batch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4rp_dataplane::RpbId;
+    use crate::entrygen::MemRegion;
+    use p4rp_dataplane::{FilterEntrySpec, RpbId};
 
     #[test]
     fn removal_order_is_filters_then_body_then_memory() {
         let h = InstalledHandles {
             filter_handles: vec![(RpbId(1).table_ref(), EntryHandle(10))],
             body_handles: vec![(RpbId(2).table_ref(), EntryHandle(11))],
+        };
+        let image = ProgramImage {
+            prog_id: 1,
+            name: "p".into(),
+            rpb_entries: vec![],
+            filter: FilterEntrySpec {
+                prog_id: 1,
+                required_bitmap: 0,
+                conds: vec![],
+                priority: 0,
+            },
+            recirc_ids: vec![],
             mem_regions: vec![MemRegion {
                 name: "m".into(),
                 rpb: RpbId(3),
                 offset: 0,
                 size: 64,
             }],
+            passes: 1,
         };
-        let batches = plan_remove(&h);
+        let batches = plan_remove(&image, &h);
         assert_eq!(batches.len(), 3);
         assert_eq!(batches[0].label, "deactivate filters");
         assert_eq!(batches[1].label, "delete program components");

@@ -1,11 +1,10 @@
 //! Entry generation: resolve a lowered, allocated program into the
 //! concrete table entries it installs.
 //!
-//! Inputs: the [`ProgramIr`], the [`Allocation`] (logical RPB per level),
-//! the physical memory offsets the resource manager granted, the assigned
-//! program id, and the provisioned field universe. Output: a
-//! [`ProgramImage`] — everything needed to install, monitor, and later
-//! revoke the program.
+//! Inputs: the [`ProgramIr`], the [`Allocation`] (logical RPB per level
+//! and the memory region of each virtual memory), the assigned program id,
+//! and the provisioned field universe. Output: a [`ProgramImage`] —
+//! everything needed to install, monitor, and later revoke the program.
 
 use crate::alloc::Allocation;
 use crate::errors::{CompileError, CompileResult};
@@ -15,7 +14,7 @@ use p4rp_dataplane::{init, FilterEntrySpec, P4rpFields, RpbEntrySpec, RpbId, Rpb
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-/// A granted physical memory region.
+/// A virtual memory's physical region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemRegion {
     /// Human-readable name.
@@ -41,7 +40,8 @@ pub struct ProgramImage {
     pub filter: FilterEntrySpec,
     /// Recirculation-block entries to install (`recirc_id` values).
     pub recirc_ids: Vec<u8>,
-    /// Granted memory regions.
+    /// Memory regions, one per `ir.memories` entry, where the allocation
+    /// placed them.
     pub mem_regions: Vec<MemRegion>,
     /// Pipeline passes the program needs.
     pub passes: u8,
@@ -58,20 +58,16 @@ impl ProgramImage {
 fn body_entries(
     ir: &ProgramIr,
     alloc: &Allocation,
-    offsets: &HashMap<String, (RpbId, u32)>,
     prog_id: u16,
     fields: &P4rpFields,
 ) -> CompileResult<Vec<(RpbId, RpbEntrySpec)>> {
-    let sizes: HashMap<&str, u32> =
-        ir.memories.iter().map(|m| (m.name.as_str(), m.size)).collect();
-
     let mut rpb_entries = Vec::new();
     for (level_idx, level) in ir.levels.iter().enumerate() {
         let logical = LogicalRpb::from_index(alloc.x[level_idx]);
         let rpb = logical.rpb();
         let pass = logical.pass();
         for placed in level {
-            let op = match resolve_op(&placed.op, offsets, &sizes, fields)? {
+            let op = match resolve_op(&placed.op, ir, alloc, fields)? {
                 Some(op) => op,
                 None => continue, // NOP padding installs nothing
             };
@@ -96,7 +92,6 @@ fn body_entries(
 fn assemble(
     ir: &ProgramIr,
     alloc: &Allocation,
-    offsets: &HashMap<String, (RpbId, u32)>,
     prog_id: u16,
     fields: &P4rpFields,
     ft_universe: &rmt_sim::phv::FieldTable,
@@ -122,18 +117,9 @@ fn assemble(
     let mem_regions = ir
         .memories
         .iter()
-        .map(|m| {
-            offsets
-                .get(&m.name)
-                .map(|(rpb, off)| MemRegion {
-                    name: m.name.clone(),
-                    rpb: *rpb,
-                    offset: *off,
-                    size: m.size,
-                })
-                .ok_or_else(|| CompileError::UnknownMemory(m.name.clone()))
-        })
-        .collect::<CompileResult<Vec<_>>>()?;
+        .zip(&alloc.regions)
+        .map(|(m, &(rpb, offset, size))| MemRegion { name: m.name.clone(), rpb, offset, size })
+        .collect();
 
     Ok(ProgramImage {
         prog_id,
@@ -150,7 +136,7 @@ fn assemble(
 ///
 /// Deploy streams install many instances of one source template (the §6.2
 /// workload families): identical levels, memories, and placement; only the
-/// name, filter values, program id, and granted memory offsets differ. The
+/// name, filter values, program id, and memory offsets differ. The
 /// cache keys on the shape — `(levels, memories, x)` hashed with FxHash,
 /// verified by full equality on hit — and stores the entry list with a
 /// neutral program id and zeroed offsets plus the positions to patch, so a
@@ -198,7 +184,6 @@ pub fn generate_cached(
     cache: &mut EntryGenCache,
     ir: &ProgramIr,
     alloc: &Allocation,
-    offsets: &HashMap<String, (RpbId, u32)>,
     prog_id: u16,
     fields: &P4rpFields,
     ft_universe: &rmt_sim::phv::FieldTable,
@@ -211,19 +196,17 @@ pub fn generate_cached(
                 spec.prog_id = prog_id;
             }
             for &(k, mi) in &e.patches {
-                let name = &e.memories[usize::from(mi)].name;
-                let off = offsets
-                    .get(name)
-                    .ok_or_else(|| CompileError::UnknownMemory(name.clone()))?
-                    .1;
-                rpb_entries[k].1.op.data[0] = u64::from(off);
+                let memory = &e.memories[usize::from(mi)].name;
+                let region = alloc.regions.get(usize::from(mi));
+                let offset = region.ok_or_else(|| CompileError::UnknownMemory(memory.clone()))?.1;
+                rpb_entries[k].1.op.data[0] = u64::from(offset);
             }
             cache.hits += 1;
-            return assemble(ir, alloc, offsets, prog_id, fields, ft_universe, rpb_entries);
+            return assemble(ir, alloc, prog_id, fields, ft_universe, rpb_entries);
         }
     }
 
-    let rpb_entries = body_entries(ir, alloc, offsets, prog_id, fields)?;
+    let rpb_entries = body_entries(ir, alloc, prog_id, fields)?;
 
     // Patch positions: the k-th non-NOP placed op is the k-th entry.
     let mut patches = Vec::new();
@@ -260,14 +243,14 @@ pub fn generate_cached(
         },
     );
     cache.misses += 1;
-    assemble(ir, alloc, offsets, prog_id, fields, ft_universe, rpb_entries)
+    assemble(ir, alloc, prog_id, fields, ft_universe, rpb_entries)
 }
 
 /// Resolve one IR op into a concrete RPB operation. `None` for NOPs.
 fn resolve_op(
     op: &IrOp,
-    offsets: &HashMap<String, (RpbId, u32)>,
-    sizes: &HashMap<&str, u32>,
+    ir: &ProgramIr,
+    alloc: &Allocation,
     fields: &P4rpFields,
 ) -> CompileResult<Option<RpbOp>> {
     let field = |name: &str| {
@@ -275,20 +258,18 @@ fn resolve_op(
             .lookup(name)
             .ok_or_else(|| CompileError::UnknownField(name.to_string()))
     };
-    let offset_of = |mem: &str| {
-        offsets
-            .get(mem)
-            .map(|(_, off)| *off)
+    // `(rpb, offset, size)` of a virtual memory.
+    let region = |mem: &str| {
+        ir.memories
+            .iter()
+            .position(|m| m.name == mem)
+            .and_then(|i| alloc.regions.get(i))
             .ok_or_else(|| CompileError::UnknownMemory(mem.to_string()))
     };
+    let offset_of = |mem: &str| region(mem).map(|r| r.1);
     // The mask step truncates the hash output to the virtual memory's
     // width: `size − 1` (size is a power of two, checked upstream).
-    let mask_of = |mem: &str| {
-        sizes
-            .get(mem)
-            .map(|s| s - 1)
-            .ok_or_else(|| CompileError::UnknownMemory(mem.to_string()))
-    };
+    let mask_of = |mem: &str| region(mem).map(|r| r.2 - 1);
     Ok(Some(match op {
         IrOp::Extract { field: f, reg } => RpbOp::extract(field(f)?, *reg),
         IrOp::Modify { field: f, reg } => RpbOp::modify(field(f)?, *reg),
@@ -325,13 +306,12 @@ mod tests {
     fn generate(
         ir: &ProgramIr,
         alloc: &Allocation,
-        offsets: &HashMap<String, (RpbId, u32)>,
         prog_id: u16,
         fields: &P4rpFields,
         ft_universe: &rmt_sim::phv::FieldTable,
     ) -> CompileResult<ProgramImage> {
-        let rpb_entries = body_entries(ir, alloc, offsets, prog_id, fields)?;
-        assemble(ir, alloc, offsets, prog_id, fields, ft_universe, rpb_entries)
+        let rpb_entries = body_entries(ir, alloc, prog_id, fields)?;
+        assemble(ir, alloc, prog_id, fields, ft_universe, rpb_entries)
     }
 
     fn build_image(src: &str) -> (ProgramIr, Allocation, ProgramImage) {
@@ -344,14 +324,12 @@ mod tests {
             .collect();
         let ir = lower(&unit.programs[0], &mems).unwrap();
         let view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
-        let alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
-        // Grant offsets: each vmem at bucket 4096 of its chosen RPB.
-        let offsets: HashMap<String, (RpbId, u32)> = alloc
-            .mem_rpb
-            .iter()
-            .map(|(n, r)| (n.clone(), (*r, 4096u32)))
-            .collect();
-        let image = generate(&ir, &alloc, &offsets, 7, &fields, &ft).unwrap();
+        let mut alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
+        // Each vmem at bucket 4096 of its chosen RPB.
+        for region in &mut alloc.regions {
+            region.1 = 4096;
+        }
+        let image = generate(&ir, &alloc, 7, &fields, &ft).unwrap();
         (ir, alloc, image)
     }
 
@@ -397,7 +375,7 @@ program lb(<hdr.ipv4.dst, 10.0.0.0, 0xffff0000>) {
             .find(|(_, e)| e.op.action == AtomicAction::Hash5TupleMem)
             .expect("hash op present");
         assert!(hash.1.op.data == vec![1023] || hash.1.op.data == vec![15]);
-        // Offset steps carry the granted physical offset.
+        // Offset steps carry the region's physical offset.
         let off = image
             .rpb_entries
             .iter()
@@ -451,22 +429,16 @@ program p(<hdr.ipv4.dst, 1, 1>) {
                 .collect();
             let ir = lower(&unit.programs[0], &mems).unwrap();
             let view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
-            let alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
-            let offsets: HashMap<String, (RpbId, u32)> = alloc
-                .mem_rpb
-                .iter()
-                .map(|(n, r)| (n.clone(), (*r, *off)))
-                .collect();
+            let mut alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
+            alloc.regions[0].1 = *off;
             let prog_id = (i + 3) as u16;
-            let plain = generate(&ir, &alloc, &offsets, prog_id, &fields, &ft).unwrap();
-            let cached =
-                generate_cached(&mut cache, &ir, &alloc, &offsets, prog_id, &fields, &ft)
-                    .unwrap();
+            let plain = generate(&ir, &alloc, prog_id, &fields, &ft).unwrap();
+            let cached = generate_cached(&mut cache, &ir, &alloc, prog_id, &fields, &ft).unwrap();
             assert_eq!(plain.rpb_entries, cached.rpb_entries);
             assert_eq!(plain.filter, cached.filter);
             assert_eq!(plain.mem_regions, cached.mem_regions);
             assert_eq!(plain.recirc_ids, cached.recirc_ids);
-            // The patched offset really is this instance's grant.
+            // The patched offset really is this instance's region.
             let offv = cached
                 .rpb_entries
                 .iter()
@@ -484,7 +456,7 @@ program p(<hdr.ipv4.dst, 1, 1>) {
         let ir = lower(&unit.programs[0], &[]).unwrap();
         let view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
         let alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
-        let err = generate(&ir, &alloc, &HashMap::new(), 1, &fields, &ft).unwrap_err();
+        let err = generate(&ir, &alloc, 1, &fields, &ft).unwrap_err();
         assert!(matches!(err, CompileError::UnknownField(_)));
     }
 }

@@ -3,12 +3,12 @@
 //!
 //! `deploy` runs the full runtime-compilation pipeline — parse, semantic
 //! check, lowering, constraint-based allocation against the live resource
-//! state, memory granting, entry generation, and the consistent two-batch
-//! install of Figure 6 — then records everything needed to later revoke
-//! the program. Timings are split the way the paper reports them: parse
-//! and allocation are measured wall-clock (real computation, Figure 7);
-//! the data plane update advances the simulated `bfrt`-calibrated control
-//! channel (Table 1).
+//! state, committing the memory regions the solver placed, entry
+//! generation, and the consistent two-batch install of Figure 6 — then
+//! records everything needed to later revoke the program. Timings are
+//! split the way the paper reports them: parse and allocation are measured
+//! wall-clock (real computation, Figure 7); the data plane update advances
+//! the simulated `bfrt`-calibrated control channel (Table 1).
 
 use crate::resman::ResourceManager;
 use crate::telemetry::{
@@ -114,8 +114,6 @@ pub struct InstalledProgram {
     pub image: ProgramImage,
     /// Handles.
     pub handles: InstalledHandles,
-    /// Allocation.
-    pub allocation: Allocation,
 }
 
 /// What `deploy` reports per program (the Figure 7 / Table 1 quantities).
@@ -1029,26 +1027,29 @@ impl Controller {
         Ok(id)
     }
 
-    /// Grant `ir` what its allocation asks for — physical memory where the
-    /// solver placed each vmem, a program id, and (for the entries the
-    /// shape cache generates) the init / recirculation / RPB budgets — and
-    /// plan the install. Each grant is written into `claim` the moment it
-    /// is made, so whichever step fails, the caller releases exactly that.
+    /// Grant `ir` what its allocation asks for — the memory regions the
+    /// solver placed, a program id, and (for the entries the shape cache
+    /// generates) the init / recirculation / RPB budgets — and plan the
+    /// install. Each grant is written into `claim` the moment it is made,
+    /// so whichever step fails, the caller releases exactly that.
+    ///
+    /// The solver decided against the resource manager's own free state,
+    /// so a region or an RPB entry it placed is refused only if that state
+    /// changed in between: a stale view, reported, never repaired here.
     fn grant(
         &mut self,
         claim: &mut Claim,
         ir: &ProgramIr,
         allocation: &Allocation,
     ) -> CtlResult<(ProgramImage, Vec<Batch>)> {
-        let mut offsets: HashMap<String, (RpbId, u32)> = HashMap::new();
-        for m in &ir.memories {
-            let rpb = allocation.mem_rpb[&m.name];
-            let Some(off) = self.resman.grant_memory(rpb, m.size) else {
-                let reason = format!("memory grant for `{}` failed", m.name);
-                return Err(CompileError::AllocationFailed { reason }.into());
-            };
-            claim.regions.push((rpb, off, m.size));
-            offsets.insert(m.name.clone(), (rpb, off));
+        let stale = |what: String| CompileError::AllocationFailed {
+            reason: format!("{what} is not free: stale resource view"),
+        };
+        for &(rpb, offset, size) in &allocation.regions {
+            if !self.resman.take(rpb, offset, size) {
+                return Err(stale(format!("RPB {} [{offset}, {})", rpb.0, offset + size)).into());
+            }
+            claim.regions.push((rpb, offset, size));
         }
         let prog_id = self.take_prog_id()?;
         claim.prog_id = Some(prog_id);
@@ -1056,14 +1057,13 @@ impl Controller {
             &mut self.entry_cache,
             ir,
             allocation,
-            &offsets,
             prog_id,
             &self.dp.fields,
             self.switch.field_table(),
         )?;
 
         // Charge entry budgets: initialization paths, the recirculation
-        // block, and RPBs (validated by the solver).
+        // block, and RPBs.
         let full = || {
             CompileError::InitTableFull { path: "initialization/recirculation block".into() }
         };
@@ -1076,9 +1076,9 @@ impl Controller {
         }
         claim.recirc = image.recirc_ids.len();
         for (rpb, _) in &image.rpb_entries {
-            // Solver-validated; charge unconditionally.
-            let ok = self.resman.charge_entries(*rpb, 1);
-            debug_assert!(ok, "solver and resource manager disagree");
+            if !self.resman.charge_entries(*rpb, 1) {
+                return Err(stale(format!("an entry of RPB {}", rpb.0)).into());
+            }
             claim.entries[usize::from(rpb.0) - 1] += 1;
         }
         let plan = plan_install(&image, &self.dp, self.switch.field_table())?;
@@ -1086,9 +1086,9 @@ impl Controller {
     }
 
     /// Commit one lowered program to the data plane: allocate against the
-    /// live resource view (Figure 7 timing), grant memory, generate entries
-    /// (through the shape cache), charge budgets, and install via the
-    /// Figure 6 consistent batch order.
+    /// live resource view (Figure 7 timing), take the regions the solver
+    /// placed, generate entries (through the shape cache), charge budgets,
+    /// and install via the Figure 6 consistent batch order.
     fn commit(&mut self, ir: ProgramIr, parse_wall: Duration) -> CtlResult<DeployReport> {
         if self.programs.contains_key(&ir.name) || self.wedged.contains_key(&ir.name) {
             return Err(CtlError::DuplicateProgram(ir.name));
@@ -1115,9 +1115,8 @@ impl Controller {
             let [body_handles, filter_handles] = sent.inserted(boundary, Default::default());
             let Some(fault) = sent.error else {
                 span.memory_claimed = ir.memories.iter().map(|m| u64::from(m.size)).sum();
-                let mem_regions = image.mem_regions.clone();
-                let handles = InstalledHandles { filter_handles, body_handles, mem_regions };
-                let installed = InstalledProgram { image, handles, allocation };
+                let handles = InstalledHandles { filter_handles, body_handles };
+                let installed = InstalledProgram { image, handles };
                 ctl.programs.insert(ir.name.clone(), installed);
                 return Ok(());
             };
@@ -1197,12 +1196,13 @@ impl Controller {
                 .remove(name)
                 .ok_or_else(|| CtlError::NoSuchProgram(name.to_string()))?;
             // Lock regions before the reset batch touches them.
-            for r in &installed.handles.mem_regions {
+            for r in &installed.image.mem_regions {
                 self.resman.lock_memory(r.rpb, r.offset, r.size);
             }
             // Filter deletions lead the plan, so the program stops matching
             // before any component disappears.
-            let plan = plan_remove(&installed.handles).into_iter().map(|b| b.ops).collect();
+            let plan = plan_remove(&installed.image, &installed.handles);
+            let plan = plan.into_iter().map(|b| b.ops).collect();
             (installed.image, plan)
         };
         let prog_id = image.prog_id;

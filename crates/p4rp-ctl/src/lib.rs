@@ -1,9 +1,10 @@
 //! # p4rp-ctl — the P4runpro control plane (§3.1)
 //!
 //! * [`resman`] — dynamic resource tracking: per-RPB free-memory partition
-//!   lists (contiguous, first-fit), table-entry budgets for RPBs /
-//!   initialization paths / recirculation block, and the lock-until-reset
-//!   discipline of Figure 6;
+//!   lists (contiguous; the allocator borrows them and places memory, resman
+//!   commits its regions), table-entry budgets for RPBs / initialization
+//!   paths / recirculation block, and the lock-until-reset discipline of
+//!   Figure 6;
 //! * [`controller`] — the deploy / revoke / monitor lifecycle, tying
 //!   together the language front end, the runtime compiler, the resource
 //!   manager, and the `bfrt`-calibrated control channel;

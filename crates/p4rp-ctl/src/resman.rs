@@ -4,9 +4,14 @@
 //! bidirectional linked lists of free partitions supporting only
 //! *continuous* allocation; an address-ordered vector of `(offset, len)`
 //! spans is the idiomatic Rust equivalent with identical semantics), the
-//! table-entry occupancy, and the set of *locked* regions — memory being
+//! free table entries, and the set of *locked* regions — memory being
 //! reset during program termination, unavailable for reallocation until
 //! the reset completes (Figure 6 step ④).
+//!
+//! The free lists and entry counts are the allocator's [`AllocView`]
+//! itself: the solver borrows them, decides every placement, and the
+//! resource manager commits the regions it chose ([`ResourceManager::take`]).
+//! Nothing here places memory.
 
 use p4rp_compiler::alloc::AllocView;
 use p4rp_dataplane::{RpbId, NUM_RPBS, RPB_MEM_SIZE, RPB_TABLE_SIZE};
@@ -15,20 +20,12 @@ use p4rp_dataplane::{INIT_TABLE_SIZE, RECIRC_TABLE_SIZE};
 /// Memory/entry bookkeeping for the whole data plane.
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
-    /// Address-ordered free spans per RPB.
-    free: Vec<Vec<(u32, u32)>>,
+    /// Free entries and address-ordered free spans per RPB.
+    view: AllocView,
     /// Regions locked pending reset.
     locked: Vec<Vec<(u32, u32)>>,
-    te_used: Vec<usize>,
     init_used: usize,
     recirc_used: usize,
-    mem_size: u32,
-    table_size: usize,
-    /// The allocator's view, maintained incrementally: `te_free` updated
-    /// O(1) on entry charges/refunds, `mem_free` re-derived only for the
-    /// RPB whose span list changed. Deploys used to rebuild the whole
-    /// 22-RPB snapshot from scratch on every allocation.
-    view: AllocView,
 }
 
 impl Default for ResourceManager {
@@ -41,17 +38,10 @@ impl ResourceManager {
     /// Construct with defaults appropriate to the type.
     pub(crate) fn new() -> ResourceManager {
         ResourceManager {
-            free: vec![vec![(0, RPB_MEM_SIZE)]; NUM_RPBS],
+            view: AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE),
             locked: vec![Vec::new(); NUM_RPBS],
-            te_used: vec![0; NUM_RPBS],
             init_used: 0,
             recirc_used: 0,
-            mem_size: RPB_MEM_SIZE,
-            table_size: RPB_TABLE_SIZE,
-            view: AllocView {
-                te_free: vec![RPB_TABLE_SIZE; NUM_RPBS],
-                mem_free: vec![vec![RPB_MEM_SIZE]; NUM_RPBS],
-            },
         }
     }
 
@@ -59,37 +49,41 @@ impl ResourceManager {
         usize::from(rpb.0) - 1
     }
 
-    /// The allocator's view of current availability (incrementally
-    /// maintained; clone it for a speculative snapshot).
+    /// The allocator's view of current availability: the free state
+    /// itself (clone it for a speculative snapshot).
     pub fn alloc_view(&self) -> &AllocView {
         &self.view
     }
 
-    /// Re-derive the cached partition lengths of one RPB from its span
-    /// list (reusing the existing buffer).
-    fn sync_mem_view(&mut self, i: usize) {
-        let dst = &mut self.view.mem_free[i];
-        dst.clear();
-        dst.extend(self.free[i].iter().map(|(_, len)| *len));
-    }
-
-    /// First-fit contiguous allocation of `size` buckets in `rpb`.
-    pub(crate) fn grant_memory(&mut self, rpb: RpbId, size: u32) -> Option<u32> {
-        let spans = &mut self.free[Self::idx(rpb)];
-        let pos = spans.iter().position(|(_, len)| *len >= size)?;
-        let (off, len) = spans[pos];
-        if len == size {
-            spans.remove(pos);
-        } else {
-            spans[pos] = (off + size, len - size);
+    /// Commit a region the allocator placed: carve `[offset, offset + size)`
+    /// out of the free span that holds it. `false` when no free span holds
+    /// it — the placement was decided on a stale view.
+    pub(crate) fn take(&mut self, rpb: RpbId, offset: u32, size: u32) -> bool {
+        let spans = &mut self.view.mem_free[Self::idx(rpb)];
+        let end = offset + size;
+        let Some(pos) = spans.iter().position(|&(o, len)| o <= offset && end <= o + len) else {
+            return false;
+        };
+        let (o, len) = spans[pos];
+        spans[pos] = (o, offset - o);
+        if end < o + len {
+            spans.insert(pos + 1, (end, o + len - end));
         }
-        self.sync_mem_view(Self::idx(rpb));
-        Some(off)
+        if offset == o {
+            spans.remove(pos);
+        }
+        true
     }
 
     /// Lock a region for reset: it is neither free nor usable.
     pub(crate) fn lock_memory(&mut self, rpb: RpbId, offset: u32, size: u32) {
         self.locked[Self::idx(rpb)].push((offset, size));
+    }
+
+    /// The regions of `rpb` locked pending reset.
+    #[cfg(test)]
+    pub(crate) fn locked(&self, rpb: RpbId) -> &[(u32, u32)] {
+        &self.locked[Self::idx(rpb)]
     }
 
     /// Reset finished: merge the region back into the free list.
@@ -98,7 +92,7 @@ impl ResourceManager {
         if let Some(pos) = locked.iter().position(|&(o, s)| o == offset && s == size) {
             locked.remove(pos);
         }
-        let spans = &mut self.free[Self::idx(rpb)];
+        let spans = &mut self.view.mem_free[Self::idx(rpb)];
         let insert_at = spans.partition_point(|&(o, _)| o < offset);
         spans.insert(insert_at, (offset, size));
         // Coalesce neighbours.
@@ -113,25 +107,23 @@ impl ResourceManager {
                 i += 1;
             }
         }
-        self.sync_mem_view(Self::idx(rpb));
     }
 
     /// Charge `n` table entries to an RPB; `false` if it would overflow.
     pub(crate) fn charge_entries(&mut self, rpb: RpbId, n: usize) -> bool {
-        let i = Self::idx(rpb);
-        if self.te_used[i] + n > self.table_size {
+        let free = &mut self.view.te_free[Self::idx(rpb)];
+        if n > *free {
             return false;
         }
-        self.te_used[i] += n;
-        self.view.te_free[i] = self.table_size - self.te_used[i];
+        *free -= n;
         true
     }
 
-    /// Refund entries.
+    /// Refund entries charged earlier.
     pub(crate) fn refund_entries(&mut self, rpb: RpbId, n: usize) {
-        let i = Self::idx(rpb);
-        self.te_used[i] = self.te_used[i].saturating_sub(n);
-        self.view.te_free[i] = self.table_size - self.te_used[i];
+        let free = &mut self.view.te_free[Self::idx(rpb)];
+        *free += n;
+        assert!(*free <= RPB_TABLE_SIZE, "refunded entries never charged");
     }
 
     /// Charge initialization-table filter entries.
@@ -176,40 +168,43 @@ impl ResourceManager {
 
     /// Fraction of RPB memory allocated, over the whole data plane.
     pub fn memory_utilization(&self) -> f64 {
-        let total = self.mem_size as f64 * NUM_RPBS as f64;
+        let total = f64::from(RPB_MEM_SIZE) * NUM_RPBS as f64;
         let free: u64 = self
-            .free
+            .view
+            .mem_free
             .iter()
+            .chain(&self.locked)
             .flat_map(|s| s.iter().map(|(_, l)| u64::from(*l)))
             .sum();
-        let locked: u64 = self
-            .locked
-            .iter()
-            .flat_map(|s| s.iter().map(|(_, l)| u64::from(*l)))
-            .sum();
-        1.0 - (free + locked) as f64 / total
+        1.0 - free as f64 / total
     }
 
     /// Fraction of RPB table entries in use.
     pub fn entry_utilization(&self) -> f64 {
-        let used: usize = self.te_used.iter().sum();
-        used as f64 / (self.table_size * NUM_RPBS) as f64
+        let used: usize = self.view.te_free.iter().map(|f| RPB_TABLE_SIZE - f).sum();
+        used as f64 / (RPB_TABLE_SIZE * NUM_RPBS) as f64
     }
 
     /// Per-RPB memory utilization (Figure 18 heatmap rows).
     pub(crate) fn memory_utilization_per_rpb(&self) -> Vec<f64> {
-        (0..NUM_RPBS)
-            .map(|i| {
-                let free: u64 = self.free[i].iter().map(|(_, l)| u64::from(*l)).sum();
-                let locked: u64 = self.locked[i].iter().map(|(_, l)| u64::from(*l)).sum();
-                1.0 - (free + locked) as f64 / f64::from(self.mem_size)
+        self.view
+            .mem_free
+            .iter()
+            .zip(&self.locked)
+            .map(|(free, locked)| {
+                let unused: u64 = free.iter().chain(locked).map(|(_, l)| u64::from(*l)).sum();
+                1.0 - unused as f64 / f64::from(RPB_MEM_SIZE)
             })
             .collect()
     }
 
     /// Per-RPB entry utilization (Figure 19 heatmap rows).
     pub(crate) fn entry_utilization_per_rpb(&self) -> Vec<f64> {
-        self.te_used.iter().map(|u| *u as f64 / self.table_size as f64).collect()
+        self.view
+            .te_free
+            .iter()
+            .map(|f| (RPB_TABLE_SIZE - f) as f64 / RPB_TABLE_SIZE as f64)
+            .collect()
     }
 }
 
@@ -218,25 +213,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_fit_and_coalescing() {
+    fn take_carves_and_unlock_coalesces() {
         let mut rm = ResourceManager::new();
         let r = RpbId(3);
-        let a = rm.grant_memory(r, 1024).unwrap();
-        let b = rm.grant_memory(r, 1024).unwrap();
-        let c = rm.grant_memory(r, 2048).unwrap();
-        assert_eq!((a, b, c), (0, 1024, 2048));
+        assert!(rm.take(r, 0, 1024) && rm.take(r, 1024, 1024) && rm.take(r, 2048, 2048));
         // Free the middle region: fragmentation.
-        rm.lock_memory(r, b, 1024);
-        rm.unlock_memory(r, b, 1024);
-        // A 2048 request skips the 1024 hole (first-fit, contiguous only).
-        let d = rm.grant_memory(r, 2048).unwrap();
-        assert_eq!(d, 4096);
-        // The 1024 hole serves a 1024 request.
-        assert_eq!(rm.grant_memory(r, 1024), Some(1024));
-        // Free a and the hole: coalescing reconstructs [0, 2048).
+        rm.lock_memory(r, 1024, 1024);
+        rm.unlock_memory(r, 1024, 1024);
+        assert_eq!(
+            rm.alloc_view().mem_free[2],
+            vec![(1024, 1024), (4096, RPB_MEM_SIZE - 4096)]
+        );
+        // A region that overruns the 1024 hole is not free (stale view).
+        assert!(!rm.take(r, 1024, 2048));
+        assert!(rm.take(r, 4096, 2048));
+        assert!(rm.take(r, 1024, 1024));
+        // Free [0, 2048): coalescing reconstructs one span.
         rm.unlock_memory(r, 0, 1024);
         rm.unlock_memory(r, 1024, 1024);
-        assert_eq!(rm.grant_memory(r, 2048), Some(0));
+        assert_eq!(rm.alloc_view().mem_free[2][0], (0, 2048));
+        assert!(rm.take(r, 0, 2048));
+    }
+
+    #[test]
+    fn take_inside_a_span_splits_it() {
+        let mut rm = ResourceManager::new();
+        let r = RpbId(2);
+        assert!(rm.take(r, 256, 128));
+        assert_eq!(
+            rm.alloc_view().mem_free[1],
+            vec![(0, 256), (384, RPB_MEM_SIZE - 384)]
+        );
+        assert!(!rm.take(r, 200, 128), "overlaps the taken region");
+        assert!(rm.take(r, 0, 256));
+        assert_eq!(rm.alloc_view().mem_free[1], vec![(384, RPB_MEM_SIZE - 384)]);
     }
 
     #[test]
@@ -244,22 +254,23 @@ mod tests {
         let mut rm = ResourceManager::new();
         let r = RpbId(1);
         // Exhaust the array.
-        let off = rm.grant_memory(r, RPB_MEM_SIZE).unwrap();
-        assert_eq!(rm.grant_memory(r, 1), None);
-        rm.lock_memory(r, off, RPB_MEM_SIZE);
+        assert!(rm.take(r, 0, RPB_MEM_SIZE));
+        assert!(!rm.take(r, 0, 1));
+        rm.lock_memory(r, 0, RPB_MEM_SIZE);
         // Still locked → still unavailable.
-        assert_eq!(rm.grant_memory(r, 1), None);
-        rm.unlock_memory(r, off, RPB_MEM_SIZE);
-        assert_eq!(rm.grant_memory(r, 1), Some(0));
+        assert!(!rm.take(r, 0, 1));
+        rm.unlock_memory(r, 0, RPB_MEM_SIZE);
+        assert!(rm.take(r, 0, 1));
     }
 
     #[test]
-    fn exhaustion_returns_none() {
+    fn a_region_past_the_array_is_refused() {
         let mut rm = ResourceManager::new();
         let r = RpbId(7);
-        assert!(rm.grant_memory(r, RPB_MEM_SIZE + 1).is_none());
-        rm.grant_memory(r, RPB_MEM_SIZE).unwrap();
-        assert!(rm.grant_memory(r, 1).is_none());
+        assert!(!rm.take(r, 0, RPB_MEM_SIZE + 1));
+        assert!(!rm.take(r, RPB_MEM_SIZE, 1));
+        assert!(rm.take(r, 0, RPB_MEM_SIZE));
+        assert!(rm.alloc_view().mem_free[6].is_empty());
     }
 
     #[test]
@@ -278,7 +289,7 @@ mod tests {
         let mut rm = ResourceManager::new();
         assert_eq!(rm.memory_utilization(), 0.0);
         assert_eq!(rm.entry_utilization(), 0.0);
-        rm.grant_memory(RpbId(1), RPB_MEM_SIZE).unwrap();
+        assert!(rm.take(RpbId(1), 0, RPB_MEM_SIZE));
         let per = rm.memory_utilization_per_rpb();
         assert_eq!(per[0], 1.0);
         assert_eq!(per[1], 0.0);
@@ -290,38 +301,11 @@ mod tests {
     #[test]
     fn alloc_view_reflects_state() {
         let mut rm = ResourceManager::new();
-        rm.grant_memory(RpbId(1), 1024).unwrap();
+        assert!(rm.take(RpbId(1), 0, 1024));
         rm.charge_entries(RpbId(2), 100);
         let v = rm.alloc_view();
-        assert_eq!(v.mem_free[0], vec![RPB_MEM_SIZE - 1024]);
+        assert_eq!(v.mem_free[0], vec![(1024, RPB_MEM_SIZE - 1024)]);
         assert_eq!(v.te_free[1], RPB_TABLE_SIZE - 100);
-    }
-
-    #[test]
-    fn incremental_view_matches_full_rebuild() {
-        let mut rm = ResourceManager::new();
-        // A churny sequence: grants, locks, unlocks, charges, refunds.
-        let a = rm.grant_memory(RpbId(4), 1024).unwrap();
-        let b = rm.grant_memory(RpbId(4), 512).unwrap();
-        rm.grant_memory(RpbId(9), 4096).unwrap();
-        rm.charge_entries(RpbId(4), 37);
-        rm.charge_entries(RpbId(22), 5);
-        rm.lock_memory(RpbId(4), a, 1024);
-        rm.unlock_memory(RpbId(4), a, 1024);
-        rm.refund_entries(RpbId(4), 17);
-        rm.lock_memory(RpbId(4), b, 512);
-        rm.unlock_memory(RpbId(4), b, 512);
-        let rebuilt = AllocView {
-            te_free: rm.te_used.iter().map(|u| rm.table_size - u).collect(),
-            mem_free: rm
-                .free
-                .iter()
-                .map(|spans| spans.iter().map(|(_, len)| *len).collect())
-                .collect(),
-        };
-        let v = rm.alloc_view();
-        assert_eq!(v.te_free, rebuilt.te_free);
-        assert_eq!(v.mem_free, rebuilt.mem_free);
     }
 
     #[test]

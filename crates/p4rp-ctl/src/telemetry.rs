@@ -1204,7 +1204,7 @@ mod tests {
     fn gauges_track_resource_manager() {
         use p4rp_dataplane::RpbId;
         let mut rm = ResourceManager::new();
-        rm.grant_memory(RpbId(1), 1024).unwrap();
+        assert!(rm.take(RpbId(1), 0, 1024));
         rm.charge_init(2);
         rm.charge_recirc(3);
         let g = ResourceGauges::collect(&rm);

@@ -20,7 +20,7 @@ use p4runpro::p4rp_compiler::alloc::{
     allocate, slot_requirements, windows, AllocConfig, AllocView, Objective,
 };
 use p4runpro::p4rp_compiler::ir::{lower, MemDecl, ProgramIr};
-use p4runpro::p4rp_dataplane::{LogicalRpb, NUM_RPBS, RPB_MEM_SIZE, RPB_TABLE_SIZE};
+use p4runpro::p4rp_dataplane::{LogicalRpb, RpbId, NUM_RPBS, RPB_MEM_SIZE, RPB_TABLE_SIZE};
 use p4runpro::p4rp_lang::parse;
 use p4runpro::p4rp_ctl::Controller;
 use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
@@ -39,10 +39,19 @@ fn ir_of(src: &str) -> ProgramIr {
     lower(&unit.programs[0], &mems).unwrap()
 }
 
-/// The §4.3 model stated directly, independent of both solvers: does the
-/// assignment `x` satisfy constraints (1)–(6) on `view`? Memory is granted
-/// first-fit in level order, the resource manager's policy.
-fn check_assignment(ir: &ProgramIr, view: &AllocView, max_index: u16, x: &[u16]) -> Result<(), String> {
+/// The §4.3 model stated directly, independent of both solvers: do the
+/// assignment `x` and the memory regions `(rpb, offset, size)`, one per
+/// `ir.memories` entry, satisfy constraints (1)–(6) on `view`? Memory (3)
+/// is checked on the concrete regions the resource manager commits: each
+/// has its memory's size, lies in the RPB of its memory's first access,
+/// inside one free span of that RPB, and no two regions overlap.
+fn check_assignment(
+    ir: &ProgramIr,
+    view: &AllocView,
+    max_index: u16,
+    x: &[u16],
+    regions: &[(RpbId, u32, u32)],
+) -> Result<(), String> {
     let (reqs, pairs) = slot_requirements(ir);
     if x.len() != reqs.len() || x[0] < 1 || *x.last().unwrap() > max_index {
         return Err(format!("{x:?}: wrong length or outside 1..={max_index}"));
@@ -54,8 +63,14 @@ fn check_assignment(ir: &ProgramIr, view: &AllocView, max_index: u16, x: &[u16])
     if let Some(&(a, b)) = pairs.iter().find(|&&(a, b)| at(a).pass() != at(b).pass()) {
         return Err(format!("(6) levels {a} and {b} in different passes: {x:?}"));
     }
+    if regions.len() != ir.memories.len() {
+        return Err(format!(
+            "{} regions for {} memories",
+            regions.len(),
+            ir.memories.len()
+        ));
+    }
     let mut used = [0usize; NUM_RPBS];
-    let mut parts = view.mem_free.clone();
     let mut home: std::collections::HashMap<&str, (usize, u8)> = Default::default();
     for (i, req) in reqs.iter().enumerate() {
         let (rpb, pass) = (usize::from(at(i).rpb().0) - 1, at(i).pass());
@@ -73,13 +88,41 @@ fn check_assignment(ir: &ProgramIr, view: &AllocView, max_index: u16, x: &[u16])
                 }
                 Some(_) => {}
                 None => {
-                    let size = ir.memory_size(m).unwrap();
-                    match parts[rpb].iter_mut().find(|p| **p >= size) {
-                        Some(p) => *p -= size,
-                        None => return Err(format!("(3) no partition for `{m}` in RPB {}: {x:?}", rpb + 1)),
+                    let k = ir.memories.iter().position(|d| &d.name == m).unwrap();
+                    let (r, offset, size) = regions[k];
+                    if usize::from(r.0) != rpb + 1 || size != ir.memories[k].size {
+                        return Err(format!(
+                            "(3) `{m}` at {:?}, first accessed in RPB {}",
+                            regions[k],
+                            rpb + 1
+                        ));
+                    }
+                    let inside = |&(start, len): &(u32, u32)| {
+                        start <= offset && offset + size <= start + len
+                    };
+                    if !view.mem_free[rpb].iter().any(inside) {
+                        return Err(format!(
+                            "(3) `{m}` at {:?} is not inside a free span: {x:?}",
+                            regions[k]
+                        ));
                     }
                 }
             }
+        }
+    }
+    if home.len() != ir.memories.len() {
+        return Err(format!(
+            "(3) only {} of {} memories accessed",
+            home.len(),
+            ir.memories.len()
+        ));
+    }
+    for (i, a) in regions.iter().enumerate() {
+        if let Some(b) = regions[i + 1..]
+            .iter()
+            .find(|b| a.0 == b.0 && a.1 < b.1 + b.2 && b.1 < a.1 + a.2)
+        {
+            return Err(format!("(3) regions {a:?} and {b:?} overlap"));
         }
     }
     Ok(())
@@ -143,11 +186,26 @@ fn arb_view() -> impl Strategy<Value = AllocView> {
         proptest::collection::vec(0u32..512, 1..3),
         Just(vec![300, RPB_MEM_SIZE / 2]),
     ];
+    // Span lengths, laid out in address order 8 buckets apart (a lone
+    // span starts at 0).
+    let spans = |lens: Vec<u32>| -> Vec<(u32, u32)> {
+        let mut at = 0;
+        lens.into_iter()
+            .map(|len| {
+                let span = (at, len);
+                at += len + 8;
+                span
+            })
+            .collect()
+    };
     (
         proptest::collection::vec(te, NUM_RPBS..NUM_RPBS + 1),
         proptest::collection::vec(mem, NUM_RPBS..NUM_RPBS + 1),
     )
-        .prop_map(|(te_free, mem_free)| AllocView { te_free, mem_free })
+        .prop_map(move |(te_free, lens)| AllocView {
+            te_free,
+            mem_free: lens.into_iter().map(spans).collect(),
+        })
 }
 
 fn arb_objective() -> impl Strategy<Value = Objective> {
@@ -183,7 +241,7 @@ proptest! {
         let fast = allocate(&ir, &view, &fast_cfg);
         let reference = alloc_reference::solve(&ir, &view, &fast_cfg);
         if let Ok(f) = &fast {
-            let valid = check_assignment(&ir, &view, 44, &f.x);
+            let valid = check_assignment(&ir, &view, 44, &f.x, &f.regions);
             prop_assert!(valid.is_ok(), "fast solver broke the model: {}", valid.unwrap_err());
             // Where the fast solver runs out of budget, the reference —
             // which visits a superset of its nodes — cannot have finished.
@@ -226,6 +284,9 @@ proptest! {
                     "fast x_L worse: {:?} vs {:?}", f.x, r.x,
                 );
                 prop_assert_eq!(f.passes, r.passes);
+                if f.x == r.x {
+                    prop_assert_eq!(&f.regions, &r.regions);
+                }
                 prop_assert!(
                     f.nodes_explored <= r.nodes_explored,
                     "pruned solver explored more nodes: {} vs {}",

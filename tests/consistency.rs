@@ -78,8 +78,8 @@ fn packets_interleaved_with_install_see_old_or_new_only() {
 fn packets_interleaved_with_removal_see_new_or_gone_only() {
     let mut base = Controller::with_defaults().unwrap();
     base.deploy(&cache_source()).unwrap();
-    let handles = base.program("cache").unwrap().handles.clone();
-    let batches = plan_remove(&handles);
+    let installed = base.program("cache").unwrap();
+    let batches = plan_remove(&installed.image, &installed.handles);
     let ops: Vec<ControlOp> = batches.into_iter().flat_map(|b| b.ops).collect();
 
     for k in 0..=ops.len() {

@@ -33,7 +33,11 @@ pub fn solve(ir: &ProgramIr, view: &AllocView, cfg: &AllocConfig) -> CompileResu
         max_index,
         te_free: view.te_free.clone(),
         te_used: vec![0; NUM_RPBS],
-        mem_free: view.mem_free.clone(),
+        mem_free: view
+            .mem_free
+            .iter()
+            .map(|s| s.iter().map(|&(_, len)| len).collect())
+            .collect(),
         mem_placed: HashMap::new(),
         nodes: 0,
         truncated_solves: 0,
@@ -101,8 +105,7 @@ pub fn solve(ir: &ProgramIr, view: &AllocView, cfg: &AllocConfig) -> CompileResu
             reason: format!("no feasible placement for {} levels", l),
         }),
         Some((x, objective_value)) => {
-            // Recompute memory placement for the winning assignment.
-            let mem_rpb = solver.placement_for(&x);
+            let regions = solver.placement_for(&x, ir, view);
             let passes = x
                 .iter()
                 .map(|&xi| LogicalRpb::from_index(xi).pass())
@@ -111,7 +114,7 @@ pub fn solve(ir: &ProgramIr, view: &AllocView, cfg: &AllocConfig) -> CompileResu
                 + 1;
             Ok(Allocation {
                 x,
-                mem_rpb,
+                regions,
                 passes,
                 objective_value,
                 nodes_explored: nodes,
@@ -285,16 +288,31 @@ impl Solver<'_> {
         }
     }
 
-    /// Reconstruct the vmem → RPB mapping implied by an assignment.
-    fn placement_for(&self, x: &[u16]) -> HashMap<String, RpbId> {
-        let mut out = HashMap::new();
+    /// The region of each of `ir.memories` under an assignment: the
+    /// search's first fit again, level by level, carving each memory from
+    /// the front of a copy of the view's spans.
+    fn placement_for(&self, x: &[u16], ir: &ProgramIr, view: &AllocView) -> Vec<(RpbId, u32, u32)> {
+        let mut spans = view.mem_free.clone();
+        let mut placed: HashMap<&str, (RpbId, u32, u32)> = HashMap::new();
         for (slot, req) in self.reqs.iter().enumerate() {
             let rpb = LogicalRpb::from_index(x[slot]).rpb();
             for vmem in &req.mems {
-                out.entry(vmem.clone()).or_insert(rpb);
+                if placed.contains_key(vmem.as_str()) {
+                    continue;
+                }
+                let size = self.sizes[vmem];
+                let span = spans[usize::from(rpb.0) - 1]
+                    .iter_mut()
+                    .find(|(_, len)| *len >= size)
+                    .expect("the search placed it");
+                placed.insert(vmem, (rpb, span.0, size));
+                *span = (span.0 + size, span.1 - size);
             }
         }
-        out
+        ir.memories
+            .iter()
+            .map(|m| placed[m.name.as_str()])
+            .collect()
     }
 }
 
