@@ -6,7 +6,8 @@
 //!
 //! ```text
 //! deploy <inline source…>      link a program (source until end of line;
-//!                              use \n escapes or `deploy-file` in shells)
+//!                              use \n escapes, or `deploy-many <file…>`
+//!                              in shells)
 //! deploy-many <file…>          link many source files, in order
 //! revoke <name>                unlink a program
 //! revoke-many <name…>          unlink many programs, in order
@@ -48,11 +49,12 @@
 //!                              `--workers > 1` runs traffic on the sharded
 //!                              multi-worker engine under deploy churn;
 //!                              `--slo-*` arms the campaign watchdog
-//! serve <addr> [--max-clients <n>] [--queue <n>] [--rate <r>] [--timeout-ns <n>]
+//! serve <addr> [--max-clients <n>] [--rate <r>] [--timeout-ns <n>]
 //!                              run the persistent multi-client runtime-
 //!                              control server (line-framed JSON over TCP,
-//!                              batching, backpressure; blocks until a
-//!                              client sends `shutdown`; docs/SERVER.md)
+//!                              one thread per session, explicit refusals;
+//!                              blocks until a client sends `shutdown`;
+//!                              docs/SERVER.md)
 //! client <addr> <op> [...]     one-shot loopback client for `serve`:
 //!                              ping | status | metrics | trace | shutdown
 //!                              | deploy <src…> | revoke <name> | raw <json>
@@ -593,12 +595,12 @@ impl Cli {
         Ok(format!("{}:{}[{addr}] = {value}", parts[0], parts[1]))
     }
 
-    /// `serve <addr> [--max-clients <n>] [--queue <n>] [--rate <r>]
-    /// [--timeout-ns <n>]`: run the persistent runtime-control server.
+    /// `serve <addr> [--max-clients <n>] [--rate <r>] [--timeout-ns <n>]`:
+    /// run the persistent runtime-control server.
     /// Blocks the calling thread until a client sends `shutdown`.
     fn serve_cmd(&mut self, rest: &str) -> String {
-        const USAGE: &str = "usage: serve <addr> [--max-clients <n>] [--queue <n>] \
-                             [--rate <r>] [--timeout-ns <n>]";
+        const USAGE: &str =
+            "usage: serve <addr> [--max-clients <n>] [--rate <r>] [--timeout-ns <n>]";
         let parts: Vec<&str> = rest.split_whitespace().collect();
         let Some(addr) = parts.first().copied() else {
             return USAGE.to_string();
@@ -613,10 +615,6 @@ impl Cli {
                 "--max-clients" => match value.parse::<usize>() {
                     Ok(n) if n > 0 => cfg.max_clients = n,
                     _ => return format!("bad client limit `{value}` for `--max-clients`"),
-                },
-                "--queue" => match value.parse::<usize>() {
-                    Ok(n) if n > 0 => cfg.queue_depth = n,
-                    _ => return format!("bad queue depth `{value}` for `--queue`"),
                 },
                 "--rate" => match value.parse::<u64>() {
                     Ok(n) if n > 0 => cfg.rate = Some(n),
@@ -884,7 +882,7 @@ fn parse_ipv4(s: &str) -> Option<u32> {
     Some(u32::from_be_bytes(octets))
 }
 
-const HELP: &str = "commands: deploy <src> | deploy-many <file...> | revoke <name> | revoke-many <name...> | update <name> <src> | programs | status [--metrics|--json] | mem <prog> <mem> | memwrite <prog> <mem> <addr> <val> | trace <on [cap]|off|status|dump|journeys|export [path]> | replay [--packets <n>] [--flows <n>] [--workers <n>] [--seed <n>] | top [--once] | metrics export [path|-] | watchdog <arm [--drop-ppm <n>] [--deploy-faults <n>] [--p99-ns <n>]|status|disarm> | series <on [cap]|status> | chaos run [--seed <n>] [--faults <spec>] [--steps <n>] [--programs <n>] [--workers <n>] [--slo-drop-ppm <n>] [--slo-deploy-faults <n>] [--slo-p99-ns <n>] | serve <addr> [--max-clients <n>] [--queue <n>] [--rate <r>] [--timeout-ns <n>] | client <addr> <op> [...] | help";
+const HELP: &str = "commands: deploy <src> | deploy-many <file...> | revoke <name> | revoke-many <name...> | update <name> <src> | programs | status [--metrics|--json] | mem <prog> <mem> | memwrite <prog> <mem> <addr> <val> | trace <on [cap]|off|status|dump|journeys|export [path]> | replay [--packets <n>] [--flows <n>] [--workers <n>] [--seed <n>] | top [--once] | metrics export [path|-] | watchdog <arm [--drop-ppm <n>] [--deploy-faults <n>] [--p99-ns <n>]|status|disarm> | series <on [cap]|status> | chaos run [--seed <n>] [--faults <spec>] [--steps <n>] [--programs <n>] [--workers <n>] [--slo-drop-ppm <n>] [--slo-deploy-faults <n>] [--slo-p99-ns <n>] | serve <addr> [--max-clients <n>] [--rate <r>] [--timeout-ns <n>] | client <addr> <op> [...] | help";
 
 #[cfg(test)]
 mod tests {
@@ -1070,7 +1068,7 @@ mod tests {
         assert!(cli.exec("serve").starts_with("usage: serve"));
         assert!(cli.exec("serve 127.0.0.1:0 --max-clients x").starts_with("bad client limit `x`"));
         assert!(cli.exec("serve 127.0.0.1:0 --max-clients 0").starts_with("bad client limit `0`"));
-        assert!(cli.exec("serve 127.0.0.1:0 --queue nope").starts_with("bad queue depth `nope`"));
+        assert!(cli.exec("serve 127.0.0.1:0 --queue 8").contains("unknown flag `--queue`"));
         assert!(cli.exec("serve 127.0.0.1:0 --rate -1").starts_with("bad rate `-1`"));
         assert!(cli.exec("serve 127.0.0.1:0 --timeout-ns x").starts_with("bad timeout `x`"));
         assert!(cli.exec("serve 127.0.0.1:0 --rate").contains("missing value"));

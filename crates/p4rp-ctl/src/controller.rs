@@ -637,11 +637,11 @@ impl Controller {
         fresh
     }
 
-    /// Install/replace the runtime-control server counters (called by
-    /// `server::serve` at every service tick so `status --json` reads
-    /// fresh numbers even while the server is live).
-    pub(crate) fn set_server_stats(&mut self, stats: ServerStats) {
-        self.server_stats = Some(stats);
+    /// The runtime-control server counters, zeroed on first use.
+    /// `server::serve` updates them in place under its lock, so
+    /// `status --json` reads live numbers while the server runs.
+    pub(crate) fn server_stats_mut(&mut self) -> &mut ServerStats {
+        self.server_stats.get_or_insert_with(ServerStats::new)
     }
 
     /// Current telemetry epoch (number of lifecycle events so far).

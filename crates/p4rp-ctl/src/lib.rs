@@ -12,8 +12,9 @@
 //!   [`TelemetryReport`] joining control-side and packet-side series
 //!   (rendered by `status --metrics`, documented in `docs/TELEMETRY.md`);
 //! * [`server`] — the persistent multi-client runtime-control server
-//!   (line-framed JSON over TCP, requests executed in arrival order over
-//!   `deploy` / `revoke`, explicit backpressure; `docs/SERVER.md`).
+//!   (line-framed JSON over TCP, one thread per session running its own
+//!   requests under one controller lock, explicit refusals;
+//!   `docs/SERVER.md`).
 
 pub mod chaos;
 mod cli;

@@ -172,7 +172,7 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
             &[("outcome", "rejected".into())],
             sv.rejected_max_clients as f64,
         );
-        header(&mut out, "p4rp_server_requests_total", "Requests admitted to the service queue.", "counter");
+        header(&mut out, "p4rp_server_requests_total", "Requests parsed while the server was not draining.", "counter");
         sample(&mut out, "p4rp_server_requests_total", &[], sv.requests as f64);
         header(&mut out, "p4rp_server_responses_total", "Executed requests, by outcome.", "counter");
         sample(&mut out, "p4rp_server_responses_total", &[("outcome", "ok".into())], sv.responses_ok as f64);
@@ -188,9 +188,9 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         }
         header(&mut out, "p4rp_server_parse_errors_total", "Malformed request lines.", "counter");
         sample(&mut out, "p4rp_server_parse_errors_total", &[], sv.parse_errors as f64);
-        header(&mut out, "p4rp_server_batches_total", "Service ticks that executed operations.", "counter");
+        header(&mut out, "p4rp_server_batches_total", "Executed requests, one per critical section.", "counter");
         sample(&mut out, "p4rp_server_batches_total", &[], sv.batches as f64);
-        header(&mut out, "p4rp_server_batched_ops_total", "Operations coalesced into service ticks.", "counter");
+        header(&mut out, "p4rp_server_batched_ops_total", "Executed deploys and revokes.", "counter");
         sample(&mut out, "p4rp_server_batched_ops_total", &[("op", "deploy".into())], sv.batched_deploys as f64);
         sample(&mut out, "p4rp_server_batched_ops_total", &[("op", "revoke".into())], sv.batched_revokes as f64);
         header(&mut out, "p4rp_server_http_total", "One-shot HTTP scrape requests, by outcome.", "counter");

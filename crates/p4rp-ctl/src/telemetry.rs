@@ -265,35 +265,37 @@ pub struct ServerStats {
     /// Connections refused at accept because `max_clients` sessions were
     /// already live.
     pub rejected_max_clients: u64,
-    /// Requests admitted to the service queue.
+    /// Requests parsed while the server was not draining (executed, or
+    /// refused by the rate limit or the timeout).
     pub requests: u64,
     /// Responses whose operation executed successfully.
     pub responses_ok: u64,
     /// Responses whose operation executed and failed (e.g. a deploy the
     /// allocator refused) — distinct from rejections, which never execute.
     pub responses_err: u64,
-    /// Requests refused by backpressure (bounded in-flight queue full).
+    /// Always 0: each session runs one request at a time, so there is no
+    /// in-flight window to overflow. Kept for the report's schema.
     pub rejected_busy: u64,
     /// Requests refused by the per-client token-bucket rate limit.
     pub rejected_rate_limited: u64,
-    /// Requests that sat queued past their timeout before execution.
+    /// Requests that waited for the controller lock past their timeout.
     pub rejected_timeout: u64,
     /// Requests refused because the server was draining.
     pub rejected_draining: u64,
     /// Request lines that failed to parse (malformed JSON, unknown op,
     /// bad field types, longer than `server::MAX_LINE`).
     pub parse_errors: u64,
-    /// Service ticks that executed at least one operation.
+    /// Executed requests: each is its own critical section.
     pub batches: u64,
-    /// Deploys admitted to service ticks.
+    /// Executed deploys.
     pub batched_deploys: u64,
-    /// Revokes admitted to service ticks.
+    /// Executed revokes.
     pub batched_revokes: u64,
     /// One-shot HTTP `GET /metrics` scrapes answered `200 OK`.
     pub http_gets: u64,
     /// One-shot HTTP requests refused (`405` non-GET, `404` other path).
     pub http_rejected: u64,
-    /// Sim-clock submit→response latency over executed requests, ns.
+    /// Sim-clock read→response latency over executed requests, ns.
     pub request_latency: Histogram,
 }
 

@@ -44,7 +44,7 @@
 //! behind `p4rp-ctl`'s `trace dump` subcommand. `docs/TRACING.md` has the
 //! schema and a Perfetto how-to.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use crate::clock::Nanos;
 use crate::pipeline::Gress;
@@ -1644,66 +1644,84 @@ impl PacketJourney {
 /// Reconstruct one packet's journey from a causally ordered event slice.
 /// Returns `None` when no event of that packet is retained.
 pub fn journey(events: impl IntoIterator<Item = TraceEvent>, packet: u64) -> Option<PacketJourney> {
-    let mut j = PacketJourney {
-        packet,
-        port: None,
-        len: None,
-        flow: None,
-        passes: Vec::new(),
-        end: None,
-        epochs: Vec::new(),
-        truncated: false,
-    };
-    let mut seen = false;
+    let mut events = events.into_iter().filter(|ev| ev.kind.packet() == Some(packet));
+    let mut j = PacketJourney::starting_at(packet, events.next()?);
+    events.for_each(|ev| j.absorb(ev));
+    Some(j)
+}
+
+/// Group every retained journey by packet id, oldest packet first, in one
+/// pass over the events.
+pub fn journeys(events: impl IntoIterator<Item = TraceEvent>) -> Vec<PacketJourney> {
+    let mut out: Vec<PacketJourney> = Vec::new();
+    let mut index: HashMap<u64, usize> = HashMap::new();
     for ev in events {
-        if ev.kind.packet() != Some(packet) {
-            continue;
+        let Some(packet) = ev.kind.packet() else { continue };
+        match index.get(&packet) {
+            Some(&i) => out[i].absorb(ev),
+            None => {
+                index.insert(packet, out.len());
+                out.push(PacketJourney::starting_at(packet, ev));
+            }
         }
-        if !seen {
-            seen = true;
-            j.truncated = !matches!(ev.kind, TraceEventKind::PacketStart { .. });
-        }
-        if !j.epochs.contains(&ev.epoch) {
-            j.epochs.push(ev.epoch);
+    }
+    out
+}
+
+impl PacketJourney {
+    /// A journey opened by `first`, the packet's oldest retained event.
+    fn starting_at(packet: u64, first: TraceEvent) -> PacketJourney {
+        let mut j = PacketJourney {
+            packet,
+            port: None,
+            len: None,
+            flow: None,
+            passes: Vec::new(),
+            end: None,
+            epochs: Vec::new(),
+            truncated: !matches!(first.kind, TraceEventKind::PacketStart { .. }),
+        };
+        j.absorb(first);
+        j
+    }
+
+    /// Fold one of this packet's events into the journey.
+    fn absorb(&mut self, ev: TraceEvent) {
+        if !self.epochs.contains(&ev.epoch) {
+            self.epochs.push(ev.epoch);
         }
         match ev.kind {
             TraceEventKind::PacketStart { port, len, .. } => {
-                j.port = Some(port);
-                j.len = Some(len);
+                self.port = Some(port);
+                self.len = Some(len);
             }
             TraceEventKind::PacketFlow { src, dst, sport, dport, proto, .. } => {
-                j.flow = Some((src, dst, sport, dport, proto));
+                self.flow = Some((src, dst, sport, dport, proto));
             }
             TraceEventKind::PassBegin { pass, .. } => {
-                j.passes.push(JourneyPass { pass, ..JourneyPass::default() });
+                self.passes.push(JourneyPass { pass, ..JourneyPass::default() });
             }
             TraceEventKind::ParserPath { pass, bitmap, .. } => {
-                let p = last_pass(&mut j, pass);
-                p.bitmap = Some(bitmap);
+                last_pass(self, pass).bitmap = Some(bitmap);
             }
             TraceEventKind::TableLookup { gress, stage, hit, .. } => {
-                let p = last_pass(&mut j, 1);
-                p.lookups.push((gress, stage, hit));
+                last_pass(self, 1).lookups.push((gress, stage, hit));
             }
             TraceEventKind::ActionExecuted { gress, stage, .. } => {
-                let p = last_pass(&mut j, 1);
-                p.actions.push((gress, stage));
+                last_pass(self, 1).actions.push((gress, stage));
             }
             TraceEventKind::SaluRmw { gress, stage, wrote, .. } => {
-                let p = last_pass(&mut j, 1);
-                p.salus.push((gress, stage, wrote));
+                last_pass(self, 1).salus.push((gress, stage, wrote));
             }
             TraceEventKind::TmVerdict { pass, verdict, report, .. } => {
-                let p = last_pass(&mut j, pass);
-                p.verdict = Some((verdict, report));
+                last_pass(self, pass).verdict = Some((verdict, report));
             }
             TraceEventKind::PacketEnd { passes, dropped, .. } => {
-                j.end = Some((passes, dropped));
+                self.end = Some((passes, dropped));
             }
             _ => {}
         }
     }
-    seen.then_some(j)
 }
 
 /// The journey's current pass record, opening one when events arrive with
@@ -2126,20 +2144,6 @@ pub fn chrome_trace_json(events: impl IntoIterator<Item = TraceEvent>) -> String
     serde::json::to_string_pretty(&chrome_trace(events))
 }
 
-/// Group every retained journey by packet id, oldest packet first.
-pub fn journeys(events: impl IntoIterator<Item = TraceEvent> + Clone) -> Vec<PacketJourney> {
-    let mut ids: Vec<u64> = Vec::new();
-    let mut seen = BTreeMap::new();
-    for ev in events.clone() {
-        if let Some(p) = ev.kind.packet() {
-            if seen.insert(p, ()).is_none() {
-                ids.push(p);
-            }
-        }
-    }
-    ids.into_iter().filter_map(|p| journey(events.clone(), p)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2210,6 +2214,42 @@ mod tests {
 
         assert_eq!(journeys(t.events()).len(), 2);
         assert!(journey(t.events(), 99).is_none());
+    }
+
+    /// `journeys` groups in one pass what `journey` finds packet by packet:
+    /// the same journeys, oldest packet first, when packets interleave
+    /// event by event between control events and the ring has cut one
+    /// packet's head and another's tail.
+    #[test]
+    fn journeys_equals_journey_per_packet_in_first_seen_order() {
+        let mut t = TraceBuffer::new(TraceConfig { capacity: 256, ..TraceConfig::default() });
+        for packet in 1..=4 {
+            pkt_events(&mut t, packet);
+        }
+        let mut per_packet: Vec<Vec<TraceEvent>> = (1..=4)
+            .map(|p| t.events().filter(|e| e.kind.packet() == Some(p)).collect())
+            .collect();
+        per_packet[0].drain(..2);
+        per_packet[2].truncate(3);
+        let mut evs = Vec::new();
+        for round in 0..7 {
+            for p in [3, 0, 2, 1] {
+                evs.extend(per_packet[p].get(round).map(|&e| TraceEvent { epoch: round as u64, ..e }));
+            }
+            evs.push(TraceEvent {
+                seq: 0,
+                t_ns: 0,
+                epoch: round as u64,
+                kind: TraceEventKind::EpochBump { epoch: round as u64 },
+            });
+        }
+        let got = journeys(evs.iter().copied());
+        let want: Vec<PacketJourney> =
+            [4, 1, 3, 2].iter().map(|&p| journey(evs.iter().copied(), p).unwrap()).collect();
+        assert_eq!(got, want);
+        assert_eq!(got.iter().map(|j| j.truncated).collect::<Vec<_>>(), [false, true, false, false]);
+        assert_eq!((got[2].end, got[3].end), (None, Some((1, false))));
+        assert_eq!(got[3].epochs, (0..7).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   and one revoke of `cache`, in each channel mode, exactly;
 //! * trace events of 1 000 warm NetCache-mix frames with telemetry,
 //!   attribution and the ring on (`p4rp_bench`'s `trace.events_per_frame`),
-//!   exactly, and the ring's bytes per event of capacity, as a ceiling.
+//!   exactly, the ring's bytes per event of capacity, as a ceiling, and the
+//!   events one `journeys` call pulls from the ring (the retained ones),
+//!   exactly.
 //!
 //! The counting allocator is `tests/zero_alloc.rs`'s
 //! (`support/counting_alloc.rs`): this binary's own, counting per thread.
@@ -26,7 +28,7 @@ use p4runpro::p4rp_compiler::alloc::{allocate, AllocConfig, AllocView};
 use p4runpro::p4rp_compiler::ir::{lower, MemDecl};
 use p4runpro::p4rp_dataplane::{RPB_MEM_SIZE, RPB_TABLE_SIZE};
 use p4runpro::p4rp_progs::{instance, Family, WorkloadParams};
-use p4runpro::rmt_sim::trace::TraceConfig;
+use p4runpro::rmt_sim::trace::{journeys, TraceConfig};
 use p4runpro::traffic::{make_flows, netcache_frame};
 use p4runpro::{parse, Controller};
 use std::collections::hash_map::DefaultHasher;
@@ -203,7 +205,7 @@ fn a_cache_deploy_and_revoke_cost_a_fixed_number_of_rpcs_ops_events_and_spans() 
 /// contract, so this moves only when a hook is added or removed on purpose.
 ///
 /// And the ring's bytes per event of capacity: one slot, 40 bytes. A ratchet
-/// — it may only go down.
+/// — it may only go down. And `journeys` over that ring is one pass.
 #[test]
 fn observed_netcache_frames_record_a_fixed_number_of_trace_events_into_40_byte_slots() {
     const CAPACITY: u64 = 4096;
@@ -247,6 +249,14 @@ fn observed_netcache_frames_record_a_fixed_number_of_trace_events_into_40_byte_s
     inject(&mut ctl, 1000);
     let events = ctl.trace().unwrap().recorded() - before;
     assert_eq!(events, 40_400, "trace events of 1 000 observed frames");
+
+    // Journey reconstruction reads the ring once, however many packets it
+    // holds: one `journeys` call pulls exactly the retained events.
+    let trace = ctl.trace().unwrap();
+    let mut pulled = 0;
+    let packets = journeys(trace.events().inspect(|_| pulled += 1)).len();
+    assert!(packets > 1, "{packets} journeys");
+    assert_eq!(pulled, trace.stats().retained, "events pulled by one `journeys` call");
 }
 
 /// The 128-resident plane `p4rp_bench`'s `deploy_deep` churns over: the
