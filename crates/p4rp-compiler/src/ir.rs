@@ -1,7 +1,8 @@
 //! Lowering: from the parsed AST to the depth-levelled intermediate form
 //! the allocator consumes.
 //!
-//! Four passes, mirroring §4.3 "Primitive Translation":
+//! Four steps, mirroring §4.3 "Primitive Translation", taken in one walk
+//! over the AST that places operations on their levels as it goes:
 //!
 //! 1. **Pseudo-primitive expansion** (Figure 14) — every pseudo primitive
 //!    becomes a sequence of hardware primitives; when a translation needs a
@@ -155,7 +156,7 @@ impl ProgramIr {
 /// enclosing source unit.
 pub fn lower(prog: &ProgramDecl, memories: &[MemDecl]) -> CompileResult<ProgramIr> {
     let referenced = prog.referenced_memories();
-    let mut mems = Vec::new();
+    let mut mems = Vec::with_capacity(referenced.len());
     for name in &referenced {
         match memories.iter().find(|m| &m.name == name) {
             Some(m) => mems.push(m.clone()),
@@ -164,28 +165,49 @@ pub fn lower(prog: &ProgramDecl, memories: &[MemDecl]) -> CompileResult<ProgramI
     }
 
     let mut ctx = Lowering { bit_cursor: 0, pair_cursor: 0 };
-    let low = ctx.expand_body(&prog.body, &[])?;
-    let levels = ctx.flatten(&low, (0, 0))?;
+    let mut placed = Vec::new();
+    ctx.lower_body(&prog.body, None, (0, 0), &mut placed)?;
 
     Ok(ProgramIr {
         name: prog.name.clone(),
         filters: prog.filters.iter().map(|f| (f.field.clone(), f.value, f.mask)).collect(),
         memories: mems,
-        levels,
+        levels: into_levels(placed),
     })
 }
 
-/// Expanded (pseudo-free) program tree.
-#[derive(Debug, Clone)]
-enum LowPrim {
-    Op(IrOp),
-    Branch { cases: Vec<LowCase> },
+/// Placed operations tagged with their depth level, relative to the body
+/// they were lowered from, in level order: depths run 0, 1, … without a
+/// gap (no level is ever empty), and within one level in the order
+/// `ProgramIr::levels` lists them.
+type Leveled = Vec<(u32, PlacedOp)>;
+
+/// The depth the next level of `out` starts at.
+fn next_depth(out: &Leveled) -> u32 {
+    out.last().map_or(0, |(d, _)| d + 1)
 }
 
-#[derive(Debug, Clone)]
-struct LowCase {
-    conds: RegConds,
-    body: Vec<LowPrim>,
+/// Place `op` under `cond` on a level of its own.
+fn emit(out: &mut Leveled, cond: (u16, u16), op: IrOp) {
+    out.push((next_depth(out), PlacedOp::plain(cond, op)));
+}
+
+/// Group a whole program's placed operations into `ProgramIr::levels`.
+fn into_levels(placed: Leveled) -> Vec<Vec<PlacedOp>> {
+    let mut levels: Vec<Vec<PlacedOp>> =
+        placed.chunk_by(|a, b| a.0 == b.0).map(|level| Vec::with_capacity(level.len())).collect();
+    for (depth, op) in placed {
+        levels[depth as usize].push(op);
+    }
+    levels
+}
+
+/// What runs after a primitive, for register-lifetime analysis: the rest
+/// of its own body, then whatever runs after that body (the continuation
+/// of the enclosing `BRANCH`).
+struct Cont<'a> {
+    rest: &'a [Primitive],
+    outer: Option<&'a Cont<'a>>,
 }
 
 struct Lowering {
@@ -196,96 +218,159 @@ struct Lowering {
 const REG_MAX: u32 = u32::MAX;
 
 impl Lowering {
-    /// Pass 1+2: expand pseudo primitives and insert offset steps.
-    /// `outer_cont` is the continuation after the current body (for
-    /// register-lifetime analysis across case boundaries).
-    fn expand_body(
+    /// The four steps of the module docs over one body, in one walk: each
+    /// primitive is expanded (pseudo primitives, offset steps) straight
+    /// onto levels of its own under `cond`; a `BRANCH` places one
+    /// `SetBranch` per case on one level, lowers each case under its
+    /// label, aligns the cases' memory accesses and merges them level by
+    /// level. `outer` is what runs after `body`.
+    fn lower_body(
         &mut self,
         body: &[Primitive],
-        outer_cont: &[&Primitive],
-    ) -> CompileResult<Vec<LowPrim>> {
-        let mut out = Vec::new();
-        for (i, prim) in body.iter().enumerate() {
-            // Continuation seen from just after this primitive.
-            let cont: Vec<&Primitive> =
-                body[i + 1..].iter().chain(outer_cont.iter().copied()).collect();
-            match &prim.kind {
-                PrimitiveKind::Branch { cases } => {
-                    let mut low_cases = Vec::new();
-                    for case in cases {
-                        low_cases.push(LowCase {
-                            conds: case.conds,
-                            body: self.expand_body(&case.body, &cont)?,
-                        });
-                    }
-                    out.push(LowPrim::Branch { cases: low_cases });
+        outer: Option<&Cont<'_>>,
+        cond: (u16, u16),
+        out: &mut Leveled,
+    ) -> CompileResult<()> {
+        for (idx, prim) in body.iter().enumerate() {
+            let cont = Cont { rest: &body[idx + 1..], outer };
+            let PrimitiveKind::Branch { cases } = &prim.kind else {
+                self.expand(&prim.kind, &cont, cond, out);
+                continue;
+            };
+            let n = cases.len() as u32;
+            let width = 32 - n.leading_zeros(); // bits for labels 1..=n
+            let offset = self.bit_cursor;
+            self.bit_cursor += width;
+            if self.bit_cursor > 16 {
+                return Err(CompileError::BranchBitsExhausted { needed: self.bit_cursor });
+            }
+            let lvl_mask = ((1u32 << width) - 1) as u16;
+
+            // The branch level: one SetBranch entry per case.
+            let depth = next_depth(out);
+            let mut arms: Vec<Leveled> = Vec::with_capacity(cases.len() + 1);
+            for (i, case) in cases.iter().enumerate() {
+                let label = (i + 1) as u16;
+                out.push((
+                    depth,
+                    PlacedOp {
+                        branch: cond,
+                        regs: case.conds,
+                        priority: (cases.len() - i) as i32,
+                        op: IrOp::SetBranch { bits: label << offset },
+                    },
+                ));
+                let case_cond = (cond.0 | (label << offset), cond.1 | (lvl_mask << offset));
+                let mut arm = Vec::new();
+                self.lower_body(&case.body, Some(&cont), case_cond, &mut arm)?;
+                arms.push(arm);
+            }
+
+            // Figure 5's depth accounting: when everything after the
+            // BRANCH is a pure forwarding tail (the cache-miss `FORWARD`)
+            // *and every case takes its own forwarding verdict*, the tail
+            // becomes a *default branch* running in parallel with the
+            // cases at lower entry priority — case packets match their
+            // case entry instead, and the verdict they set
+            // (RETURN/DROP/FORWARD) governs at the traffic manager. If
+            // some case sets no verdict, the tail must run sequentially
+            // after the cases so those packets are still forwarded.
+            let tail = cont.rest;
+            let tail_is_fwd_only = !tail.is_empty()
+                && tail.iter().all(|p| is_forwarding(&p.kind))
+                && cases.iter().all(|c| body_forwards(&c.body));
+            if tail_is_fwd_only {
+                let mut arm = Vec::with_capacity(tail.len());
+                for p in tail {
+                    self.expand(&p.kind, &cont, cond, &mut arm);
                 }
-                other => {
-                    for op in self.expand_prim(other, &cont) {
-                        out.push(LowPrim::Op(op));
+                for (_, op) in &mut arm {
+                    op.priority = -1;
+                }
+                arms.push(arm);
+            }
+
+            align_memory(&mut arms);
+            // Level `j` of the merge is level `j` of every arm, in case
+            // order; each arm is in level order, so one pass drains it.
+            let len = arms.iter().map(next_depth).max().unwrap_or(0);
+            let mut arms: Vec<_> = arms.into_iter().map(|arm| arm.into_iter().peekable()).collect();
+            for j in 0..len {
+                for arm in &mut arms {
+                    while let Some((_, op)) = arm.next_if(|(d, _)| *d == j) {
+                        out.push((depth + 1 + j, op));
                     }
                 }
+            }
+            if tail_is_fwd_only {
+                break;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Expand one non-branch primitive into hardware operations.
-    fn expand_prim(&mut self, kind: &PrimitiveKind, cont: &[&Primitive]) -> Vec<IrOp> {
+    /// Expand one non-branch primitive into hardware operations (steps 1
+    /// and 2), each on a level of its own.
+    fn expand(&mut self, kind: &PrimitiveKind, cont: &Cont<'_>, cond: (u16, u16), out: &mut Leveled) {
         use IrOp as O;
-        match kind {
-            PrimitiveKind::Extract { field, reg } => {
-                vec![O::Extract { field: field.clone(), reg: *reg }]
-            }
-            PrimitiveKind::Modify { field, reg } => {
-                vec![O::Modify { field: field.clone(), reg: *reg }]
-            }
-            PrimitiveKind::Hash5Tuple => vec![O::Hash5Tuple],
-            PrimitiveKind::Hash => vec![O::HashHar],
-            PrimitiveKind::Hash5TupleMem { mem } => vec![O::Hash5TupleMem { mem: mem.clone() }],
-            PrimitiveKind::HashMem { mem } => vec![O::HashHarMem { mem: mem.clone() }],
-            PrimitiveKind::MemAdd { mem } => self.mem_pair(mem, MemOpKind::Add),
-            PrimitiveKind::MemSub { mem } => self.mem_pair(mem, MemOpKind::Sub),
-            PrimitiveKind::MemAnd { mem } => self.mem_pair(mem, MemOpKind::And),
-            PrimitiveKind::MemOr { mem } => self.mem_pair(mem, MemOpKind::Or),
-            PrimitiveKind::MemRead { mem } => self.mem_pair(mem, MemOpKind::Read),
-            PrimitiveKind::MemWrite { mem } => self.mem_pair(mem, MemOpKind::Write),
-            PrimitiveKind::MemMax { mem } => self.mem_pair(mem, MemOpKind::Max),
-            PrimitiveKind::LoadI { reg, imm } => vec![O::LoadI { reg: *reg, imm: *imm }],
-            PrimitiveKind::Add { a, b } => vec![alu(AluRROp::Add, *a, *b)],
-            PrimitiveKind::And { a, b } => vec![alu(AluRROp::And, *a, *b)],
-            PrimitiveKind::Or { a, b } => vec![alu(AluRROp::Or, *a, *b)],
-            PrimitiveKind::Max { a, b } => vec![alu(AluRROp::Max, *a, *b)],
-            PrimitiveKind::Min { a, b } => vec![alu(AluRROp::Min, *a, *b)],
-            PrimitiveKind::Xor { a, b } => vec![alu(AluRROp::Xor, *a, *b)],
+        let op = match kind {
+            PrimitiveKind::Extract { field, reg } => O::Extract { field: field.clone(), reg: *reg },
+            PrimitiveKind::Modify { field, reg } => O::Modify { field: field.clone(), reg: *reg },
+            PrimitiveKind::Hash5Tuple => O::Hash5Tuple,
+            PrimitiveKind::Hash => O::HashHar,
+            PrimitiveKind::Hash5TupleMem { mem } => O::Hash5TupleMem { mem: mem.clone() },
+            PrimitiveKind::HashMem { mem } => O::HashHarMem { mem: mem.clone() },
+            PrimitiveKind::MemAdd { mem } => return mem_pair(mem, MemOpKind::Add, cond, out),
+            PrimitiveKind::MemSub { mem } => return mem_pair(mem, MemOpKind::Sub, cond, out),
+            PrimitiveKind::MemAnd { mem } => return mem_pair(mem, MemOpKind::And, cond, out),
+            PrimitiveKind::MemOr { mem } => return mem_pair(mem, MemOpKind::Or, cond, out),
+            PrimitiveKind::MemRead { mem } => return mem_pair(mem, MemOpKind::Read, cond, out),
+            PrimitiveKind::MemWrite { mem } => return mem_pair(mem, MemOpKind::Write, cond, out),
+            PrimitiveKind::MemMax { mem } => return mem_pair(mem, MemOpKind::Max, cond, out),
+            PrimitiveKind::LoadI { reg, imm } => O::LoadI { reg: *reg, imm: *imm },
+            PrimitiveKind::Add { a, b } => alu(AluRROp::Add, *a, *b),
+            PrimitiveKind::And { a, b } => alu(AluRROp::And, *a, *b),
+            PrimitiveKind::Or { a, b } => alu(AluRROp::Or, *a, *b),
+            PrimitiveKind::Max { a, b } => alu(AluRROp::Max, *a, *b),
+            PrimitiveKind::Min { a, b } => alu(AluRROp::Min, *a, *b),
+            PrimitiveKind::Xor { a, b } => alu(AluRROp::Xor, *a, *b),
             // Pseudo primitives (Figure 14).
             PrimitiveKind::Move { a, b } => {
-                vec![O::LoadI { reg: *a, imm: 0 }, alu(AluRROp::Add, *a, *b)]
+                emit(out, cond, O::LoadI { reg: *a, imm: 0 });
+                alu(AluRROp::Add, *a, *b)
             }
-            PrimitiveKind::Equal { a, b } => vec![alu(AluRROp::Xor, *a, *b)],
+            PrimitiveKind::Equal { a, b } => alu(AluRROp::Xor, *a, *b),
             PrimitiveKind::Sgt { a, b } => {
-                vec![alu(AluRROp::Min, *a, *b), alu(AluRROp::Xor, *a, *b)]
+                emit(out, cond, alu(AluRROp::Min, *a, *b));
+                alu(AluRROp::Xor, *a, *b)
             }
             PrimitiveKind::Slt { a, b } => {
-                vec![alu(AluRROp::Max, *a, *b), alu(AluRROp::Xor, *a, *b)]
+                emit(out, cond, alu(AluRROp::Max, *a, *b));
+                alu(AluRROp::Xor, *a, *b)
             }
-            PrimitiveKind::AddI { reg, imm } => self.imm_expand(AluRROp::Add, *reg, *imm, cont),
-            PrimitiveKind::AndI { reg, imm } => self.imm_expand(AluRROp::And, *reg, *imm, cont),
-            PrimitiveKind::XorI { reg, imm } => self.imm_expand(AluRROp::Xor, *reg, *imm, cont),
+            PrimitiveKind::AddI { reg, imm } => {
+                return self.imm_expand(AluRROp::Add, *reg, *imm, cont, cond, out)
+            }
+            PrimitiveKind::AndI { reg, imm } => {
+                return self.imm_expand(AluRROp::And, *reg, *imm, cont, cond, out)
+            }
+            PrimitiveKind::XorI { reg, imm } => {
+                return self.imm_expand(AluRROp::Xor, *reg, *imm, cont, cond, out)
+            }
             PrimitiveKind::SubI { reg, imm } => {
                 // SUBI(A, i) = LOADI(C, m−i+1); ADD(A, C) — the two's
                 // complement of i, computable by the control plane.
-                self.imm_expand(AluRROp::Add, *reg, (*imm).wrapping_neg(), cont)
+                return self.imm_expand(AluRROp::Add, *reg, (*imm).wrapping_neg(), cont, cond, out);
             }
             PrimitiveKind::Not { reg } => {
-                self.imm_expand(AluRROp::Xor, *reg, REG_MAX, cont)
+                return self.imm_expand(AluRROp::Xor, *reg, REG_MAX, cont, cond, out)
             }
             PrimitiveKind::Sub { a, b } => {
                 // Corrected Figure 14 translation (see module docs):
                 // C = m; B ^= C (→ ~B); A += B; B ^= C (restore);
                 // C = 1; A += C.
                 let c = supportive(&[*a, *b]);
-                let seq = vec![
+                let seq = [
                     O::LoadI { reg: c, imm: REG_MAX },
                     alu(AluRROp::Xor, *b, c),
                     alu(AluRROp::Add, *a, *b),
@@ -293,152 +378,92 @@ impl Lowering {
                     O::LoadI { reg: c, imm: 1 },
                     alu(AluRROp::Add, *a, c),
                 ];
-                self.wrap_backup(c, seq, cont)
+                return self.guarded(c, seq, cont, cond, out);
             }
-            PrimitiveKind::Forward { port } => vec![O::Forward { port: *port }],
-            PrimitiveKind::Multicast { group } => vec![O::Multicast { group: *group }],
-            PrimitiveKind::Drop => vec![O::Drop],
-            PrimitiveKind::Return => vec![O::Return],
-            PrimitiveKind::Report => vec![O::Report],
-            PrimitiveKind::Nop => vec![O::Nop],
-            PrimitiveKind::Branch { .. } => unreachable!("handled by expand_body"),
-        }
-    }
-
-    fn mem_pair(&mut self, mem: &str, kind: MemOpKind) -> Vec<IrOp> {
-        vec![
-            IrOp::MemOffset { mem: mem.to_string(), kind },
-            IrOp::MemAccess { mem: mem.to_string(), kind },
-        ]
+            PrimitiveKind::Forward { port } => O::Forward { port: *port },
+            PrimitiveKind::Multicast { group } => O::Multicast { group: *group },
+            PrimitiveKind::Drop => O::Drop,
+            PrimitiveKind::Return => O::Return,
+            PrimitiveKind::Report => O::Report,
+            PrimitiveKind::Nop => O::Nop,
+            PrimitiveKind::Branch { .. } => unreachable!("handled by lower_body"),
+        };
+        emit(out, cond, op);
     }
 
     /// `A = op(A, immediate)` via a supportive register.
-    fn imm_expand(&mut self, op: AluRROp, a: Reg, imm: u32, cont: &[&Primitive]) -> Vec<IrOp> {
-        let c = pick_supportive(&[a], cont);
-        let seq = vec![IrOp::LoadI { reg: c, imm }, alu(op, a, c)];
-        self.wrap_backup(c, seq, cont)
+    fn imm_expand(
+        &mut self,
+        op: AluRROp,
+        a: Reg,
+        imm: u32,
+        cont: &Cont<'_>,
+        cond: (u16, u16),
+        out: &mut Leveled,
+    ) {
+        let c = pick_supportive(a, cont);
+        self.guarded(c, [IrOp::LoadI { reg: c, imm }, alu(op, a, c)], cont, cond, out);
     }
 
-    /// Backup/restore the supportive register around `seq` unless the
-    /// register-lifetime analysis proves it dead (§4.2).
-    fn wrap_backup(&mut self, c: Reg, seq: Vec<IrOp>, cont: &[&Primitive]) -> Vec<IrOp> {
-        if !is_live(c, cont) {
-            return seq;
+    /// `seq` with the supportive register `c` backed up before and
+    /// restored after, unless the register-lifetime analysis proves it
+    /// dead (§4.2).
+    fn guarded<const N: usize>(
+        &mut self,
+        c: Reg,
+        seq: [IrOp; N],
+        cont: &Cont<'_>,
+        cond: (u16, u16),
+        out: &mut Leveled,
+    ) {
+        let pair = is_live(c, cont).then(|| {
+            let pair = self.pair_cursor;
+            self.pair_cursor += 1;
+            pair
+        });
+        if let Some(pair) = pair {
+            emit(out, cond, IrOp::Backup { reg: c, pair });
         }
-        let pair = self.pair_cursor;
-        self.pair_cursor += 1;
-        let mut out = Vec::with_capacity(seq.len() + 2);
-        out.push(IrOp::Backup { reg: c, pair });
-        out.extend(seq);
-        out.push(IrOp::Restore { reg: c, pair });
-        out
-    }
-
-    /// Passes 3+4: branch bits, depth levels, memory alignment.
-    fn flatten(&mut self, body: &[LowPrim], cond: (u16, u16)) -> CompileResult<Vec<Vec<PlacedOp>>> {
-        let mut levels: Vec<Vec<PlacedOp>> = Vec::new();
-        let mut idx = 0usize;
-        while idx < body.len() {
-            let prim = &body[idx];
-            idx += 1;
-            match prim {
-                LowPrim::Op(op) => {
-                    levels.push(vec![PlacedOp::plain(cond, op.clone())]);
-                }
-                LowPrim::Branch { cases } => {
-                    let n = cases.len() as u32;
-                    let width = 32 - n.leading_zeros(); // bits for labels 1..=n
-                    let offset = self.bit_cursor;
-                    self.bit_cursor += width;
-                    if self.bit_cursor > 16 {
-                        return Err(CompileError::BranchBitsExhausted { needed: self.bit_cursor });
-                    }
-                    let lvl_mask = ((1u32 << width) - 1) as u16;
-
-                    // The branch level: one SetBranch entry per case.
-                    let mut branch_level = Vec::new();
-                    let mut case_levels: Vec<Vec<Vec<PlacedOp>>> = Vec::new();
-                    for (i, case) in cases.iter().enumerate() {
-                        let label = (i + 1) as u16;
-                        branch_level.push(PlacedOp {
-                            branch: cond,
-                            regs: case.conds,
-                            priority: (cases.len() - i) as i32,
-                            op: IrOp::SetBranch { bits: label << offset },
-                        });
-                        let case_cond = (
-                            cond.0 | (label << offset),
-                            cond.1 | (lvl_mask << offset),
-                        );
-                        case_levels.push(self.flatten(&case.body, case_cond)?);
-                    }
-
-                    // Figure 5's depth accounting: when everything after
-                    // the BRANCH is a pure forwarding tail (the cache-miss
-                    // `FORWARD`) *and every case takes its own forwarding
-                    // verdict*, the tail becomes a *default branch* running
-                    // in parallel with the cases at lower entry priority —
-                    // case packets match their case entry instead, and the
-                    // verdict they set (RETURN/DROP/FORWARD) governs at the
-                    // traffic manager. If some case sets no verdict, the
-                    // tail must run sequentially after the cases so those
-                    // packets are still forwarded.
-                    // A *verdict* decides the packet's fate at the traffic
-                    // manager; REPORT is a copy-to-CPU side effect, not a
-                    // verdict — a case ending in bare REPORT still needs
-                    // the tail's forwarding.
-                    fn body_forwards(body: &[LowPrim]) -> bool {
-                        body.iter().any(|p| match p {
-                            LowPrim::Op(op) => matches!(
-                                op,
-                                IrOp::Forward { .. }
-                                    | IrOp::Multicast { .. }
-                                    | IrOp::Drop
-                                    | IrOp::Return
-                            ),
-                            LowPrim::Branch { cases } => {
-                                cases.iter().all(|c| body_forwards(&c.body))
-                            }
-                        })
-                    }
-                    let tail = &body[idx..];
-                    let tail_is_fwd_only = !tail.is_empty()
-                        && tail.iter().all(|p| matches!(p, LowPrim::Op(op) if op.is_forwarding()))
-                        && cases.iter().all(|c| body_forwards(&c.body));
-                    if tail_is_fwd_only {
-                        let default_levels: Vec<Vec<PlacedOp>> = tail
-                            .iter()
-                            .map(|p| {
-                                let LowPrim::Op(op) = p else { unreachable!() };
-                                vec![PlacedOp {
-                                    branch: cond,
-                                    regs: RegConds::default(),
-                                    priority: -1,
-                                    op: op.clone(),
-                                }]
-                            })
-                            .collect();
-                        case_levels.push(default_levels);
-                        idx = body.len();
-                    }
-
-                    align_memory(&mut case_levels);
-                    levels.push(branch_level);
-                    let max_len = case_levels.iter().map(|c| c.len()).max().unwrap_or(0);
-                    for j in 0..max_len {
-                        let mut merged = Vec::new();
-                        for c in &mut case_levels {
-                            if j < c.len() {
-                                merged.append(&mut c[j]);
-                            }
-                        }
-                        levels.push(merged);
-                    }
-                }
-            }
+        for op in seq {
+            emit(out, cond, op);
         }
-        Ok(levels)
+        if let Some(pair) = pair {
+            emit(out, cond, IrOp::Restore { reg: c, pair });
+        }
     }
+}
+
+/// A memory access: its offset step, then the access.
+fn mem_pair(mem: &str, kind: MemOpKind, cond: (u16, u16), out: &mut Leveled) {
+    emit(out, cond, IrOp::MemOffset { mem: mem.to_string(), kind });
+    emit(out, cond, IrOp::MemAccess { mem: mem.to_string(), kind });
+}
+
+/// Does `kind` lower to a forwarding operation (`IrOp::is_forwarding`)?
+fn is_forwarding(kind: &PrimitiveKind) -> bool {
+    matches!(
+        kind,
+        PrimitiveKind::Forward { .. }
+            | PrimitiveKind::Multicast { .. }
+            | PrimitiveKind::Drop
+            | PrimitiveKind::Return
+            | PrimitiveKind::Report
+    )
+}
+
+/// Does every path through `body` take a forwarding verdict? A *verdict*
+/// decides the packet's fate at the traffic manager; REPORT is a
+/// copy-to-CPU side effect, not a verdict — a case ending in bare REPORT
+/// still needs the tail's forwarding.
+fn body_forwards(body: &[Primitive]) -> bool {
+    body.iter().any(|p| match &p.kind {
+        PrimitiveKind::Forward { .. }
+        | PrimitiveKind::Multicast { .. }
+        | PrimitiveKind::Drop
+        | PrimitiveKind::Return => true,
+        PrimitiveKind::Branch { cases } => cases.iter().all(|c| body_forwards(&c.body)),
+        _ => false,
+    })
 }
 
 fn alu(op: AluRROp, a: Reg, b: Reg) -> IrOp {
@@ -452,24 +477,27 @@ fn supportive(used: &[Reg]) -> Reg {
 
 /// For single-argument pseudos there are two candidates: prefer a dead one
 /// so no backup is needed.
-fn pick_supportive(used: &[Reg], cont: &[&Primitive]) -> Reg {
-    let candidates: Vec<Reg> = Reg::ALL.into_iter().filter(|r| !used.contains(r)).collect();
-    candidates
-        .iter()
-        .copied()
-        .find(|r| !is_live(*r, cont))
-        .unwrap_or(candidates[0])
+fn pick_supportive(used: Reg, cont: &Cont<'_>) -> Reg {
+    Reg::ALL
+        .into_iter()
+        .filter(|&r| r != used)
+        .find(|&r| !is_live(r, cont))
+        .unwrap_or_else(|| supportive(&[used]))
 }
 
 /// Register-lifetime analysis: is `r`'s current value read before being
 /// overwritten in the continuation?
-fn is_live(r: Reg, cont: &[&Primitive]) -> bool {
-    for prim in cont {
-        match access(&prim.kind, r) {
-            Access::Read => return true,
-            Access::Write => return false,
-            Access::None => continue,
+fn is_live(r: Reg, cont: &Cont<'_>) -> bool {
+    let mut next = Some(cont);
+    while let Some(c) = next {
+        for prim in c.rest {
+            match access(&prim.kind, r) {
+                Access::Read => return true,
+                Access::Write => return false,
+                Access::None => {}
+            }
         }
+        next = c.outer;
     }
     false
 }
@@ -599,76 +627,54 @@ fn access(kind: &PrimitiveKind, r: Reg) -> Access {
     }
 }
 
-/// Align memory accesses on the same virtual memory across sibling case
-/// level-lists by inserting NOP levels before the offset step (Fig. 5(b)).
-fn align_memory(cases: &mut [Vec<Vec<PlacedOp>>]) {
-    loop {
-        // Collect, per case, the ordered list of (level, vmem) accesses.
-        let accesses: Vec<Vec<(usize, String)>> = cases
-            .iter()
-            .map(|levels| {
-                levels
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(d, ops)| {
-                        ops.iter()
-                            .filter_map(move |p| p.op.mem_access().map(|m| (d, m.to_string())))
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // For every vmem and occurrence index, find the per-case depths.
-        let mut fix: Option<(usize, usize, usize)> = None; // (case, level, pad)
-        let mut vmems: Vec<String> =
-            accesses.iter().flatten().map(|(_, m)| m.clone()).collect();
-        vmems.sort();
-        vmems.dedup();
-        'outer: for vmem in &vmems {
-            let per_case: Vec<Vec<usize>> = accesses
-                .iter()
-                .map(|list| {
-                    list.iter().filter(|(_, m)| m == vmem).map(|(d, _)| *d).collect()
-                })
-                .collect();
-            let max_occ = per_case.iter().map(|v| v.len()).max().unwrap_or(0);
-            for occ in 0..max_occ {
-                let depths: Vec<(usize, usize)> = per_case
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ci, v)| v.get(occ).map(|d| (ci, *d)))
-                    .collect();
-                if let Some(&(_, max_d)) = depths.iter().max_by_key(|(_, d)| *d) {
-                    if let Some(&(ci, d)) = depths.iter().find(|(_, d)| *d < max_d) {
-                        fix = Some((ci, d, max_d - d));
-                        break 'outer;
-                    }
-                }
-            }
+/// Align memory accesses on the same virtual memory across sibling arms
+/// by inserting NOP levels before the offset step (Fig. 5(b)), one
+/// misalignment at a time until none is left.
+fn align_memory(arms: &mut [Leveled]) {
+    while let Some((arm, access_level, pad)) = misalignment(arms) {
+        let ops = &mut arms[arm];
+        // The offset step sits directly before the access when present.
+        let offset_before = access_level > 0
+            && ops.iter().any(|(d, p)| {
+                *d == access_level - 1 && matches!(p.op, IrOp::MemOffset { .. })
+            });
+        let insert_at = if offset_before { access_level - 1 } else { access_level };
+        let cond = ops.iter().find(|(d, _)| *d == access_level).map_or((0, 0), |(_, p)| p.branch);
+        let pos = ops.partition_point(|(d, _)| *d < insert_at);
+        for (d, _) in &mut ops[pos..] {
+            *d += pad;
         }
+        let nops = (insert_at..insert_at + pad).map(|d| (d, PlacedOp::plain(cond, IrOp::Nop)));
+        ops.splice(pos..pos, nops);
+    }
+}
 
-        match fix {
-            None => break,
-            Some((case_idx, access_level, pad)) => {
-                // Insert NOP levels before the offset step (which sits
-                // directly before the access when present).
-                let levels = &mut cases[case_idx];
-                let insert_at = if access_level > 0
-                    && levels[access_level - 1]
-                        .iter()
-                        .any(|p| matches!(p.op, IrOp::MemOffset { .. }))
-                {
-                    access_level - 1
-                } else {
-                    access_level
-                };
-                let cond = levels[access_level]
-                    .first()
-                    .map(|p| p.branch)
-                    .unwrap_or((0, 0));
-                for _ in 0..pad {
-                    levels.insert(insert_at, vec![PlacedOp::plain(cond, IrOp::Nop)]);
-                }
+/// The first access to align: virtual memories in name order, the `k`-th
+/// access of each in turn, arms in case order — the first arm whose `k`-th
+/// access of the memory sits above the deepest arm's. Returns the arm, the
+/// access's level and how many levels it must move down.
+fn misalignment(arms: &[Leveled]) -> Option<(usize, u32, u32)> {
+    let mut after: Option<&str> = None;
+    loop {
+        let vmem = arms
+            .iter()
+            .flatten()
+            .filter_map(|(_, p)| p.op.mem_access())
+            .filter(|m| after.is_none_or(|a| *m > a))
+            .min()?;
+        after = Some(vmem);
+        for k in 0.. {
+            let kth = |arm: &Leveled| {
+                arm.iter().filter(|(_, p)| p.op.mem_access() == Some(vmem)).nth(k).map(|(d, _)| *d)
+            };
+            let Some(deepest) = arms.iter().filter_map(kth).max() else {
+                break;
+            };
+            let shallower = arms.iter().enumerate().find_map(|(i, arm)| {
+                kth(arm).filter(|&d| d < deepest).map(|d| (i, d, deepest - d))
+            });
+            if shallower.is_some() {
+                return shallower;
             }
         }
     }

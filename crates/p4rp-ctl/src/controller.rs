@@ -21,7 +21,7 @@ use p4rp_compiler::entrygen::{generate_cached, EntryGenCache, ProgramImage};
 use p4rp_compiler::ir::{lower, MemDecl, ProgramIr};
 use p4rp_compiler::CompileError;
 use p4rp_dataplane::{provision, Dataplane, RpbId, NUM_RPBS, RPB_MEM_SIZE};
-use p4rp_lang::{check, parse, CheckContext};
+use p4rp_lang::{check, parse, CheckContext, LangError, SourceUnit};
 use rmt_sim::clock::Nanos;
 use rmt_sim::control::{BatchOutcome, ControlChannel, LatencyModel};
 use rmt_sim::error::SimError;
@@ -987,6 +987,7 @@ impl Controller {
         let t0 = Instant::now();
         let unit = parse(source).map_err(CompileError::from)?;
         check(&unit, &self.check_ctx).map_err(CompileError::from)?;
+        self.check_filter_widths(&unit).map_err(CompileError::from)?;
         let parse_wall = t0.elapsed();
         let mems: Vec<MemDecl> = unit
             .annotations
@@ -995,6 +996,36 @@ impl Controller {
             .collect();
         let irs = unit.programs.iter().map(|p| lower(p, &mems)).collect::<Result<_, _>>()?;
         Ok((irs, parse_wall))
+    }
+
+    /// Every filter literal must fit its field: the initialization table
+    /// matches the field's bits only, so a wider value or mask would
+    /// install a filter other than the one written. Fields the checker
+    /// already refused are skipped.
+    fn check_filter_widths(&self, unit: &SourceUnit) -> Result<(), Vec<LangError>> {
+        let mut errs = Vec::new();
+        for prog in &unit.programs {
+            for f in &prog.filters {
+                let Some(id) = self.dp.fields.lookup(&f.field) else {
+                    continue;
+                };
+                let bits = self.switch.field_table().spec(id).bits;
+                for (what, v) in [("value", f.value), ("mask", f.mask)] {
+                    if bits < 64 && v >> bits != 0 {
+                        errs.push(LangError::check(
+                            format!("filter {what} {v} exceeds the {bits}-bit field `{}`", f.field),
+                            prog.line,
+                            1,
+                        ));
+                    }
+                }
+            }
+        }
+        if errs.is_empty() {
+            Ok(())
+        } else {
+            Err(errs)
+        }
     }
 
     /// Commit compiled programs one after another, best-effort: an error

@@ -55,6 +55,34 @@ fn a_full_recirculation_block_refuses_the_deploy_and_leaks_nothing() {
     refused_without_a_trace(&mut ctl, TWO_PASS, |e| matches!(e, CompileError::InitTableFull { .. }));
 }
 
+#[test]
+fn filter_literals_wider_than_their_field_are_refused_before_any_grant() {
+    // Truncated to 16 bits, these would install port 4464 and mask 0xffff.
+    for (filter, want) in [
+        (
+            "<hdr.udp.dst_port, 70000, 0xffff>",
+            "check error at 1:1: filter value 70000 exceeds the 16-bit field `hdr.udp.dst_port`",
+        ),
+        (
+            "<hdr.udp.dst_port, 7, 0x1ffff>",
+            "check error at 1:1: filter mask 131071 exceeds the 16-bit field `hdr.udp.dst_port`",
+        ),
+    ] {
+        let mut ctl = Controller::with_defaults().unwrap();
+        let source = format!("program r({filter}) {{ FORWARD(1); }}");
+        refused_without_a_trace(&mut ctl, &source, |e| {
+            matches!(e, CompileError::Lang(errs) if errs.len() == 1)
+        });
+        let Err(CtlError::Compile(CompileError::Lang(errs))) = ctl.deploy(&source) else {
+            unreachable!("refused above");
+        };
+        assert_eq!(errs[0].to_string(), want);
+    }
+    // The widest literals that fit are accepted.
+    let mut ctl = Controller::with_defaults().unwrap();
+    ctl.deploy("program r(<hdr.udp.dst_port, 0xffff, 0xffff>) { FORWARD(1); }").unwrap();
+}
+
 /// A controller whose every RPB is free only in holes of the given sizes,
 /// in address order, 8 buckets apart; the rest is taken by no program.
 /// Returns the taken ballast regions too.

@@ -4,122 +4,86 @@
 //! the idiomatic Rust equivalent). Handles `//` line comments, `/* … */`
 //! block comments, decimal/hex/binary integers, IPv4 address literals, and
 //! dotted identifiers.
+//!
+//! Tokens borrow the source: an identifier is a `&str` slice of it, and
+//! numbers and addresses are converted where they stand, so scanning
+//! allocates only the token vector (and a message on error).
 
 use crate::error::LangError;
 use crate::token::{Token, TokenKind};
 
 /// Tokenize a P4runpro source string.
-pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LangError> {
-    let mut tokens = Vec::new();
+pub(crate) fn lex(src: &str) -> Result<Vec<Token<'_>>, LangError> {
+    // Catalog sources run at about four bytes a token: one allocation
+    // for the common case, amortized growth past it.
+    let mut tokens = Vec::with_capacity(src.len() / 4 + 1);
     let bytes = src.as_bytes();
     let mut i = 0usize;
+    // Positions are 1-based; a column counts bytes from the line's start.
     let mut line: u32 = 1;
-    let mut col: u32 = 1;
-
-    macro_rules! bump {
-        () => {{
-            if bytes[i] == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            i += 1;
-        }};
-    }
+    let mut line_start = 0usize;
 
     while i < bytes.len() {
-        let c = bytes[i];
-        let (tline, tcol) = (line, col);
-        match c {
-            b' ' | b'\t' | b'\r' | b'\n' => bump!(),
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
+        let (tline, tcol) = (line, (i - line_start + 1) as u32);
+        // One-byte punctuation: step past it and name it.
+        macro_rules! punct {
+            ($kind:ident) => {{
+                i += 1;
+                TokenKind::$kind
+            }};
+        }
+        let kind = match bytes[i] {
+            b'\n' => {
+                i += 1;
+                line += 1;
+                line_start = i;
+                continue;
+            }
+            b' ' | b'\t' | b'\r' => {
+                i = run(bytes, i, |b| matches!(b, b' ' | b'\t' | b'\r'));
+                continue;
+            }
+            b'@' => punct!(At),
+            b'(' => punct!(LParen),
+            b')' => punct!(RParen),
+            b'{' => punct!(LBrace),
+            b'}' => punct!(RBrace),
+            b'<' => punct!(Lt),
+            b'>' => punct!(Gt),
+            b',' => punct!(Comma),
+            b';' => punct!(Semi),
+            b':' => punct!(Colon),
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                i = run(bytes, i, |b| b != b'\n');
+                continue;
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                let Some(len) = src[i + 2..].find("*/") else {
+                    return Err(LangError::lex("unterminated block comment", tline, tcol));
+                };
+                let end = i + 2 + len + 2;
+                for (at, _) in bytes[i..end].iter().enumerate().filter(|(_, &b)| b == b'\n') {
+                    line += 1;
+                    line_start = i + at + 1;
                 }
-            }
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
-                bump!();
-                bump!();
-                loop {
-                    if i + 1 >= bytes.len() {
-                        return Err(LangError::lex("unterminated block comment", tline, tcol));
-                    }
-                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        bump!();
-                        bump!();
-                        break;
-                    }
-                    bump!();
-                }
-            }
-            b'@' => {
-                tokens.push(Token { kind: TokenKind::At, line: tline, col: tcol });
-                bump!();
-            }
-            b'(' => {
-                tokens.push(Token { kind: TokenKind::LParen, line: tline, col: tcol });
-                bump!();
-            }
-            b')' => {
-                tokens.push(Token { kind: TokenKind::RParen, line: tline, col: tcol });
-                bump!();
-            }
-            b'{' => {
-                tokens.push(Token { kind: TokenKind::LBrace, line: tline, col: tcol });
-                bump!();
-            }
-            b'}' => {
-                tokens.push(Token { kind: TokenKind::RBrace, line: tline, col: tcol });
-                bump!();
-            }
-            b'<' => {
-                tokens.push(Token { kind: TokenKind::Lt, line: tline, col: tcol });
-                bump!();
-            }
-            b'>' => {
-                tokens.push(Token { kind: TokenKind::Gt, line: tline, col: tcol });
-                bump!();
-            }
-            b',' => {
-                tokens.push(Token { kind: TokenKind::Comma, line: tline, col: tcol });
-                bump!();
-            }
-            b';' => {
-                tokens.push(Token { kind: TokenKind::Semi, line: tline, col: tcol });
-                bump!();
-            }
-            b':' => {
-                tokens.push(Token { kind: TokenKind::Colon, line: tline, col: tcol });
-                bump!();
+                i = end;
+                continue;
             }
             b'0'..=b'9' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'.' || bytes[i] == b'_')
-                {
-                    bump!();
-                }
-                let text = &src[start..i];
-                tokens.push(Token { kind: number_or_addr(text, tline, tcol)?, line: tline, col: tcol });
+                i = run(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_');
+                number_or_addr(&src[start..i], tline, tcol)?
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric()
-                        || bytes[i] == b'.'
-                        || bytes[i] == b'_'
-                        || bytes[i] == b'$')
-                {
-                    bump!();
-                }
-                let text = &src[start..i];
-                let kind = match text {
+                i = run(bytes, i, |b| {
+                    b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'$'
+                });
+                match &src[start..i] {
                     "program" => TokenKind::KwProgram,
                     "case" => TokenKind::KwCase,
-                    _ => TokenKind::Ident(text.to_string()),
-                };
-                tokens.push(Token { kind, line: tline, col: tcol });
+                    text => TokenKind::Ident(text),
+                }
             }
             other => {
                 return Err(LangError::lex(
@@ -128,51 +92,58 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                     tcol,
                 ));
             }
-        }
+        };
+        tokens.push(Token { kind, line: tline, col: tcol });
     }
+    let col = (bytes.len() - line_start + 1) as u32;
     tokens.push(Token { kind: TokenKind::Eof, line, col });
     Ok(tokens)
 }
 
+/// The end of the run of bytes from `from` on that are in `class`.
+fn run(bytes: &[u8], from: usize, class: impl Fn(u8) -> bool) -> usize {
+    bytes[from..].iter().position(|&b| !class(b)).map_or(bytes.len(), |n| from + n)
+}
+
 /// Classify a digit-initial token: IPv4 address (contains dots), or an
-/// integer in decimal / `0x` / `0b` notation.
-fn number_or_addr(text: &str, line: u32, col: u32) -> Result<TokenKind, LangError> {
+/// integer in decimal / `0x` / `0b` notation (either case, `_` separators
+/// anywhere after the prefix).
+fn number_or_addr(text: &str, line: u32, col: u32) -> Result<TokenKind<'_>, LangError> {
     if text.contains('.') {
-        let parts: Vec<&str> = text.split('.').collect();
-        if parts.len() != 4 {
-            return Err(LangError::lex(format!("malformed address `{text}`"), line, col));
-        }
+        let malformed = || LangError::lex(format!("malformed address `{text}`"), line, col);
         let mut v: u32 = 0;
-        for p in parts {
-            let octet: u32 = p
-                .parse()
-                .ok()
-                .filter(|&o| o <= 255)
-                .ok_or_else(|| LangError::lex(format!("malformed address `{text}`"), line, col))?;
+        let mut parts = 0;
+        for p in text.split('.') {
+            parts += 1;
+            let octet: u32 = p.parse().ok().filter(|&o| o <= 255).ok_or_else(malformed)?;
             v = (v << 8) | octet;
         }
-        return Ok(TokenKind::IpAddr(v));
+        return if parts == 4 { Ok(TokenKind::IpAddr(v)) } else { Err(malformed()) };
     }
-    let lower = text.to_ascii_lowercase();
-    
-    let (digits, radix) = if let Some(rest) = lower.strip_prefix("0x") {
-        (rest, 16)
-    } else if let Some(rest) = lower.strip_prefix("0b") {
-        (rest, 2)
-    } else {
-        (lower.as_str(), 10)
+    let malformed = || LangError::lex(format!("malformed integer `{text}`"), line, col);
+    let (digits, radix) = match text.as_bytes() {
+        [b'0', b'x' | b'X', rest @ ..] => (rest, 16),
+        [b'0', b'b' | b'B', rest @ ..] => (rest, 2),
+        all => (all, 10),
     };
-    let cleaned: String = digits.replace('_', "");
-    u64::from_str_radix(&cleaned, radix)
+    let mut digits = digits.iter().filter(|&&d| d != b'_').peekable();
+    if digits.peek().is_none() {
+        return Err(malformed());
+    }
+    digits
+        .try_fold(0u64, |v, &d| {
+            let digit = char::from(d).to_digit(radix)?;
+            v.checked_mul(u64::from(radix))?.checked_add(u64::from(digit))
+        })
         .map(TokenKind::Int)
-        .map_err(|_| LangError::lex(format!("malformed integer `{text}`"), line, col))
+        .ok_or_else(malformed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -182,7 +153,7 @@ mod tests {
             kinds("program p ( ) { } ;"),
             vec![
                 TokenKind::KwProgram,
-                TokenKind::Ident("p".into()),
+                TokenKind::Ident("p"),
                 TokenKind::LParen,
                 TokenKind::RParen,
                 TokenKind::LBrace,
@@ -222,7 +193,7 @@ mod tests {
     fn dotted_identifiers() {
         assert_eq!(
             kinds("hdr.udp.dst_port"),
-            vec![TokenKind::Ident("hdr.udp.dst_port".into()), TokenKind::Eof]
+            vec![TokenKind::Ident("hdr.udp.dst_port"), TokenKind::Eof]
         );
     }
 
@@ -231,9 +202,9 @@ mod tests {
         assert_eq!(
             kinds("a // line\n b /* block\n over lines */ c"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
                 TokenKind::Eof,
             ]
         );
@@ -266,7 +237,7 @@ mod tests {
         "#;
         let toks = lex(src).unwrap();
         assert!(toks.iter().any(|t| t.kind == TokenKind::At));
-        assert!(toks.iter().any(|t| t.kind == TokenKind::Ident("EXTRACT".into())));
+        assert!(toks.iter().any(|t| t.kind == TokenKind::Ident("EXTRACT")));
         assert!(toks.iter().any(|t| t.kind == TokenKind::Int(7777)));
         assert!(toks.iter().any(|t| t.kind == TokenKind::Int(0xffff)));
     }

@@ -15,6 +15,10 @@
 //! Conditions support both the positional form of the grammar (`<value,
 //! mask>` in har/sar/mar order) and the named form the paper's example
 //! programs use (`<sar, 0, 0xffffffff>`, Figures 16/17).
+//!
+//! The parser walks the lexer's tokens by reference; the tokens borrow the
+//! source, so the only allocations are the `String`s and `Vec`s the AST
+//! keeps (and a message on error).
 
 use crate::ast::*;
 use crate::error::LangError;
@@ -35,34 +39,46 @@ const MAX_NESTING: usize = 64;
 /// Parse a full source unit.
 pub fn parse(src: &str) -> Result<SourceUnit, LangError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser { tokens: &tokens, pos: 0, depth: 0 };
     p.source_unit()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'t, 's> {
+    /// The lexed source; never empty, the last token is `Eof`.
+    tokens: &'t [Token<'s>],
     pos: usize,
     /// `case` blocks enclosing the current position.
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> &Token<'s> {
+        &self.tokens[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Step past the current token; `Eof` is never stepped past.
+    fn advance(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, LangError> {
-        let t = self.peek().clone();
-        if &t.kind == kind {
-            Ok(self.advance())
+    /// Step past the current token if it is `kind`.
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
+        let hit = self.peek().kind == kind;
+        if hit {
+            self.advance();
+        }
+        hit
+    }
+
+    /// The current token, which must be `kind`; returns its position.
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(u32, u32), LangError> {
+        let t = self.peek();
+        if t.kind == kind {
+            let at = (t.line, t.col);
+            self.advance();
+            Ok(at)
         } else {
             Err(LangError::parse(
                 format!("expected {}, found {}", kind.describe(), t.kind.describe()),
@@ -72,8 +88,8 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, u32, u32), LangError> {
-        let t = self.peek().clone();
+    fn expect_ident(&mut self) -> Result<(&'s str, u32, u32), LangError> {
+        let t = *self.peek();
         match t.kind {
             TokenKind::Ident(name) => {
                 self.advance();
@@ -87,24 +103,22 @@ impl Parser {
         }
     }
 
-    /// An integer or IPv4-address literal, as a u64.
-    fn expect_value(&mut self) -> Result<u64, LangError> {
-        let t = self.peek().clone();
-        match t.kind {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(v)
+    /// An integer or IPv4-address literal, as a u64, with its position.
+    fn expect_value(&mut self) -> Result<(u64, u32, u32), LangError> {
+        let t = *self.peek();
+        let v = match t.kind {
+            TokenKind::Int(v) => v,
+            TokenKind::IpAddr(v) => u64::from(v),
+            other => {
+                return Err(LangError::parse(
+                    format!("expected value, found {}", other.describe()),
+                    t.line,
+                    t.col,
+                ))
             }
-            TokenKind::IpAddr(v) => {
-                self.advance();
-                Ok(u64::from(v))
-            }
-            other => Err(LangError::parse(
-                format!("expected value, found {}", other.describe()),
-                t.line,
-                t.col,
-            )),
-        }
+        };
+        self.advance();
+        Ok((v, t.line, t.col))
     }
 
     fn source_unit(&mut self) -> Result<SourceUnit, LangError> {
@@ -119,182 +133,188 @@ impl Parser {
             let t = self.peek();
             return Err(LangError::parse("expected at least one `program`", t.line, t.col));
         }
-        self.expect(&TokenKind::Eof)?;
+        self.expect(TokenKind::Eof)?;
         Ok(unit)
     }
 
     fn annotation(&mut self) -> Result<Annotation, LangError> {
-        let at = self.expect(&TokenKind::At)?;
+        let (line, _) = self.expect(TokenKind::At)?;
         let (name, ..) = self.expect_ident()?;
-        let size = self.expect_value()?;
-        Ok(Annotation { name, size, line: at.line })
+        let (size, ..) = self.expect_value()?;
+        Ok(Annotation { name: name.to_string(), size, line })
     }
 
     fn program(&mut self) -> Result<ProgramDecl, LangError> {
-        let kw = self.expect(&TokenKind::KwProgram)?;
+        let (line, _) = self.expect(TokenKind::KwProgram)?;
         let (name, ..) = self.expect_ident()?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut filters = vec![self.filter()?];
-        while self.peek().kind == TokenKind::Comma {
-            self.advance();
+        while self.eat(TokenKind::Comma) {
             filters.push(self.filter()?);
         }
-        self.expect(&TokenKind::RParen)?;
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::LBrace)?;
         let body = self.primitive_list()?;
-        self.expect(&TokenKind::RBrace)?;
-        Ok(ProgramDecl { name, filters, body, line: kw.line })
+        self.expect(TokenKind::RBrace)?;
+        Ok(ProgramDecl { name: name.to_string(), filters, body, line })
     }
 
     fn filter(&mut self) -> Result<Filter, LangError> {
-        self.expect(&TokenKind::Lt)?;
+        self.expect(TokenKind::Lt)?;
         let (field, ..) = self.expect_ident()?;
-        self.expect(&TokenKind::Comma)?;
-        let value = self.expect_value()?;
-        self.expect(&TokenKind::Comma)?;
-        let mask = self.expect_value()?;
-        self.expect(&TokenKind::Gt)?;
-        Ok(Filter { field, value, mask })
+        self.expect(TokenKind::Comma)?;
+        let (value, ..) = self.expect_value()?;
+        self.expect(TokenKind::Comma)?;
+        let (mask, ..) = self.expect_value()?;
+        self.expect(TokenKind::Gt)?;
+        Ok(Filter { field: field.to_string(), value, mask })
     }
 
     fn primitive_list(&mut self) -> Result<Vec<Primitive>, LangError> {
         let mut out = Vec::new();
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::RBrace | TokenKind::Eof => break,
                 // Stray semicolons between primitives are tolerated (the
                 // example programs end case lists with `};`).
-                TokenKind::Semi => {
-                    self.advance();
-                }
+                TokenKind::Semi => self.advance(),
                 _ => out.push(self.primitive()?),
             }
         }
         Ok(out)
     }
 
+    /// `( IDENTIFIER ) ;` — a memory primitive's argument, owned.
+    fn mem_arg(&mut self) -> Result<String, LangError> {
+        self.expect(TokenKind::LParen)?;
+        let (mem, ..) = self.expect_ident()?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::Semi)?;
+        Ok(mem.to_string())
+    }
+
+    /// `( register , value ) ;` with the value bounded to 32 bits.
+    fn reg_imm_args(&mut self, line: u32, col: u32) -> Result<(Reg, u32), LangError> {
+        self.expect(TokenKind::LParen)?;
+        let reg = self.reg()?;
+        self.expect(TokenKind::Comma)?;
+        let (imm64, ..) = self.expect_value()?;
+        let imm = u32::try_from(imm64).map_err(|_| {
+            LangError::parse(format!("immediate {imm64} exceeds 32 bits"), line, col)
+        })?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::Semi)?;
+        Ok((reg, imm))
+    }
+
+    /// `( register , register ) ;`
+    fn reg_reg_args(&mut self) -> Result<(Reg, Reg), LangError> {
+        self.expect(TokenKind::LParen)?;
+        let a = self.reg()?;
+        self.expect(TokenKind::Comma)?;
+        let b = self.reg()?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::Semi)?;
+        Ok((a, b))
+    }
+
+    /// `( value ) ;` with the value bounded to 16 bits.
+    fn u16_arg(&mut self, line: u32, col: u32) -> Result<u16, LangError> {
+        self.expect(TokenKind::LParen)?;
+        let (v64, ..) = self.expect_value()?;
+        let v = u16::try_from(v64)
+            .map_err(|_| LangError::parse(format!("value {v64} exceeds 16 bits"), line, col))?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::Semi)?;
+        Ok(v)
+    }
+
     fn primitive(&mut self) -> Result<Primitive, LangError> {
+        use PrimitiveKind as P;
         let (name, line, col) = self.expect_ident()?;
-        let kind = match name.as_str() {
+        let kind = match name {
             "BRANCH" => {
-                self.expect(&TokenKind::Colon)?;
+                self.expect(TokenKind::Colon)?;
                 let mut cases = Vec::new();
                 while self.peek().kind == TokenKind::KwCase {
                     cases.push(self.case()?);
-                    if self.peek().kind == TokenKind::Semi {
-                        self.advance();
-                    }
+                    self.eat(TokenKind::Semi);
                 }
                 if cases.is_empty() {
                     return Err(LangError::parse("BRANCH requires at least one case", line, col));
                 }
-                PrimitiveKind::Branch { cases }
+                P::Branch { cases }
             }
-            "DROP" => self.bare(PrimitiveKind::Drop)?,
-            "RETURN" => self.bare(PrimitiveKind::Return)?,
-            "REPORT" => self.bare(PrimitiveKind::Report)?,
-            "HASH_5_TUPLE" => self.bare(PrimitiveKind::Hash5Tuple)?,
-            "HASH" => self.bare(PrimitiveKind::Hash)?,
-            "NOP" => self.bare(PrimitiveKind::Nop)?,
+            "DROP" => self.bare(P::Drop)?,
+            "RETURN" => self.bare(P::Return)?,
+            "REPORT" => self.bare(P::Report)?,
+            "HASH_5_TUPLE" => self.bare(P::Hash5Tuple)?,
+            "HASH" => self.bare(P::Hash)?,
+            "NOP" => self.bare(P::Nop)?,
             "EXTRACT" | "MODIFY" => {
-                let (args_line, args_col) = (line, col);
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let (field, ..) = self.expect_ident()?;
-                self.expect(&TokenKind::Comma)?;
+                self.expect(TokenKind::Comma)?;
                 let reg = self.reg()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
+                self.expect(TokenKind::RParen)?;
+                self.expect(TokenKind::Semi)?;
+                let field = field.to_string();
                 if name == "EXTRACT" {
-                    PrimitiveKind::Extract { field, reg }
+                    P::Extract { field, reg }
                 } else {
-                    let _ = (args_line, args_col);
-                    PrimitiveKind::Modify { field, reg }
+                    P::Modify { field, reg }
                 }
             }
-            "HASH_5_TUPLE_MEM" | "HASH_MEM" | "MEMADD" | "MEMSUB" | "MEMAND" | "MEMOR"
-            | "MEMREAD" | "MEMWRITE" | "MEMMAX" => {
-                self.expect(&TokenKind::LParen)?;
-                let (mem, ..) = self.expect_ident()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
-                match name.as_str() {
-                    "HASH_5_TUPLE_MEM" => PrimitiveKind::Hash5TupleMem { mem },
-                    "HASH_MEM" => PrimitiveKind::HashMem { mem },
-                    "MEMADD" => PrimitiveKind::MemAdd { mem },
-                    "MEMSUB" => PrimitiveKind::MemSub { mem },
-                    "MEMAND" => PrimitiveKind::MemAnd { mem },
-                    "MEMOR" => PrimitiveKind::MemOr { mem },
-                    "MEMREAD" => PrimitiveKind::MemRead { mem },
-                    "MEMWRITE" => PrimitiveKind::MemWrite { mem },
-                    "MEMMAX" => PrimitiveKind::MemMax { mem },
-                    _ => unreachable!(),
-                }
-            }
+            "HASH_5_TUPLE_MEM" => P::Hash5TupleMem { mem: self.mem_arg()? },
+            "HASH_MEM" => P::HashMem { mem: self.mem_arg()? },
+            "MEMADD" => P::MemAdd { mem: self.mem_arg()? },
+            "MEMSUB" => P::MemSub { mem: self.mem_arg()? },
+            "MEMAND" => P::MemAnd { mem: self.mem_arg()? },
+            "MEMOR" => P::MemOr { mem: self.mem_arg()? },
+            "MEMREAD" => P::MemRead { mem: self.mem_arg()? },
+            "MEMWRITE" => P::MemWrite { mem: self.mem_arg()? },
+            "MEMMAX" => P::MemMax { mem: self.mem_arg()? },
             "LOADI" | "ADDI" | "ANDI" | "XORI" | "SUBI" => {
-                self.expect(&TokenKind::LParen)?;
-                let reg = self.reg()?;
-                self.expect(&TokenKind::Comma)?;
-                let imm64 = self.expect_value()?;
-                let imm = u32::try_from(imm64).map_err(|_| {
-                    LangError::parse(format!("immediate {imm64} exceeds 32 bits"), line, col)
-                })?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
-                match name.as_str() {
-                    "LOADI" => PrimitiveKind::LoadI { reg, imm },
-                    "ADDI" => PrimitiveKind::AddI { reg, imm },
-                    "ANDI" => PrimitiveKind::AndI { reg, imm },
-                    "XORI" => PrimitiveKind::XorI { reg, imm },
-                    "SUBI" => PrimitiveKind::SubI { reg, imm },
-                    _ => unreachable!(),
+                let (reg, imm) = self.reg_imm_args(line, col)?;
+                match name {
+                    "LOADI" => P::LoadI { reg, imm },
+                    "ADDI" => P::AddI { reg, imm },
+                    "ANDI" => P::AndI { reg, imm },
+                    "XORI" => P::XorI { reg, imm },
+                    _ => P::SubI { reg, imm },
                 }
             }
             "ADD" | "AND" | "OR" | "MAX" | "MIN" | "XOR" | "MOVE" | "SUB" | "EQUAL" | "SGT"
             | "SLT" => {
-                self.expect(&TokenKind::LParen)?;
-                let a = self.reg()?;
-                self.expect(&TokenKind::Comma)?;
-                let b = self.reg()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
-                match name.as_str() {
-                    "ADD" => PrimitiveKind::Add { a, b },
-                    "AND" => PrimitiveKind::And { a, b },
-                    "OR" => PrimitiveKind::Or { a, b },
-                    "MAX" => PrimitiveKind::Max { a, b },
-                    "MIN" => PrimitiveKind::Min { a, b },
-                    "XOR" => PrimitiveKind::Xor { a, b },
-                    "MOVE" => PrimitiveKind::Move { a, b },
-                    "SUB" => PrimitiveKind::Sub { a, b },
-                    "EQUAL" => PrimitiveKind::Equal { a, b },
-                    "SGT" => PrimitiveKind::Sgt { a, b },
-                    "SLT" => PrimitiveKind::Slt { a, b },
-                    _ => unreachable!(),
+                let (a, b) = self.reg_reg_args()?;
+                match name {
+                    "ADD" => P::Add { a, b },
+                    "AND" => P::And { a, b },
+                    "OR" => P::Or { a, b },
+                    "MAX" => P::Max { a, b },
+                    "MIN" => P::Min { a, b },
+                    "XOR" => P::Xor { a, b },
+                    "MOVE" => P::Move { a, b },
+                    "SUB" => P::Sub { a, b },
+                    "EQUAL" => P::Equal { a, b },
+                    "SGT" => P::Sgt { a, b },
+                    _ => P::Slt { a, b },
                 }
             }
             "NOT" => {
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let reg = self.reg()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
-                PrimitiveKind::Not { reg }
+                self.expect(TokenKind::RParen)?;
+                self.expect(TokenKind::Semi)?;
+                P::Not { reg }
             }
-            "FORWARD" | "MULTICAST" => {
-                self.expect(&TokenKind::LParen)?;
-                let v64 = self.expect_value()?;
-                let v = u16::try_from(v64).map_err(|_| {
-                    LangError::parse(format!("value {v64} exceeds 16 bits"), line, col)
-                })?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
-                if name == "FORWARD" {
-                    PrimitiveKind::Forward { port: v }
-                } else {
-                    if v == 0 {
-                        return Err(LangError::parse("multicast group 0 is reserved", line, col));
-                    }
-                    PrimitiveKind::Multicast { group: v }
+            "FORWARD" => P::Forward { port: self.u16_arg(line, col)? },
+            "MULTICAST" => {
+                let group = self.u16_arg(line, col)?;
+                if group == 0 {
+                    return Err(LangError::parse("multicast group 0 is reserved", line, col));
                 }
+                P::Multicast { group }
             }
             other => {
                 return Err(LangError::parse(format!("unknown primitive `{other}`"), line, col));
@@ -305,54 +325,60 @@ impl Parser {
 
     /// A primitive with no arguments followed by `;`.
     fn bare(&mut self, kind: PrimitiveKind) -> Result<PrimitiveKind, LangError> {
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         Ok(kind)
     }
 
     fn reg(&mut self) -> Result<Reg, LangError> {
         let (name, line, col) = self.expect_ident()?;
-        Reg::from_name(&name).ok_or_else(|| {
+        Reg::from_name(name).ok_or_else(|| {
             LangError::parse(format!("expected register (har/sar/mar), found `{name}`"), line, col)
         })
     }
 
     fn case(&mut self) -> Result<Case, LangError> {
-        let kw = self.expect(&TokenKind::KwCase)?;
+        let (line, col) = self.expect(TokenKind::KwCase)?;
         if self.depth == MAX_NESTING {
             return Err(LangError::parse(
                 format!("case blocks nested deeper than {MAX_NESTING}"),
-                kw.line,
-                kw.col,
+                line,
+                col,
             ));
         }
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut conds = RegConds::default();
         let mut positional_idx = 0usize;
         loop {
             self.condition(&mut conds, &mut positional_idx)?;
-            if self.peek().kind == TokenKind::Comma {
-                self.advance();
-            } else {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(&TokenKind::RParen)?;
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::LBrace)?;
         self.depth += 1;
         let body = self.primitive_list()?;
         self.depth -= 1;
-        self.expect(&TokenKind::RBrace)?;
-        Ok(Case { conds, body, line: kw.line })
+        self.expect(TokenKind::RBrace)?;
+        Ok(Case { conds, body, line })
+    }
+
+    /// A condition literal: a register compares 32 bits, so a wider value
+    /// or mask is rejected where it is written rather than truncated.
+    fn cond_word(&mut self, what: &str) -> Result<u32, LangError> {
+        let (v, line, col) = self.expect_value()?;
+        u32::try_from(v).map_err(|_| {
+            LangError::parse(format!("condition {what} {v} exceeds 32 bits"), line, col)
+        })
     }
 
     /// Parse one `<…>` condition in named or positional form.
     fn condition(&mut self, conds: &mut RegConds, positional_idx: &mut usize) -> Result<(), LangError> {
-        let lt = self.expect(&TokenKind::Lt)?;
+        let (lt_line, lt_col) = self.expect(TokenKind::Lt)?;
         // Named form starts with a register identifier.
-        let reg = if let TokenKind::Ident(name) = &self.peek().kind {
-            let name = name.clone();
-            let t = self.peek().clone();
-            let Some(r) = Reg::from_name(&name) else {
+        let t = *self.peek();
+        let reg = if let TokenKind::Ident(name) = t.kind {
+            let Some(r) = Reg::from_name(name) else {
                 return Err(LangError::parse(
                     format!("expected register or value in condition, found `{name}`"),
                     t.line,
@@ -360,24 +386,24 @@ impl Parser {
                 ));
             };
             self.advance();
-            self.expect(&TokenKind::Comma)?;
+            self.expect(TokenKind::Comma)?;
             r
         } else {
             let r = *Reg::ALL.get(*positional_idx).ok_or_else(|| {
-                LangError::parse("too many positional conditions (max 3)", lt.line, lt.col)
+                LangError::parse("too many positional conditions (max 3)", lt_line, lt_col)
             })?;
             *positional_idx += 1;
             r
         };
-        let value = self.expect_value()? as u32;
-        self.expect(&TokenKind::Comma)?;
-        let mask = self.expect_value()? as u32;
-        self.expect(&TokenKind::Gt)?;
+        let value = self.cond_word("value")?;
+        self.expect(TokenKind::Comma)?;
+        let mask = self.cond_word("mask")?;
+        self.expect(TokenKind::Gt)?;
         if conds.get(reg).is_some() {
             return Err(LangError::parse(
                 format!("duplicate condition on register `{}`", reg.name()),
-                lt.line,
-                lt.col,
+                lt_line,
+                lt_col,
             ));
         }
         conds.set(reg, value, mask);
@@ -549,6 +575,23 @@ program p(<a, 1, 1>) {
     fn too_many_positional_conditions_rejected() {
         let src = "program p(<a,1,1>) { BRANCH: case(<0,1>, <1,1>, <2,1>, <3,1>) { DROP; }; }";
         assert!(parse(src).is_err());
+    }
+
+    #[test]
+    fn case_literals_wider_than_32_bits_rejected_at_the_literal() {
+        // Truncated to 32 bits, both would compare as `<1, 0xffffffff>`.
+        let wide_value = "program p(<a,1,1>) { BRANCH: case(<har, 0x100000001, 0xffffffff>) { DROP; }; }";
+        assert_eq!(
+            parse(wide_value).unwrap_err(),
+            LangError::parse("condition value 4294967297 exceeds 32 bits", 1, 41)
+        );
+        let wide_mask = "program p(<a,1,1>) { BRANCH: case(<1, 0x1ffffffff>) { DROP; }; }";
+        assert_eq!(
+            parse(wide_mask).unwrap_err(),
+            LangError::parse("condition mask 8589934591 exceeds 32 bits", 1, 39)
+        );
+        let widest = "program p(<a,1,1>) { BRANCH: case(<sar, 0xffffffff, 0xffffffff>) { DROP; }; }";
+        assert_eq!(parse(widest).unwrap().programs[0].body.len(), 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Tokens of the P4runpro language.
 
-/// A lexical token with its source position (1-based line/column).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Token {
+/// A lexical token with its source position (1-based line/column). It
+/// borrows identifiers from the source it was scanned from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Token<'s> {
     /// Kind.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// 1-based source line.
     pub line: u32,
     /// 1-based source column.
@@ -14,14 +15,14 @@ pub(crate) struct Token {
 /// Token kinds. Primitive names are ordinary identifiers at the lexical
 /// level; the parser gives them meaning (matching how the paper's PLY-based
 /// scanner works).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TokenKind<'s> {
     /// `program` keyword.
     KwProgram,
     /// `case` keyword.
     KwCase,
     /// An identifier, possibly dotted (`hdr.udp.dst_port`, `mem1`, `har`).
-    Ident(String),
+    Ident(&'s str),
     /// An integer literal (decimal, `0x…`, or `0b…`).
     Int(u64),
     /// An IPv4 address literal (`10.0.0.0`), normalized to its u32 value.
@@ -50,7 +51,7 @@ pub(crate) enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Short human-readable description for diagnostics.
     pub(crate) fn describe(&self) -> String {
         match self {

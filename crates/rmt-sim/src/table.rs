@@ -162,23 +162,23 @@ impl TableEntry {
 #[derive(Debug, Clone)]
 struct StoredEntry {
     handle: EntryHandle,
-    seq: u64,
+    /// First-match precedence, fixed when the entry is stored: every
+    /// binary search and filing step of insert/delete compares it.
+    rank: Rank,
     entry: TableEntry,
 }
 
-/// First-match precedence rank (see [`StoredEntry::rank`]). Lower is
+/// First-match precedence rank (see [`StoredEntry::new`]). Lower is
 /// better; `seq` is unique per entry, so the order is strict.
 type Rank = (i64, i64, u64);
 
 impl StoredEntry {
-    /// Total order of first-match precedence: priority desc, LPM length
-    /// desc, insertion order asc. `seq` is unique, so the order is strict.
-    fn rank(&self) -> Rank {
-        (
-            -i64::from(self.entry.priority),
-            -i64::from(self.entry.lpm_sum()),
-            self.seq,
-        )
+    /// Rank by the total order of first-match precedence: priority desc,
+    /// LPM length desc, insertion order (`seq`) asc. `seq` is unique, so
+    /// the order is strict.
+    fn new(handle: EntryHandle, seq: u64, entry: TableEntry) -> StoredEntry {
+        let rank = (-i64::from(entry.priority), -i64::from(entry.lpm_sum()), seq);
+        StoredEntry { handle, rank, entry }
     }
 }
 
@@ -407,7 +407,7 @@ pub struct Table {
     /// so the indexes and the handle map can reference them by id.
     slots: Vec<Option<StoredEntry>>,
     free_slots: Vec<u32>,
-    /// Slot ids in first-match precedence order (see [`StoredEntry::rank`]),
+    /// Slot ids in first-match precedence order (see [`StoredEntry::new`]),
     /// maintained by binary-search insertion.
     order: Vec<u32>,
     by_handle: FxHashMap<EntryHandle, u32>,
@@ -606,19 +606,14 @@ impl Table {
             .collect()
     }
 
-    /// The masked key an entry hashes to within its tuple-space group.
-    fn tss_key<'a>(entry: &'a TableEntry, key_masks: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
-        entry.matches.iter().zip(key_masks).map(|(mv, m)| value_word(mv) & m)
-    }
-
     /// File a stored entry in its partition, building the partition's
     /// tuple-space groups when it outgrows the scan cutoff.
     fn tss_insert(tss: &mut TssIndex, slots: &[Option<StoredEntry>], slot: u32) {
         let live = |s: u32| slots[s as usize].as_ref().expect("live slot");
-        let rank = live(slot).rank();
+        let rank = live(slot).rank;
         let key = tss.partition_key(live(slot).entry.matches.iter().map(value_word));
         let part = tss.partitions.entry(key).or_default();
-        let pos = part.members.partition_point(|&s| live(s).rank() < rank);
+        let pos = part.members.partition_point(|&s| live(s).rank < rank);
         part.members.insert(pos, slot);
         let grouped = match part.members.len() {
             n if n <= TSS_SCAN_CUTOFF => &[][..],
@@ -626,7 +621,7 @@ impl Table {
             _ => std::slice::from_ref(&slot),
         };
         for &s in grouped {
-            Self::group_insert(&mut part.groups, &live(s).entry, live(s).rank(), s);
+            Self::group_insert(&mut part.groups, &live(s).entry, live(s).rank, s);
         }
     }
 
@@ -634,14 +629,14 @@ impl Table {
     /// partition when it empties and its groups when it shrinks back to
     /// the scan cutoff.
     fn tss_remove(tss: &mut TssIndex, slots: &[Option<StoredEntry>], stored: &StoredEntry, slot: u32) {
-        let rank = stored.rank();
+        let rank = stored.rank;
         let key = tss.partition_key(stored.entry.matches.iter().map(value_word));
         let Some(part) = tss.partitions.get_mut(&key) else {
             return;
         };
         // The only vacated member is the one being removed.
         let Ok(pos) = part.members.binary_search_by(|&s| {
-            slots[s as usize].as_ref().map_or(std::cmp::Ordering::Equal, |e| e.rank().cmp(&rank))
+            slots[s as usize].as_ref().map_or(std::cmp::Ordering::Equal, |e| e.rank.cmp(&rank))
         }) else {
             return;
         };
@@ -656,10 +651,26 @@ impl Table {
     }
 
     /// The group holding entries of `entry`'s effective mask tuple, if any.
+    /// The tuple is derived once, not once per group compared.
     fn group_of(groups: &[TssGroup], entry: &TableEntry) -> Option<usize> {
-        groups
-            .iter()
-            .position(|g| g.id.iter().zip(&entry.matches).all(|(em, mv)| *em == eff_mask(mv)))
+        let mut id = [EffMask::Range; MAX_INDEX_KEY_FIELDS];
+        for (em, mv) in id.iter_mut().zip(&entry.matches) {
+            *em = eff_mask(mv);
+        }
+        let id = &id[..entry.matches.len()];
+        groups.iter().position(|g| *g.id == *id)
+    }
+
+    /// The masked key an entry hashes to within a tuple-space group with
+    /// `key_masks` (its first `entry.matches.len()` words), built on the
+    /// stack: a bucket's boxed key is allocated only when the bucket is
+    /// created.
+    fn tss_key(entry: &TableEntry, key_masks: &[u64]) -> [u64; MAX_INDEX_KEY_FIELDS] {
+        let mut key = [0u64; MAX_INDEX_KEY_FIELDS];
+        for ((k, mv), m) in key.iter_mut().zip(&entry.matches).zip(key_masks) {
+            *k = value_word(mv) & m;
+        }
+        key
     }
 
     /// Hook an entry into a partition's tuple-space groups, creating its
@@ -690,7 +701,12 @@ impl Table {
             }
         };
         let g = &mut groups[gi];
-        let bucket = g.buckets.entry(Self::tss_key(entry, &g.key_masks).collect()).or_default();
+        let key = Self::tss_key(entry, &g.key_masks);
+        let key = &key[..entry.matches.len()];
+        if !g.buckets.contains_key(key) {
+            g.buckets.insert(key.into(), TssBucket::default());
+        }
+        let bucket = g.buckets.get_mut(key).expect("bucket filed above");
         let pos = match bucket.members.binary_search(&(rank, slot)) {
             Ok(p) | Err(p) => p,
         };
@@ -717,15 +733,12 @@ impl Table {
     /// group's best member left.
     fn group_remove(groups: &mut Vec<TssGroup>, stored: &StoredEntry, slot: u32) {
         let entry = &stored.entry;
-        let rank = stored.rank();
+        let rank = stored.rank;
         let Some(gi) = Self::group_of(groups, entry) else {
             return;
         };
         let g = &mut groups[gi];
-        let mut key = [0u64; MAX_INDEX_KEY_FIELDS];
-        for (k, w) in key.iter_mut().zip(Self::tss_key(entry, &g.key_masks)) {
-            *k = w;
-        }
+        let key = Self::tss_key(entry, &g.key_masks);
         let key = &key[..entry.matches.len()];
         let Some(bucket) = g.buckets.get_mut(key) else {
             return;
@@ -776,7 +789,7 @@ impl Table {
                 let Some(key) = Self::exact_key_of(&stored.entry) else {
                     return false;
                 };
-                let rank = stored.rank();
+                let rank = stored.rank;
                 match map.entry(key) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         v.insert(slot);
@@ -784,7 +797,7 @@ impl Table {
                     std::collections::hash_map::Entry::Occupied(mut o) => {
                         // Duplicate key tuple: keep the first-match winner.
                         let cur = *o.get();
-                        if rank < self.slots[cur as usize].as_ref().expect("live slot").rank() {
+                        if rank < self.slots[cur as usize].as_ref().expect("live slot").rank {
                             o.insert(slot);
                         }
                     }
@@ -917,8 +930,8 @@ impl Table {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let stored = StoredEntry { handle, seq, entry };
-        let rank = stored.rank();
+        let stored = StoredEntry::new(handle, seq, entry);
+        let rank = stored.rank;
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(stored);
@@ -933,7 +946,7 @@ impl Table {
         // compare + one shift, instead of re-sorting the whole table.
         let pos = self
             .order
-            .binary_search_by(|&s| self.slots[s as usize].as_ref().expect("live slot").rank().cmp(&rank))
+            .binary_search_by(|&s| self.stored(s).rank.cmp(&rank))
             .unwrap_err();
         self.order.insert(pos, slot);
         self.by_handle.insert(handle, slot);
@@ -949,10 +962,10 @@ impl Table {
             return Err(SimError::NoSuchEntry(handle.0));
         };
         // Ranks are unique, so the rank-sorted order finds the slot exactly.
-        let rank = self.stored(slot).rank();
+        let rank = self.stored(slot).rank;
         let pos = self
             .order
-            .binary_search_by(|&s| self.stored(s).rank().cmp(&rank))
+            .binary_search_by(|&s| self.stored(s).rank.cmp(&rank))
             .expect("slot in order");
         self.order.remove(pos);
         let stored = self.slots[slot as usize].take().expect("live slot");

@@ -12,7 +12,8 @@
 //!   the three deep programs, exactly;
 //! * heap allocations of one warm deploy of each `deploy_shallow` family
 //!   and of its revoke (`p4rp_bench`'s `ctl.allocs_per_deploy` counts the
-//!   deploy), as upper bounds;
+//!   deploy), as upper bounds, and of parsing and lowering `hll` (the
+//!   largest of them), exactly;
 //! * RPCs, control ops, trace events and lifecycle spans of one warm deploy
 //!   and one revoke of `cache`, in each channel mode, exactly;
 //! * trace events of 1 000 warm NetCache-mix frames with telemetry,
@@ -146,10 +147,36 @@ fn warm_shallow_deploys_and_revokes_stay_within_their_allocation_budgets() {
         revokes += allocations() - after_deploy;
     }
     assert!(
-        deploys <= 4239,
+        deploys <= 2708,
         "ctl.allocs_per_deploy: {deploys} allocations in seven deploys"
     );
     assert!(revokes <= 102, "{revokes} allocations in their revokes");
+}
+
+#[test]
+fn parsing_and_lowering_hll_cost_a_fixed_number_of_allocations() {
+    // The largest shallow program: 32 inelastic rank cases, 826 tokens.
+    let source = instance(family("hll"), 1, WorkloadParams::default());
+    let before = allocations();
+    let unit = parse(&source).unwrap();
+    let parsed = allocations() - before;
+    let mems: Vec<MemDecl> = unit
+        .annotations
+        .iter()
+        .map(|a| MemDecl {
+            name: a.name.clone(),
+            size: a.size as u32,
+        })
+        .collect();
+    let before = allocations();
+    let ir = lower(&unit.programs[0], &mems).unwrap();
+    let lowered = allocations() - before;
+    drop(ir);
+    assert_eq!(
+        (parsed, lowered),
+        (77, 121),
+        "allocations in hll's parse and lower"
+    );
 }
 
 /// `[RPCs, control ops, trace events, spans]` of whatever `ctl` recorded
