@@ -152,7 +152,7 @@ impl NativeCache {
     pub(crate) fn add_key(&mut self, key: u64, bucket: u32) -> SimResult<()> {
         let (k1, k2) = ((key >> 32), key & 0xffff_ffff);
         for (op, action) in [(0u64, 0usize), (1, 1)] {
-            self.switch.apply_op(&ControlOp::InsertEntry {
+            self.switch.apply_op(ControlOp::InsertEntry {
                 table: self.table,
                 entry: TableEntry {
                     matches: vec![
@@ -274,12 +274,12 @@ impl NativeLb {
 
     /// Fill bucket `i` with `(port, dip)`.
     pub fn set_bucket(&mut self, i: u32, port: u16, dip: u32) -> SimResult<()> {
-        self.switch.apply_op(&ControlOp::WriteReg {
+        self.switch.apply_op(ControlOp::WriteReg {
             array: self.ports,
             addr: i,
             value: u32::from(port),
         })?;
-        self.switch.apply_op(&ControlOp::WriteReg { array: self.dips, addr: i, value: dip })?;
+        self.switch.apply_op(ControlOp::WriteReg { array: self.dips, addr: i, value: dip })?;
         Ok(())
     }
 }

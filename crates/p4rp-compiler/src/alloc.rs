@@ -52,19 +52,23 @@
 //! 3. **Bounded DFS.** The search walks `D_i ∩ [lo_i, hi_i]` in ascending
 //!    order with every check of `try_place` in force, and an inner solve
 //!    ends at the first leaf that meets its pin's lower bound. The
-//!    objective loops skip a pin whose lower bound cannot strictly beat
-//!    the incumbent. Two sound prunes ride along: **suffix capacity**
-//!    (entries still to place against the total still free, O(1) per
-//!    node) and **free-slot dominance** (a level with no entries, no
-//!    memories, no forwarding and no same-pass pair — an alignment NOP —
-//!    only ever tries its smallest legal index).
+//!    objective loops skip a pin whose lower bound cannot beat the
+//!    incumbent; `f1` takes its pins best first (see
+//!    [`Solver::weighted_diff`]), so its first search usually settles it.
+//!    Two sound prunes ride along: **suffix capacity** (entries still to
+//!    place against the total still free, O(1) per node) and **free-slot
+//!    dominance** (a level with no entries, no memories, no forwarding and
+//!    no same-pass pair — an alignment NOP — only ever tries its smallest
+//!    legal index).
 //!
-//! Candidate order and the strict-improvement rule are those of the
-//! reference, so the assignment returned is the first minimum in the
-//! reference's order. The windows only remove candidates that lead to no
-//! leaf, or to none that improves. `node_budget` still bounds every inner
-//! solve; one that runs into it is counted in
-//! [`Allocation::truncated_solves`] instead of passing silently.
+//! Candidate order within a pin and the reference's choice between pins
+//! are kept, so the assignment returned is the reference's: the first
+//! minimum within a pin, and between pins the best score, ties going to
+//! the larger `x_1`. The windows only remove candidates that lead to no
+//! leaf, or to none that improves. Per-solve setup works on memory ids,
+//! not names. `node_budget` still bounds every inner solve; one that runs
+//! into it is counted in [`Allocation::truncated_solves`] instead of
+//! passing silently.
 //!
 //! The winning assignment's first-fit placement comes back as concrete
 //! regions ([`Allocation::regions`]): the only placement decision, which the
@@ -77,9 +81,8 @@
 //! assignment the reference finds.
 
 use crate::errors::{CompileError, CompileResult};
-use crate::ir::{IrOp, ProgramIr};
+use crate::ir::{IrOp, MemDecl, ProgramIr};
 use p4rp_dataplane::{LogicalRpb, RpbId, NUM_RPBS};
-use std::collections::HashMap;
 
 /// Per-level requirements extracted from the IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,36 +97,62 @@ pub struct SlotReq {
 
 /// Extract slot requirements and same-pass pairs from a lowered program.
 pub fn slot_requirements(ir: &ProgramIr) -> (Vec<SlotReq>, Vec<(usize, usize)>) {
+    let (reqs, pairs) = interned_requirements(ir);
+    let reqs = reqs
+        .into_iter()
+        .map(|r| SlotReq {
+            entries: r.entries,
+            mems: r.mems.iter().map(|&m| ir.memories[usize::from(m)].name.clone()).collect(),
+            is_forwarding: r.is_forwarding,
+        })
+        .collect();
+    (reqs, pairs)
+}
+
+/// [`slot_requirements`] with each memory as its index in `ir.memories`
+/// (lower declares every memory an op accesses there), a level's memories
+/// in name order, plus the dominance flag of every level.
+fn interned_requirements(ir: &ProgramIr) -> (Vec<SlotReqI>, Vec<(usize, usize)>) {
     let mut reqs = Vec::with_capacity(ir.levels.len());
     let mut pairs = Vec::new();
-    let mut backups: HashMap<u32, usize> = HashMap::new();
+    let mut backups: Vec<(u32, usize)> = Vec::new();
     for (i, level) in ir.levels.iter().enumerate() {
-        let mut mems: Vec<String> = level
+        let mut mems: Vec<u16> = level
             .iter()
-            .filter_map(|p| p.op.mem_access().map(str::to_string))
+            .filter_map(|p| p.op.mem_access())
+            .map(|name| {
+                ir.memories
+                    .iter()
+                    .position(|d| d.name == name)
+                    .expect("lowered op references a declared memory") as u16
+            })
             .collect();
-        mems.sort();
+        mems.sort_by_key(|&m| &ir.memories[usize::from(m)].name);
         mems.dedup();
         let entries = level.iter().filter(|p| p.op != IrOp::Nop).count();
         let is_forwarding = level.iter().any(|p| p.op.is_forwarding());
         for p in level {
             match &p.op {
                 IrOp::MemOffset { .. } => pairs.push((i, i + 1)),
-                IrOp::Backup { pair, .. } => {
-                    backups.insert(*pair, i);
-                }
+                IrOp::Backup { pair, .. } => backups.push((*pair, i)),
                 IrOp::Restore { pair, .. } => {
-                    if let Some(&b) = backups.get(pair) {
+                    if let Some(&(_, b)) = backups.iter().rev().find(|(p, _)| p == pair) {
                         pairs.push((b, i));
                     }
                 }
                 _ => {}
             }
         }
-        reqs.push(SlotReq { entries, mems, is_forwarding });
+        reqs.push(SlotReqI { entries, mems, is_forwarding, free: false });
     }
-    pairs.sort();
+    pairs.sort_unstable();
     pairs.dedup();
+    for (i, r) in reqs.iter_mut().enumerate() {
+        r.free = r.entries == 0
+            && r.mems.is_empty()
+            && !r.is_forwarding
+            && !pairs.iter().any(|&(a, b)| a == i || b == i);
+    }
     (reqs, pairs)
 }
 
@@ -223,9 +252,10 @@ pub fn windows(
     cfg: &AllocConfig,
     x1: Option<u16>,
 ) -> CompileResult<Vec<(u16, u16)>> {
-    let (reqs, pairs) = slot_requirements(ir);
+    let (reqs, pairs) = interned_requirements(ir);
     let max_index = LogicalRpb::max_index(cfg.max_recirc);
-    let model = Model::new(&reqs, &pairs, static_domains(ir, &reqs, view, max_index)?, max_index)?;
+    let dom = static_domains(&reqs, &ir.memories, view, max_index)?;
+    let model = Model::new(&reqs, pairs, dom, max_index)?;
     let (mut lo, mut hi) = model.windows(&model.mirror())?;
     if let Some(pin) = x1 {
         hi[0] = hi[0].min(pin);
@@ -246,52 +276,24 @@ pub fn allocate(
     view: &AllocView,
     cfg: &AllocConfig,
 ) -> CompileResult<Allocation> {
-    let (reqs, pairs) = slot_requirements(ir);
-    let (reqs, pairs) = (&reqs[..], &pairs[..]);
+    let (reqs, pairs) = interned_requirements(ir);
     let max_index = LogicalRpb::max_index(cfg.max_recirc);
     let l = reqs.len();
-    let dom = static_domains(ir, reqs, view, max_index)?;
-
-    // Intern: virtual memories become their index in `ir.memories` (lower
-    // guarantees every accessed memory is declared there), and per-slot
-    // requirements carry the ids plus the dominance flag.
+    let dom = static_domains(&reqs, &ir.memories, view, max_index)?;
     let sizes: Vec<u32> = ir.memories.iter().map(|m| m.size).collect();
-    let ireqs: Vec<SlotReqI> = reqs
-        .iter()
-        .enumerate()
-        .map(|(i, r)| SlotReqI {
-            entries: r.entries,
-            mems: r
-                .mems
-                .iter()
-                .map(|m| {
-                    ir.memories
-                        .iter()
-                        .position(|d| &d.name == m)
-                        .expect("lowered op references a declared memory")
-                        as u16
-                })
-                .collect(),
-            is_forwarding: r.is_forwarding,
-            free: r.entries == 0
-                && r.mems.is_empty()
-                && !r.is_forwarding
-                && !pairs.iter().any(|&(a, b)| a == i || b == i),
-        })
-        .collect();
     let mut entries_suffix = vec![0usize; l + 1];
     for i in (0..l).rev() {
-        entries_suffix[i] = entries_suffix[i + 1] + ireqs[i].entries;
+        entries_suffix[i] = entries_suffix[i + 1] + reqs[i].entries;
     }
 
-    let model = Model::new(reqs, pairs, dom, max_index)?;
+    let model = Model::new(&reqs, pairs, dom, max_index)?;
     let mirror = model.mirror();
     let (lo, hi) = model.windows(&mirror)?;
     let (first_pin, last_pin) = (lo[0], hi[0]);
 
     let mut solver = Solver {
         budget: cfg.node_budget,
-        reqs: &ireqs,
+        reqs: &reqs,
         sizes: &sizes,
         entries_suffix: &entries_suffix,
         model: &model,
@@ -301,10 +303,11 @@ pub fn allocate(
         hi_cap: max_index,
         x: vec![0; l],
         pinned: false,
-        te_free: view.te_free.clone(),
-        te_used: vec![0; NUM_RPBS],
+        te_free: &view.te_free,
+        te_used: [0; NUM_RPBS],
         free_total: view.te_free.iter().sum(),
-        mem_free: view.mem_free.iter().map(|s| s.iter().map(|&(_, len)| len).collect()).collect(),
+        mem_free: view.mem_free.iter().flatten().map(|&(_, len)| len).collect(),
+        mem_spans: spans_start(view),
         mem_placed: vec![None; sizes.len()],
         nodes: 0,
         deadline: 0,
@@ -332,27 +335,7 @@ pub fn allocate(
             }
         }
         Objective::WeightedDiff { alpha, beta } => {
-            let mut best: Option<(Vec<u16>, f64)> = None;
-            // Descending x_1, like the reference. The order does not matter
-            // for soundness: a pin is skipped only when even its lower
-            // bound on x_L cannot *strictly* beat the incumbent, and the
-            // incumbent is only ever replaced by a strictly better score,
-            // so the winner is the first pin in this order that attains
-            // the minimum — whichever pins were skipped on the way.
-            for x1 in (first_pin..=last_pin).rev() {
-                let Some(xl_min) = solver.pin(Some(x1)) else { continue };
-                let lower = alpha * f64::from(xl_min) - beta * f64::from(x1);
-                if best.as_ref().is_some_and(|(_, score)| lower >= *score) {
-                    continue;
-                }
-                if let Some((x, xl)) = solver.search(max_index) {
-                    let score = alpha * f64::from(xl) - beta * f64::from(x1);
-                    if best.as_ref().is_none_or(|(_, s)| score < *s) {
-                        best = Some((x, score));
-                    }
-                }
-            }
-            best
+            solver.weighted_diff(alpha, beta, first_pin, last_pin)
         }
         Objective::Ratio => {
             // Nonlinear: every feasible x_1 gets its own solve, no pin is
@@ -393,6 +376,16 @@ pub fn allocate(
     }
 }
 
+/// Where each RPB's free spans start when every RPB's are laid out in a
+/// row, RPB 1 first; the last element is the total.
+fn spans_start(view: &AllocView) -> [usize; NUM_RPBS + 1] {
+    let mut start = [0; NUM_RPBS + 1];
+    for (r, spans) in view.mem_free.iter().enumerate() {
+        start[r + 1] = start[r] + spans.len();
+    }
+    start
+}
+
 /// `M`: logical indices per pass.
 const M: u16 = NUM_RPBS as u16;
 
@@ -404,8 +397,8 @@ const M: u16 = NUM_RPBS as u16;
 /// that memory's RPB (2)+(5), and a free partition that holds each
 /// accessed memory (3). A level with an empty domain fails the program.
 fn static_domains(
-    ir: &ProgramIr,
-    reqs: &[SlotReq],
+    reqs: &[SlotReqI],
+    memories: &[MemDecl],
     view: &AllocView,
     max_index: u16,
 ) -> CompileResult<Vec<u32>> {
@@ -420,10 +413,9 @@ fn static_domains(
     if total_entries > total_free {
         return failed(format!("needs {total_entries} entries, {total_free} free"));
     }
-    let hosted = |m: &String| -> usize {
+    let hosted = |m: &u16| -> usize {
         reqs.iter().filter(|r| r.mems.contains(m)).map(|r| r.entries).sum()
     };
-    let size = |m: &String| ir.memory_size(m).expect("lowered op references a declared memory");
     reqs.iter()
         .enumerate()
         .map(|(i, req)| {
@@ -432,8 +424,9 @@ fn static_domains(
                 .filter(|&r| {
                     (!req.is_forwarding || RpbId(r as u8 + 1).is_ingress())
                         && view.te_free[r] >= entries
-                        && req.mems.iter().all(|m| {
-                            view.mem_free[r].iter().any(|&(_, len)| len >= size(m))
+                        && req.mems.iter().all(|&m| {
+                            let size = memories[usize::from(m)].size;
+                            view.mem_free[r].iter().any(|&(_, len)| len >= size)
                         })
                 })
                 .fold(0u32, |dom, r| dom | 1 << r);
@@ -442,8 +435,11 @@ fn static_domains(
             }
             let (tag, kind) = if req.is_forwarding { (" (forwarding)", "ingress ") } else { ("", "") };
             let mut reason = format!("level {i}{tag}: no {kind}RPB with ≥ {entries} free entries");
-            for m in &req.mems {
-                reason.push_str(&format!(" and a free partition of ≥ {} buckets for `{m}`", size(m)));
+            for &m in &req.mems {
+                let MemDecl { name, size } = &memories[usize::from(m)];
+                reason.push_str(&format!(
+                    " and a free partition of ≥ {size} buckets for `{name}`"
+                ));
             }
             failed(reason)
         })
@@ -476,16 +472,20 @@ struct Model {
 
 impl Model {
     fn new(
-        reqs: &[SlotReq],
-        pairs: &[(usize, usize)],
+        reqs: &[SlotReqI],
+        pairs: Vec<(usize, usize)>,
         mut dom: Vec<u32>,
         max_index: u16,
     ) -> CompileResult<Model> {
         let mut links = Vec::new();
-        let mut last_access: HashMap<&str, usize> = HashMap::new();
+        let mut last_access: Vec<Option<usize>> = Vec::new();
         for (b, req) in reqs.iter().enumerate() {
-            for m in &req.mems {
-                if let Some(a) = last_access.insert(m, b) {
+            for &m in &req.mems {
+                let m = usize::from(m);
+                if last_access.len() <= m {
+                    last_access.resize(m + 1, None);
+                }
+                if let Some(a) = last_access[m].replace(b) {
                     links.push((a, b));
                 }
             }
@@ -509,7 +509,7 @@ impl Model {
                 break;
             }
         }
-        Ok(Model { max_index, dom, links, pairs: pairs.to_vec() })
+        Ok(Model { max_index, dom, links, pairs })
     }
 
     /// The widest windows `(lo, hi)` — `x_1` free, `x_L` up to the last
@@ -639,11 +639,14 @@ struct Solver<'a> {
     x: Vec<u16>,
     /// The current windows hold `x_1` at `lo[0]`.
     pinned: bool,
-    te_free: Vec<usize>,
-    te_used: Vec<usize>,
+    te_free: &'a [usize],
+    te_used: [usize; NUM_RPBS],
     /// Total free entries remaining across all RPBs.
     free_total: usize,
-    mem_free: Vec<Vec<u32>>,
+    /// Free span lengths, every RPB's spans in a row.
+    mem_free: Vec<u32>,
+    /// Where each RPB's spans start in `mem_free` (RPB `r + 1` at `r`).
+    mem_spans: [usize; NUM_RPBS + 1],
     /// vmem id → (physical rpb index 0-based, last pass used).
     mem_placed: Vec<Option<(usize, u8)>>,
     nodes: u64,
@@ -669,7 +672,7 @@ impl Solver<'_> {
             for &m in &req.mems {
                 let (m, size) = (usize::from(m), self.sizes[usize::from(m)]);
                 if regions[m].2 == 0 {
-                    let free = &mut self.mem_free[r];
+                    let free = &mut self.mem_free[self.mem_spans[r]..self.mem_spans[r + 1]];
                     let part = free.iter().position(|&p| p >= size).expect("the search placed it");
                     let (start, len) = view.mem_free[r][part];
                     regions[m] = (rpb, start + len - free[part], size);
@@ -678,6 +681,91 @@ impl Solver<'_> {
             }
         }
         regions
+    }
+
+    /// `f1 = α·x_L − β·x_1` over the pins `x_1 ∈ [first, last]`. A pin
+    /// scores `f1` at its least `x_L`, and the winner is the pin that ranks
+    /// first: by score as computed, ties going to the larger `x_1`. That is
+    /// the pin the reference's descending loop keeps, since it replaces its
+    /// incumbent only on a strictly lower score.
+    ///
+    /// Two bounds rank a pin before its search: the *ordering bound*
+    /// `f1(x_1, x_1 + L − 1)`, which costs nothing, and the *window bound*
+    /// `f1(x_1, lo_L)` once the pin's windows are open. Neither is above
+    /// the pin's score as computed (`x_1 + L − 1 ≤ lo_L ≤ x_L`, and float
+    /// rounding is monotone for `α ≥ 0`), so a pin whose bound does not
+    /// rank before the incumbent is skipped exactly. A search is capped at
+    /// the largest `x_L` that still ranks before the incumbent.
+    ///
+    /// With `α > β` the ordering bound grows with `x_1`, so pins are taken
+    /// best first: a pin's windows are opened, in ascending order, only once
+    /// its ordering bound ranks before every open pin's window bound, and
+    /// the open pin that ranks first is searched. The first search usually
+    /// meets its window bound, and then no other pin is searched. With
+    /// `α ≤ β` pins are taken in descending order, like the reference.
+    fn weighted_diff(
+        &mut self,
+        alpha: f64,
+        beta: f64,
+        first: u16,
+        last: u16,
+    ) -> Option<(Vec<u16>, f64)> {
+        type Best = Option<(Vec<u16>, f64, u16)>;
+        let f1 = |x1: u16, xl: u16| alpha * f64::from(xl) - beta * f64::from(x1);
+        let before = |(s, x1): (f64, u16), (t, y1): (f64, u16)| s < t || (s == t && x1 > y1);
+        let beats = |best: &Best, rank: (f64, u16)| {
+            best.as_ref().is_none_or(|&(_, s, x1)| before(rank, (s, x1)))
+        };
+        let max_index = self.model.max_index;
+        // Search the pin the windows hold, keeping what ranks before `best`.
+        let solve = |solver: &mut Self, best: &mut Best, x1: u16| {
+            let cap = (1..=max_index).rev().find(|&xl| beats(best, (f1(x1, xl), x1)));
+            if let Some((x, xl)) = cap.and_then(|cap| solver.search(cap)) {
+                *best = Some((x, f1(x1, xl), x1));
+            }
+        };
+        let span = self.reqs.len() as u16 - 1;
+        let mut best: Best = None;
+        if alpha <= beta {
+            for x1 in (first..=last).rev() {
+                if !beats(&best, (f1(x1, x1 + span), x1)) {
+                    continue;
+                }
+                if self.pin(Some(x1)).is_some_and(|xl| beats(&best, (f1(x1, xl), x1))) {
+                    solve(self, &mut best, x1);
+                }
+            }
+        } else {
+            // `(window bound, x_1)` of the opened pins not searched yet.
+            let mut open: Vec<(f64, u16)> = Vec::new();
+            let (mut next, mut held) = (first, None);
+            loop {
+                let top =
+                    (0..open.len()).reduce(|i, j| if before(open[j], open[i]) { j } else { i });
+                let ordering = (next <= last).then(|| (f1(next, next + span), next));
+                if let Some(rank) = ordering.filter(|&r| top.is_none_or(|t| before(r, open[t]))) {
+                    next += 1;
+                    if beats(&best, rank) {
+                        held = Some(rank.1);
+                        if let Some(xl) = self.pin(Some(rank.1)) {
+                            open.push((f1(rank.1, xl), rank.1));
+                        }
+                    }
+                } else if let Some(t) = top {
+                    let rank = open.swap_remove(t);
+                    if beats(&best, rank) {
+                        if held != Some(rank.1) {
+                            self.pin(Some(rank.1));
+                            held = Some(rank.1);
+                        }
+                        solve(self, &mut best, rank.1);
+                    }
+                } else {
+                    break;
+                }
+            }
+        }
+        best.map(|(x, score, _)| (x, score))
     }
 
     /// Open the windows for `x_1 = pin` (or `x_1` free); see [`Model::open`].
@@ -809,11 +897,13 @@ impl Solver<'_> {
                 None => {
                     let size = self.sizes[mi];
                     // First-fit over the free partitions.
-                    match self.mem_free[rpb_idx].iter().position(|&p| p >= size) {
+                    let spans = self.mem_spans[rpb_idx]..self.mem_spans[rpb_idx + 1];
+                    match self.mem_free[spans.clone()].iter().position(|&p| p >= size) {
                         Some(part) => {
-                            self.mem_free[rpb_idx][part] -= size;
+                            let at = spans.start + part;
+                            self.mem_free[at] -= size;
                             self.mem_placed[mi] = Some((rpb_idx, pass));
-                            mem_undo.push(MemUndo::Taken(m, rpb_idx, part, size));
+                            mem_undo.push(MemUndo::Taken(m, at, size));
                         }
                         None => {
                             self.rollback(mem_undo);
@@ -842,9 +932,9 @@ impl Solver<'_> {
 
     fn undo_mem(&mut self, u: MemUndo) {
         match u {
-            MemUndo::Taken(m, rpb, part, size) => {
+            MemUndo::Taken(m, at, size) => {
                 let mi = usize::from(m);
-                self.mem_free[rpb][part] += size;
+                self.mem_free[at] += size;
                 self.mem_placed[mi] = None;
             }
             MemUndo::Replaced(m, prev) => {
@@ -862,7 +952,8 @@ struct Undo {
 }
 
 enum MemUndo {
-    Taken(u16, usize, usize, u32),
+    /// Memory `m` took `size` from the span at this index of `mem_free`.
+    Taken(u16, usize, u32),
     Replaced(u16, (usize, u8)),
 }
 
@@ -1042,8 +1133,9 @@ program p(<f,1,1>) {
     fn linked_levels_without_a_common_rpb_are_rejected() {
         // Level 0 reads `m` and must forward (ingress only); level 1 reads
         // `m` again where only an egress RPB is left to it.
-        let level = |is_forwarding| SlotReq { entries: 1, mems: vec!["m".into()], is_forwarding };
-        let err = Model::new(&[level(true), level(false)], &[], vec![0b11, 1 << 12], 44);
+        let level =
+            |is_forwarding| SlotReqI { entries: 1, mems: vec![0], is_forwarding, free: false };
+        let err = Model::new(&[level(true), level(false)], Vec::new(), vec![0b11, 1 << 12], 44);
         assert!(matches!(
             err,
             Err(CompileError::AllocationFailed { reason })

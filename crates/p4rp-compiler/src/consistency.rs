@@ -16,8 +16,7 @@
 //!   the lock).
 
 use crate::entrygen::ProgramImage;
-use p4rp_dataplane::{encode_filter_entry, encode_recirc_entry, encode_rpb_entry, Dataplane};
-use crate::errors::{CompileError, CompileResult};
+use p4rp_dataplane::{encode_filter_entry, encode_recirc_entry, Dataplane};
 use rmt_sim::switch::{ControlOp, TableRef};
 use rmt_sim::table::EntryHandle;
 
@@ -30,16 +29,19 @@ pub struct Batch {
     pub ops: Vec<ControlOp>,
 }
 
-/// Plan the install batches of a program image (Figure 6 right half).
-pub fn plan_install(image: &ProgramImage, dp: &Dataplane, ft: &rmt_sim::phv::FieldTable) -> CompileResult<Vec<Batch>> {
-    let mut body_ops = Vec::new();
-    for (rpb, spec) in &image.rpb_entries {
-        let cat = dp.catalogue(*rpb);
-        let entry = encode_rpb_entry(cat, spec).map_err(|e| CompileError::AllocationFailed {
-            reason: format!("encode failed: {e}"),
-        })?;
-        body_ops.push(ControlOp::InsertEntry { table: rpb.table_ref(), entry });
-    }
+/// Plan the install batches of a program image (Figure 6 right half). The
+/// RPB entries are the image's encoded ones, copied into place once each;
+/// the plan owns them and the channel moves them into the device.
+pub fn plan_install(
+    image: &ProgramImage,
+    dp: &Dataplane,
+    ft: &rmt_sim::phv::FieldTable,
+) -> Vec<Batch> {
+    let rpb_entries = image.rpb_entries();
+    let mut body_ops = Vec::with_capacity(rpb_entries.len() + image.recirc_ids.len());
+    body_ops.extend(
+        rpb_entries.map(|(rpb, entry)| ControlOp::InsertEntry { table: rpb.table_ref(), entry }),
+    );
     for &rid in &image.recirc_ids {
         body_ops.push(ControlOp::InsertEntry {
             table: dp.recirc_table,
@@ -48,10 +50,10 @@ pub fn plan_install(image: &ProgramImage, dp: &Dataplane, ft: &rmt_sim::phv::Fie
     }
     let entry = encode_filter_entry(ft, &dp.fields, &image.filter);
     let filter_ops = vec![ControlOp::InsertEntry { table: dp.init_table, entry }];
-    Ok(vec![
+    vec![
         Batch { label: "program components", ops: body_ops },
         Batch { label: "activate filters", ops: filter_ops },
-    ])
+    ]
 }
 
 /// The handles recorded when a program was installed, needed for removal.
@@ -106,7 +108,7 @@ mod tests {
         let image = ProgramImage {
             prog_id: 1,
             name: "p".into(),
-            rpb_entries: vec![],
+            body: Default::default(),
             filter: FilterEntrySpec {
                 prog_id: 1,
                 required_bitmap: 0,

@@ -3,16 +3,24 @@
 //!
 //! Inputs: the [`ProgramIr`], the [`Allocation`] (logical RPB per level
 //! and the memory region of each virtual memory), the assigned program id,
-//! and the provisioned field universe. Output: a [`ProgramImage`] —
+//! and the provisioned data plane. Output: a [`ProgramImage`] —
 //! everything needed to install, monitor, and later revoke the program.
+//!
+//! A program's RPB entries are encoded once per *shape* (see
+//! [`EntryGenCache`]): the image holds the shape's encoded template, and
+//! [`ProgramImage::rpb_entries`] copies each template entry into place with
+//! the program's id and memory offsets. That copy is the entry the install
+//! plan moves into the device; nothing encodes it again.
 
 use crate::alloc::Allocation;
 use crate::errors::{CompileError, CompileResult};
 use crate::ir::{IrOp, MemDecl, PlacedOp, ProgramIr};
-use p4rp_dataplane::LogicalRpb;
-use p4rp_dataplane::{init, FilterEntrySpec, P4rpFields, RpbEntrySpec, RpbId, RpbOp};
+use p4rp_dataplane::{encode_rpb_entry, init, Dataplane, LogicalRpb};
+use p4rp_dataplane::{FilterEntrySpec, P4rpFields, RpbEntrySpec, RpbId, RpbOp};
+use rmt_sim::table::{MatchValue, TableEntry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A virtual memory's physical region.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +42,9 @@ pub struct ProgramImage {
     pub prog_id: u16,
     /// Human-readable name.
     pub name: String,
-    /// RPB entries: `(physical RPB, entry spec)`.
-    pub rpb_entries: Vec<(RpbId, RpbEntrySpec)>,
+    /// The RPB entries, as the shape's encoded template (shared with the
+    /// cache that made it); [`ProgramImage::rpb_entries`] patches them.
+    pub(crate) body: Arc<BodyTemplate>,
     /// The initialization-block filter entry.
     pub filter: FilterEntrySpec,
     /// Recirculation-block entries to install (`recirc_id` values).
@@ -47,14 +56,48 @@ pub struct ProgramImage {
     pub passes: u8,
 }
 
+/// The RPB entries of one program shape, encoded with program id 0 and
+/// every offset step's offset 0, and the points a program patches.
+#[derive(Debug, Default)]
+pub(crate) struct BodyTemplate {
+    /// `(physical RPB, entry)` in install order.
+    entries: Vec<(RpbId, TableEntry)>,
+    /// `(entry index, memory index)` of each offset step, in entry order:
+    /// its first data word is the offset of that memory of `ir.memories`.
+    offsets: Vec<(usize, u16)>,
+}
+
 impl ProgramImage {
     /// Total data plane entries (for update-delay accounting, Table 1).
     pub fn entry_count(&self) -> usize {
-        self.rpb_entries.len() + 1 + self.recirc_ids.len()
+        self.body.entries.len() + 1 + self.recirc_ids.len()
+    }
+
+    /// The physical RPB of each RPB entry, in install order.
+    pub fn rpbs(&self) -> impl Iterator<Item = RpbId> + '_ {
+        self.body.entries.iter().map(|&(rpb, _)| rpb)
+    }
+
+    /// The RPB entries, in install order: each template entry copied into
+    /// place with this program's id (the first key field of an RPB table)
+    /// and, for an offset step, its memory's offset.
+    pub(crate) fn rpb_entries(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (RpbId, TableEntry)> + '_ {
+        let id = MatchValue::Ternary { value: u64::from(self.prog_id), mask: 0xffff };
+        let mut offsets = self.body.offsets.iter().peekable();
+        self.body.entries.iter().enumerate().map(move |(k, (rpb, template))| {
+            let mut entry = template.clone();
+            entry.matches[0] = id;
+            if let Some(&(_, m)) = offsets.next_if(|&&(at, _)| at == k) {
+                entry.data[0] = u64::from(self.mem_regions[usize::from(m)].offset);
+            }
+            (*rpb, entry)
+        })
     }
 }
 
-/// The RPB-entry half of an image (everything the shape cache covers).
+/// The RPB entries of an allocated program, resolved but not encoded.
 fn body_entries(
     ir: &ProgramIr,
     alloc: &Allocation,
@@ -87,18 +130,47 @@ fn body_entries(
     Ok(rpb_entries)
 }
 
-/// The instance-specific half of an image: filter entry, memory
-/// regions, recirculation ids.
+/// Encode the RPB entries of `ir`'s shape under `alloc`: program id 0, and
+/// every offset step's offset 0 with its patch point recorded.
+fn encode_body(ir: &ProgramIr, alloc: &Allocation, dp: &Dataplane) -> CompileResult<BodyTemplate> {
+    let specs = body_entries(ir, alloc, 0, &dp.fields)?;
+    let mut body = BodyTemplate { entries: Vec::with_capacity(specs.len()), offsets: Vec::new() };
+    // The k-th non-NOP placed op is the k-th entry.
+    let placed = ir.levels.iter().flatten().filter(|p| p.op != IrOp::Nop);
+    for (k, ((rpb, spec), placed)) in specs.iter().zip(placed).enumerate() {
+        let mut entry = encode_rpb_entry(dp.catalogue(*rpb), spec).map_err(|e| {
+            CompileError::AllocationFailed { reason: format!("encode failed: {e}") }
+        })?;
+        if let IrOp::MemOffset { mem, .. } = &placed.op {
+            let mi = ir
+                .memories
+                .iter()
+                .position(|m| &m.name == mem)
+                .expect("offset step references a declared memory") as u16;
+            body.offsets.push((k, mi));
+            entry.data[0] = 0;
+        }
+        body.entries.push((*rpb, entry));
+    }
+    Ok(body)
+}
+
+/// The image of an allocated program with the RPB entries `body`.
 fn assemble(
     ir: &ProgramIr,
     alloc: &Allocation,
     prog_id: u16,
-    fields: &P4rpFields,
+    dp: &Dataplane,
     ft_universe: &rmt_sim::phv::FieldTable,
-    rpb_entries: Vec<(RpbId, RpbEntrySpec)>,
+    body: Arc<BodyTemplate>,
 ) -> CompileResult<ProgramImage> {
+    // Every memory needs its region: the image's offset patches read it.
+    if let Some(m) = ir.memories.get(alloc.regions.len()) {
+        return Err(CompileError::UnknownMemory(m.name.clone()));
+    }
+    let fields = &dp.fields;
     // The program's filter entry for the unified initialization table.
-    let mut conds = Vec::new();
+    let mut conds = Vec::with_capacity(ir.filters.len());
     let mut required_bitmap = 0u16;
     for (name, value, mask) in &ir.filters {
         if !init::supports_field(ft_universe, fields, name) {
@@ -124,7 +196,7 @@ fn assemble(
     Ok(ProgramImage {
         prog_id,
         name: ir.name.clone(),
-        rpb_entries,
+        body,
         filter,
         recirc_ids: (0..alloc.passes.saturating_sub(1)).collect(),
         mem_regions,
@@ -138,11 +210,14 @@ fn assemble(
 /// workload families): identical levels, memories, and placement; only the
 /// name, filter values, program id, and memory offsets differ. The
 /// cache keys on the shape — `(levels, memories, x)` hashed with FxHash,
-/// verified by full equality on hit — and stores the entry list with a
-/// neutral program id and zeroed offsets plus the positions to patch, so a
-/// hit clones the template and rewrites `prog_id` and the `MemOffset`
-/// offsets instead of re-resolving every op. The filter entry and memory
-/// regions are always built fresh (they are instance-specific and cheap).
+/// verified by full equality on hit — and stores the shape's RPB entries
+/// *encoded*, with program id 0, zeroed offsets, and the entry positions of
+/// the offsets. Branch ids, register conditions and recirculation ids are
+/// part of the shape. A hit shares the template with the new image, whose
+/// [`ProgramImage::rpb_entries`] copies each entry into place, patched: no
+/// op is resolved and no entry is encoded again. The filter entry and
+/// memory regions are always built fresh (they are instance-specific and
+/// cheap).
 #[derive(Debug, Default)]
 pub struct EntryGenCache {
     map: HashMap<u64, CacheEntry>,
@@ -157,10 +232,7 @@ struct CacheEntry {
     levels: Vec<Vec<PlacedOp>>,
     memories: Vec<MemDecl>,
     x: Vec<u16>,
-    /// Entries with `prog_id = 0` and `MemOffset` offsets zeroed.
-    template: Vec<(RpbId, RpbEntrySpec)>,
-    /// `(entry index, memory index in `memories`)` of each offset step.
-    patches: Vec<(usize, u16)>,
+    body: Arc<BodyTemplate>,
 }
 
 /// Templates kept before the cache resets (shapes are few; this is a
@@ -178,57 +250,24 @@ impl EntryGenCache {
 }
 
 /// Generate the image of an allocated program through the shape cache:
-/// output bit-identical to generating from scratch, amortized cost for
-/// repeated shapes.
+/// its entries are bit-identical to encoding the program from scratch.
 pub fn generate_cached(
     cache: &mut EntryGenCache,
     ir: &ProgramIr,
     alloc: &Allocation,
     prog_id: u16,
-    fields: &P4rpFields,
+    dp: &Dataplane,
     ft_universe: &rmt_sim::phv::FieldTable,
 ) -> CompileResult<ProgramImage> {
     let key = EntryGenCache::shape_key(ir, alloc);
     if let Some(e) = cache.map.get(&key) {
         if e.levels == ir.levels && e.memories == ir.memories && e.x == alloc.x {
-            let mut rpb_entries = e.template.clone();
-            for (_, spec) in &mut rpb_entries {
-                spec.prog_id = prog_id;
-            }
-            for &(k, mi) in &e.patches {
-                let memory = &e.memories[usize::from(mi)].name;
-                let region = alloc.regions.get(usize::from(mi));
-                let offset = region.ok_or_else(|| CompileError::UnknownMemory(memory.clone()))?.1;
-                rpb_entries[k].1.op.data[0] = u64::from(offset);
-            }
             cache.hits += 1;
-            return assemble(ir, alloc, prog_id, fields, ft_universe, rpb_entries);
+            let body = Arc::clone(&e.body);
+            return assemble(ir, alloc, prog_id, dp, ft_universe, body);
         }
     }
-
-    let rpb_entries = body_entries(ir, alloc, prog_id, fields)?;
-
-    // Patch positions: the k-th non-NOP placed op is the k-th entry.
-    let mut patches = Vec::new();
-    for (k, placed) in
-        ir.levels.iter().flatten().filter(|p| p.op != IrOp::Nop).enumerate()
-    {
-        if let IrOp::MemOffset { mem, .. } = &placed.op {
-            let mi = ir
-                .memories
-                .iter()
-                .position(|m| &m.name == mem)
-                .expect("offset step references a declared memory") as u16;
-            patches.push((k, mi));
-        }
-    }
-    let mut template = rpb_entries.clone();
-    for (_, spec) in &mut template {
-        spec.prog_id = 0;
-    }
-    for &(k, _) in &patches {
-        template[k].1.op.data[0] = 0;
-    }
+    let body = Arc::new(encode_body(ir, alloc, dp)?);
     if cache.map.len() >= CACHE_CAP {
         cache.map.clear();
     }
@@ -238,12 +277,11 @@ pub fn generate_cached(
             levels: ir.levels.clone(),
             memories: ir.memories.clone(),
             x: alloc.x.clone(),
-            template,
-            patches,
+            body: Arc::clone(&body),
         },
     );
     cache.misses += 1;
-    assemble(ir, alloc, prog_id, fields, ft_universe, rpb_entries)
+    assemble(ir, alloc, prog_id, dp, ft_universe, body)
 }
 
 /// Resolve one IR op into a concrete RPB operation. `None` for NOPs.
@@ -298,24 +336,32 @@ mod tests {
     use super::*;
     use crate::alloc::{allocate, AllocConfig, AllocView};
     use crate::ir::{lower, MemDecl};
-    use p4rp_dataplane::{AtomicAction, RPB_MEM_SIZE, RPB_TABLE_SIZE};
+    use p4rp_dataplane::{provision, AtomicAction, RPB_MEM_SIZE, RPB_TABLE_SIZE};
     use p4rp_lang::parse;
+    use rmt_sim::phv::FieldTable;
+    use rmt_sim::switch::SwitchConfig;
 
-    /// The image generated from scratch, which [`generate_cached`]'s
-    /// patched templates must reproduce.
-    fn generate(
+    fn plane() -> (FieldTable, Dataplane) {
+        let (sw, dp) = provision(SwitchConfig::default()).unwrap();
+        (sw.field_table().clone(), dp)
+    }
+
+    /// The RPB entries encoded from scratch, which an image's patched
+    /// template must reproduce.
+    fn encoded(
         ir: &ProgramIr,
         alloc: &Allocation,
         prog_id: u16,
-        fields: &P4rpFields,
-        ft_universe: &rmt_sim::phv::FieldTable,
-    ) -> CompileResult<ProgramImage> {
-        let rpb_entries = body_entries(ir, alloc, prog_id, fields)?;
-        assemble(ir, alloc, prog_id, fields, ft_universe, rpb_entries)
+        dp: &Dataplane,
+    ) -> Vec<(RpbId, TableEntry)> {
+        body_entries(ir, alloc, prog_id, &dp.fields)
+            .unwrap()
+            .iter()
+            .map(|(rpb, spec)| (*rpb, encode_rpb_entry(dp.catalogue(*rpb), spec).unwrap()))
+            .collect()
     }
 
-    fn build_image(src: &str) -> (ProgramIr, Allocation, ProgramImage) {
-        let (ft, _, fields) = p4rp_dataplane::fields::build().unwrap();
+    fn lowered(src: &str) -> (ProgramIr, Allocation) {
         let unit = parse(src).unwrap();
         let mems: Vec<MemDecl> = unit
             .annotations
@@ -324,13 +370,22 @@ mod tests {
             .collect();
         let ir = lower(&unit.programs[0], &mems).unwrap();
         let view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
-        let mut alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
-        // Each vmem at bucket 4096 of its chosen RPB.
+        let alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
+        (ir, alloc)
+    }
+
+    /// The program's resolved entries and its image, with each vmem at
+    /// bucket 4096 of its chosen RPB.
+    fn build_image(src: &str) -> (Vec<(RpbId, RpbEntrySpec)>, Allocation, ProgramImage) {
+        let (ft, dp) = plane();
+        let (ir, mut alloc) = lowered(src);
         for region in &mut alloc.regions {
             region.1 = 4096;
         }
-        let image = generate(&ir, &alloc, 7, &fields, &ft).unwrap();
-        (ir, alloc, image)
+        let mut cache = EntryGenCache::default();
+        let image = generate_cached(&mut cache, &ir, &alloc, 7, &dp, &ft).unwrap();
+        assert_eq!(image.rpb_entries().collect::<Vec<_>>(), encoded(&ir, &alloc, 7, &dp));
+        (body_entries(&ir, &alloc, 7, &dp.fields).unwrap(), alloc, image)
     }
 
     const LB: &str = r#"
@@ -353,10 +408,9 @@ program lb(<hdr.ipv4.dst, 10.0.0.0, 0xffff0000>) {
 
     #[test]
     fn lb_image_shape() {
-        let (ir, alloc, image) = build_image(LB);
+        let (specs, alloc, image) = build_image(LB);
         assert_eq!(image.prog_id, 7);
-        let entries = ir.levels.iter().flatten().filter(|p| p.op != IrOp::Nop).count();
-        assert_eq!(image.rpb_entries.len(), entries);
+        assert_eq!(image.rpbs().count(), specs.len());
         // ipv4 filter requires the eth + ipv4 parse-path bits.
         assert_eq!(
             image.filter.required_bitmap,
@@ -369,15 +423,13 @@ program lb(<hdr.ipv4.dst, 10.0.0.0, 0xffff0000>) {
             assert!(image.recirc_ids.is_empty());
         }
         // Hash-to-memory entries carry the size-derived mask.
-        let hash = image
-            .rpb_entries
+        let hash = specs
             .iter()
             .find(|(_, e)| e.op.action == AtomicAction::Hash5TupleMem)
             .expect("hash op present");
         assert!(hash.1.op.data == vec![1023] || hash.1.op.data == vec![15]);
         // Offset steps carry the region's physical offset.
-        let off = image
-            .rpb_entries
+        let off = specs
             .iter()
             .find(|(_, e)| e.op.action == AtomicAction::MemOffset)
             .unwrap();
@@ -386,10 +438,10 @@ program lb(<hdr.ipv4.dst, 10.0.0.0, 0xffff0000>) {
 
     #[test]
     fn entry_count_matches_components() {
-        let (_, _, image) = build_image(LB);
+        let (specs, _, image) = build_image(LB);
         assert_eq!(
             image.entry_count(),
-            image.rpb_entries.len() + 1 + image.recirc_ids.len()
+            specs.len() + 1 + image.recirc_ids.len()
         );
     }
 
@@ -404,16 +456,16 @@ program p(<hdr.ipv4.dst, 1, 1>) {
     MEMWRITE(m);
 }
 "#;
-        let (_, alloc, image) = build_image(src);
+        let (specs, alloc, image) = build_image(src);
         assert_eq!(alloc.passes, 2);
         assert_eq!(image.recirc_ids, vec![0]);
         // Second-pass entries carry recirc_id 1.
-        assert!(image.rpb_entries.iter().any(|(_, e)| e.recirc_id == 1));
+        assert!(specs.iter().any(|(_, e)| e.recirc_id == 1));
     }
 
     #[test]
     fn cached_generation_is_bit_identical() {
-        let (ft, _, fields) = p4rp_dataplane::fields::build().unwrap();
+        let (ft, dp) = plane();
         let mut cache = EntryGenCache::default();
         // Two instances of one shape: same body, different name/filter/
         // prog_id/offsets — the second must hit and still patch correctly.
@@ -421,42 +473,28 @@ program p(<hdr.ipv4.dst, 1, 1>) {
             let src = format!(
                 "@ m 256\nprogram p{i}(<hdr.ipv4.dst, {dst}, 0xffffff00>) {{ LOADI(mar, 1); MEMADD(m); FORWARD(7); }}"
             );
-            let unit = parse(&src).unwrap();
-            let mems: Vec<MemDecl> = unit
-                .annotations
-                .iter()
-                .map(|a| MemDecl { name: a.name.clone(), size: a.size as u32 })
-                .collect();
-            let ir = lower(&unit.programs[0], &mems).unwrap();
-            let view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
-            let mut alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
+            let (ir, mut alloc) = lowered(&src);
             alloc.regions[0].1 = *off;
             let prog_id = (i + 3) as u16;
-            let plain = generate(&ir, &alloc, prog_id, &fields, &ft).unwrap();
-            let cached = generate_cached(&mut cache, &ir, &alloc, prog_id, &fields, &ft).unwrap();
-            assert_eq!(plain.rpb_entries, cached.rpb_entries);
-            assert_eq!(plain.filter, cached.filter);
-            assert_eq!(plain.mem_regions, cached.mem_regions);
-            assert_eq!(plain.recirc_ids, cached.recirc_ids);
+            let image = generate_cached(&mut cache, &ir, &alloc, prog_id, &dp, &ft).unwrap();
+            let entries: Vec<_> = image.rpb_entries().collect();
+            assert_eq!(entries, encoded(&ir, &alloc, prog_id, &dp));
+            assert_eq!(image.filter.prog_id, prog_id);
+            assert_eq!(image.mem_regions[0].offset, *off);
             // The patched offset really is this instance's region.
-            let offv = cached
-                .rpb_entries
-                .iter()
-                .find(|(_, e)| e.op.action == AtomicAction::MemOffset)
-                .unwrap();
-            assert_eq!(offv.1.op.data[0], u64::from(*off));
+            let specs = body_entries(&ir, &alloc, prog_id, &dp.fields).unwrap();
+            let k = specs.iter().position(|(_, e)| e.op.action == AtomicAction::MemOffset).unwrap();
+            assert_eq!(entries[k].1.data[0], u64::from(*off));
         }
         assert_eq!((cache.misses, cache.hits), (1, 1), "second instance hit the template");
     }
 
     #[test]
     fn unsupported_filter_field_rejected() {
-        let (ft, _, fields) = p4rp_dataplane::fields::build().unwrap();
-        let unit = parse("program p(<hdr.ipv4.ttl, 1, 0xff>) { DROP; }").unwrap();
-        let ir = lower(&unit.programs[0], &[]).unwrap();
-        let view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
-        let alloc = allocate(&ir, &view, &AllocConfig::default()).unwrap();
-        let err = generate(&ir, &alloc, 1, &fields, &ft).unwrap_err();
+        let (ft, dp) = plane();
+        let (ir, alloc) = lowered("program p(<hdr.ipv4.ttl, 1, 0xff>) { DROP; }");
+        let mut cache = EntryGenCache::default();
+        let err = generate_cached(&mut cache, &ir, &alloc, 1, &dp, &ft).unwrap_err();
         assert!(matches!(err, CompileError::UnknownField(_)));
     }
 }

@@ -29,6 +29,8 @@ pub enum CompileError {
     InitTableFull { path: String },
     /// Program id space exhausted.
     ProgramIdsExhausted,
+    /// A compiler invariant failed: a bug, reported instead of looped on.
+    Internal(String),
 }
 
 impl fmt::Display for CompileError {
@@ -56,6 +58,7 @@ impl fmt::Display for CompileError {
                 write!(f, "initialization table for path {path} is full")
             }
             CompileError::ProgramIdsExhausted => write!(f, "no free program ids"),
+            CompileError::Internal(what) => write!(f, "internal compiler error: {what}"),
         }
     }
 }

@@ -32,7 +32,7 @@
 
 use crate::errors::{CompileError, CompileResult};
 use p4rp_dataplane::{AluRROp, MemOpKind};
-use p4rp_lang::{Primitive, PrimitiveKind, ProgramDecl, Reg, RegConds};
+use p4rp_lang::{Case, LangError, Primitive, PrimitiveKind, ProgramDecl, Reg, RegConds};
 
 /// A referenced virtual memory block.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -144,11 +144,6 @@ impl ProgramIr {
     /// Program depth `L`.
     pub fn depth(&self) -> usize {
         self.levels.len()
-    }
-
-    /// Memory size.
-    pub fn memory_size(&self, name: &str) -> Option<u32> {
-        self.memories.iter().find(|m| m.name == name).map(|m| m.size)
     }
 }
 
@@ -290,7 +285,8 @@ impl Lowering {
                 arms.push(arm);
             }
 
-            align_memory(&mut arms);
+            check_memory_order(&arms, cases)?;
+            align_memory(&mut arms)?;
             // Level `j` of the merge is level `j` of every arm, in case
             // order; each arm is in level order, so one pass drains it.
             let len = arms.iter().map(next_depth).max().unwrap_or(0);
@@ -627,12 +623,109 @@ fn access(kind: &PrimitiveKind, r: Reg) -> Access {
     }
 }
 
+/// The `k`-th access of one memory sits on one level in every arm that
+/// makes it (a memory lives in one RPB, Fig. 5(b)), so each arm orders
+/// the `(memory, k)` accesses it makes, and sibling arms must agree. Refuse
+/// arms whose orders form a cycle — one arm accessing `ma` then `mc`, a
+/// sibling `mc` then `ma`, or a longer chain through several arms: no
+/// padding aligns them, and [`align_memory`] would pad forever. The error
+/// names the memories and the cases, at the first case of the cycle.
+/// The `k`-th access (from 0) of a memory in one arm.
+type MemAccess<'a> = (&'a str, usize);
+
+/// One arm's order of two accesses: `(arm, earlier, later)`.
+type OrderEdge<'a> = (usize, MemAccess<'a>, MemAccess<'a>);
+
+fn check_memory_order(arms: &[Leveled], cases: &[Case]) -> CompileResult<()> {
+    // Opposite orders need two memories; the common case allocates nothing.
+    let mut mems = arms.iter().flatten().filter_map(|(_, p)| p.op.mem_access());
+    let Some(first) = mems.next() else { return Ok(()) };
+    if mems.all(|m| m == first) {
+        return Ok(());
+    }
+    // One edge per pair of consecutive accesses in an arm, arms in case
+    // order.
+    let mut edges: Vec<OrderEdge> = Vec::new();
+    for (i, arm) in arms.iter().enumerate() {
+        let mut seen: Vec<&str> = Vec::new();
+        for m in arm.iter().filter_map(|(_, p)| p.op.mem_access()) {
+            let node = (m, seen.iter().filter(|&&s| s == m).count());
+            if let Some(&prev) = seen.last() {
+                let prev = (prev, seen.iter().filter(|&&s| s == prev).count() - 1);
+                edges.push((i, prev, node));
+            }
+            seen.push(m);
+        }
+    }
+    // The first edge that some path closes back into a cycle, in edge order.
+    let cycle = edges.iter().find_map(|&e| {
+        let back = path(&edges, e.2, e.1)?;
+        Some([vec![e], back].concat())
+    });
+    let Some(cycle) = cycle else {
+        return Ok(());
+    };
+    let access = |(m, k): MemAccess| {
+        if k == 0 { format!("`{m}`") } else { format!("access {} of `{m}`", k + 1) }
+    };
+    let steps: Vec<String> = cycle
+        .iter()
+        .map(|&(arm, a, b)| format!("{} before {} in case {}", access(a), access(b), arm + 1))
+        .collect();
+    let message = format!(
+        "sibling cases order their memory accesses in a cycle ({}): no level order aligns them",
+        steps.join(", ")
+    );
+    Err(LangError::check(message, cases[cycle[0].0].line, 1).into())
+}
+
+/// The edges of a shortest path from `from` to `to`, if there is one.
+fn path<'a>(
+    edges: &[OrderEdge<'a>],
+    from: MemAccess<'a>,
+    to: MemAccess<'a>,
+) -> Option<Vec<OrderEdge<'a>>> {
+    // Breadth first; `via[k]` is the edge that first reached `reached[k]`.
+    let (mut reached, mut via): (_, Vec<Option<usize>>) = (vec![from], vec![None]);
+    let mut next = 0;
+    while next < reached.len() {
+        let at = reached[next];
+        if at == to {
+            let mut back = Vec::new();
+            let mut k = next;
+            while let Some(e) = via[k] {
+                back.push(edges[e]);
+                k = reached.iter().position(|&n| n == edges[e].1).expect("reached before");
+            }
+            back.reverse();
+            return Some(back);
+        }
+        for (e, &(_, a, b)) in edges.iter().enumerate() {
+            if a == at && !reached.contains(&b) {
+                reached.push(b);
+                via.push(Some(e));
+            }
+        }
+        next += 1;
+    }
+    None
+}
+
 /// Align memory accesses on the same virtual memory across sibling arms
 /// by inserting NOP levels before the offset step (Fig. 5(b)), one
-/// misalignment at a time until none is left.
-fn align_memory(arms: &mut [Leveled]) {
+/// misalignment at a time until none is left. On arms whose access order
+/// is acyclic ([`check_memory_order`]) no arm grows deeper than all arms'
+/// ops laid end to end; padding past that is a lowering bug, reported
+/// instead of looped on.
+fn align_memory(arms: &mut [Leveled]) -> CompileResult<()> {
+    let bound: usize = arms.iter().map(Vec::len).sum();
     while let Some((arm, access_level, pad)) = misalignment(arms) {
         let ops = &mut arms[arm];
+        if next_depth(ops) as usize + pad as usize > bound {
+            return Err(CompileError::Internal(format!(
+                "memory alignment padded a case past {bound} levels"
+            )));
+        }
         // The offset step sits directly before the access when present.
         let offset_before = access_level > 0
             && ops.iter().any(|(d, p)| {
@@ -647,6 +740,7 @@ fn align_memory(arms: &mut [Leveled]) {
         let nops = (insert_at..insert_at + pad).map(|d| (d, PlacedOp::plain(cond, IrOp::Nop)));
         ops.splice(pos..pos, nops);
     }
+    Ok(())
 }
 
 /// The first access to align: virtual memories in name order, the `k`-th
@@ -1048,5 +1142,65 @@ program p(<f,1,1>) {
             .unwrap();
         assert!(fwd_level > case_level, "tail after the case body, not parallel");
         assert_eq!(ir.levels[fwd_level][0].branch, (0, 0), "tail runs for all outcomes");
+    }
+
+    /// The refusal of arms whose memory orders form a cycle.
+    fn order_error(src: &str) -> LangError {
+        let unit = parse(src).unwrap();
+        let mems: Vec<MemDecl> = unit
+            .annotations
+            .iter()
+            .map(|a| MemDecl { name: a.name.clone(), size: a.size as u32 })
+            .collect();
+        match lower(&unit.programs[0], &mems) {
+            Err(CompileError::Lang(errs)) if errs.len() == 1 => errs[0].clone(),
+            other => panic!("expected one check error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_cases_accessing_two_memories_in_opposite_orders_are_refused() {
+        let err = order_error(
+            "@ ma 256\n@ mc 256\nprogram p(<hdr.udp.dst_port, 7, 0xffff>) {\n    BRANCH:\n    \
+             case(<sar, 0, 0xffffffff>) { MEMREAD(ma); MEMREAD(mc); };\n    \
+             case(<sar, 1, 0xffffffff>) { MEMREAD(mc); MEMREAD(ma); };\n}\n",
+        );
+        assert_eq!(
+            err.to_string(),
+            "check error at 5:1: sibling cases order their memory accesses in a cycle (`ma` \
+             before `mc` in case 1, `mc` before `ma` in case 2): no level order aligns them"
+        );
+    }
+
+    #[test]
+    fn three_cases_chaining_a_cycle_are_refused() {
+        // No two cases disagree; the three orders chain `ma` < `mb` < `mc` < `ma`.
+        let err = order_error(
+            "@ ma 64\n@ mb 64\n@ mc 64\nprogram p(<f,1,1>) { BRANCH:\n\
+             case(<sar, 0, 0xffffffff>) { MEMREAD(ma); MEMREAD(mb); };\n\
+             case(<sar, 1, 0xffffffff>) { MEMREAD(mb); MEMREAD(mc); };\n\
+             case(<sar, 2, 0xffffffff>) { MEMREAD(mc); MEMREAD(ma); };\n}\n",
+        );
+        assert_eq!(
+            err.to_string(),
+            "check error at 5:1: sibling cases order their memory accesses in a cycle (`ma` \
+             before `mb` in case 1, `mb` before `mc` in case 2, `mc` before `ma` in case 3): \
+             no level order aligns them"
+        );
+    }
+
+    #[test]
+    fn agreeing_orders_over_two_memories_still_align() {
+        let ir = lower_src(
+            "@ ma 64\n@ mc 64\nprogram p(<f,1,1>) { BRANCH: \
+             case(<sar, 0, 0xffffffff>) { MEMREAD(ma); LOADI(har, 1); MEMREAD(mc); }; \
+             case(<sar, 1, 0xffffffff>) { MEMREAD(mc); }; }",
+        );
+        for m in ["ma", "mc"] {
+            let levels: Vec<usize> = (0..ir.levels.len())
+                .filter(|&d| ir.levels[d].iter().any(|p| p.op.mem_access() == Some(m)))
+                .collect();
+            assert_eq!(levels.len(), 1, "`{m}` on one level: {levels:?}");
+        }
     }
 }

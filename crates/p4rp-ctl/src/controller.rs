@@ -170,12 +170,17 @@ struct WedgedProgram {
 type Handles = Vec<(TableRef, EntryHandle)>;
 
 /// What [`Controller::ship`] did with an ordered plan of control batches.
+/// The ops themselves went to the device; what is kept of them is where
+/// each insert went, so the handles it got can be paired with its table.
 #[derive(Default)]
 struct Shipped {
-    /// The plan flattened, in ship order.
-    ops: Vec<ControlOp>,
-    /// Results of the applied prefix of `ops`.
+    /// Per op sent, in ship order: the table an insert targets, `None` for
+    /// any other op.
+    tables: Vec<Option<TableRef>>,
+    /// Results of the applied prefix of the plan.
     results: Vec<OpResult>,
+    /// The ops that did not land, in plan order.
+    unsent: Vec<ControlOp>,
     /// The fault that stopped the plan, if any.
     error: Option<SimError>,
 }
@@ -184,8 +189,8 @@ impl Shipped {
     /// `handles` (`[body, filters]`) plus those of the entry insertions
     /// that landed, split at plan op index `boundary`.
     fn inserted(&self, boundary: usize, mut handles: [Handles; 2]) -> [Handles; 2] {
-        for (k, (op, res)) in self.ops.iter().zip(&self.results).enumerate() {
-            if let (ControlOp::InsertEntry { table, .. }, OpResult::Inserted(h)) = (op, res) {
+        for (k, (table, res)) in self.tables.iter().zip(&self.results).enumerate() {
+            if let (Some(table), OpResult::Inserted(h)) = (table, res) {
                 handles[usize::from(k >= boundary)].push((*table, *h));
             }
         }
@@ -194,10 +199,10 @@ impl Shipped {
 
     /// The ops a fault kept from landing, with the fault — `None` when the
     /// plan finished, or when a device reset finished it by wiping.
-    fn unfinished(mut self) -> Option<(Vec<ControlOp>, SimError)> {
+    fn unfinished(self) -> Option<(Vec<ControlOp>, SimError)> {
         match self.error {
             None | Some(SimError::DeviceReset { .. }) => None,
-            Some(f) => Some((self.ops.split_off(self.results.len()), f)),
+            Some(f) => Some((self.unsent, f)),
         }
     }
 }
@@ -229,7 +234,7 @@ impl Claim {
             recirc: image.recirc_ids.len(),
             entries: [0; NUM_RPBS],
         };
-        for (rpb, _) in &image.rpb_entries {
+        for rpb in image.rpbs() {
             claim.entries[usize::from(rpb.0) - 1] += 1;
         }
         claim
@@ -875,10 +880,10 @@ impl Controller {
 
     /// Apply one batch through the channel, absorbing transient faults
     /// (timeout, channel drop) with a reconnect and bounded exponential
-    /// backoff on the simulated clock. Transient faults apply nothing,
-    /// so re-sending the whole batch is safe. Returns the final outcome
-    /// and the number of retries taken.
-    fn apply_with_retry(&mut self, ops: &[ControlOp]) -> (BatchOutcome, u64) {
+    /// backoff on the simulated clock. Transient faults apply nothing and
+    /// hand the batch back whole, so it is re-sent as it is. Returns the
+    /// final outcome and the number of retries taken.
+    fn apply_with_retry(&mut self, mut ops: Vec<ControlOp>) -> (BatchOutcome, u64) {
         let mut retries = 0u64;
         loop {
             let out = self.channel.apply_batch(&mut self.switch, ops);
@@ -891,6 +896,7 @@ impl Controller {
                     }
                     self.channel.clock.advance(Nanos::from_micros(500 << retries));
                     retries += 1;
+                    ops = out.unapplied;
                 }
                 _ => {
                     self.fault_stats.retries += retries;
@@ -919,16 +925,29 @@ impl Controller {
         if self.channel.model.bulk && rpcs.len() > 1 {
             rpcs = vec![rpcs.into_iter().flatten().collect()];
         }
-        let mut sent = Shipped::default();
+        let mut sent = Shipped {
+            tables: Vec::with_capacity(rpcs.iter().map(Vec::len).sum()),
+            ..Shipped::default()
+        };
         for rpc in rpcs {
-            if sent.error.is_none() {
-                let (out, retries) = self.apply_with_retry(&rpc);
-                sent.results.extend(out.results);
-                sent.error = out.error;
-                span.update_delay_ns += out.cost.0;
-                span.retries += retries;
+            if sent.error.is_some() {
+                sent.unsent.extend(rpc);
+                continue;
             }
-            sent.ops.extend(rpc);
+            sent.tables.extend(rpc.iter().map(|op| match op {
+                ControlOp::InsertEntry { table, .. } => Some(*table),
+                _ => None,
+            }));
+            let (out, retries) = self.apply_with_retry(rpc);
+            if sent.results.is_empty() {
+                sent.results = out.results;
+            } else {
+                sent.results.extend(out.results);
+            }
+            sent.unsent.extend(out.unapplied);
+            sent.error = out.error;
+            span.update_delay_ns += out.cost.0;
+            span.retries += retries;
         }
         for res in &sent.results {
             match res {
@@ -1089,7 +1108,7 @@ impl Controller {
             ir,
             allocation,
             prog_id,
-            &self.dp.fields,
+            &self.dp,
             self.switch.field_table(),
         )?;
 
@@ -1106,13 +1125,13 @@ impl Controller {
             return Err(full().into());
         }
         claim.recirc = image.recirc_ids.len();
-        for (rpb, _) in &image.rpb_entries {
-            if !self.resman.charge_entries(*rpb, 1) {
+        for rpb in image.rpbs() {
+            if !self.resman.charge_entries(rpb, 1) {
                 return Err(stale(format!("an entry of RPB {}", rpb.0)).into());
             }
             claim.entries[usize::from(rpb.0) - 1] += 1;
         }
-        let plan = plan_install(&image, &self.dp, self.switch.field_table())?;
+        let plan = plan_install(&image, &self.dp, self.switch.field_table());
         Ok((image, plan))
     }
 
@@ -1278,7 +1297,7 @@ impl Controller {
         let mut matched = Vec::with_capacity(names.len());
         for name in names {
             let image = &self.programs[name].image;
-            let sections = plan_install(image, &self.dp, self.switch.field_table())?;
+            let sections = plan_install(image, &self.dp, self.switch.field_table());
             let mut m = Matched { name: name.clone(), ..Matched::default() };
             for (sec, batch) in sections.into_iter().enumerate() {
                 for op in batch.ops {
@@ -1418,7 +1437,7 @@ impl Controller {
             start: region.1,
             len: region.2,
         };
-        let (mut results, _) = self.channel.apply_batch(&mut self.switch, &[op]).into_result()?;
+        let (mut results, _) = self.channel.apply_batch(&mut self.switch, vec![op]).into_result()?;
         match results.pop() {
             Some(OpResult::ReadRange(v)) => Ok(v),
             _ => unreachable!("read returns a range"),
@@ -1433,7 +1452,7 @@ impl Controller {
             return Err(CtlError::AddressOutOfRange { memory: memory.into(), addr: vaddr, size });
         }
         let op = ControlOp::WriteReg { array: rpb.array_ref(), addr: offset + vaddr, value };
-        self.channel.apply_batch(&mut self.switch, &[op]).into_result()?;
+        self.channel.apply_batch(&mut self.switch, vec![op]).into_result()?;
         Ok(())
     }
 

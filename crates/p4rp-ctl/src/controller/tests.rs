@@ -83,6 +83,26 @@ fn filter_literals_wider_than_their_field_are_refused_before_any_grant() {
     ctl.deploy("program r(<hdr.udp.dst_port, 0xffff, 0xffff>) { FORWARD(1); }").unwrap();
 }
 
+#[test]
+fn cases_ordering_two_memories_oppositely_are_refused_and_leak_nothing() {
+    // Without the order check, lowering pads the two cases against each
+    // other forever.
+    let mut ctl = Controller::with_defaults().unwrap();
+    ctl.deploy(FORWARDER).unwrap();
+    let source = "@ ma 256\n@ mc 256\nprogram p(<hdr.udp.dst_port, 7, 0xffff>) {\n    BRANCH:\n    \
+                  case(<sar, 0, 0xffffffff>) { MEMREAD(ma); MEMREAD(mc); };\n    \
+                  case(<sar, 1, 0xffffffff>) { MEMREAD(mc); MEMREAD(ma); };\n}\n";
+    let before = ResourceGauges::collect(&ctl.resman);
+    let Err(CtlError::Compile(CompileError::Lang(errs))) = ctl.deploy(source) else {
+        panic!("expected a check error");
+    };
+    let message = errs[0].to_string();
+    assert!(message.starts_with("check error at 5:1: sibling cases order"), "{message}");
+    assert_eq!(ResourceGauges::collect(&ctl.resman), before);
+    assert!(ctl.audit().unwrap().clean());
+    assert_eq!(ctl.programs.len(), 1);
+}
+
 /// A controller whose every RPB is free only in holes of the given sizes,
 /// in address order, 8 buckets apart; the rest is taken by no program.
 /// Returns the taken ballast regions too.

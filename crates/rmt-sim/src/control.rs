@@ -7,12 +7,20 @@
 //! clock while applying each operation atomically to the switch, so the
 //! consistency experiments can interleave packets between operations of a
 //! batch.
+//!
+//! A batch is taken by value: each insert's entry moves into its table,
+//! and nothing is copied on the way unless a snapshot publisher is
+//! installed, whose delta keeps its own copy. The ops that did not land
+//! come back in [`BatchOutcome::unapplied`] — after a transient fault, the
+//! whole batch, ready to be sent again. The channel bills ops, not copies:
+//! the modeled cost of a batch is the same whichever way it travels.
 
 use crate::clock::{Nanos, SimClock};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::snapshot::{AppliedOp, SnapshotPublisher};
 use crate::switch::{ControlOp, OpResult, Switch};
+use crate::table::TableEntry;
 use crate::telemetry::Histogram;
 
 /// Per-operation latency model, calibrated against the prototype's
@@ -108,9 +116,9 @@ impl LatencyModel {
 pub(crate) const BATCH_TIMEOUT_COST: Nanos = Nanos(100_000_000);
 
 /// The outcome of a batch: the results of the *applied prefix*, the
-/// modeled latency, and the error that stopped the batch early (if any).
-/// A fault does not discard the prefix's results, so a transactional
-/// caller knows exactly what to undo.
+/// modeled latency, the error that stopped the batch early (if any), and
+/// the operations that did not land. A fault does not discard the prefix's
+/// results, so a transactional caller knows exactly what to undo.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Results of the ops that applied, in order.
@@ -119,6 +127,10 @@ pub struct BatchOutcome {
     pub cost: Nanos,
     /// Why the batch stopped before applying every op; `None` = complete.
     pub error: Option<SimError>,
+    /// The ops that did not land, in batch order: the one that stopped the
+    /// batch and every op after it. A transient fault (timeout, dropped
+    /// channel) applies nothing and hands the whole batch back here.
+    pub unapplied: Vec<ControlOp>,
 }
 
 impl BatchOutcome {
@@ -203,24 +215,28 @@ impl ControlChannel {
     /// Apply a batch of operations in order as one RPC, advancing the
     /// simulated clock by the cost the channel's mode
     /// ([`LatencyModel::bulk`]) bills for it. Consults the armed
-    /// [`FaultPlan`].
+    /// [`FaultPlan`]. The ops are taken by value: an insert's entry moves
+    /// into the table, and a snapshot delta gets its own copy only when a
+    /// publisher is installed.
     ///
     /// Fail-stop semantics: the batch aborts at the first failing
     /// operation. Everything already applied stays applied — exactly the
     /// partial-state hazard the paper's consistent-update ordering is
     /// designed to make harmless — and the outcome keeps the applied
-    /// prefix's results.
-    pub fn apply_batch(&mut self, sw: &mut Switch, ops: &[ControlOp]) -> BatchOutcome {
+    /// prefix's results and hands back the rest.
+    pub fn apply_batch(&mut self, sw: &mut Switch, ops: Vec<ControlOp>) -> BatchOutcome {
         let start = self.clock.now();
+        let refused = |cost, error, unapplied| BatchOutcome {
+            results: Vec::new(),
+            cost,
+            error: Some(error),
+            unapplied,
+        };
         // A dropped channel fails the RPC client-side: the device never
         // sees the batch, and no time is modeled (the failure is
         // immediate).
         if !self.connected {
-            return BatchOutcome {
-                results: Vec::new(),
-                cost: Nanos(0),
-                error: Some(SimError::ChannelDown),
-            };
+            return refused(Nanos(0), SimError::ChannelDown, ops);
         }
         // Batch-level faults fire before anything reaches the device.
         if let Some(f) = self.fault.batch_fault(ops.len()) {
@@ -242,11 +258,12 @@ impl ControlChannel {
                 t.set_now(self.clock.now());
                 t.fault_injected(f, at);
             }
-            return BatchOutcome { results: Vec::new(), cost, error: Some(error) };
+            return refused(cost, error, ops);
         }
         let mut total = self.model.per_batch;
         let mut results = Vec::with_capacity(ops.len());
         let mut error = None;
+        let mut unapplied = Vec::new();
         // Collect what actually lands for snapshot publication. With no
         // publisher installed this is a branch-not-taken per op.
         let mut applied: Option<Vec<AppliedOp>> =
@@ -258,9 +275,10 @@ impl ControlChannel {
             t.set_now(start);
             t.batch_begin(ops.len())
         });
-        for op in ops {
+        let mut ops = ops.into_iter();
+        for op in ops.by_ref() {
             // Op-level faults fire *instead of* applying the op.
-            if let Some(f) = self.fault.op_fault(op) {
+            if let Some(f) = self.fault.op_fault(&op) {
                 let at = self.fault.ops_attempted() - 1;
                 error = Some(match f {
                     FaultKind::FailOp => SimError::FaultInjected { at_op: at },
@@ -280,21 +298,34 @@ impl ControlChannel {
                 if let (Some(_), Some(t)) = (batch, sw.trace_mut()) {
                     t.fault_injected(f, at);
                 }
+                unapplied.push(op);
                 break;
             }
-            let r = match sw.apply_op(op) {
+            // What the trace and a snapshot delta read of the op once the
+            // switch owns its entry: the op with the entry left out, unless
+            // a delta needs the copy.
+            let record = match &op {
+                ControlOp::InsertEntry { table, entry } => ControlOp::InsertEntry {
+                    table: *table,
+                    entry: if applied.is_some() { entry.clone() } else { TableEntry::EMPTY },
+                },
+                other => other.clone(),
+            };
+            let r = match sw.apply(op) {
                 Ok(r) => r,
-                Err(e) => {
+                Err(refused) => {
                     // Fail-stop: the batch stops, the applied prefix stays
                     // on the device.
+                    let (e, op) = *refused;
                     error = Some(e);
+                    unapplied.push(op);
                     break;
                 }
             };
-            let cost = self.model.cost_of(op);
+            let cost = self.model.cost_of(&record);
             total += cost;
             if matches!(
-                op,
+                record,
                 ControlOp::InsertEntry { .. }
                     | ControlOp::DeleteEntry { .. }
                     | ControlOp::WriteReg { .. }
@@ -303,33 +334,21 @@ impl ControlChannel {
                 self.write_latency.observe(cost.0);
             }
             if let (Some(_), Some(t)) = (batch, sw.trace_mut()) {
-                t.control_op(op, &r);
+                t.control_op(&record, &r);
             }
             if let Some(a) = applied.as_mut() {
-                match (op, &r) {
+                match (record, &r) {
                     (ControlOp::InsertEntry { table, entry }, OpResult::Inserted(h)) => {
-                        a.push(AppliedOp::Insert {
-                            table: *table,
-                            handle: *h,
-                            entry: entry.clone(),
-                        });
+                        a.push(AppliedOp::Insert { table, handle: *h, entry });
                     }
                     (ControlOp::DeleteEntry { table, handle }, _) => {
-                        a.push(AppliedOp::Delete { table: *table, handle: *handle });
+                        a.push(AppliedOp::Delete { table, handle });
                     }
                     (ControlOp::WriteReg { array, addr, value }, _) => {
-                        a.push(AppliedOp::WriteReg {
-                            array: *array,
-                            addr: *addr,
-                            value: *value,
-                        });
+                        a.push(AppliedOp::WriteReg { array, addr, value });
                     }
                     (ControlOp::ResetRegRange { array, start, len }, _) => {
-                        a.push(AppliedOp::ResetRegRange {
-                            array: *array,
-                            start: *start,
-                            len: *len,
-                        });
+                        a.push(AppliedOp::ResetRegRange { array, start, len });
                     }
                     // Reads change nothing; workers need not see them.
                     _ => {}
@@ -337,6 +356,7 @@ impl ControlChannel {
             }
             results.push(r);
         }
+        unapplied.extend(ops);
         // The truncated batch still consumed its modeled time; closing the
         // span on every path keeps the checker's critical section from
         // leaking into later packets.
@@ -359,7 +379,7 @@ impl ControlChannel {
                 p.publish(epoch, ops);
             }
         }
-        BatchOutcome { results, cost: total, error }
+        BatchOutcome { results, cost: total, error, unapplied }
     }
 }
 
@@ -423,7 +443,7 @@ mod tests {
         let mut sw = switch_with_one_table();
         let mut ch = ControlChannel::default();
         let ops = vec![insert_op(1), insert_op(2), insert_op(3)];
-        let (results, cost) = ch.apply_batch(&mut sw, &ops).into_result().unwrap();
+        let (results, cost) = ch.apply_batch(&mut sw, ops).into_result().unwrap();
         assert_eq!(results.len(), 3);
         let expect = ch.model.per_batch + Nanos(3 * ch.model.per_insert.0);
         assert_eq!(cost, expect);
@@ -436,7 +456,7 @@ mod tests {
         let mut ch = ControlChannel::default();
         ch.model.bulk = true;
         let ops = vec![insert_op(1), insert_op(2), insert_op(3)];
-        let (results, cost) = ch.apply_batch(&mut sw, &ops).into_result().unwrap();
+        let (results, cost) = ch.apply_batch(&mut sw, ops).into_result().unwrap();
         assert_eq!(results.len(), 3);
         let expect = ch.model.per_batch + Nanos(3 * ch.model.vectored.per_insert.0);
         assert_eq!(cost, expect);
@@ -459,13 +479,14 @@ mod tests {
             ..Default::default()
         };
         let ops = vec![insert_op(1), insert_op(2), insert_op(3)];
-        let out = ch.apply_batch(&mut sw, &ops);
+        let out = ch.apply_batch(&mut sw, ops);
         assert_eq!(out.error, Some(SimError::FaultInjected { at_op: 1 }));
         assert_eq!(out.results.len(), 1, "only the first op applied");
+        assert_eq!(out.unapplied.len(), 2, "the faulted op and the one after it come back");
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
         assert_eq!(sw.table(tref).unwrap().len(), 1);
         // The plan is exhausted: the same batch now goes through.
-        let out = ch.apply_batch(&mut sw, &[insert_op(4)]);
+        let out = ch.apply_batch(&mut sw, vec![insert_op(4)]);
         assert!(out.error.is_none());
     }
 
@@ -481,7 +502,7 @@ mod tests {
             }]),
             ..Default::default()
         };
-        let out = ch.apply_batch(&mut sw, &[insert_op(1)]);
+        let out = ch.apply_batch(&mut sw, vec![insert_op(1)]);
         assert_eq!(out.error, Some(SimError::ChannelTimeout));
         assert!(out.results.is_empty());
         assert_eq!(ch.clock.now(), BATCH_TIMEOUT_COST);
@@ -502,14 +523,14 @@ mod tests {
             }]),
             ..Default::default()
         };
-        let out = ch.apply_batch(&mut sw, &[insert_op(1)]);
+        let out = ch.apply_batch(&mut sw, vec![insert_op(1)]);
         assert_eq!(out.error, Some(SimError::ChannelDown));
         assert!(!ch.is_connected());
         // Every batch fails while down, even with the plan exhausted.
-        let out = ch.apply_batch(&mut sw, &[insert_op(1)]);
+        let out = ch.apply_batch(&mut sw, vec![insert_op(1)]);
         assert_eq!(out.error, Some(SimError::ChannelDown));
         ch.reconnect();
-        assert!(ch.apply_batch(&mut sw, &[insert_op(1)]).error.is_none());
+        assert!(ch.apply_batch(&mut sw, vec![insert_op(1)]).error.is_none());
     }
 
     #[test]
@@ -518,7 +539,7 @@ mod tests {
         let mut sw = switch_with_one_table();
         let mut ch = ControlChannel::default();
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
-        ch.apply_batch(&mut sw, &[insert_op(1), insert_op(2)]).into_result().unwrap();
+        ch.apply_batch(&mut sw, vec![insert_op(1), insert_op(2)]).into_result().unwrap();
         assert_eq!(sw.generation(), 0);
         // A freshly armed plan counts ops from zero.
         ch.fault = FaultPlan::new(vec![FaultTrigger {
@@ -527,7 +548,7 @@ mod tests {
             fault: FaultKind::DeviceReset,
         }]);
         let ops = vec![insert_op(3), insert_op(4), insert_op(5)];
-        let out = ch.apply_batch(&mut sw, &ops);
+        let out = ch.apply_batch(&mut sw, ops);
         assert_eq!(out.error, Some(SimError::DeviceReset { generation: 1 }));
         assert_eq!(out.results.len(), 2, "two ops of this batch applied before the reset");
         assert_eq!(sw.generation(), 1);
@@ -542,7 +563,7 @@ mod tests {
         let mut ch = ControlChannel::default();
         let mut reader = ch.enable_snapshots().subscribe();
         // A clean batch publishes exactly once, whole.
-        ch.apply_batch(&mut sw, &[insert_op(1), insert_op(2)]).into_result().unwrap();
+        ch.apply_batch(&mut sw, vec![insert_op(1), insert_op(2)]).into_result().unwrap();
         assert_eq!(ch.snapshot_generation(), 1);
         let got = reader.poll();
         assert_eq!(got.len(), 1, "one batch, one delta");
@@ -557,7 +578,7 @@ mod tests {
             op_kind: None,
             fault: FaultKind::FailOp,
         }]);
-        let out = ch.apply_batch(&mut sw, &[insert_op(3), insert_op(4)]);
+        let out = ch.apply_batch(&mut sw, vec![insert_op(3), insert_op(4)]);
         assert!(out.error.is_some());
         let got = reader.poll();
         assert_eq!(got.len(), 1);
@@ -568,7 +589,7 @@ mod tests {
             op_kind: None,
             fault: FaultKind::BatchTimeout,
         }]);
-        ch.apply_batch(&mut sw, &[insert_op(5)]);
+        ch.apply_batch(&mut sw, vec![insert_op(5)]);
         assert!(reader.poll().is_empty(), "timed-out batch applied nothing");
         assert_eq!(ch.snapshot_generation(), 2);
     }
@@ -580,11 +601,11 @@ mod tests {
         let mut reader = ch.enable_snapshots().subscribe();
         let mut worker = master.fork_worker();
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
-        ch.apply_batch(&mut master, &[insert_op(7), insert_op(8)]).into_result().unwrap();
+        ch.apply_batch(&mut master, vec![insert_op(7), insert_op(8)]).into_result().unwrap();
         let (r, _) = ch
             .apply_batch(
                 &mut master,
-                &[ControlOp::DeleteEntry { table: tref, handle: crate::table::EntryHandle(1) }],
+                vec![ControlOp::DeleteEntry { table: tref, handle: crate::table::EntryHandle(1) }],
             )
             .into_result()
             .unwrap();
@@ -595,7 +616,7 @@ mod tests {
         assert_eq!(worker.table(tref).unwrap().len(), master.table(tref).unwrap().len());
         // Handle allocation stays aligned: the next insert on either side
         // would get the same handle.
-        let (wr, _) = ch.apply_batch(&mut master, &[insert_op(9)]).into_result().unwrap();
+        let (wr, _) = ch.apply_batch(&mut master, vec![insert_op(9)]).into_result().unwrap();
         for d in reader.poll().to_vec() {
             worker.adopt_delta(&d).unwrap();
         }
@@ -615,9 +636,48 @@ mod tests {
             table: tref,
             handle: crate::table::EntryHandle(999),
         };
-        let ops = vec![insert_op(1), bad, insert_op(2)];
-        assert!(ch.apply_batch(&mut sw, &ops).error.is_some());
+        let ops = vec![insert_op(1), bad.clone(), insert_op(2)];
+        let out = ch.apply_batch(&mut sw, ops);
+        assert!(out.error.is_some());
+        assert!(
+            matches!(out.unapplied[..], [ref op, _] if *op == bad),
+            "the refused op comes back"
+        );
         // The first insert survived: partial state, as in real hardware.
         assert_eq!(sw.table(tref).unwrap().len(), 1);
+    }
+
+    /// A transient fault applies nothing and hands the batch back whole:
+    /// re-sent, it leaves the same entries under the same handles as one
+    /// clean send.
+    #[test]
+    fn a_timed_out_batch_resent_lands_like_a_clean_send() {
+        use crate::fault::FaultTrigger;
+        let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
+        let contents = |sw: &Switch| -> Vec<_> {
+            sw.table(tref).unwrap().iter_entries().map(|(h, e)| (h, e.clone())).collect()
+        };
+        let ops = vec![insert_op(1), insert_op(2), insert_op(3)];
+
+        let mut clean = switch_with_one_table();
+        let mut ch = ControlChannel::default();
+        let (clean_results, _) = ch.apply_batch(&mut clean, ops.clone()).into_result().unwrap();
+
+        let mut sw = switch_with_one_table();
+        let mut ch = ControlChannel {
+            fault: FaultPlan::new(vec![FaultTrigger {
+                at: 0,
+                op_kind: None,
+                fault: FaultKind::BatchTimeout,
+            }]),
+            ..Default::default()
+        };
+        let out = ch.apply_batch(&mut sw, ops.clone());
+        assert_eq!(out.error, Some(SimError::ChannelTimeout));
+        assert!(out.results.is_empty());
+        assert_eq!(out.unapplied, ops, "the whole batch comes back");
+        let (results, _) = ch.apply_batch(&mut sw, out.unapplied).into_result().unwrap();
+        assert_eq!(results, clean_results, "same handles");
+        assert_eq!(contents(&sw), contents(&clean), "same table contents");
     }
 }

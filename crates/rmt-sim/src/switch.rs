@@ -196,7 +196,7 @@ pub struct ArrayRef {
 }
 
 /// One atomic control-plane operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControlOp {
     /// Insert one table entry (the switch allocates its handle).
     InsertEntry { table: TableRef, entry: TableEntry },
@@ -597,24 +597,43 @@ impl Switch {
         self.pipeline(r.gress).stage(r.stage)?.array(r.array)
     }
 
-    /// Apply one atomic control operation.
+    /// Apply one atomic control operation. An insert's entry moves into
+    /// the table.
     ///
     /// Atomicity model: operations never interleave with a packet (callers
     /// alternate `process_frame` and `apply_op`), and each operation either
     /// fully applies or fails without effect — RMT's single-entry update
     /// guarantee.
-    pub fn apply_op(&mut self, op: &ControlOp) -> SimResult<OpResult> {
-        match op {
-            ControlOp::InsertEntry { table, entry } => {
-                let handle = EntryHandle(self.next_handle);
-                let t = self
-                    .pipeline_mut(table.gress)
-                    .stage_mut(table.stage)?
-                    .table_mut(table.table)?;
-                t.insert(handle, entry.clone())?;
+    pub fn apply_op(&mut self, op: ControlOp) -> SimResult<OpResult> {
+        self.apply(op).map_err(|refused| refused.0)
+    }
+
+    /// [`Switch::apply_op`], handing a refused operation back with the
+    /// error, so a batch that stops at it can return it unapplied.
+    pub(crate) fn apply(&mut self, op: ControlOp) -> Result<OpResult, Box<(SimError, ControlOp)>> {
+        let ControlOp::InsertEntry { table, entry } = op else {
+            return self.apply_in_place(&op).map_err(|e| Box::new((e, op)));
+        };
+        let handle = EntryHandle(self.next_handle);
+        let admitted = self
+            .pipeline_mut(table.gress)
+            .stage_mut(table.stage)
+            .and_then(|s| s.table_mut(table.table))
+            .and_then(|t| t.admit(&entry).map(|()| t));
+        match admitted {
+            Ok(t) => {
+                t.file(handle, entry);
                 self.next_handle += 1;
                 Ok(OpResult::Inserted(handle))
             }
+            Err(e) => Err(Box::new((e, ControlOp::InsertEntry { table, entry }))),
+        }
+    }
+
+    /// Every operation but an insert: none owns data the switch keeps.
+    fn apply_in_place(&mut self, op: &ControlOp) -> SimResult<OpResult> {
+        match op {
+            ControlOp::InsertEntry { .. } => unreachable!("inserts move their entry in `apply`"),
             ControlOp::DeleteEntry { table, handle } => {
                 let t = self
                     .pipeline_mut(table.gress)
@@ -1093,7 +1112,7 @@ mod tests {
         let (mut sw, _, _) = tiny_switch();
         sw.provision().unwrap();
         // Install: tag 7 → forward to hdr dst field.
-        sw.apply_op(&ControlOp::InsertEntry {
+        sw.apply_op(ControlOp::InsertEntry {
             table: TableRef { gress: Gress::Ingress, stage: 0, table: 0 },
             entry: TableEntry {
                 matches: vec![MatchValue::Exact(7)],
@@ -1117,7 +1136,7 @@ mod tests {
     fn counters_track_rx_tx() {
         let (mut sw, _, _) = tiny_switch();
         sw.provision().unwrap();
-        sw.apply_op(&ControlOp::InsertEntry {
+        sw.apply_op(ControlOp::InsertEntry {
             table: TableRef { gress: Gress::Ingress, stage: 0, table: 0 },
             entry: TableEntry {
                 matches: vec![MatchValue::Exact(1)],
@@ -1148,7 +1167,7 @@ mod tests {
         sw.provision().unwrap();
         let tref = TableRef { gress: Gress::Ingress, stage: 0, table: 0 };
         let r = sw
-            .apply_op(&ControlOp::InsertEntry {
+            .apply_op(ControlOp::InsertEntry {
                 table: tref,
                 entry: TableEntry {
                     matches: vec![MatchValue::Exact(1)],
@@ -1163,10 +1182,10 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(sw.table(tref).unwrap().len(), 1);
-        sw.apply_op(&ControlOp::DeleteEntry { table: tref, handle }).unwrap();
+        sw.apply_op(ControlOp::DeleteEntry { table: tref, handle }).unwrap();
         assert_eq!(sw.table(tref).unwrap().len(), 0);
         // Deleting again fails cleanly.
-        assert!(sw.apply_op(&ControlOp::DeleteEntry { table: tref, handle }).is_err());
+        assert!(sw.apply_op(ControlOp::DeleteEntry { table: tref, handle }).is_err());
     }
 
     #[test]
@@ -1177,7 +1196,7 @@ mod tests {
         let mut handles = std::collections::HashSet::new();
         for i in 0..5u64 {
             let r = sw
-                .apply_op(&ControlOp::InsertEntry {
+                .apply_op(ControlOp::InsertEntry {
                     table: tref,
                     entry: TableEntry {
                         matches: vec![MatchValue::Exact(i)],
@@ -1203,18 +1222,18 @@ mod tests {
             .add_array(RegArray::new("m", 16));
         sw.provision().unwrap();
         let aref = ArrayRef { gress: Gress::Ingress, stage: 1, array: 0 };
-        sw.apply_op(&ControlOp::WriteReg { array: aref, addr: 3, value: 42 }).unwrap();
+        sw.apply_op(ControlOp::WriteReg { array: aref, addr: 3, value: 42 }).unwrap();
         assert_eq!(
-            sw.apply_op(&ControlOp::ReadReg { array: aref, addr: 3 }).unwrap(),
+            sw.apply_op(ControlOp::ReadReg { array: aref, addr: 3 }).unwrap(),
             OpResult::Read(42)
         );
         assert_eq!(
-            sw.apply_op(&ControlOp::ReadRegRange { array: aref, start: 2, len: 3 }).unwrap(),
+            sw.apply_op(ControlOp::ReadRegRange { array: aref, start: 2, len: 3 }).unwrap(),
             OpResult::ReadRange(vec![0, 42, 0])
         );
-        sw.apply_op(&ControlOp::ResetRegRange { array: aref, start: 0, len: 16 }).unwrap();
+        sw.apply_op(ControlOp::ResetRegRange { array: aref, start: 0, len: 16 }).unwrap();
         assert_eq!(
-            sw.apply_op(&ControlOp::ReadReg { array: aref, addr: 3 }).unwrap(),
+            sw.apply_op(ControlOp::ReadReg { array: aref, addr: 3 }).unwrap(),
             OpResult::Read(0)
         );
     }
@@ -1267,7 +1286,7 @@ mod tests {
         assert!(sw.set_multicast_group(7, vec![1, 999]).is_err(), "bad port");
         sw.set_multicast_group(7, vec![2, 4, 6]).unwrap();
         // Give the packet a unicast forward too: multicast outranks it.
-        sw.apply_op(&ControlOp::InsertEntry {
+        sw.apply_op(ControlOp::InsertEntry {
             table: TableRef { gress: Gress::Ingress, stage: 0, table: 0 },
             entry: TableEntry {
                 matches: vec![MatchValue::Exact(9)],
@@ -1326,7 +1345,7 @@ mod tests {
     /// Install `tag 7 → forward to the frame's dst byte` in [`tiny_switch`]'s
     /// stage-0 table.
     fn forward_tag_7(sw: &mut Switch) {
-        sw.apply_op(&ControlOp::InsertEntry {
+        sw.apply_op(ControlOp::InsertEntry {
             table: TableRef { gress: Gress::Ingress, stage: 0, table: 0 },
             entry: TableEntry {
                 matches: vec![MatchValue::Exact(7)],

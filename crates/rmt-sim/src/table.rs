@@ -154,6 +154,10 @@ pub struct TableEntry {
 }
 
 impl TableEntry {
+    /// No key, no data: holds nothing on the heap.
+    pub(crate) const EMPTY: TableEntry =
+        TableEntry { matches: Vec::new(), priority: 0, action: 0, data: Vec::new() };
+
     fn lpm_sum(&self) -> u32 {
         self.matches.iter().map(|m| u32::from(m.lpm_len())).sum()
     }
@@ -410,6 +414,9 @@ pub struct Table {
     /// Slot ids in first-match precedence order (see [`StoredEntry::new`]),
     /// maintained by binary-search insertion.
     order: Vec<u32>,
+    /// Where in `order` the last insert went, plus one: where the next
+    /// insert is tried first ([`Table::file`]). Only a hint.
+    order_hint: usize,
     by_handle: FxHashMap<EntryHandle, u32>,
     index: Index,
     /// When false, lookups take the ordered scan even if an index is
@@ -471,6 +478,7 @@ impl Table {
             slots: Vec::new(),
             free_slots: Vec::new(),
             order: Vec::new(),
+            order_hint: 0,
             by_handle: FxHashMap::default(),
             index,
             indexed: true,
@@ -703,21 +711,29 @@ impl Table {
         let g = &mut groups[gi];
         let key = Self::tss_key(entry, &g.key_masks);
         let key = &key[..entry.matches.len()];
-        if !g.buckets.contains_key(key) {
-            g.buckets.insert(key.into(), TssBucket::default());
-        }
-        let bucket = g.buckets.get_mut(key).expect("bucket filed above");
-        let pos = match bucket.members.binary_search(&(rank, slot)) {
-            Ok(p) | Err(p) => p,
-        };
-        bucket.members.insert(pos, (rank, slot));
-        if let Some(rf) = g.single_range {
-            let MatchValue::Range { lo, hi } = entry.matches[rf] else {
-                unreachable!("range effective mask implies a Range value");
+        let single_range = g.single_range;
+        let file = |bucket: &mut TssBucket| {
+            let pos = match bucket.members.binary_search(&(rank, slot)) {
+                Ok(p) | Err(p) => p,
             };
-            let pos = bucket.intervals.partition_point(|it| (it.lo, it.rank) < (lo, rank));
-            bucket.intervals.insert(pos, Interval { lo, hi, max_hi: 0, rank, slot });
-            fix_max_hi(&mut bucket.intervals);
+            bucket.members.insert(pos, (rank, slot));
+            if let Some(rf) = single_range {
+                let MatchValue::Range { lo, hi } = entry.matches[rf] else {
+                    unreachable!("range effective mask implies a Range value");
+                };
+                let pos = bucket.intervals.partition_point(|it| (it.lo, it.rank) < (lo, rank));
+                bucket.intervals.insert(pos, Interval { lo, hi, max_hi: 0, rank, slot });
+                fix_max_hi(&mut bucket.intervals);
+            }
+        };
+        // One probe for a bucket that exists, two for one that does not.
+        match g.buckets.get_mut(key) {
+            Some(bucket) => file(bucket),
+            None => {
+                let mut bucket = TssBucket::default();
+                file(&mut bucket);
+                g.buckets.insert(key.into(), bucket);
+            }
         }
         g.len += 1;
         if rank < g.best_rank {
@@ -915,6 +931,14 @@ impl Table {
     /// Insert an entry atomically. `handle` must be globally unique (the
     /// switch's control plane allocates them).
     pub fn insert(&mut self, handle: EntryHandle, entry: TableEntry) -> SimResult<()> {
+        self.admit(&entry)?;
+        self.file(handle, entry);
+        Ok(())
+    }
+
+    /// Whether [`Table::insert`] would take `entry`: the table has room,
+    /// the key has the table's arity and the action exists.
+    pub(crate) fn admit(&self, entry: &TableEntry) -> SimResult<()> {
         if self.order.len() >= self.capacity {
             return Err(SimError::TableFull { table: self.name.clone(), capacity: self.capacity });
         }
@@ -928,6 +952,11 @@ impl Table {
         if entry.action >= self.actions.len() {
             return Err(SimError::NoSuchAction { table: self.name.clone(), action: entry.action });
         }
+        Ok(())
+    }
+
+    /// Store an admitted entry and file it in the index.
+    pub(crate) fn file(&mut self, handle: EntryHandle, entry: TableEntry) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let stored = StoredEntry::new(handle, seq, entry);
@@ -942,18 +971,26 @@ impl Table {
                 u32::try_from(self.slots.len() - 1).expect("slot id fits u32")
             }
         };
-        // Binary-search insertion into the rank-sorted order: O(log n)
-        // compare + one shift, instead of re-sorting the whole table.
-        let pos = self
-            .order
-            .binary_search_by(|&s| self.stored(s).rank.cmp(&rank))
-            .unwrap_err();
+        // Sorted insertion into the rank-ordered `order`. The entries of one
+        // program arrive in a row, and those of one priority rank side by
+        // side (each has the newest `seq`): the place right after the
+        // previous insert is tried first, then a binary search, O(log n).
+        let at = |i: usize| self.stored(self.order[i]).rank;
+        let hint = self.order_hint;
+        let pos = if hint <= self.order.len()
+            && (hint == 0 || at(hint - 1) < rank)
+            && (hint == self.order.len() || rank < at(hint))
+        {
+            hint
+        } else {
+            self.order.binary_search_by(|&s| self.stored(s).rank.cmp(&rank)).unwrap_err()
+        };
         self.order.insert(pos, slot);
+        self.order_hint = pos + 1;
         self.by_handle.insert(handle, slot);
         if !self.index_insert(slot) {
             self.degrade();
         }
-        Ok(())
     }
 
     /// Delete an entry atomically.

@@ -213,7 +213,10 @@ fn arb_objective() -> impl Strategy<Value = Objective> {
         Just(Objective::LastOnly),
         Just(Objective::Hierarchical),
         Just(Objective::paper_default()),
+        // Halves and integers are exact in floating point: pins tie often.
+        Just(Objective::WeightedDiff { alpha: 1.0, beta: 0.5 }),
         Just(Objective::WeightedDiff { alpha: 0.5, beta: 0.5 }),
+        Just(Objective::WeightedDiff { alpha: 0.3, beta: 0.7 }),
         Just(Objective::Ratio),
     ]
 }
@@ -439,4 +442,142 @@ fn repeated_shapes_reuse_entry_templates() {
     let (hits, misses) = ctl.entry_cache_stats();
     assert_eq!(hits + misses, 8);
     assert!(hits >= 6, "identical shapes should hit the template cache: {hits} hits");
+}
+
+/// A small deterministic generator for the searches below (xorshift64*).
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+    }
+}
+
+/// A program of up to eight statements over two memories, and a plane on
+/// which some RPBs have no free entries: the pins' least `x_L` then jump
+/// around, so their `f1` scores cross and tie.
+fn random_case(rng: &mut Rng) -> (ProgramIr, AllocView) {
+    const STMTS: [&str; 6] = [
+        "LOADI(har, 1);",
+        "ADD(har, sar);",
+        "LOADI(mar, 3); MEMREAD(ma);",
+        "HASH_5_TUPLE_MEM(mb); MEMMAX(mb);",
+        "FORWARD(5);",
+        "DROP;",
+    ];
+    let mut stmts = Vec::new();
+    let (mut ma, mut mb) = (0, 0);
+    for _ in 0..1 + rng.below(8) {
+        let stmt = STMTS[rng.below(STMTS.len() as u64) as usize];
+        let (a, b) = (stmt.contains("(ma)") as u32, stmt.contains("(mb)") as u32);
+        if ma + a <= 2 && mb + b <= 2 {
+            (ma, mb) = (ma + a, mb + b);
+            stmts.push(stmt);
+        }
+    }
+    let src = format!(
+        "@ ma 256\n@ mb 128\nprogram p(<hdr.ipv4.dst, 10.0.0.1, 0xffffffff>) {{ {} }}",
+        stmts.join(" ")
+    );
+    let mut view = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
+    for te in &mut view.te_free {
+        if rng.below(3) == 0 {
+            *te = 0;
+        }
+    }
+    (ir_of(&src), view)
+}
+
+/// Two pins that reach the same score as computed: the larger `x_1` wins,
+/// as it does in the reference's descending loop, whichever order the
+/// solver takes its pins in. Both `f1` paths are covered: best first
+/// (`α > β`) and descending (`α ≤ β`).
+#[test]
+fn f1_ties_go_to_the_larger_x1() {
+    for objective in [
+        Objective::WeightedDiff { alpha: 1.0, beta: 0.5 },
+        Objective::WeightedDiff { alpha: 0.5, beta: 0.5 },
+    ] {
+        let cfg = AllocConfig { objective, node_budget: 20_000, ..AllocConfig::default() };
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut ties = 0;
+        for _ in 0..120 {
+            let (ir, view) = random_case(&mut rng);
+            let scores = alloc_reference::pin_scores(&ir, &view, &cfg);
+            let Some(best) = scores.iter().map(|&(_, s)| s).min_by(f64::total_cmp) else {
+                continue;
+            };
+            let tied: Vec<u16> =
+                scores.iter().filter(|&&(_, s)| s == best).map(|&(x1, _)| x1).collect();
+            if tied.len() < 2 {
+                continue;
+            }
+            ties += 1;
+            let fast = allocate(&ir, &view, &cfg).unwrap();
+            let reference = alloc_reference::solve(&ir, &view, &cfg).unwrap();
+            let larger = *tied.last().unwrap();
+            assert_eq!(fast.x[0], larger, "{objective:?}: pins {tied:?} tie at {best}");
+            assert_eq!(fast.x, reference.x, "{objective:?}");
+            assert_eq!(fast.objective_value, best);
+        }
+        assert!(ties >= 10, "{objective:?}: only {ties} cases with tied pins");
+    }
+}
+
+/// Under `f1` the fast solver never searches more than the reference, on
+/// every catalog family on an empty plane and on 128 residents (families
+/// the reference cannot finish within its budget are skipped), and on the
+/// random cases above with `α ≤ β`.
+#[test]
+fn f1_never_explores_more_nodes_than_the_reference() {
+    let family = |name: &str| *Family::ALL.iter().find(|f| f.name() == name).unwrap();
+    let shallow =
+        ["cache", "lb", "dqacc", "l2", "l3", "tun", "calc", "ecn", "cms", "bf", "sumax", "hll"];
+    let mut ctl = Controller::with_defaults().unwrap();
+    for i in 0..128 {
+        ctl.deploy(&instance(family(shallow[i % shallow.len()]), i, WorkloadParams::default()))
+            .unwrap();
+    }
+    let loaded = ctl.resources().alloc_view().clone();
+    let empty = AllocView::unconstrained(RPB_TABLE_SIZE, RPB_MEM_SIZE);
+    let cfg = AllocConfig { node_budget: 100_000, ..AllocConfig::default() };
+    let mut compared = 0;
+    for f in Family::ALL {
+        let ir = ir_of(&instance(f, 60_000, WorkloadParams::default()));
+        for view in [&empty, &loaded] {
+            let reference = alloc_reference::solve(&ir, view, &cfg).unwrap();
+            if reference.truncated_solves > 0 {
+                continue;
+            }
+            let fast = allocate(&ir, view, &cfg).unwrap();
+            assert_eq!(fast.x, reference.x, "{}", f.name());
+            assert!(
+                fast.nodes_explored <= reference.nodes_explored,
+                "{}: {} nodes, the reference {}",
+                f.name(),
+                fast.nodes_explored,
+                reference.nodes_explored
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared >= 24, "only {compared} family solves compared");
+
+    let cfg = AllocConfig {
+        objective: Objective::WeightedDiff { alpha: 0.3, beta: 0.7 },
+        ..cfg
+    };
+    let mut rng = Rng(7);
+    for _ in 0..200 {
+        let (ir, view) = random_case(&mut rng);
+        if let (Ok(fast), Ok(reference)) =
+            (allocate(&ir, &view, &cfg), alloc_reference::solve(&ir, &view, &cfg))
+        {
+            assert_eq!(fast.x, reference.x);
+            assert!(fast.nodes_explored <= reference.nodes_explored);
+        }
+    }
 }

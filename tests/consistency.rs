@@ -28,12 +28,7 @@ fn packets_interleaved_with_install_see_old_or_new_only() {
     ctl.deploy(&cache_source()).unwrap();
     ctl.write_memory("cache", "mem1", 512, 777).unwrap();
     let installed = ctl.program("cache").unwrap().clone();
-    let batches = plan_install(
-        &installed.image,
-        ctl.dataplane(),
-        ctl.switch().field_table(),
-    )
-    .unwrap();
+    let batches = plan_install(&installed.image, ctl.dataplane(), ctl.switch().field_table());
     let ops: Vec<ControlOp> = batches.into_iter().flat_map(|b| b.ops).collect();
     let n_ops = ops.len();
     assert!(n_ops > 10);
@@ -42,13 +37,13 @@ fn packets_interleaved_with_install_see_old_or_new_only() {
     for k in 0..=n_ops {
         let mut ctl = Controller::with_defaults().unwrap();
         for op in &ops[..k] {
-            ctl.switch_mut().apply_op(op).unwrap();
+            ctl.switch_mut().apply_op(op.clone()).unwrap();
         }
         // Pre-load the value so a "new state" probe returns it. This write
         // bypasses the program abstraction on purpose.
         let region = installed.image.mem_regions[0].clone();
         ctl.switch_mut()
-            .apply_op(&ControlOp::WriteReg {
+            .apply_op(ControlOp::WriteReg {
                 array: region.rpb.array_ref(),
                 addr: region.offset + 512,
                 value: 777,
@@ -87,7 +82,7 @@ fn packets_interleaved_with_removal_see_new_or_gone_only() {
         ctl.deploy(&cache_source()).unwrap();
         ctl.write_memory("cache", "mem1", 512, 4242).unwrap();
         for op in &ops[..k] {
-            ctl.switch_mut().apply_op(op).unwrap();
+            ctl.switch_mut().apply_op(op.clone()).unwrap();
         }
         let out = ctl.switch_mut().process_frame(0, &read_frame(0x8888)).unwrap();
         if out.dropped {
@@ -145,12 +140,8 @@ fn event_stream_shows_no_packet_event_between_entry_writes() {
     let mut scratch = Controller::with_defaults().unwrap();
     scratch.deploy(&cache_source()).unwrap();
     let installed = scratch.program("cache").unwrap().clone();
-    let batches = plan_install(
-        &installed.image,
-        scratch.dataplane(),
-        scratch.switch().field_table(),
-    )
-    .unwrap();
+    let batches =
+        plan_install(&installed.image, scratch.dataplane(), scratch.switch().field_table());
     let ops: Vec<ControlOp> = batches.into_iter().flat_map(|b| b.ops).collect();
     let region = installed.image.mem_regions[0].clone();
 
@@ -160,10 +151,10 @@ fn event_stream_shows_no_packet_event_between_entry_writes() {
     let mut prev = ctl.switch().telemetry().unwrap().clone();
     let mut served = 0usize;
     for (k, op) in ops.iter().enumerate() {
-        ctl.switch_mut().apply_op(op).unwrap();
+        ctl.switch_mut().apply_op(op.clone()).unwrap();
         // Pre-load the cached value so a "new state" probe can answer.
         ctl.switch_mut()
-            .apply_op(&ControlOp::WriteReg {
+            .apply_op(ControlOp::WriteReg {
                 array: region.rpb.array_ref(),
                 addr: region.offset + 512,
                 value: 777,

@@ -124,6 +124,41 @@ pub fn solve(ir: &ProgramIr, view: &AllocView, cfg: &AllocConfig) -> CompileResu
     }
 }
 
+/// Every feasible pin of the `f1` objective with the score the reference
+/// gives it, `(x_1, α·x_L − β·x_1)` at the pin's least `x_L`, in ascending
+/// `x_1`.
+pub fn pin_scores(ir: &ProgramIr, view: &AllocView, cfg: &AllocConfig) -> Vec<(u16, f64)> {
+    let Objective::WeightedDiff { alpha, beta } = cfg.objective else {
+        panic!("pin scores are an f1 notion");
+    };
+    let (reqs, pairs) = slot_requirements(ir);
+    let max_index = LogicalRpb::max_index(cfg.max_recirc);
+    let l = reqs.len() as u16;
+    let mut solver = Solver {
+        budget: cfg.node_budget,
+        reqs: &reqs,
+        pairs: &pairs,
+        sizes: ir.memories.iter().map(|m| (m.name.clone(), m.size)).collect(),
+        max_index,
+        te_free: view.te_free.clone(),
+        te_used: vec![0; NUM_RPBS],
+        mem_free: view
+            .mem_free
+            .iter()
+            .map(|s| s.iter().map(|&(_, len)| len).collect())
+            .collect(),
+        mem_placed: HashMap::new(),
+        nodes: 0,
+        truncated_solves: 0,
+    };
+    (1..=max_index - (l - 1))
+        .filter_map(|x1| {
+            let (_, xl) = solver.search_min_xl(Some(x1), None)?;
+            Some((x1, alpha * f64::from(xl) - beta * f64::from(x1)))
+        })
+        .collect()
+}
+
 struct Solver<'a> {
     budget: u64,
     reqs: &'a [SlotReq],
