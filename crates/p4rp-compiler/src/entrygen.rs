@@ -16,10 +16,12 @@ use crate::alloc::Allocation;
 use crate::errors::{CompileError, CompileResult};
 use crate::ir::{IrOp, MemDecl, PlacedOp, ProgramIr};
 use p4rp_dataplane::{encode_rpb_entry, init, Dataplane, LogicalRpb};
-use p4rp_dataplane::{FilterEntrySpec, P4rpFields, RpbEntrySpec, RpbId, RpbOp};
+use p4rp_dataplane::{FilterEntrySpec, MemOpKind, P4rpFields, RpbEntrySpec, RpbId, RpbOp};
+use p4rp_lang::RegConds;
 use rmt_sim::table::{MatchValue, TableEntry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
 
 /// A virtual memory's physical region.
@@ -208,9 +210,10 @@ fn assemble(
 ///
 /// Deploy streams install many instances of one source template (the §6.2
 /// workload families): identical levels, memories, and placement; only the
-/// name, filter values, program id, and memory offsets differ. The
-/// cache keys on the shape — `(levels, memories, x)` hashed with FxHash,
-/// verified by full equality on hit — and stores the shape's RPB entries
+/// name, filter values, program id, memory names and memory offsets differ.
+/// The cache keys on the shape — `(levels, memories, x)`, with each memory
+/// known by its position and its size, hashed with FxHash and verified by
+/// full equality on hit — and stores the shape's RPB entries
 /// *encoded*, with program id 0, zeroed offsets, and the entry positions of
 /// the offsets. Branch ids, register conditions and recirculation ids are
 /// part of the shape. A hit shares the template with the new image, whose
@@ -242,10 +245,66 @@ const CACHE_CAP: usize = 256;
 impl EntryGenCache {
     fn shape_key(ir: &ProgramIr, alloc: &Allocation) -> u64 {
         let mut h = rmt_sim::fxhash::FxHasher::default();
-        ir.levels.hash(&mut h);
-        ir.memories.hash(&mut h);
+        Shape { levels: &ir.levels, memories: &ir.memories }.hash(&mut h);
         alloc.x.hash(&mut h);
         h.finish()
+    }
+}
+
+/// A program's levels and memories as its entry template depends on them:
+/// each memory is known by its position in `memories` and by its size, not
+/// by its name. Instances of one family name their memories apart
+/// (`hllreg_<name>`, `cms1_<name>`, …) and still share a template.
+#[derive(Clone, Copy)]
+struct Shape<'a> {
+    levels: &'a [Vec<PlacedOp>],
+    memories: &'a [MemDecl],
+}
+
+/// One op as a template sees it.
+#[derive(PartialEq, Hash)]
+enum OpShape<'a> {
+    /// An op that names no memory.
+    Op(&'a IrOp),
+    /// A memory op: its variant, its memory's position, its access kind.
+    Mem(Discriminant<IrOp>, Option<usize>, Option<MemOpKind>),
+}
+
+impl<'a> Shape<'a> {
+    fn sizes(self) -> impl Iterator<Item = u32> + 'a {
+        self.memories.iter().map(|m| m.size)
+    }
+
+    fn level_lens(self) -> impl Iterator<Item = usize> + 'a {
+        self.levels.iter().map(Vec::len)
+    }
+
+    fn ops(self) -> impl Iterator<Item = ((u16, u16), RegConds, i32, OpShape<'a>)> {
+        self.levels.iter().flatten().map(move |p| {
+            let (mem, kind) = match &p.op {
+                IrOp::HashHarMem { mem } | IrOp::Hash5TupleMem { mem } => (mem, None),
+                IrOp::MemOffset { mem, kind } | IrOp::MemAccess { mem, kind } => (mem, Some(*kind)),
+                op => return (p.branch, p.regs, p.priority, OpShape::Op(op)),
+            };
+            let at = self.memories.iter().position(|m| &m.name == mem);
+            (p.branch, p.regs, p.priority, OpShape::Mem(discriminant(&p.op), at, kind))
+        })
+    }
+}
+
+impl Hash for Shape<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.sizes().for_each(|size| size.hash(h));
+        self.level_lens().for_each(|len| len.hash(h));
+        self.ops().for_each(|op| op.hash(h));
+    }
+}
+
+impl PartialEq for Shape<'_> {
+    fn eq(&self, other: &Shape<'_>) -> bool {
+        self.sizes().eq(other.sizes())
+            && self.level_lens().eq(other.level_lens())
+            && self.ops().eq(other.ops())
     }
 }
 
@@ -261,7 +320,8 @@ pub fn generate_cached(
 ) -> CompileResult<ProgramImage> {
     let key = EntryGenCache::shape_key(ir, alloc);
     if let Some(e) = cache.map.get(&key) {
-        if e.levels == ir.levels && e.memories == ir.memories && e.x == alloc.x {
+        let cached = Shape { levels: &e.levels, memories: &e.memories };
+        if cached == (Shape { levels: &ir.levels, memories: &ir.memories }) && e.x == alloc.x {
             cache.hits += 1;
             let body = Arc::clone(&e.body);
             return assemble(ir, alloc, prog_id, dp, ft_universe, body);
@@ -487,6 +547,46 @@ program p(<hdr.ipv4.dst, 1, 1>) {
             assert_eq!(entries[k].1.data[0], u64::from(*off));
         }
         assert_eq!((cache.misses, cache.hits), (1, 1), "second instance hit the template");
+    }
+
+    /// `p4rp-progs`' HyperLogLog source, with its register named after the
+    /// instance as the catalog names it.
+    fn hll(name: &str, registers: u32) -> String {
+        let mut s = format!(
+            "@ hllreg_{name} {registers}\nprogram {name}(<hdr.ipv4.dst, 10.0.0.1, 0xffffffff>) {{\n\
+             HASH_5_TUPLE;\nHASH_5_TUPLE_MEM(hllreg_{name});\nBRANCH:\n"
+        );
+        for rank in 1..=32u32 {
+            let bit = 32 - rank;
+            let mask = if rank == 1 { 0x8000_0000u32 } else { !0u32 << bit };
+            s += &format!(
+                "case(<har, 0x{:08x}, 0x{mask:08x}>) {{ LOADI(sar, {rank}); MEMMAX(hllreg_{name}); }};\n",
+                1u32 << bit
+            );
+        }
+        s + "}\n"
+    }
+
+    #[test]
+    fn instances_naming_their_memories_apart_share_a_template() {
+        let (ft, dp) = plane();
+        let mut cache = EntryGenCache::default();
+        // Two instances of one family, each naming its register after
+        // itself, at different offsets: the second hits the template.
+        for (prog_id, name, offset) in [(1u16, "hll_a", 0u32), (2, "hll_b", 4096)] {
+            let (ir, mut alloc) = lowered(&hll(name, 256));
+            alloc.regions[0].1 = offset;
+            let image = generate_cached(&mut cache, &ir, &alloc, prog_id, &dp, &ft).unwrap();
+            let entries: Vec<_> = image.rpb_entries().collect();
+            assert_eq!(entries, encoded(&ir, &alloc, prog_id, &dp), "{name}");
+            assert_eq!(image.mem_regions[0].name, format!("hllreg_{name}"));
+        }
+        assert_eq!((cache.misses, cache.hits), (1, 1), "the second instance hit the template");
+        // A register of another size is another shape: its hash mask differs.
+        let (ir, alloc) = lowered(&hll("hll_c", 512));
+        let image = generate_cached(&mut cache, &ir, &alloc, 3, &dp, &ft).unwrap();
+        assert_eq!(image.rpb_entries().collect::<Vec<_>>(), encoded(&ir, &alloc, 3, &dp));
+        assert_eq!((cache.misses, cache.hits), (2, 1));
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //! * [`server`] — the persistent multi-client runtime-control server
 //!   (line-framed JSON over TCP, one thread per session running its own
 //!   requests under one controller lock, explicit refusals;
-//!   `docs/SERVER.md`).
+//!   `docs/SERVER.md`);
+//! * [`Cli`] — the runtime CLI. The server and the CLI are two front ends
+//!   over one command model: the commands they share parse into one `Op`,
+//!   run through one `execute` and print through one renderer, in-process
+//!   or over `client <addr> <line>`.
 
 pub mod chaos;
 mod cli;
+mod command;
 mod controller;
 mod metrics;
 mod resman;

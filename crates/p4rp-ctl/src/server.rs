@@ -5,8 +5,8 @@
 //! program deployments from many operators at once. This module is that
 //! entry point for the reproduction. Every accepted connection becomes a
 //! *session*: one thread that reads a request line, takes the one lock
-//! around the [`Controller`], executes the request through
-//! [`Controller::deploy`] / [`Controller::revoke`], unlocks, writes the
+//! around the [`Controller`], executes the request through the command
+//! model the CLI shares (`crate::command::execute`), unlocks, writes the
 //! reply, and only then reads the next line. A session's requests
 //! therefore run in the order it sent them — a session that pipelines
 //! `revoke x` then `deploy x` gets them executed in that order — and
@@ -38,7 +38,8 @@
 //!
 //! Protocol grammar, knobs, and drain semantics: `docs/SERVER.md`.
 
-use crate::controller::{Controller, DeployReport, RevokeReport};
+use crate::command::{error_reply, execute, parse_request, Op, StatusView};
+use crate::controller::Controller;
 use crate::metrics::{http_response, render_prometheus};
 use crate::telemetry::ServerStats;
 use rmt_sim::trace::{RejectReason, RequestOp};
@@ -78,106 +79,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig { max_clients: 8, rate: None, request_timeout_ns: None }
     }
-}
-
-/// One parsed request operation.
-#[derive(Debug, Clone, PartialEq)]
-enum Op {
-    Deploy { source: String },
-    Revoke { name: String },
-    Status { full: bool },
-    Metrics,
-    Trace,
-    Ping,
-    Shutdown,
-}
-
-impl Op {
-    fn kind(&self) -> RequestOp {
-        match self {
-            Op::Deploy { .. } => RequestOp::Deploy,
-            Op::Revoke { .. } => RequestOp::Revoke,
-            Op::Status { .. } => RequestOp::Status,
-            Op::Metrics => RequestOp::Metrics,
-            Op::Trace => RequestOp::Trace,
-            Op::Ping => RequestOp::Ping,
-            Op::Shutdown => RequestOp::Shutdown,
-        }
-    }
-}
-
-/// Parse one request line. `lineno` is 1-based within the connection;
-/// errors carry it the way `parse_prometheus` errors do.
-fn parse_request(line: &str, lineno: u64) -> Result<(u64, Op), String> {
-    let doc = serde::json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-    if doc.as_object().is_none() {
-        return Err(format!("line {lineno}: request must be a JSON object"));
-    }
-    let id = match doc.get("id") {
-        Some(Value::U64(n)) => *n,
-        Some(_) => return Err(format!("line {lineno}: `id` must be an unsigned integer")),
-        None => return Err(format!("line {lineno}: missing `id`")),
-    };
-    let op_name = match doc.get("op") {
-        Some(Value::Str(s)) => s.as_str(),
-        Some(_) => return Err(format!("line {lineno}: `op` must be a string")),
-        None => return Err(format!("line {lineno}: missing `op`")),
-    };
-    let need_str = |field: &str| match doc.get(field) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("line {lineno}: `{field}` must be a string")),
-        None => Err(format!("line {lineno}: `{op_name}` requires a string `{field}`")),
-    };
-    let op = match op_name {
-        "deploy" => Op::Deploy { source: need_str("source")? },
-        "revoke" => Op::Revoke { name: need_str("name")? },
-        "status" => Op::Status { full: matches!(doc.get("full"), Some(Value::Bool(true))) },
-        "metrics" => Op::Metrics,
-        "trace" => Op::Trace,
-        "ping" => Op::Ping,
-        "shutdown" => Op::Shutdown,
-        other => {
-            return Err(format!(
-                "line {lineno}: unknown op `{other}` (expected deploy, revoke, status, \
-                 metrics, trace, ping, or shutdown)"
-            ))
-        }
-    };
-    Ok((id, op))
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn error_reply(id: u64, error: &str, detail: &str) -> String {
-    serde::json::to_string(&obj(vec![
-        ("id", Value::U64(id)),
-        ("ok", Value::Bool(false)),
-        ("error", Value::Str(error.to_string())),
-        ("detail", Value::Str(detail.to_string())),
-    ]))
-}
-
-/// Only deterministic (simulated / structural) fields go on the wire:
-/// responses from equivalent runs must compare bit-for-bit, and wall
-/// times never replay.
-fn deploy_value(r: &DeployReport) -> Value {
-    obj(vec![
-        ("name", Value::Str(r.name.clone())),
-        ("prog_id", Value::U64(u64::from(r.prog_id))),
-        ("entries_installed", Value::U64(r.entries_installed as u64)),
-        ("depth", Value::U64(r.depth as u64)),
-        ("passes", Value::U64(u64::from(r.passes))),
-        ("update_delay_ns", Value::U64(r.update_delay.0)),
-    ])
-}
-
-fn revoke_value(r: &RevokeReport) -> Value {
-    obj(vec![
-        ("name", Value::Str(r.name.clone())),
-        ("update_delay_ns", Value::U64(r.update_delay.0)),
-    ])
 }
 
 /// Per-session token bucket on the sim clock.
@@ -282,88 +183,6 @@ impl Locked<'_> {
             RejectReason::Parse => stats.parse_errors += 1,
         }
     }
-
-    /// Execute one admitted request, returning its reply line and
-    /// whether it succeeded.
-    fn execute(&mut self, request: u64, op: Op) -> (String, bool) {
-        let text = match op {
-            Op::Deploy { source } => match self.ctl.deploy(&source) {
-                Ok(reports) => serde::json::to_string(&obj(vec![
-                    ("id", Value::U64(request)),
-                    ("ok", Value::Bool(true)),
-                    ("op", Value::Str("deploy".into())),
-                    ("reports", Value::Array(reports.iter().map(deploy_value).collect())),
-                ])),
-                Err(e) => return (error_reply(request, "failed", &e.to_string()), false),
-            },
-            Op::Revoke { name } => match self.ctl.revoke(&name) {
-                Ok(report) => serde::json::to_string(&obj(vec![
-                    ("id", Value::U64(request)),
-                    ("ok", Value::Bool(true)),
-                    ("op", Value::Str("revoke".into())),
-                    ("report", revoke_value(&report)),
-                ])),
-                Err(e) => return (error_reply(request, "failed", &e.to_string()), false),
-            },
-            Op::Status { full } => {
-                let report = self.ctl.telemetry_report();
-                let mut fields = vec![
-                    ("id", Value::U64(request)),
-                    ("ok", Value::Bool(true)),
-                    ("op", Value::Str("status".into())),
-                    ("schema_version", Value::U64(report.schema_version)),
-                    ("epoch", Value::U64(report.epoch)),
-                    ("programs_deployed", Value::U64(report.programs_deployed)),
-                ];
-                if full {
-                    fields.push(("report", serde::json::parse(&report.to_json()).expect(
-                        "a rendered telemetry report always re-parses",
-                    )));
-                }
-                serde::json::to_string(&obj(fields))
-            }
-            Op::Metrics => {
-                let body = render_prometheus(&self.ctl.telemetry_report());
-                serde::json::to_string(&obj(vec![
-                    ("id", Value::U64(request)),
-                    ("ok", Value::Bool(true)),
-                    ("op", Value::Str("metrics".into())),
-                    ("exposition", Value::Str(body)),
-                ]))
-            }
-            Op::Trace => {
-                let t = self.ctl.trace_stats();
-                serde::json::to_string(&obj(vec![
-                    ("id", Value::U64(request)),
-                    ("ok", Value::Bool(true)),
-                    ("op", Value::Str("trace".into())),
-                    ("enabled", Value::Bool(t.enabled)),
-                    ("recorded", Value::U64(t.recorded)),
-                    ("dropped", Value::U64(t.dropped)),
-                    ("retained", Value::U64(t.retained)),
-                    ("capacity", Value::U64(t.capacity)),
-                    ("violations", Value::U64(t.violations)),
-                ]))
-            }
-            Op::Ping => serde::json::to_string(&obj(vec![
-                ("id", Value::U64(request)),
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("ping".into())),
-                ("epoch", Value::U64(self.ctl.epoch())),
-                ("now_ns", Value::U64(self.now_ns())),
-            ])),
-            Op::Shutdown => {
-                self.draining = true;
-                serde::json::to_string(&obj(vec![
-                    ("id", Value::U64(request)),
-                    ("ok", Value::Bool(true)),
-                    ("op", Value::Str("shutdown".into())),
-                    ("draining", Value::Bool(true)),
-                ]))
-            }
-        };
-        (text, true)
-    }
 }
 
 /// What the session does once a reply is written.
@@ -385,7 +204,8 @@ struct Reply {
 }
 
 impl Reply {
-    fn line(mut text: String, then: Then) -> Reply {
+    fn json(value: &Value, then: Then) -> Reply {
+        let mut text = serde::json::to_string(value);
         text.push('\n');
         Reply { text, then }
     }
@@ -448,7 +268,7 @@ impl<'a> Session<'a> {
     /// A malformed line is answered and counted; the session stays open.
     fn parse_error(&self, core: &Core, detail: &str) -> Reply {
         core.with(|l| l.reject(self.client, 0, RejectReason::Parse));
-        Reply::line(error_reply(0, "parse", detail), Then::Read)
+        Reply::json(&error_reply(0, "parse", detail), Then::Read)
     }
 
     /// Admission (draining, timeout, rate limit), then execution. Runs
@@ -457,8 +277,9 @@ impl<'a> Session<'a> {
         let client = self.client;
         if l.draining {
             l.reject(client, request, RejectReason::Draining);
-            let text = error_reply(request, "draining", "server is shutting down; request refused");
-            return Reply::line(text, Then::Read);
+            let refused =
+                error_reply(request, "draining", "server is shutting down; request refused");
+            return Reply::json(&refused, Then::Read);
         }
         l.stats().requests += 1;
         let now = l.now_ns();
@@ -478,7 +299,7 @@ impl<'a> Session<'a> {
         if let Some(reason) = refusal {
             l.reject(client, request, reason);
             let detail = format!("request {request} rejected: {}", reason.name());
-            return Reply::line(error_reply(request, reason.name(), &detail), Then::Read);
+            return Reply::json(&error_reply(request, reason.name(), &detail), Then::Read);
         }
         let kind = op.kind();
         let stats = l.stats();
@@ -486,17 +307,16 @@ impl<'a> Session<'a> {
         stats.batched_deploys += u64::from(kind == RequestOp::Deploy);
         stats.batched_revokes += u64::from(kind == RequestOp::Revoke);
         l.ctl.traced(|tr| tr.request_begin(client, request, kind));
-        let (text, ok) = l.execute(request, op);
+        l.draining |= kind == RequestOp::Shutdown;
+        let reply = execute(l.ctl, request, op);
+        let ok = reply.get("ok") == Some(&Value::Bool(true));
         let dur_ns = l.now_ns().saturating_sub(since);
         let stats = l.stats();
-        if ok {
-            stats.responses_ok += 1;
-        } else {
-            stats.responses_err += 1;
-        }
+        stats.responses_ok += u64::from(ok);
+        stats.responses_err += u64::from(!ok);
         stats.request_latency.observe(dur_ns);
         l.ctl.traced(|tr| tr.request_end(client, request, kind, ok, dur_ns));
-        Reply::line(text, if kind == RequestOp::Shutdown { Then::Drain } else { Then::Read })
+        Reply::json(&reply, if kind == RequestOp::Shutdown { Then::Drain } else { Then::Read })
     }
 
     /// Take one token from the bucket, refilled at `rate` per simulated
@@ -656,7 +476,7 @@ fn accept_loop<'scope>(
             drop(sessions);
             core.with(|l| l.stats().rejected_max_clients += 1);
             let busy = error_reply(0, "busy", "server full: max clients reached");
-            let _ = (&stream).write_all(format!("{busy}\n").as_bytes());
+            let _ = (&stream).write_all(Reply::json(&busy, Then::Close).text.as_bytes());
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
@@ -703,10 +523,7 @@ impl Client {
 
     /// Send one raw request line and read one reply line.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        let mut framed = Vec::with_capacity(line.len() + 1);
-        framed.extend_from_slice(line.as_bytes());
-        framed.push(b'\n');
-        self.writer.write_all(&framed)?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
         let mut reply = String::new();
         self.reader.read_line(&mut reply)?;
@@ -719,100 +536,57 @@ impl Client {
         Ok(reply.trim_end().to_string())
     }
 
-    fn request(&mut self, mut fields: Vec<(&str, Value)>) -> std::io::Result<String> {
+    /// Send one op and read its reply line.
+    pub(crate) fn send(&mut self, op: Op) -> std::io::Result<String> {
         let id = self.next_id;
         self.next_id += 1;
-        fields.insert(0, ("id", Value::U64(id)));
-        let line = serde::json::to_string(&obj(fields));
-        self.request_line(&line)
+        self.request_line(&serde::json::to_string(&op.into_request(id)))
     }
 
     /// `deploy` the given program source.
     pub fn deploy(&mut self, source: &str) -> std::io::Result<String> {
-        self.request(vec![
-            ("op", Value::Str("deploy".into())),
-            ("source", Value::Str(source.to_string())),
-        ])
+        self.send(Op::Deploy { source: source.to_string() })
     }
 
     /// `revoke` the named program.
     pub fn revoke(&mut self, name: &str) -> std::io::Result<String> {
-        self.request(vec![
-            ("op", Value::Str("revoke".into())),
-            ("name", Value::Str(name.to_string())),
-        ])
+        self.send(Op::Revoke { name: name.to_string() })
     }
 
     /// Compact `status`.
     pub fn status(&mut self) -> std::io::Result<String> {
-        self.request(vec![("op", Value::Str("status".into()))])
+        self.send(Op::Status(StatusView::Brief))
     }
 
     /// Prometheus exposition snapshot.
     pub fn metrics(&mut self) -> std::io::Result<String> {
-        self.request(vec![("op", Value::Str("metrics".into()))])
+        self.send(Op::Metrics)
     }
 
     /// Flight-recorder statistics.
     pub fn trace(&mut self) -> std::io::Result<String> {
-        self.request(vec![("op", Value::Str("trace".into()))])
+        self.send(Op::Trace)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> std::io::Result<String> {
-        self.request(vec![("op", Value::Str("ping".into()))])
+        self.send(Op::Ping)
     }
 
     /// Ask the server to drain and stop.
     pub fn shutdown(&mut self) -> std::io::Result<String> {
-        self.request(vec![("op", Value::Str("shutdown".into()))])
+        self.send(Op::Shutdown)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::{deploy_value, obj, revoke_value};
     use rmt_sim::trace::TraceConfig;
     use std::cell::RefCell;
     use std::collections::VecDeque;
     use std::rc::Rc;
-
-    #[test]
-    fn request_parser_is_strict_and_line_numbered() {
-        let (id, op) = parse_request(r#"{"id": 7, "op": "ping"}"#, 3).unwrap();
-        assert_eq!(id, 7);
-        assert_eq!(op, Op::Ping);
-        let (_, op) =
-            parse_request(r#"{"id": 1, "op": "deploy", "source": "program x() {}"}"#, 1).unwrap();
-        assert_eq!(op, Op::Deploy { source: "program x() {}".into() });
-        let (_, op) = parse_request(r#"{"id": 1, "op": "status", "full": true}"#, 1).unwrap();
-        assert_eq!(op, Op::Status { full: true });
-
-        let err = parse_request("not json", 4).unwrap_err();
-        assert!(err.starts_with("line 4:"), "{err}");
-        let err = parse_request(r#"{"op": "ping"}"#, 9).unwrap_err();
-        assert!(err.contains("line 9") && err.contains("missing `id`"), "{err}");
-        let err = parse_request(r#"{"id": -3, "op": "ping"}"#, 2).unwrap_err();
-        assert!(err.contains("unsigned integer"), "{err}");
-        let err = parse_request(r#"{"id": 1, "op": "warp"}"#, 5).unwrap_err();
-        assert!(err.contains("unknown op `warp`"), "{err}");
-        let err = parse_request(r#"{"id": 1, "op": "deploy"}"#, 6).unwrap_err();
-        assert!(err.contains("requires a string `source`"), "{err}");
-        let err = parse_request(r#"{"id": 1, "op": "revoke", "name": 4}"#, 7).unwrap_err();
-        assert!(err.contains("`name` must be a string"), "{err}");
-        let err = parse_request("[1, 2]", 8).unwrap_err();
-        assert!(err.contains("JSON object"), "{err}");
-    }
-
-    #[test]
-    fn error_replies_are_single_line_json() {
-        let text = error_reply(3, "busy", "line 1: too much");
-        assert!(!text.contains('\n'), "{text}");
-        let doc = serde::json::parse(&text).unwrap();
-        assert_eq!(doc.get("id"), Some(&Value::U64(3)));
-        assert_eq!(doc.get("ok"), Some(&Value::Bool(false)));
-        assert_eq!(doc.get("error"), Some(&Value::Str("busy".into())));
-    }
 
     fn source_for(i: usize) -> String {
         format!("program c{i}(<hdr.ipv4.dst, 10.1.{i}.1, 0xffffffff>) {{ FORWARD({}); }}", i + 1)
@@ -1019,5 +793,30 @@ mod tests {
         }
         assert!(ctl.audit().unwrap().clean(), "{ctx}");
         assert_eq!(ctl.trace_stats().violations, 0, "{ctx}");
+    }
+
+    /// Two sibling cases that reach `ma` and `mc` in opposite orders once
+    /// made lowering run forever under the controller lock, so one such
+    /// `deploy` blocked every session. It is refused with a positioned
+    /// check error, and the next session is served.
+    #[test]
+    fn a_deploy_refused_by_the_case_order_check_blocks_no_other_session() {
+        let source = "@ ma 256\n@ mc 256\nprogram p(<hdr.udp.dst_port, 7, 0xffff>) {\n    \
+                      BRANCH:\n    case(<sar, 0, 0xffffffff>) { MEMREAD(ma); MEMREAD(mc); };\n    \
+                      case(<sar, 1, 0xffffffff>) { MEMREAD(mc); MEMREAD(ma); };\n}\n";
+        let mut ctl = Controller::with_defaults().unwrap();
+        let cfg = ServerConfig::default();
+        let core = Core::new(&mut ctl);
+        let deploy = request(1, "deploy", Some(("source", source.to_string())));
+        let reply = Session::new(1, &cfg).handle(deploy.as_bytes(), &core);
+        let doc = serde::json::parse(reply.text.trim_end()).unwrap();
+        assert_eq!(doc.get("error"), Some(&Value::Str("failed".into())), "{doc:?}");
+        let Some(Value::Str(detail)) = doc.get("detail") else { panic!("{doc:?}") };
+        // The controller's error text, as every failed reply carries it.
+        let check = "compile error: language errors:\n  check error at 5:1: sibling cases order";
+        assert!(detail.starts_with(check), "{detail}");
+        let ping = Session::new(2, &cfg).handle(request(1, "ping", None).as_bytes(), &core);
+        assert!(reply_ok(&ping.text), "{}", ping.text);
+        assert!(ctl.audit().unwrap().clean());
     }
 }

@@ -134,8 +134,8 @@ fn warm_shallow_deploys_and_revokes_stay_within_their_allocation_budgets() {
     let (mut deploys, mut revokes) = (0, 0);
     for name in shallow {
         // The first cycle warms the controller. Instance 1 names its
-        // memories apart from instance 0, so for the families with memories
-        // it is another template shape and its entries are generated afresh.
+        // memories apart from instance 0 but has its shape, so its entries
+        // come from instance 0's template.
         let warm_up = ctl
             .deploy(&instance(family(name), 0, WorkloadParams::default()))
             .unwrap();
@@ -150,7 +150,7 @@ fn warm_shallow_deploys_and_revokes_stay_within_their_allocation_budgets() {
         revokes += allocations() - after_deploy;
     }
     assert!(
-        deploys <= 1897,
+        deploys <= 1355,
         "ctl.allocs_per_deploy: {deploys} allocations in seven deploys"
     );
     assert!(revokes <= 86, "{revokes} allocations in their revokes");
@@ -159,8 +159,8 @@ fn warm_shallow_deploys_and_revokes_stay_within_their_allocation_budgets() {
 #[test]
 fn a_warm_hll_deploy_costs_a_fixed_number_of_allocations_after_parse_and_lower() {
     // The same source twice, as `deploy_shallow` cycles it: the second
-    // deploy hits the entry-template cache (memory names are part of a
-    // shape, so another instance of the family would not).
+    // deploy hits the entry-template cache (as another instance of the
+    // family would: memory names are not part of a shape).
     let source = instance(family("hll"), 1, WorkloadParams::default());
     let mut ctl = Controller::with_defaults().unwrap();
     let warm_up = ctl.deploy(&source).unwrap();
